@@ -39,7 +39,6 @@ from .traces import (
     faithful_trace_exists,
     parse_trace_spec,
     trace_eval,
-    validate_trace_spec,
     vertex_trace_space,
 )
 
@@ -117,12 +116,6 @@ def cmd_eval(args) -> int:
     g = parse_graph(graph_text)
     spec = parse_trace_spec(spec_text, g)
     mode = LEAVITT if args.mode == "leavitt" else COHN
-    if mode == LEAVITT:
-        check = validate_trace_spec(g, spec)
-        if not check:
-            raise PreconditionError(
-                "invalid spec: " + "; ".join(check.messages())
-            )
     algebra = PathAlgebra(g, spec.field, spec.involution, mode)
     element = parse_element(args.expr, algebra)
     value = trace_eval(g, spec, element)

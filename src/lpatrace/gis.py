@@ -135,8 +135,6 @@ class ZeroClass:
 
 ZERO_CLASS = ZeroClass()
 
-EqClassId = object  # VertexClass | CycleWord | CycleWordStar | ZeroClass
-
 
 def classify_eq(g: Graph, a):
     """Class of an element under the conjugacy-type equivalence.

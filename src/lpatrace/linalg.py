@@ -11,40 +11,19 @@ from __future__ import annotations
 from .scalars import fe_one, fe_zero
 
 
-def rank(rows, field) -> int:
-    """Rank of a dense matrix given as a list of equal-length rows."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = fe_one(field) / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+def _row_reduce(rows, ncols: int, field):
+    """Reduced row-echelon form: (nonzero reduced rows, pivot columns).
 
-
-def nullspace(rows, ncols: int, field):
-    """Basis of the solution space of (rows) * x = 0, as dense vectors.
-
-    Rows may be empty, in which case the basis is the standard one.
+    Zero rows are dropped first, so elimination stops as soon as every
+    remaining row holds a pivot.
     """
-    zero, one = fe_zero(field), fe_one(field)
-    mat = [list(r) for r in rows]
+    one = fe_one(field)
+    mat = [list(r) for r in rows if any(r)]
     pivots = []
-    r = 0
     for col in range(ncols):
+        r = len(pivots)
+        if r == len(mat):
+            break
         pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
@@ -56,7 +35,21 @@ def nullspace(rows, ncols: int, field):
                 factor = mat[i][col]
                 mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
         pivots.append(col)
-        r += 1
+    return mat, pivots
+
+
+def rank(rows, field) -> int:
+    """Rank of a dense matrix given as a list of equal-length rows."""
+    return len(_row_reduce(rows, len(rows[0]) if rows else 0, field)[1])
+
+
+def nullspace(rows, ncols: int, field):
+    """Basis of the solution space of (rows) * x = 0, as dense vectors.
+
+    Rows may be empty, in which case the basis is the standard one.
+    """
+    zero, one = fe_zero(field), fe_one(field)
+    mat, pivots = _row_reduce(rows, ncols, field)
     free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free_cols:

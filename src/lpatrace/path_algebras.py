@@ -102,10 +102,6 @@ class PathAlgebra:
         p = edge_path(self.graph, edge_ids)
         return self.monomial(p, vertex_path(self.graph, p.dst))
 
-    def path_star(self, edge_ids) -> "AlgebraElement":
-        q = edge_path(self.graph, edge_ids)
-        return self.monomial(vertex_path(self.graph, q.dst), q)
-
     def monomial(self, p: PathSeq, q: PathSeq, coeff=1) -> "AlgebraElement":
         self._check_path(p)
         self._check_path(q)
@@ -297,23 +293,7 @@ class AlgebraElement:
         return f"AlgebraElement({format_element(self)})"
 
 
-# -- spec-named operation aliases -------------------------------------------
-
-
-def alg_add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x + y
-
-
-def alg_neg(x: AlgebraElement) -> AlgebraElement:
-    return -x
-
-
-def alg_scalar_mul(c, x: AlgebraElement) -> AlgebraElement:
-    return x._scaled(c)
-
-
-def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x * y
+# -- operations on elements -------------------------------------------------
 
 
 def alg_star(x: AlgebraElement) -> AlgebraElement:
@@ -327,21 +307,6 @@ def alg_star(x: AlgebraElement) -> AlgebraElement:
 
 def alg_commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return x * y - y * x
-
-
-def leavitt_normalize(algebra: PathAlgebra, raw) -> AlgebraElement:
-    """Normalize a raw support in a Leavitt algebra.
-
-    `raw` is a {MonPair: coefficient} mapping or an element of a Cohn
-    algebra over the same graph.
-    """
-    if algebra.mode != LEAVITT:
-        raise ValueError("leavitt_normalize requires a Leavitt-mode algebra")
-    if isinstance(raw, AlgebraElement):
-        if raw.algebra.graph is not algebra.graph:
-            raise ValueError("element is over a different graph")
-        raw = raw.as_dict()
-    return algebra.from_terms(raw)
 
 
 def transfer(x: AlgebraElement, target: PathAlgebra) -> AlgebraElement:

@@ -111,9 +111,6 @@ class FieldElem:
     def __repr__(self):
         return f"FieldElem({format_scalar(self)!r}, {self.field})"
 
-    def star(self, involution: str) -> "FieldElem":
-        return field_star(self, involution)
-
 
 def fe(re, im=0, field=Q) -> FieldElem:
     """Build a field element from ints or Fractions."""
@@ -252,10 +249,6 @@ def laurent(field: str, coeffs) -> LaurentPoly:
             items.append((int(exp), c))
     items.sort(key=lambda t: t[0])
     return LaurentPoly(field, tuple(items))
-
-
-def laurent_zero(field=Q) -> LaurentPoly:
-    return LaurentPoly(field, ())
 
 
 def laurent_one(field=Q) -> LaurentPoly:

@@ -163,18 +163,6 @@ def group_with_zero(group_table, labels=None) -> FiniteSemigroup:
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("group table must be square and nonempty")
-    identity = None
-    for e in range(n):
-        if all(rows[e][x] == x == rows[x][e] for x in range(n)):
-            identity = e
-            break
-    if identity is None:
-        raise ValueError("input is not a group: no identity element")
-    for i in range(n):
-        if sorted(rows[i]) != list(range(n)):
-            raise ValueError("input is not a group: rows are not permutations")
-        if sorted(rows[j][i] for j in range(n)) != list(range(n)):
-            raise ValueError("input is not a group: columns are not permutations")
     size = n + 1
     table = [[0] * size for _ in range(size)]
     for i in range(n):
@@ -182,7 +170,30 @@ def group_with_zero(group_table, labels=None) -> FiniteSemigroup:
             table[i + 1][j + 1] = rows[i][j] + 1
     if labels is not None:
         labels = ("0",) + tuple(labels)
-    return build_semigroup(table, 0, labels)
+    G = build_semigroup(table, 0, labels)
+    group_identity(G)
+    return G
+
+
+def group_identity(G: FiniteSemigroup) -> int:
+    """Identity of G minus zero, provided that part is a group."""
+    nonzero = G.nonzero_elements()
+    identity = None
+    for u in nonzero:
+        if all(G.mul(u, x) == x == G.mul(x, u) for x in nonzero):
+            identity = u
+            break
+    if identity is None:
+        raise PreconditionError("semigroup is not a group with zero: no identity")
+    for a in nonzero:
+        row = sorted(G.mul(a, b) for b in nonzero)
+        col = sorted(G.mul(b, a) for b in nonzero)
+        if row != nonzero or col != nonzero:
+            raise PreconditionError(
+                "semigroup is not a group with zero: "
+                f"element {G.label(a)} is not invertible"
+            )
+    return identity
 
 
 def endo_semigroup(n: int) -> FiniteSemigroup:
@@ -435,10 +446,6 @@ def sg_neg(x: SgRingElem) -> SgRingElem:
     return SgRingElem(tuple((k, -v) for k, v in x.coeffs))
 
 
-def sg_scale(c: FieldElem, x: SgRingElem) -> SgRingElem:
-    return SgRingElem.make({k: c * v for k, v in x.coeffs})
-
-
 def sg_mul(G: FiniteSemigroup, x: SgRingElem, y: SgRingElem) -> SgRingElem:
     acc = {}
     for a, ca in x.coeffs:
@@ -475,16 +482,12 @@ class CentralMap:
         return self.values[idx]
 
 
-def _value_is_zero(v) -> bool:
-    return not v
-
-
 def is_central_map(G: FiniteSemigroup, values) -> bool:
     """Whether values[0-indexed table] is central and kills zero."""
     values = tuple(values)
     if len(values) != G.size:
         raise ValueError("value table must cover every element")
-    if not _value_is_zero(values[G.zero]):
+    if values[G.zero]:
         return False
     n = G.size
     for a in range(n):

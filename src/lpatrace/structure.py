@@ -188,13 +188,20 @@ def _check_families(dec: Decomposition) -> None:
             if p in seen:
                 raise PreconditionError(f"duplicate family path {p!r}")
             seen.add(p)
-            assert p.dst == end
+            if p.dst != end:
+                raise PreconditionError(
+                    f"family path {format_path(p)} does not end at {end!r}"
+                )
             if forbidden is not None:
                 n = len(forbidden)
-                assert not any(
+                if any(
                     p.edges[i: i + n] == forbidden
                     for i in range(len(p.edges) - n + 1)
-                )
+                ):
+                    raise PreconditionError(
+                        f"family path {format_path(p)} contains the full "
+                        f"cycle word {'/'.join(forbidden)}"
+                    )
     covered = {p.src for p in seen}
     missing = [v for v in dec.graph.vertices if v not in covered]
     if missing:
@@ -301,10 +308,6 @@ class MatrixImage:
         return "MatrixImage(" + ", ".join(parts) + ")" if parts else "MatrixImage(0)"
 
 
-def matrix_zero(dec: Decomposition) -> MatrixImage:
-    return MatrixImage(dec, tuple({} for _ in dec.blocks))
-
-
 def matrix_identity(dec: Decomposition, field: str) -> MatrixImage:
     blocks = []
     for b, block in enumerate(dec.blocks):
@@ -370,29 +373,22 @@ def phi_inverse_unit(dec: Decomposition, algebra: PathAlgebra,
     return algebra.monomial(left, right)
 
 
-class PulledBackTrace:
+def pull_back_trace(dec: Decomposition, field: str, involution: str):
     """Faithful trace obtained by tracing each block (cycle blocks through
-    the degree-zero coefficient)."""
+    the degree-zero coefficient), as a function of Leavitt-mode elements."""
+    require_positive_definite(field, involution)
 
-    def __init__(self, dec: Decomposition, field: str, involution: str):
-        require_positive_definite(field, involution)
-        self.dec = dec
-        self.field = field
-        self.involution = involution
-
-    def __call__(self, x: AlgebraElement) -> FieldElem:
-        if x.algebra.field != self.field:
+    def trace(x: AlgebraElement) -> FieldElem:
+        if x.algebra.field != field:
             raise ValueError("element field does not match the trace")
-        acc = fe_zero(self.field)
+        acc = fe_zero(field)
         for mon, c in x.terms:
-            for b, j, l, k in self.dec.expand_monomial(mon):
+            for b, j, l, k in dec.expand_monomial(mon):
                 if j == l and k == 0:
                     acc = acc + c
         return acc
 
-
-def pull_back_trace(dec: Decomposition, field: str, involution: str) -> PulledBackTrace:
-    return PulledBackTrace(dec, field, involution)
+    return trace
 
 
 def decomposition_report(dec: Decomposition) -> dict:

@@ -52,7 +52,13 @@ from .scalars import (
     parse_scalar,
     require_positive_definite,
 )
-from .semigroups import CentralMap, FiniteSemigroup, FreeVector, central_map
+from .semigroups import (
+    CentralMap,
+    FiniteSemigroup,
+    FreeVector,
+    central_map,
+    group_identity,
+)
 from .linalg import rank as _rank
 
 
@@ -402,7 +408,10 @@ def build_faithful_trace(g: Graph, field=QI, involution=CONJUGATION) -> TraceSpe
         g, field, involution,
         vertex_values={v: fe(c, 0, field) for v, c in counts.items()},
     )
-    assert validate_trace_spec(g, spec), "block path counts must satisfy the vertex constraint"
+    if not validate_trace_spec(g, spec):
+        raise PreconditionError(
+            "block path counts do not satisfy the vertex constraint"
+        )
     return spec
 
 
@@ -411,30 +420,9 @@ def build_faithful_trace(g: Graph, field=QI, involution=CONJUGATION) -> TraceSpe
 # ---------------------------------------------------------------------------
 
 
-def _group_identity(G: FiniteSemigroup) -> int:
-    """Identity of G minus zero, provided that part is a group."""
-    nonzero = G.nonzero_elements()
-    identity = None
-    for u in nonzero:
-        if all(G.mul(u, x) == x == G.mul(x, u) for x in nonzero):
-            identity = u
-            break
-    if identity is None:
-        raise PreconditionError("semigroup is not a group with zero: no identity")
-    for a in nonzero:
-        row = sorted(G.mul(a, b) for b in nonzero)
-        col = sorted(G.mul(b, a) for b in nonzero)
-        if row != sorted(nonzero) or col != sorted(nonzero):
-            raise PreconditionError(
-                "semigroup is not a group with zero: "
-                f"element {G.label(a)} is not invertible"
-            )
-    return identity
-
-
 def kaplansky_trace(G: FiniteSemigroup, field=Q) -> CentralMap:
     """delta(identity) = 1, zero elsewhere."""
-    e = _group_identity(G)
+    e = group_identity(G)
     one, zero = fe_one(field), fe_zero(field)
     values = tuple(one if i == e else zero for i in range(G.size))
     return central_map(G, values, field)
@@ -442,7 +430,7 @@ def kaplansky_trace(G: FiniteSemigroup, field=Q) -> CentralMap:
 
 def augmentation_trace(G: FiniteSemigroup, field=Q) -> CentralMap:
     """delta = 1 on every nonzero element."""
-    _group_identity(G)
+    group_identity(G)
     one, zero = fe_one(field), fe_zero(field)
     values = tuple(zero if i == G.zero else one for i in range(G.size))
     return central_map(G, values, field)

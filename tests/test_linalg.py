@@ -1,5 +1,9 @@
+import pytest
+
 from lpatrace.linalg import SpanBasis, nullspace, rank
-from lpatrace.scalars import Q, fe, fe_one, fe_zero
+from lpatrace.scalars import QI, Q, fe, fe_one, fe_zero
+
+from conftest import random_scalar
 
 
 def _row(*vals):
@@ -30,6 +34,33 @@ def test_nullspace_solves_the_system():
 def test_nullspace_empty_system():
     basis = nullspace([], 2, Q)
     assert len(basis) == 2
+
+
+@pytest.mark.parametrize("field", [Q, QI])
+def test_rank_nullity_and_nullspace_solutions(rng, field):
+    zero = fe_zero(field)
+    shapes = [(1, 1), (2, 5), (5, 2), (4, 4), (3, 7), (7, 3), (6, 6)]
+    for trial in range(60):
+        nrows, ncols = shapes[trial % len(shapes)]
+        if trial % 5 == 0:
+            rows = [[zero] * ncols for _ in range(nrows)]  # all-zero matrix
+        else:
+            rows = [[random_scalar(rng, field) for _ in range(ncols)]
+                    for _ in range(nrows)]
+            # a repeated row and an inserted zero row lower the rank
+            if trial % 3 == 0:
+                rows[-1] = list(rows[0])
+            if trial % 4 == 0:
+                rows.insert(rng.randrange(nrows), [zero] * ncols)
+        basis = nullspace(rows, ncols, field)
+        assert rank(rows, field) + len(basis) == ncols, (trial, nrows, ncols)
+        for vec in basis:
+            for row in rows:
+                total = zero
+                for a, x in zip(row, vec):
+                    total = total + a * x
+                assert not total, (trial, vec)
+        assert rank(basis, field) == len(basis)
 
 
 def test_span_basis_membership():

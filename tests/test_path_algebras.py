@@ -284,21 +284,14 @@ def test_format_element_round_trip():
         assert parse_element(format_element(x), A) == x or not x
 
 
-def test_leavitt_normalize_accepts_cohn_elements():
-    from lpatrace.path_algebras import leavitt_normalize
-
+def test_transfer_normalizes_cohn_elements():
     g = GRAPHS["line2"]
     C = PathAlgebra(g, Q, IDENTITY, COHN)
     L = PathAlgebra(g, Q, IDENTITY, LEAVITT)
     f = edge_path(g, ["f"])
     cohn_elem = C.from_terms({MonPair(f, f): 1})
     assert cohn_elem != C.vertex("a")  # distinct in the Cohn algebra
-    assert leavitt_normalize(L, cohn_elem) == L.vertex("a")
-    with pytest.raises(ValueError):
-        leavitt_normalize(C, cohn_elem)
-    other = PathAlgebra(GRAPHS["tree"], Q, IDENTITY, LEAVITT)
-    with pytest.raises(ValueError):
-        leavitt_normalize(other, cohn_elem)
+    assert transfer(cohn_elem, L) == L.vertex("a")
 
 
 def test_transfer_requires_same_graph():

@@ -1,7 +1,7 @@
 import pytest
 
 from lpatrace.errors import PreconditionError
-from lpatrace.graphs import format_path
+from lpatrace.graphs import edge_path, format_path, vertex_path
 from lpatrace.path_algebras import LEAVITT, PathAlgebra, alg_star, parse_element
 from lpatrace.scalars import (
     CONJUGATION,
@@ -14,6 +14,10 @@ from lpatrace.scalars import (
     laurent,
 )
 from lpatrace.structure import (
+    CycleBlock,
+    Decomposition,
+    SinkBlock,
+    _check_families,
     decompose,
     decomposition_report,
     matrix_identity,
@@ -44,6 +48,19 @@ def test_decompose_requires_no_exit():
         decompose(GRAPHS["rose2"])
     with pytest.raises(PreconditionError, match="exit"):
         decompose(GRAPHS["loop_exit"])
+
+
+def test_check_families_rejects_bad_paths():
+    g = GRAPHS["line2"]
+    wrong_end = SinkBlock("b", (vertex_path(g, "b"), vertex_path(g, "a")))
+    with pytest.raises(PreconditionError, match="does not end at 'b'"):
+        _check_families(Decomposition(g, [wrong_end], []))
+
+    loop = GRAPHS["one_loop"]
+    (block,) = decompose(loop).cycle_blocks
+    full_word = CycleBlock(block.cycle, (edge_path(loop, ["e"]),))
+    with pytest.raises(PreconditionError, match="full cycle word"):
+        _check_families(Decomposition(loop, [], [full_word]))
 
 
 def test_decomposition_report_schema():
