@@ -172,23 +172,44 @@ class PathAlgebra:
         return out
 
     def _nf(self, mon: MonPair):
-        """Canonical expansion of a monomial: {canonical monomial: int}."""
-        cached = self._nf_cache.get(mon)
+        """Canonical expansion of a monomial: {canonical monomial: int}.
+
+        Every monomial met on the way is cached.  The rewrite tree is walked
+        with an explicit stack, children before parents, so long redexes
+        cannot exhaust the interpreter's recursion limit.
+        """
+        cache = self._nf_cache
+        cached = cache.get(mon)
         if cached is not None:
             return cached
-        if self.redex_edge(mon) is None:
-            result = {mon: 1}
-        else:
+        stack = [(mon, None)]  # (monomial, its rewrite step once expanded)
+        while stack:
+            top, step = stack.pop()
+            if top in cache:
+                continue
+            if step is None:
+                if self.redex_edge(top) is None:
+                    cache[top] = {top: 1}
+                    continue
+                step = self.rewrite_step(top)
+                stack.append((top, step))
+                stack.extend((m, None) for m in step if m not in cache)
+                continue
             result = {}
-            for m, k in self.rewrite_step(mon).items():
-                for m2, k2 in self._nf(m).items():
+            for m, k in step.items():
+                if k == 1 and not result:
+                    # a plain copy keeps the stored key hashes; rehashing the
+                    # long paths of a deep redex would cost O(length) a key
+                    result = dict(cache[m])
+                    continue
+                for m2, k2 in cache[m].items():
                     acc = result.get(m2, 0) + k * k2
                     if acc:
                         result[m2] = acc
                     else:
                         result.pop(m2, None)
-        self._nf_cache[mon] = result
-        return result
+            cache[top] = result
+        return cache[mon]
 
     def normalize_terms(self, raw):
         """Rewrite a raw {MonPair: FieldElem} support to canonical form."""
@@ -197,7 +218,7 @@ class PathAlgebra:
             if not c:
                 continue
             for m, k in self._nf(mon).items():
-                add = c * fe(k, 0, self.field)
+                add = c * k
                 acc = out.get(m)
                 acc = add if acc is None else acc + add
                 if acc:

@@ -2,8 +2,11 @@
 
 Coefficients live in an involutive field, either Q or Q(i), tagged on every
 value so that mixed-field arithmetic is rejected instead of silently
-coerced.  Rationals are stdlib ``fractions.Fraction`` (always reduced,
-positive denominator), so structural equality is mathematical equality.
+coerced.  A scalar is stored as an integer triple (a, b, d) meaning
+(a + b i) / d, kept reduced: d > 0 and gcd(a, b, d) = 1.  Every value has
+exactly one such triple, so structural equality is mathematical equality;
+over Q, b is always 0.  The real and imaginary parts are read back as
+reduced ``fractions.Fraction``s.
 
 The involution is either the identity or complex conjugation.  Only
 (Q, identity) and (Qi, conjugation) are positive definite; (Qi, identity)
@@ -16,6 +19,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 Q = "Q"
 QI = "Qi"
@@ -26,107 +30,177 @@ CONJUGATION = "conjugation"
 INVOLUTIONS = (IDENTITY, CONJUGATION)
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _ratio(x) -> tuple:
+    """(numerator, denominator) of an int or Fraction, in lowest terms."""
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class FieldElem:
-    """An element of Q or Q(i), exact."""
+    """An element of Q or Q(i), exact and immutable.
 
-    re: Fraction
-    im: Fraction
-    field: str
+    Construct from real and imaginary parts (ints or Fractions) and a field
+    tag; `re` and `im` read them back as reduced Fractions.
+    """
 
-    def __post_init__(self):
-        if self.field not in FIELDS:
-            raise ValueError(f"unknown field tag {self.field!r}")
-        if self.field == Q and self.im != 0:
+    __slots__ = ("_v",)  # (a, b, d, field): the value (a + b i) / d, reduced
+
+    def __init__(self, re, im, field):
+        if field not in FIELDS:
+            raise ValueError(f"unknown field tag {field!r}")
+        (n1, d1), (n2, d2) = _ratio(re), _ratio(im)
+        if field == Q and n2:
             raise ValueError("elements of Q must have zero imaginary part")
+        # over d = lcm(d1, d2) the triple is already reduced: both parts
+        # are in lowest terms, so no prime divides a, b and d together
+        d = d1 * d2 // gcd(d1, d2)
+        _set(self, (n1 * (d // d1), n2 * (d // d2), d, field))
 
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return FieldElem(Fraction(other), Fraction(0), self.field)
-        if not isinstance(other, FieldElem):
-            return None
-        if other.field != self.field:
-            raise ValueError(f"mixed fields: {self.field} and {other.field}")
-        return other
+    @property
+    def re(self) -> Fraction:
+        a, _, d, _ = self._v
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d, _ = self._v
+        return Fraction(b, d)
+
+    @property
+    def field(self) -> str:
+        return self._v[3]
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldElem is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("FieldElem is immutable")
+
+    def __reduce__(self):
+        return _make, self._v
+
+    def __eq__(self, other):
+        if type(other) is not FieldElem:
+            return NotImplemented
+        return self._v == other._v
+
+    def __hash__(self):
+        return hash(self._v)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        a, b, d, field = self._v
+        v = other._v if type(other) is FieldElem else _operand(other, field)
+        if v is None:
             return NotImplemented
-        return FieldElem(self.re + other.re, self.im + other.im, self.field)
+        c, e, f, other_field = v
+        if other_field != field:
+            raise ValueError(f"mixed fields: {field} and {other_field}")
+        if d == f:
+            return _make(a + c, b + e, d, field)
+        return _make(a * f + c * d, b * f + e * d, d * f, field)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        a, b, d, field = self._v
+        v = other._v if type(other) is FieldElem else _operand(other, field)
+        if v is None:
             return NotImplemented
-        return FieldElem(self.re - other.re, self.im - other.im, self.field)
+        c, e, f, other_field = v
+        if other_field != field:
+            raise ValueError(f"mixed fields: {field} and {other_field}")
+        if d == f:
+            return _make(a - c, b - e, d, field)
+        return _make(a * f - c * d, b * f - e * d, d * f, field)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        a, b, d, field = self._v
+        v = _operand(other, field)
+        if v is None:
             return NotImplemented
-        return other - self
+        c, e, f, _ = v
+        return _make(c * d - a * f, e * d - b * f, d * f, field)
 
     def __neg__(self):
-        return FieldElem(-self.re, -self.im, self.field)
+        a, b, d, field = self._v
+        return _make(-a, -b, d, field)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        a, b, d, field = self._v
+        v = other._v if type(other) is FieldElem else _operand(other, field)
+        if v is None:
             return NotImplemented
-        return FieldElem(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-            self.field,
-        )
+        c, e, f, other_field = v
+        if other_field != field:
+            raise ValueError(f"mixed fields: {field} and {other_field}")
+        if b or e:
+            return _make(a * c - b * e, a * e + b * c, d * f, field)
+        return _make(a * c, 0, d * f, field)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        a, b, d, field = self._v
+        v = other._v if type(other) is FieldElem else _operand(other, field)
+        if v is None:
             return NotImplemented
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
+        c, e, f, other_field = v
+        if other_field != field:
+            raise ValueError(f"mixed fields: {field} and {other_field}")
+        # (a + b i)/d divided by (c + e i)/f is (a + b i)(c - e i) f / (d (c^2 + e^2))
+        norm = c * c + e * e
+        if not norm:
             raise ZeroDivisionError("division by zero field element")
-        return FieldElem(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-            self.field,
-        )
+        return _make((a * c + b * e) * f, (b * c - a * e) * f, d * norm, field)
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self._v[0] or self._v[1])
 
     def __repr__(self):
         return f"FieldElem({format_scalar(self)!r}, {self.field})"
 
 
+_new = object.__new__
+_set = FieldElem._v.__set__
+
+
+def _make(a: int, b: int, d: int, field: str) -> FieldElem:
+    """The unchecked constructor: reduce (a + b i)/d, given d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    x = _new(FieldElem)
+    _set(x, (a, b, d, field))
+    return x
+
+
+def _operand(x, field: str):
+    """The (a, b, d, field) value of an int or Fraction operand, else None."""
+    if isinstance(x, int):
+        return x, 0, 1, field
+    if isinstance(x, Fraction):
+        return FieldElem(x, 0, field)._v
+    return None
+
+
 def fe(re, im=0, field=Q) -> FieldElem:
     """Build a field element from ints or Fractions."""
-    return FieldElem(_as_fraction(re), _as_fraction(im), field)
+    return FieldElem(re, im, field)
 
 
 def fe_zero(field=Q) -> FieldElem:
-    return FieldElem(Fraction(0), Fraction(0), field)
+    return FieldElem(0, 0, field)
 
 
 def fe_one(field=Q) -> FieldElem:
-    return FieldElem(Fraction(1), Fraction(0), field)
+    return FieldElem(1, 0, field)
 
 
 def fe_i() -> FieldElem:
-    return FieldElem(Fraction(0), Fraction(1), QI)
+    return FieldElem(0, 1, QI)
 
 
 def check_involution(field: str, involution: str) -> None:
@@ -142,7 +216,8 @@ def field_star(a: FieldElem, involution: str) -> FieldElem:
     check_involution(a.field, involution)
     if involution == IDENTITY or a.field == Q:
         return a
-    return FieldElem(a.re, -a.im, a.field)
+    re, im, d, field = a._v
+    return _make(re, -im, d, field)
 
 
 def is_positive_definite(field: str, involution: str) -> bool:

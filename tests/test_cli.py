@@ -174,6 +174,16 @@ def test_eval_input_error_takes_precedence_over_invalid_spec(tmp_path, capsys):
     assert "spec does not satisfy the vertex constraint: vertex 'v'" in err
 
 
+def test_eval_long_redex_does_not_exhaust_recursion(tmp_path, capsys):
+    # P.P' with P = e/.../e (1200 edges) rewrites once per stripped edge
+    graph = _write(tmp_path, "rose.graph", GRAPH_TEXTS["rose2"])
+    spec = _write(tmp_path, "rose.spec", "field Q\nvertex v 0\n")
+    p = "/".join(["e"] * 1200)
+    code, out, _ = _run(capsys, "eval", graph, f"{p}.{p}'", "--spec", spec)
+    assert code == 0
+    assert json.loads(out)["result"]["value"] == "0"
+
+
 # Valid Leavitt specs for every corpus graph; in Cohn mode any spec is valid.
 GOLDEN_SPECS = {
     "line2": "field Q\nvertex a 1\nvertex b 1\n",

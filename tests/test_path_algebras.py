@@ -182,6 +182,26 @@ def test_confluence_under_random_redex_orders():
                 assert randomized_normalize(A, raw, rng) == expected
 
 
+def test_long_redex_normal_form_matches_repeated_rewrite_steps():
+    g = GRAPHS["rose2"]
+    A = PathAlgebra(g, Q, IDENTITY, LEAVITT)
+    p = edge_path(g, ("e",) * 1200)
+    mon = MonPair(p, p)
+    expected, pending = {}, [(mon, 1)]
+    while pending:
+        m, k = pending.pop()
+        if A.redex_edge(m) is None:
+            expected[m] = expected.get(m, 0) + k
+        else:
+            pending.extend((m2, k * k2) for m2, k2 in A.rewrite_step(m).items())
+    expected = {m: fe(k) for m, k in expected.items() if k}
+    assert len(expected) == 1201  # v minus e^k f f* e^k* for k < 1200
+    assert A.monomial(p, p).as_dict() == expected
+    # every monomial on the way is cached, the redex itself included
+    assert A._nf(mon) is A._nf_cache[mon]
+    assert len(A._nf_cache) == 1200 + 1201
+
+
 def test_equality_verdicts_match_under_different_special_edges():
     rng = fresh_rng(33)
     for name in ("tree", "rose2", "mixed"):

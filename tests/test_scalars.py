@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from lpatrace.scalars import (
     IDENTITY,
     QI,
     Q,
+    FieldElem,
     fe,
     fe_i,
     fe_one,
@@ -171,3 +174,125 @@ def test_format_round_trip_random():
     for _ in range(200):
         a = random_scalar(rng, QI)
         assert parse_scalar(format_scalar(a), QI) == a
+
+
+# ---------------------------------------------------------------------------
+# FieldElem against a (Fraction, Fraction) reference
+# ---------------------------------------------------------------------------
+
+
+def _random_pair(rng, field):
+    """A reference value: (re, im) Fractions, im = 0 over Q."""
+    def part():
+        return Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 4, 6, 12, 35)))
+    return part(), part() if field == QI else Fraction(0)
+
+
+def _view(x):
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    return x.re, x.im
+
+
+def _ref_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _ref_div(a, b):
+    norm = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) / norm,
+            (a[1] * b[0] - a[0] * b[1]) / norm)
+
+
+def test_field_elem_matches_fraction_pair_reference():
+    rng = fresh_rng(8)
+    for field in (Q, QI):
+        for _ in range(300):
+            a, b = _random_pair(rng, field), _random_pair(rng, field)
+            x, y = fe(*a, field), fe(*b, field)
+            k = rng.randint(-7, 7)
+            r = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            assert _view(x) == a
+            assert _view(x + y) == (a[0] + b[0], a[1] + b[1])
+            assert _view(x - y) == (a[0] - b[0], a[1] - b[1])
+            assert _view(-x) == (-a[0], -a[1])
+            assert _view(x * y) == _ref_mul(a, b)
+            for s in (k, r):  # int and Fraction operands, on both sides
+                assert _view(x + s) == _view(s + x) == (a[0] + s, a[1])
+                assert _view(x - s) == (a[0] - s, a[1])
+                assert _view(s - x) == (s - a[0], -a[1])
+                assert _view(x * s) == _view(s * x) == (a[0] * s, a[1] * s)
+                if s:
+                    assert _view(x / s) == (a[0] / s, a[1] / s)
+            if y:
+                assert _view(x / y) == _ref_div(a, b)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x / y
+            with pytest.raises(ZeroDivisionError):
+                x / 0
+            with pytest.raises(ZeroDivisionError):
+                x / Fraction(0)
+            with pytest.raises(ZeroDivisionError, match="zero field element"):
+                x / fe_zero(field)
+            assert bool(x) == (a != (0, 0))
+
+
+def test_equal_values_built_by_different_routes_are_equal_and_hash_equal():
+    routes = [
+        (fe(2) / fe(4), fe(Fraction(1, 2))),
+        (fe(Fraction(3, 6)), fe(1) - fe(Fraction(1, 2))),
+        (fe(1, 1, QI) * fe(1, -1, QI), fe(2, 0, QI)),
+        (fe(2, 4, QI) / 4, fe(Fraction(1, 2), 1, QI)),
+        (fe(Fraction(1, 3), Fraction(1, 6), QI) * 6, fe(2, 1, QI)),
+        (fe(5) - fe(5), fe_zero(Q)),
+        (fe(0, 7, QI) - fe(0, 7, QI), fe_zero(QI)),
+    ]
+    for x, y in routes:
+        assert x == y and hash(x) == hash(y)
+    assert fe(1, 0, QI) != fe(1, 0, Q)
+    assert fe(1) != 1 and fe_one(Q) != Fraction(1)
+    assert fe(Fraction(4, 6)).re == Fraction(2, 3)
+    assert fe(Fraction(-4, 6), Fraction(5, 10), QI).im.denominator == 2
+
+
+def test_field_elem_errors():
+    x = fe(1, 2, QI)
+    for name in ("re", "im", "field", "_v", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == fe(1, 2, QI)
+    for op in (
+        lambda a, b: a + b, lambda a, b: a - b,
+        lambda a, b: a * b, lambda a, b: a / b,
+    ):
+        with pytest.raises(ValueError, match="mixed fields"):
+            op(fe(1), fe(1, 0, QI))
+    with pytest.raises(ValueError):
+        FieldElem(Fraction(1), Fraction(1, 2), Q)
+    with pytest.raises(ValueError):
+        fe(1, 0, "R")
+    with pytest.raises(TypeError):
+        fe(0.5)
+    with pytest.raises(TypeError):
+        FieldElem(1, 0.5, QI)
+    for op in (
+        lambda a, b: a + b, lambda a, b: b + a, lambda a, b: a - b,
+        lambda a, b: b - a, lambda a, b: a * b, lambda a, b: b * a,
+        lambda a, b: a / b,
+    ):
+        with pytest.raises(TypeError):
+            op(x, 1.5)
+
+
+def test_pickle_and_deepcopy_round_trips():
+    values = [
+        fe(Fraction(-3, 4)),
+        fe(Fraction(1, 2), -5, QI),
+        laurent(QI, {-2: fe(1, 1, QI), 3: fe(Fraction(2, 7), 0, QI)}),
+    ]
+    for v in values:
+        for copied in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
+            assert copied == v and hash(copied) == hash(v)
+            assert type(copied) is type(v)
