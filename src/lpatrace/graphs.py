@@ -333,15 +333,32 @@ def is_no_exit(g: Graph) -> bool:
 
 
 def cycle_with_exit_witness(g: Graph):
-    """A (cycle, exit edge) pair witnessing failure of no-exit, or None."""
-    for cyc in cycles(g):
-        on_cycle = set(cyc.edges)
-        for eid in cyc.edges:
-            v = g.edge_src[eid]
-            for other in g.out_edges[v]:
-                if other not in on_cycle:
-                    return cyc, other
-    return None
+    """A (cycle, exit edge) pair witnessing failure of no-exit, or None.
+
+    The first vertex of a nontrivial SCC with two or more out-edges lies on
+    a cycle with an exit there; a breadth-first search inside the SCC back
+    to the vertex finds a simple one in O(V + E).
+    """
+    comp_of = {v: comp for comp, _ in _nontrivial_sccs(g) for v in comp}
+    bases = [v for v in g.vertices if v in comp_of and len(g.out_edges[v]) > 1]
+    if not bases:
+        return None
+    base = bases[0]
+    reached_by = {}  # vertex -> edge the search first reached it by
+    queue = [base]
+    for u in queue:
+        for eid in g.out_edges[u]:
+            w = g.edge_dst[eid]
+            if w == base:
+                trail = [eid]
+                while u != base:
+                    trail.append(reached_by[u])
+                    u = g.edge_src[trail[-1]]
+                exit_edge = next(e for e in g.out_edges[base] if e != trail[-1])
+                return cycle_rep(g, trail[::-1]), exit_edge
+            if w in comp_of[base] and w not in reached_by:
+                reached_by[w] = eid
+                queue.append(w)
 
 
 def infinite_paths_tame(g: Graph) -> bool:

@@ -1,9 +1,7 @@
 """Exact Gaussian elimination over the tagged fields.
 
-Two flavours: dense routines for the small systems arising from vertex
-constraints and minimality checks, and an incremental sparse span for the
-commutator-span oracle, where generator vectors have at most two nonzero
-entries but there may be tens of thousands of them.
+Dense routines for the small systems arising from vertex constraints and
+minimality checks.
 """
 
 from __future__ import annotations
@@ -60,48 +58,3 @@ def nullspace(rows, ncols: int, field):
         basis.append(vec)
     return basis
 
-
-class SpanBasis:
-    """Incrementally built row-echelon basis of a span of sparse vectors.
-
-    Vectors are dicts {index: FieldElem} with orderable index keys.  Rows
-    are kept normalized with leading coefficient 1, keyed by their leading
-    (smallest) index.
-    """
-
-    def __init__(self, field):
-        self.field = field
-        self._rows = {}
-
-    def _reduce(self, vec):
-        vec = {k: v for k, v in vec.items() if v}
-        while vec:
-            lead = min(vec)
-            row = self._rows.get(lead)
-            if row is None:
-                return vec
-            factor = vec[lead]
-            for k, v in row.items():
-                new = vec.get(k, fe_zero(self.field)) - factor * v
-                if new:
-                    vec[k] = new
-                else:
-                    vec.pop(k, None)
-        return vec
-
-    def add(self, vec) -> bool:
-        """Insert a vector; returns True if it enlarged the span."""
-        rem = self._reduce(vec)
-        if not rem:
-            return False
-        lead = min(rem)
-        inv = fe_one(self.field) / rem[lead]
-        self._rows[lead] = {k: v * inv for k, v in rem.items()}
-        return True
-
-    def contains(self, vec) -> bool:
-        return not self._reduce(vec)
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)

@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-
-import numpy as np
+from operator import itemgetter
 
 from .errors import ParseError, PreconditionError
 from .linalg import rank
@@ -58,23 +57,54 @@ def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
         raise ValueError("table entry out of range")
     if not 0 <= zero_index < n:
         raise ValueError("zero index out of range")
-    t = np.array(rows, dtype=np.int64)
-    for a in range(n):
-        # t[t[a]][b, c] = (a*b)*c  versus  t[a][t][b, c] = a*(b*c)
-        if not np.array_equal(t[t[a]], t[a][t]):
-            bad = np.argwhere(t[t[a]] != t[a][t])[0]
-            b, c = int(bad[0]), int(bad[1])
-            raise ValueError(
-                f"table not associative: ({a}*{b})*{c} != {a}*({b}*{c})"
-            )
+    witness = _associativity_witness(rows)
+    if witness is not None:
+        a, b, c = witness
+        raise ValueError(f"table not associative: ({a}*{b})*{c} != {a}*({b}*{c})")
     z = zero_index
-    if not (np.all(t[z] == z) and np.all(t[:, z] == z)):
+    if any(x != z for x in rows[z]) or any(row[z] != z for row in rows):
         raise ValueError(f"element {z} is not absorbing")
     if labels is not None:
         labels = tuple(labels)
         if len(labels) != n or len(set(labels)) != n:
             raise ValueError("labels must be unique and cover all elements")
     return FiniteSemigroup(rows, zero_index, labels)
+
+
+def _associativity_witness(rows):
+    """A triple (a, b, c) with (a*b)*c != a*(b*c), or None: Light's test.
+
+    The g with (x*g)*y == x*(g*y) for all x, y are closed under the product,
+    even in a non-associative table, so g need only range over a set whose
+    right products reach every element.  Both sides depend on x only
+    through its row, so one x per distinct row is checked.
+    """
+    n = len(rows)
+    if n == 1:
+        return None  # itemgetter with one index would return a scalar
+    # generators in index order, right-product closure kept incremental
+    gens, reached = [], set()
+    for x in range(n):
+        if x not in reached:
+            gens.append(x)
+            todo = [rows[y][x] for y in reached] + [x]
+            while todo:
+                y = todo.pop()
+                if y not in reached:
+                    reached.add(y)
+                    todo.extend(rows[y][h] for h in gens)
+    first_with_row = {}
+    for x, row in enumerate(rows):
+        first_with_row.setdefault(row, x)
+    for g in gens:
+        g_row = rows[g]
+        times_g_row = itemgetter(*g_row)  # row of x -> (x*(g*y) for each y)
+        for row, x in first_with_row.items():
+            left = rows[row[g]]
+            if left != times_g_row(row):
+                c = next(y for y in range(n) if left[y] != row[g_row[y]])
+                return x, g, c
+    return None
 
 
 def parse_cayley(text: str) -> FiniteSemigroup:

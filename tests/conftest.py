@@ -14,7 +14,6 @@ import pytest
 
 from lpatrace.gis import MonPair
 from lpatrace.graphs import PathSeq, parse_graph, vertex_path
-from lpatrace.linalg import SpanBasis
 from lpatrace.scalars import QI, FieldElem, Q, fe_one, fe_zero
 from lpatrace.semigroups import (
     build_semigroup,
@@ -258,6 +257,52 @@ def randomized_normalize(A, raw, rng):
 # ---------------------------------------------------------------------------
 # The brute-force commutator-span oracle
 # ---------------------------------------------------------------------------
+
+
+class SpanBasis:
+    """Incrementally built row-echelon basis of a span of sparse vectors.
+
+    Vectors are dicts {index: FieldElem} with orderable index keys.  Rows
+    are kept normalized with leading coefficient 1, keyed by their leading
+    (smallest) index.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self._rows = {}
+
+    def _reduce(self, vec):
+        vec = {k: v for k, v in vec.items() if v}
+        while vec:
+            lead = min(vec)
+            row = self._rows.get(lead)
+            if row is None:
+                return vec
+            factor = vec[lead]
+            for k, v in row.items():
+                new = vec.get(k, fe_zero(self.field)) - factor * v
+                if new:
+                    vec[k] = new
+                else:
+                    vec.pop(k, None)
+        return vec
+
+    def add(self, vec) -> bool:
+        """Insert a vector; returns True if it enlarged the span."""
+        rem = self._reduce(vec)
+        if not rem:
+            return False
+        lead = min(rem)
+        inv = fe_one(self.field) / rem[lead]
+        self._rows[lead] = {k: v * inv for k, v in rem.items()}
+        return True
+
+    def contains(self, vec) -> bool:
+        return not self._reduce(vec)
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)
 
 
 def commutator_span_oracle(G, field=Q):

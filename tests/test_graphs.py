@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
 from lpatrace.errors import ParseError, PreconditionError
 from lpatrace.graphs import (
+    Graph,
     cycle_rep,
     cycle_with_exit_witness,
     cycles,
@@ -172,3 +175,36 @@ def test_cycles_with_parallel_edges():
     assert not is_no_exit(g)
     cyc, exit_edge = cycle_with_exit_witness(g)
     assert exit_edge in ("e1", "e3")
+
+
+def _complete_digraph(n):
+    vs = [f"v{i}" for i in range(n)]
+    return Graph(
+        vs,
+        [(f"e{i}_{j}", vs[i], vs[j]) for i in range(n) for j in range(n) if i != j],
+    )
+
+
+def test_exit_witness_is_a_simple_cycle_with_an_exit():
+    k9 = _complete_digraph(9)
+    start = time.perf_counter()
+    cycle_with_exit_witness(k9)
+    # finding it by listing all 125664 simple cycles of K9 takes about 2 s
+    assert time.perf_counter() - start < 0.5
+    corpus = dict(GRAPHS, K9=k9, parallel=parse_graph(
+        "v u\nv w\ne e1 u w\ne e3 u w\ne e2 w u"
+    ))
+    for name, g in corpus.items():
+        witness = cycle_with_exit_witness(g)
+        assert (witness is None) == is_no_exit(g), name
+        if witness is None:
+            continue
+        cyc, exit_edge = witness
+        edges = cyc.edges
+        sources = [g.edge_src[e] for e in edges]
+        assert all(
+            g.edge_dst[e] == sources[(i + 1) % len(edges)]
+            for i, e in enumerate(edges)
+        ), name
+        assert len(set(sources)) == len(sources), name
+        assert g.edge_src[exit_edge] in sources and exit_edge not in edges, name

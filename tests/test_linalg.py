@@ -1,9 +1,9 @@
 import pytest
 
-from lpatrace.linalg import SpanBasis, nullspace, rank
+from lpatrace.linalg import nullspace, rank
 from lpatrace.scalars import QI, Q, fe, fe_one, fe_zero
 
-from conftest import random_scalar
+from conftest import SpanBasis, random_scalar
 
 
 def _row(*vals):

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,56 @@ def test_build_semigroup_examples():
         build_semigroup([[0, 1], [1, 1]], 0)
     with pytest.raises(ValueError, match="square"):
         build_semigroup([[0, 0]], 0)
+
+
+def _brute_force_violation(rows):
+    n = len(rows)
+    return next(
+        (
+            (a, b, c) for a, b, c in itertools.product(range(n), repeat=3)
+            if rows[rows[a][b]][c] != rows[a][rows[b][c]]
+        ),
+        None,
+    )
+
+
+def test_associativity_decision_matches_brute_force():
+    rng = fresh_rng(16)
+    tables = [[[0]]]
+    bases = [
+        SEMIGROUPS["endo2"],
+        SEMIGROUPS["endo3"],
+        SEMIGROUPS["mu3"],
+        group_with_zero(cyclic_group_table(5)),
+    ]
+    for G in bases:
+        for _ in range(40):
+            rows = [list(row) for row in G.table]
+            # entries outside the zero row and column keep 0 absorbing
+            for _ in range(rng.randint(0, 2)):
+                a, b = rng.randrange(1, G.size), rng.randrange(1, G.size)
+                rows[a][b] = rng.randrange(G.size)
+            tables.append(rows)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        tables.append([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+    message_re = re.compile(
+        r"table not associative: \((\d+)\*(\d+)\)\*(\d+) != \1\*\(\2\*\3\)"
+    )
+    violations = 0
+    for rows in tables:
+        try:
+            build_semigroup(rows, 0)
+            message = ""
+        except ValueError as exc:
+            message = str(exc)
+        expected = _brute_force_violation(rows)
+        assert ("associative" in message) == (expected is not None), (rows, message)
+        if expected is not None:
+            violations += 1
+            a, b, c = map(int, message_re.fullmatch(message).groups())
+            assert rows[rows[a][b]][c] != rows[a][rows[b][c]], (rows, message)
+    assert 0 < violations < len(tables)
 
 
 def test_matrix_units_examples():

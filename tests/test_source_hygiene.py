@@ -1,14 +1,17 @@
 """Static checks on the package source.
 
 Runtime checks must raise documented errors, so `assert` (stripped by
-`python -O`) is banned from `src/lpatrace`.  Every top-level function and
-class must be used somewhere in `src` or `tests` besides its own definition
-and its re-export from `lpatrace/__init__.py`; otherwise it is dead code.
+`python -O`) is banned from `src/lpatrace`.  The package has no runtime
+dependencies, so it imports only itself and the standard library.  Every
+top-level function and class must be used somewhere in `src` or `tests`
+besides its own definition and its re-export from `lpatrace/__init__.py`;
+otherwise it is dead code.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -51,6 +54,23 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == [], f"use explicit raises instead of assert: {offenders}"
+
+
+def test_package_imports_only_the_standard_library():
+    outside = []
+    for path in _package_modules():
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}:{node.lineno}: {name}" for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == [], f"imports outside the standard library: {outside}"
 
 
 def test_every_top_level_definition_is_used():
