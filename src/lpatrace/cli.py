@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from .errors import ParseError, PreconditionError
-from .gis import approx_canonical
 from .graphs import (
     closed_paths_up_to,
     cycles,
@@ -93,9 +92,7 @@ def cmd_analyze(args) -> int:
 def cmd_classes(args) -> int:
     text = _read(args.graph)
     g = parse_graph(text)
-    words = sorted(
-        {approx_canonical(g, p).edges for p in closed_paths_up_to(g, args.max_len)}
-    )
+    words = sorted(p.edges for p in closed_paths_up_to(g, args.max_len))
     result = {
         "vertex_classes": list(g.vertices),
         "cycle_classes": ["/".join(w) for w in words],

@@ -283,16 +283,16 @@ def strongly_connected_components(g: Graph):
 
 
 def _nontrivial_sccs(g: Graph):
-    """SCCs containing at least one internal edge (including a self-loop)."""
-    out = []
-    for comp in strongly_connected_components(g):
-        internal = [
-            e for e in g.edges
-            if g.edge_src[e] in comp and g.edge_dst[e] in comp
-        ]
-        if internal:
-            out.append((comp, internal))
-    return out
+    """SCCs containing at least one internal edge (including a self-loop),
+    each with its internal edges in declaration order; O(V + E)."""
+    comps = strongly_connected_components(g)
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    internal = [[] for _ in comps]
+    for e in g.edges:
+        i = comp_of[g.edge_src[e]]
+        if comp_of[g.edge_dst[e]] == i:
+            internal[i].append(e)
+    return [(comp, edges) for comp, edges in zip(comps, internal) if edges]
 
 
 def cycle_vertices(g: Graph) -> frozenset:
@@ -440,27 +440,60 @@ def paths_into(g: Graph, v: str, forbid_full_cycle: CycleRep | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Path enumeration helpers
+# Closed-path classes
 # ---------------------------------------------------------------------------
 
-
-def all_paths_up_to(g: Graph, max_len: int):
-    """All paths of length <= max_len, in (length, edge word) order."""
-    out = [vertex_path(g, v) for v in g.vertices]
-    layer = list(out)
-    for _ in range(max_len):
-        nxt = []
-        for p in layer:
-            for eid in g.out_edges[p.dst]:
-                nxt.append(PathSeq(p.src, g.edge_dst[eid], p.edges + (eid,)))
-        out.extend(nxt)
-        layer = nxt
-        if not layer:
-            break
-    out.sort(key=path_sort_key)
-    return out
+# Most edge ids, summed over every prefix word built, that one
+# `closed_paths_up_to` call may spend; each prefix is a fresh tuple, so the
+# sum is its time and memory.
+CLOSED_PATH_WORK_LIMIT = 10**7
 
 
 def closed_paths_up_to(g: Graph, max_len: int):
-    """Nonvertex closed paths of length <= max_len."""
-    return [p for p in all_paths_up_to(g, max_len) if p.edges and p.is_closed]
+    """One closed path per rotation class of nonvertex closed paths of length
+    <= max_len, each in its least rotation (edge ids compared as strings),
+    in (length, edge word) order.
+
+    The words are the necklaces of the Fredricksen-Kessler-Maiorana
+    prenecklace tree, walked once per nontrivial SCC over its internal edges
+    in string order: a letter extends a prefix only if it composes with the
+    prefix's last edge, and a prefix of length t and period p is a necklace
+    iff p divides t.  Raises `PreconditionError` once the prefix words built
+    hold more than `CLOSED_PATH_WORK_LIMIT` edge ids in total.
+    """
+    if max_len < 1:
+        return []
+    src, dst = g.edge_src, g.edge_dst
+    out = []
+    work = 0
+    for comp, internal in _nontrivial_sccs(g):
+        letters = sorted(internal)
+        # descending, so the stack pops children in increasing order
+        outs = {v: [] for v in comp}
+        for e in reversed(letters):
+            outs[src[e]].append(e)
+        stack = [((e,), 1) for e in reversed(letters)]
+        while stack:
+            word, period = stack.pop()
+            t = len(word)
+            work += t
+            if work > CLOSED_PATH_WORK_LIMIT:
+                raise PreconditionError(
+                    f"closed paths up to length {max_len} need more than "
+                    f"{CLOSED_PATH_WORK_LIMIT} edge ids of enumeration; "
+                    "lower --max-len"
+                )
+            if t % period == 0 and dst[word[-1]] == src[word[0]]:
+                out.append(PathSeq(src[word[0]], src[word[0]], word))
+            if t == max_len:
+                continue
+            floor = word[t - period]
+            for e in outs[dst[word[-1]]]:
+                if e > floor:
+                    stack.append((word + (e,), t + 1))
+                elif e == floor:
+                    stack.append((word + (e,), period))
+                else:
+                    break
+    out.sort(key=path_sort_key)
+    return out

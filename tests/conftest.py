@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from lpatrace.gis import MonPair
-from lpatrace.graphs import PathSeq, parse_graph, vertex_path
+from lpatrace.graphs import PathSeq, parse_graph, path_sort_key, vertex_path
 from lpatrace.scalars import QI, FieldElem, Q, fe_one, fe_zero
 from lpatrace.semigroups import (
     build_semigroup,
@@ -135,6 +135,23 @@ def random_scalar(rng, field=Q, nonzero=False):
             return val
 
 
+def all_paths_up_to(g, max_len):
+    """All paths of length <= max_len, in (length, edge word) order."""
+    out = [vertex_path(g, v) for v in g.vertices]
+    layer = list(out)
+    for _ in range(max_len):
+        nxt = []
+        for p in layer:
+            for eid in g.out_edges[p.dst]:
+                nxt.append(PathSeq(p.src, g.edge_dst[eid], p.edges + (eid,)))
+        out.extend(nxt)
+        layer = nxt
+        if not layer:
+            break
+    out.sort(key=path_sort_key)
+    return out
+
+
 def random_path(g, rng, max_len=3):
     p = vertex_path(g, rng.choice(g.vertices))
     for _ in range(rng.randrange(max_len + 1)):
@@ -208,7 +225,6 @@ def random_central_map(G, rng, field=Q):
 
 def random_validated_spec(g, rng, field=Q, involution="identity", max_cycle_len=3):
     """A spec satisfying the vertex constraint, with random cycle values."""
-    from lpatrace.gis import approx_canonical
     from lpatrace.graphs import closed_paths_up_to
 
     space = vertex_trace_space(g, field)
@@ -217,9 +233,7 @@ def random_validated_spec(g, rng, field=Q, involution="identity", max_cycle_len=
         c = random_scalar(rng, field)
         for v, val in assignment.items():
             vertex_values[v] = vertex_values[v] + c * val
-    words = sorted(
-        {approx_canonical(g, p).edges for p in closed_paths_up_to(g, max_cycle_len)}
-    )
+    words = sorted(p.edges for p in closed_paths_up_to(g, max_cycle_len))
     cycle_values = {}
     star_values = {}
     for word in words:

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import time
 
 from lpatrace.cli import main
 
@@ -129,6 +131,32 @@ def test_classes_command(tmp_path, capsys):
     code, out, _ = _run(capsys, "classes", two, "--max-len", "2")
     result = json.loads(out)["result"]
     assert result["cycle_classes"] == ["e1/e2"]  # one rotation class
+
+
+def test_classes_within_enumeration_limit(tmp_path, capsys):
+    # 4.46 million edge ids of prefix words, under the 10**7 limit
+    rose = _write(tmp_path, "rose.graph", GRAPH_TEXTS["rose2"])
+    code, out, _ = _run(capsys, "classes", rose, "--max-len", "20")
+    assert code == 0
+    # binary necklaces of length n: (1/n) * sum over i < n of 2**gcd(i, n)
+    count = sum(
+        sum(2 ** math.gcd(i, n) for i in range(n)) // n for n in range(1, 21)
+    )
+    assert len(json.loads(out)["result"]["cycle_classes"]) == count
+
+
+def test_classes_past_enumeration_limit_exits_3(tmp_path, capsys):
+    # rose2 at length 22 would need 17.7 million edge ids
+    rose = _write(tmp_path, "rose.graph", GRAPH_TEXTS["rose2"])
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "classes", rose, "--max-len", "22")
+    assert time.perf_counter() - start < 3
+    assert code == 3 and out == "" and "--max-len" in err
+    # one loop: a single prefix per length, but it passes 10**7 edge ids
+    # near length 4472, long before 100000 prefixes could exhaust memory
+    loop = _write(tmp_path, "loop.graph", GRAPH_TEXTS["one_loop"])
+    code, out, err = _run(capsys, "classes", loop, "--max-len", "100000")
+    assert code == 3 and out == "" and "--max-len" in err
 
 
 def test_sg_commands(tmp_path, capsys):

@@ -3,8 +3,12 @@ import time
 import pytest
 
 from lpatrace.errors import ParseError, PreconditionError
+from lpatrace.gis import approx_canonical
 from lpatrace.graphs import (
     Graph,
+    _least_rotation,
+    _nontrivial_sccs,
+    closed_paths_up_to,
     cycle_rep,
     cycle_with_exit_witness,
     cycles,
@@ -17,10 +21,11 @@ from lpatrace.graphs import (
     paths_into,
     regular_vertices,
     sinks,
+    strongly_connected_components,
     vertex_path,
 )
 
-from conftest import GRAPHS
+from conftest import GRAPHS, all_paths_up_to, fresh_rng
 
 
 def test_parse_graph_examples():
@@ -208,3 +213,74 @@ def test_exit_witness_is_a_simple_cycle_with_an_exit():
         ), name
         assert len(set(sources)) == len(sources), name
         assert g.edge_src[exit_edge] in sources and exit_edge not in edges, name
+
+
+# Declared out of string order: "e10" < "e2" and "a" < "b" as strings.
+_EDGE_IDS = ("b", "a", "e2", "e10", "e1", "e20", "x", "e3", "f", "e11")
+
+
+def _random_graph(rng):
+    """Up to 5 vertices and 9 edges, out-degree at most 2, with self-loops,
+    parallel edges, several SCCs and acyclic tails all likely."""
+    vs = [f"v{i}" for i in range(rng.randint(1, 5))]
+    ids = list(_EDGE_IDS)
+    rng.shuffle(ids)
+    free = vs * 2  # each vertex may be the source of two edges
+    edges = []
+    for eid in ids[: rng.randint(0, min(9, len(free)))]:
+        src = free.pop(rng.randrange(len(free)))
+        edges.append((eid, src, rng.choice(vs)))
+    return Graph(vs, edges)
+
+
+def _oracle_corpus(rng, n_random):
+    corpus = dict(GRAPHS)
+    corpus["b_before_a"] = parse_graph(
+        "v u\nv w\ne b u w\ne a w u\ne e10 u u\ne e2 u u\ne e1 w w"
+    )
+    corpus["rose3"] = parse_graph("v v\ne e2 v v\ne e10 v v\ne a v v")
+    corpus["two_sccs_tails"] = parse_graph(
+        "v s\nv u\nv w\nv x\nv y\nv t\n"
+        "e e2 s u\ne e10 u w\ne b w u\ne a w u\ne c w x\n"
+        "e e1 x y\ne d y x\ne d2 y y\ne z y t"
+    )
+    for i in range(n_random):
+        corpus[f"random{i}"] = _random_graph(rng)
+    return corpus
+
+
+def test_nontrivial_sccs_match_per_scc_edge_scan():
+    for name, g in _oracle_corpus(fresh_rng(60), 300).items():
+        scan = []
+        for comp in strongly_connected_components(g):
+            internal = [
+                e for e in g.edges
+                if g.edge_src[e] in comp and g.edge_dst[e] in comp
+            ]
+            if internal:
+                scan.append((comp, internal))
+        assert _nontrivial_sccs(g) == scan, name
+    n = 4000
+    loops = Graph(
+        [f"v{i}" for i in range(n)],
+        [(f"e{i}", f"v{i}", f"v{i}") for i in range(n)],
+    )
+    start = time.perf_counter()
+    assert is_no_exit(loops)
+    # scanning every edge once per SCC took 0.9-1.4 s on a 2-CPU Xeon
+    assert time.perf_counter() - start < 0.5
+
+
+def test_closed_paths_up_to_matches_brute_force():
+    for name, g in _oracle_corpus(fresh_rng(61), 150).items():
+        for max_len in range(-1, 8):
+            got = closed_paths_up_to(g, max_len)
+            words = {
+                _least_rotation(p.edges)
+                for p in all_paths_up_to(g, max_len)
+                if p.edges and p.is_closed
+            }
+            want = sorted(words, key=lambda w: (len(w), w))
+            assert [p.edges for p in got] == want, (name, max_len)
+            for p in got:
+                assert p.is_closed and approx_canonical(g, p) == p, (name, p)

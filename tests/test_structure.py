@@ -26,7 +26,13 @@ from lpatrace.structure import (
     pull_back_trace,
 )
 
-from conftest import GRAPHS, NO_EXIT_NAMES, fresh_rng, random_element
+from conftest import (
+    GRAPHS,
+    NO_EXIT_NAMES,
+    all_paths_up_to,
+    fresh_rng,
+    random_element,
+)
 
 
 def test_decompose_examples():
@@ -187,7 +193,6 @@ def test_phi_maps_one_to_block_identity():
 
 def _canonical_monomials_up_to(g, algebra, max_total_len):
     from lpatrace.gis import MonPair
-    from lpatrace.graphs import all_paths_up_to
 
     paths = all_paths_up_to(g, max_total_len)
     by_dst = {}
