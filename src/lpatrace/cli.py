@@ -47,6 +47,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _digest(text: str) -> str:

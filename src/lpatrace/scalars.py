@@ -361,23 +361,20 @@ _SCALAR_RAT_RE = _re.compile(rf"^(?P<re>{_RATIONAL})$")
 def parse_scalar(text: str, field: str = Q) -> FieldElem:
     """Parse `a`, `a/b`, `a/b+c/di`, `a/b-c/di`, or `c/di`.
 
-    Raises ParseError for malformed text or an imaginary part over Q.
+    Raises ParseError for malformed text, a zero denominator, or an
+    imaginary part over Q.
     """
     from .errors import ParseError
 
     s = text.strip()
-    m = _SCALAR_FULL_RE.match(s)
-    if m:
-        re_part, im_part = Fraction(m.group("re")), Fraction(m.group("im"))
-    else:
-        m = _SCALAR_IMAG_RE.match(s)
-        if m:
-            re_part, im_part = Fraction(0), Fraction(m.group("im"))
-        else:
-            m = _SCALAR_RAT_RE.match(s)
-            if not m:
-                raise ParseError(f"malformed scalar {text!r}")
-            re_part, im_part = Fraction(m.group("re")), Fraction(0)
+    m = _SCALAR_FULL_RE.match(s) or _SCALAR_IMAG_RE.match(s) or _SCALAR_RAT_RE.match(s)
+    if not m:
+        raise ParseError(f"malformed scalar {text!r}")
+    parts = m.groupdict()
+    try:
+        re_part, im_part = Fraction(parts.get("re", 0)), Fraction(parts.get("im", 0))
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in scalar {text!r}") from None
     if field == Q and im_part != 0:
         raise ParseError(f"imaginary scalar {text!r} not allowed over Q")
     return FieldElem(re_part, im_part, field)

@@ -8,8 +8,8 @@ classes, and the associated decision procedures.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-import weakref
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -25,6 +25,9 @@ class FiniteSemigroup:
     table: tuple
     zero: int
     labels: tuple | None = None
+    _sim: SimPartition | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def size(self) -> int:
@@ -149,7 +152,10 @@ def parse_cayley(text: str) -> FiniteSemigroup:
             idx = int(parts[1])
         except ValueError:
             raise ParseError("label index must be an integer", lineno) from None
-        label_map[idx] = parts[2]
+        if not 0 <= idx < size:
+            raise ParseError(f"label index {idx} out of range", lineno)
+        if label_map.setdefault(idx, parts[2]) != parts[2]:
+            raise ParseError(f"conflicting labels for element {idx}", lineno)
     if label_map:
         labels = tuple(label_map.get(i, str(i)) for i in range(size))
     try:
@@ -303,26 +309,17 @@ class _UnionFind:
             self.parent[max(rx, ry)] = min(rx, ry)
 
 
-_SIM_CACHE: "weakref.WeakKeyDictionary[FiniteSemigroup, SimPartition]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def sim_classes(G: FiniteSemigroup, pair_order=None) -> SimPartition:
+def sim_classes(G: FiniteSemigroup) -> SimPartition:
     """Union-find closure of the merges {ab, ba} over all ordered pairs.
 
-    `pair_order` is only for tests: any permutation of the pairs must give
-    the identical partition.  Results for the default order are cached per
-    semigroup (the partition is a pure function of the table).
+    The partition is a pure function of the table, so it is computed once
+    and kept on the semigroup instance.
     """
-    if pair_order is None:
-        cached = _SIM_CACHE.get(G)
-        if cached is not None:
-            return cached
+    if G._sim is not None:
+        return G._sim
     n = G.size
     uf = _UnionFind(n)
-    pairs = pair_order if pair_order is not None else itertools.product(range(n), repeat=2)
-    for a, b in pairs:
+    for a, b in itertools.product(range(n), repeat=2):
         uf.union(G.table[a][b], G.table[b][a])
     groups = {}
     for x in range(n):
@@ -336,8 +333,7 @@ def sim_classes(G: FiniteSemigroup, pair_order=None) -> SimPartition:
         if G.zero in cls:
             zero_class_id = cid
     result = SimPartition(tuple(class_of), tuple(classes), zero_class_id)
-    if pair_order is None:
-        _SIM_CACHE[G] = result
+    object.__setattr__(G, "_sim", result)
     return result
 
 
@@ -383,75 +379,67 @@ def sim_witness_chain(G: FiniteSemigroup, g: int, h: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FreeVector:
-    """Finitely supported vector in the free module on arbitrary keys."""
+    """Finitely supported vector in the free module on hashable keys.
 
-    entries: tuple
+    Holds a dict without zero values.  Elements of the contracted semigroup
+    ring are FreeVectors on the nonzero element indices; values of a minimal
+    trace are FreeVectors on the nonzero classes.  Equality and hashing
+    ignore the order of the keys.  Build one with `make`.
+    """
 
-    @staticmethod
-    def _key_rank(k):
-        return (type(k).__name__, repr(k))
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coeffs: dict):
+        self._coeffs = coeffs
 
     @classmethod
     def make(cls, mapping) -> "FreeVector":
-        items = [(k, v) for k, v in mapping.items() if v]
-        items.sort(key=lambda t: cls._key_rank(t[0]))
-        return cls(tuple(items))
+        return cls({k: v for k, v in mapping.items() if v})
 
     def get(self, key, default=None):
-        for k, v in self.entries:
-            if k == key:
-                return v
-        return default
+        return self._coeffs.get(key, default)
+
+    def items(self):
+        return self._coeffs.items()
 
     def as_dict(self):
-        return dict(self.entries)
+        return dict(self._coeffs)
 
     def __add__(self, other):
-        acc = dict(self.entries)
-        for k, v in other.entries:
+        acc = dict(self._coeffs)
+        for k, v in other.items():
             acc[k] = acc[k] + v if k in acc else v
         return FreeVector.make(acc)
 
     def __neg__(self):
-        return FreeVector(tuple((k, -v) for k, v in self.entries))
+        return FreeVector({k: -v for k, v in self.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c: FieldElem) -> "FreeVector":
-        return FreeVector.make({k: c * v for k, v in self.entries})
+        return FreeVector.make({k: c * v for k, v in self.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, FreeVector):
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self._coeffs.items()))
 
     def __bool__(self):
-        return bool(self.entries)
+        return bool(self._coeffs)
 
     def __repr__(self):
-        return "FreeVector(" + ", ".join(f"{k!r}: {v!r}" for k, v in self.entries) + ")"
+        return "FreeVector(" + ", ".join(f"{k!r}: {v!r}" for k, v in self.items()) + ")"
 
 
-FREE_ZERO = FreeVector(())
+FREE_ZERO = FreeVector({})
 
 
-@dataclass(frozen=True)
-class SgRingElem:
-    """Element of the contracted semigroup ring: {element index: coefficient}."""
-
-    coeffs: tuple  # sorted (index, FieldElem) pairs, no zeros
-
-    @classmethod
-    def make(cls, mapping) -> "SgRingElem":
-        items = sorted((int(k), v) for k, v in mapping.items() if v)
-        return cls(tuple(items))
-
-    def as_dict(self):
-        return dict(self.coeffs)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-
-def sg_element(G: FiniteSemigroup, mapping, field=Q) -> SgRingElem:
+def sg_element(G: FiniteSemigroup, mapping, field=Q) -> FreeVector:
     acc = {}
     for idx, c in mapping.items():
         idx = int(idx)
@@ -462,35 +450,24 @@ def sg_element(G: FiniteSemigroup, mapping, field=Q) -> SgRingElem:
         if idx == G.zero:
             continue
         acc[idx] = acc[idx] + c if idx in acc else c
-    return SgRingElem.make(acc)
+    return FreeVector.make(acc)
 
 
-def sg_add(x: SgRingElem, y: SgRingElem) -> SgRingElem:
-    acc = x.as_dict()
-    for k, v in y.coeffs:
-        acc[k] = acc[k] + v if k in acc else v
-    return SgRingElem.make(acc)
-
-
-def sg_neg(x: SgRingElem) -> SgRingElem:
-    return SgRingElem(tuple((k, -v) for k, v in x.coeffs))
-
-
-def sg_mul(G: FiniteSemigroup, x: SgRingElem, y: SgRingElem) -> SgRingElem:
+def sg_mul(G: FiniteSemigroup, x: FreeVector, y: FreeVector) -> FreeVector:
     acc = {}
-    for a, ca in x.coeffs:
+    for a, ca in x.items():
         row = G.table[a]
-        for b, cb in y.coeffs:
+        for b, cb in y.items():
             prod = row[b]
             if prod == G.zero:
                 continue
             c = ca * cb
             acc[prod] = acc[prod] + c if prod in acc else c
-    return SgRingElem.make(acc)
+    return FreeVector.make(acc)
 
 
-def sg_commutator(G: FiniteSemigroup, x: SgRingElem, y: SgRingElem) -> SgRingElem:
-    return sg_add(sg_mul(G, x, y), sg_neg(sg_mul(G, y, x)))
+def sg_commutator(G: FiniteSemigroup, x: FreeVector, y: FreeVector) -> FreeVector:
+    return sg_mul(G, x, y) - sg_mul(G, y, x)
 
 
 @dataclass(frozen=True)
@@ -535,17 +512,17 @@ def central_map(G: FiniteSemigroup, values, field=Q) -> CentralMap:
     return CentralMap(values, field)
 
 
-def sg_trace_eval(G: FiniteSemigroup, delta: CentralMap, x: SgRingElem):
+def sg_trace_eval(G: FiniteSemigroup, delta: CentralMap, x: FreeVector):
     """sum of a_g * delta(g); FieldElem- or FreeVector-valued with delta."""
     if delta.is_vector_valued:
         acc = FREE_ZERO
-        for idx, c in x.coeffs:
+        for idx, c in x.items():
             v = delta.values[idx]
             if v:
                 acc = acc + v.scale(c)
         return acc
     acc = fe_zero(delta.field)
-    for idx, c in x.coeffs:
+    for idx, c in x.items():
         acc = acc + c * delta.values[idx]
     return acc
 
@@ -564,7 +541,7 @@ def minimal_trace(G: FiniteSemigroup, field=Q) -> CentralMap:
     return CentralMap(tuple(values), field)
 
 
-def in_commutator_span(G: FiniteSemigroup, x: SgRingElem, field=Q) -> bool:
+def in_commutator_span(G: FiniteSemigroup, x: FreeVector, field=Q) -> bool:
     """Membership in the additive span of all commutators gh - hg."""
     return not sg_trace_eval(G, minimal_trace(G, field), x)
 
@@ -577,10 +554,7 @@ def is_minimal_sg_trace(G: FiniteSemigroup, delta: CentralMap) -> bool:
         return True
     values = [delta.values[r] for r in reps]
     if any(isinstance(v, FreeVector) for v in values):
-        keys = sorted(
-            {k for v in values for k, _ in v.entries},
-            key=FreeVector._key_rank,
-        )
+        keys = list(dict.fromkeys(k for v in values for k, _ in v.items()))
         zero = fe_zero(delta.field)
         rows = [[v.get(k, zero) for k in keys] for v in values]
     else:

@@ -15,6 +15,7 @@ at every regular vertex v, which `validate_trace_spec` checks and
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from .errors import ParseError, PreconditionError
@@ -29,6 +30,7 @@ from .gis import (
 from .graphs import (
     CycleRep,
     Graph,
+    cycle_vertices,
     cycle_with_exit_witness,
     edge_path,
     is_no_exit,
@@ -67,7 +69,9 @@ class TraceSpec:
     """Values of a linear trace on class representatives.
 
     `cycle_values` and `cycle_star_values` are keyed by canonical rotations
-    of closed edge words; absent keys mean zero.
+    of closed edge words; absent keys mean zero.  The sorted tuples give
+    equality and `repr`; `class_value` reads one dict, keyed by
+    `VertexClass`, `CycleWord` and `CycleWordStar`, built at construction.
     """
 
     field: str
@@ -75,33 +79,17 @@ class TraceSpec:
     vertex_values: tuple       # sorted (vertex, FieldElem)
     cycle_values: tuple        # sorted (edge word, FieldElem), no zeros
     cycle_star_values: tuple   # sorted (edge word, FieldElem), no zeros
+    _by_class: dict = dataclasses.field(init=False, repr=False, compare=False)
 
-    def vertex_value(self, v: str) -> FieldElem:
-        for key, val in self.vertex_values:
-            if key == v:
-                return val
-        return fe_zero(self.field)
-
-    def cycle_value(self, word: tuple) -> FieldElem:
-        for key, val in self.cycle_values:
-            if key == word:
-                return val
-        return fe_zero(self.field)
-
-    def cycle_star_value(self, word: tuple) -> FieldElem:
-        for key, val in self.cycle_star_values:
-            if key == word:
-                return val
-        return fe_zero(self.field)
+    def __post_init__(self):
+        by_class = {VertexClass(v): c for v, c in self.vertex_values}
+        by_class.update((CycleWord(w), c) for w, c in self.cycle_values)
+        by_class.update((CycleWordStar(w), c) for w, c in self.cycle_star_values)
+        object.__setattr__(self, "_by_class", by_class)
 
     def class_value(self, cls) -> FieldElem:
-        if isinstance(cls, VertexClass):
-            return self.vertex_value(cls.v)
-        if isinstance(cls, CycleWord):
-            return self.cycle_value(cls.edges)
-        if isinstance(cls, CycleWordStar):
-            return self.cycle_star_value(cls.edges)
-        return fe_zero(self.field)
+        value = self._by_class.get(cls)
+        return fe_zero(self.field) if value is None else value
 
 
 def trace_spec(g: Graph, field=Q, involution=IDENTITY, vertex_values=None,
@@ -159,12 +147,14 @@ class SpecValidation:
 
 def validate_trace_spec(g: Graph, spec: TraceSpec) -> SpecValidation:
     """Check the vertex constraint at every regular vertex."""
+    values = dict(spec.vertex_values)
+    zero = fe_zero(spec.field)
     bad = []
     for v in regular_vertices(g):
-        lhs = spec.vertex_value(v)
-        rhs = fe_zero(spec.field)
+        lhs = values.get(v, zero)
+        rhs = zero
         for eid in g.out_edges[v]:
-            rhs = rhs + spec.vertex_value(g.edge_dst[eid])
+            rhs = rhs + values.get(g.edge_dst[eid], zero)
         if lhs != rhs:
             bad.append((v, lhs, rhs))
     return SpecValidation(not bad, tuple(bad))
@@ -261,10 +251,8 @@ def is_minimal_cohn(g: Graph, spec: TraceSpec, classes=None) -> MinimalityVerdic
     exactly the vertex classes.  For cyclic graphs a finite class list must
     be supplied, and the verdict is relative to that list.
     """
-    from .graphs import cycles as _cycles
-
     if classes is None:
-        if _cycles(g):
+        if cycle_vertices(g):
             raise PreconditionError(
                 "graph has cycles: supply the class list to test against"
             )
@@ -316,30 +304,32 @@ def positivity_screen(g: Graph, spec: TraceSpec):
     values entirely.
     """
     require_positive_definite(spec.field, spec.involution)
+    zero = fe_zero(spec.field)
+    values = dict(spec.vertex_values)
+    t = {v: values.get(v, zero) for v in g.vertices}
     violations = []
     for v in g.vertices:
-        if not is_nonnegative(spec.vertex_value(v), spec.involution):
+        if not is_nonnegative(t[v], spec.involution):
             violations.append(ScreenViolation(
                 1, (v,),
-                f"t({v}) = {format_scalar(spec.vertex_value(v))} is not a "
+                f"t({v}) = {format_scalar(t[v])} is not a "
                 f"nonnegative rational",
             ))
     for v in g.vertices:
-        tv = spec.vertex_value(v)
         for w in sorted(_reachable(g, v), key=g.vertices.index):
             if w == v:
                 continue
-            diff = tv - spec.vertex_value(w)
+            diff = t[v] - t[w]
             if not (diff.im == 0 and diff.re >= 0):
                 violations.append(ScreenViolation(
                     2, (v, w),
                     f"t({v}) < t({w}) although {w} is reachable from {v}",
                 ))
     for v in regular_vertices(g):
-        total = fe_zero(spec.field)
+        total = zero
         for eid in g.out_edges[v]:
-            total = total + spec.vertex_value(g.edge_dst[eid])
-        diff = spec.vertex_value(v) - total
+            total = total + t[g.edge_dst[eid]]
+        diff = t[v] - total
         if not (diff.im == 0 and diff.re >= 0):
             violations.append(ScreenViolation(
                 3, (v,),
@@ -347,10 +337,10 @@ def positivity_screen(g: Graph, spec: TraceSpec):
                 f"outgoing edges",
             ))
     for v in g.vertices:
-        if not is_positive_nonzero(spec.vertex_value(v), spec.involution):
+        if not is_positive_nonzero(t[v], spec.involution):
             violations.append(ScreenViolation(
                 4, (v,),
-                f"t({v}) = {format_scalar(spec.vertex_value(v))} is not "
+                f"t({v}) = {format_scalar(t[v])} is not "
                 f"strictly positive (faithfulness candidacy)",
             ))
     return violations
@@ -492,7 +482,7 @@ def parse_trace_spec(text: str, g: Graph) -> TraceSpec:
         except ParseError as exc:
             raise ParseError(str(exc), lineno) from None
         if kind == "vertex":
-            vertex_values[key] = value
+            _put_once(vertex_values, key, value, f"vertex {key!r}", lineno)
         else:
             word = tuple(key.split("/"))
             try:
@@ -500,9 +490,10 @@ def parse_trace_spec(text: str, g: Graph) -> TraceSpec:
                 canonical = approx_canonical(g, path).edges
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
-            cycle_values[canonical] = value
+            name = f"rotation class {'/'.join(canonical)}"
+            _put_once(cycle_values, canonical, value, name, lineno)
             if star_value is not None:
-                star_values[canonical] = star_value
+                _put_once(star_values, canonical, star_value, f"starred {name}", lineno)
     try:
         return trace_spec(
             g, field, involution,
@@ -512,3 +503,8 @@ def parse_trace_spec(text: str, g: Graph) -> TraceSpec:
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+
+
+def _put_once(table, key, value, name, lineno):
+    if table.setdefault(key, value) != value:
+        raise ParseError(f"conflicting values for {name}", lineno)

@@ -211,6 +211,27 @@ def random_sg_element(G, rng, field=Q, n_terms=3):
     return sg_element(G, mapping, field)
 
 
+def sim_classes_reference(G):
+    """The classes of ~ as connected components of the graph with an edge
+    ab - ba for every pair (a, b): sorted tuples, ordered by least member."""
+    adjacent = {x: set() for x in range(G.size)}
+    for a, b in itertools.product(range(G.size), repeat=2):
+        u, v = G.mul(a, b), G.mul(b, a)
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    classes, seen = [], set()
+    for x in range(G.size):
+        if x not in seen:
+            component, frontier = {x}, [x]
+            while frontier:
+                for y in adjacent[frontier.pop()] - component:
+                    component.add(y)
+                    frontier.append(y)
+            seen |= component
+            classes.append(tuple(sorted(component)))
+    return tuple(classes)
+
+
 def random_central_map(G, rng, field=Q):
     part = sim_classes(G)
     per_class = {cid: random_scalar(rng, field) for cid in part.nonzero_class_ids}

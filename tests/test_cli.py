@@ -192,6 +192,44 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_bad_values_files_and_labels_exit_2(tmp_path, capsys):
+    rose = _write(tmp_path, "rose.graph", GRAPH_TEXTS["rose2"])
+    plain = _write(tmp_path, "plain.spec", "vertex v 0\n")
+    cayley = "n 2 zero 0\n0 0\n0 1\n"
+    binary = tmp_path / "binary.graph"
+    binary.write_bytes(b"v v\ne e v v\xff\n")
+    cases = {
+        "conflicting cycle": ("eval", rose, "e/f", "--mode", "cohn", "--spec",
+                              _write(tmp_path, "c.spec", "cycle e/f 1\ncycle f/e 2\n")),
+        "conflicting star": ("eval", rose, "e/f", "--mode", "cohn", "--spec",
+                             _write(tmp_path, "s.spec", "cycle e/f 1 1\ncycle f/e 1 2\n")),
+        "conflicting vertex": ("eval", rose, "v", "--mode", "cohn", "--spec",
+                               _write(tmp_path, "v.spec", "vertex v 1\nvertex v 2\n")),
+        "zero denominator in expression": ("eval", rose, "1/0", "--spec", plain),
+        "zero denominator in spec": ("eval", rose, "v", "--spec",
+                                     _write(tmp_path, "z.spec", "vertex v 1/0\n")),
+        "non-UTF-8 file": ("analyze", str(binary)),
+        "label out of range": ("sg", _write(tmp_path, "r.cayley", cayley + "label 5 x\n"),
+                               "classes"),
+        "label given twice": ("sg", _write(tmp_path, "d.cayley",
+                                           cayley + "label 1 x\nlabel 1 y\n"), "classes"),
+    }
+    for name, argv in cases.items():
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == "", name
+        assert err.startswith("input error:") and "Traceback" not in err, name
+    for name in ("conflicting cycle", "conflicting star", "conflicting vertex"):
+        _, _, err = _run(capsys, *cases[name])
+        assert "line 2: conflicting values" in err, name
+    _, _, err = _run(capsys, *cases["label given twice"])
+    assert "line 5" in err
+    # repeating a value is not a conflict
+    same = _write(tmp_path, "same.spec",
+                  "cycle e/f 1 2\ncycle f/e 1 2\nvertex v 0\nvertex v 0\n")
+    code, out, _ = _run(capsys, "eval", rose, "e/f", "--mode", "cohn", "--spec", same)
+    assert code == 0 and json.loads(out)["result"]["value"] == "1"
+
+
 def test_eval_input_error_takes_precedence_over_invalid_spec(tmp_path, capsys):
     graph = _write(tmp_path, "rose.graph", GRAPH_TEXTS["rose2"])
     spec = _write(tmp_path, "rose.spec", "field Q\nvertex v 1\n")

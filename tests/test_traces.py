@@ -1,10 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from lpatrace.errors import ParseError, PreconditionError
-from lpatrace.gis import MonPair, VertexClass
-from lpatrace.graphs import edge_path, vertex_path
+from lpatrace.gis import CycleWord, CycleWordStar, MonPair, VertexClass
+from lpatrace.graphs import Graph, edge_path, vertex_path
 from lpatrace.path_algebras import (
     COHN,
     LEAVITT,
@@ -185,6 +186,18 @@ def test_is_minimal_cohn_examples():
     line = GRAPHS["line2"]
     spec = trace_spec(line, Q, IDENTITY, vertex_values={"a": fe(1), "b": fe(1)})
     assert not is_minimal_cohn(line, spec)
+
+
+def test_is_minimal_cohn_refuses_cyclic_k9_quickly():
+    vs = [f"v{i}" for i in range(9)]
+    k9 = Graph(vs, [(f"e{i}_{j}", v, w) for i, v in enumerate(vs)
+                    for j, w in enumerate(vs) if i != j])
+    spec = trace_spec(k9, Q, IDENTITY)
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="graph has cycles"):
+        is_minimal_cohn(k9, spec)
+    # listing all 125664 simple cycles of K9 takes about 2 s
+    assert time.perf_counter() - start < 0.5
 
 
 def test_positivity_screen_examples():
@@ -387,13 +400,14 @@ def test_parse_trace_spec_file():
     )
     spec = parse_trace_spec(text, loop)
     assert spec.field == QI and spec.involution == CONJUGATION
-    assert spec.vertex_value("v") == fe_one(QI)
-    assert spec.cycle_value(("e",)) == fe_i()
-    assert spec.cycle_star_value(("e",)) == fe_i()
+    assert spec.class_value(VertexClass("v")) == fe_one(QI)
+    assert spec.class_value(CycleWord(("e",))) == fe_i()
+    assert spec.class_value(CycleWordStar(("e",))) == fe_i()
 
     two = GRAPHS["two_cycle"]
     rotated = parse_trace_spec("cycle e2/e1 3\n", two)
-    assert rotated.cycle_value(("e1", "e2")) == fe(3)
+    assert rotated.class_value(CycleWord(("e1", "e2"))) == fe(3)
+    assert rotated.class_value(CycleWordStar(("e1", "e2"))) == fe(0)
 
     with pytest.raises(ParseError, match="line 1"):
         parse_trace_spec("vertex bogus 1\n", loop)
