@@ -1,7 +1,8 @@
 """Exact Gaussian elimination over the tagged fields.
 
-Dense routines for the small systems arising from vertex constraints and
-minimality checks.
+Rows are sparse: a mapping {column: value} over integer columns, in which
+zero values are ignored.  A system of k unit vectors therefore costs O(k)
+operations, not k^2.  `nullspace` takes dense rows and converts them.
 """
 
 from __future__ import annotations
@@ -9,52 +10,69 @@ from __future__ import annotations
 from .scalars import fe_one, fe_zero
 
 
-def _row_reduce(rows, ncols: int, field):
-    """Reduced row-echelon form: (nonzero reduced rows, pivot columns).
+def _subtract_multiple(row: dict, factor, pivot_row: dict):
+    """row -= factor * pivot_row, in place, dropping entries that vanish."""
+    for col, y in pivot_row.items():
+        x = row.get(col)
+        new = -(factor * y) if x is None else x - factor * y
+        if new:
+            row[col] = new
+        else:
+            del row[col]
 
-    Zero rows are dropped first, so elimination stops as soon as every
-    remaining row holds a pivot.
+
+def _row_reduce(rows, field):
+    """Reduced row-echelon form: (reduced rows, pivot columns), by column.
+
+    Each row is reduced against the pivots found so far, smallest column
+    first, until its smallest column is a new pivot; every pivot row then
+    holds only columns at or after its pivot.  Back-substitution from the
+    largest pivot down leaves each pivot column in its own row alone.
     """
     one = fe_one(field)
-    mat = [list(r) for r in rows if any(r)]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(mat):
-            break
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = one / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-    return mat, pivots
+    pivots = {}
+    for row in rows:
+        row = {col: x for col, x in row.items() if x}
+        while row:
+            col = min(row)
+            pivot_row = pivots.get(col)
+            if pivot_row is None:
+                inv = one / row[col]
+                pivots[col] = {c: x * inv for c, x in row.items()}
+                break
+            _subtract_multiple(row, row[col], pivot_row)
+    order = sorted(pivots)
+    for col in reversed(order):
+        row = pivots[col]
+        # later pivot rows are already reduced, so they bring in no pivots
+        for c in [c for c in row if c != col and c in pivots]:
+            _subtract_multiple(row, row[c], pivots[c])
+    return [pivots[col] for col in order], order
 
 
 def rank(rows, field) -> int:
-    """Rank of a dense matrix given as a list of equal-length rows."""
-    return len(_row_reduce(rows, len(rows[0]) if rows else 0, field)[1])
+    """Rank of a matrix given as sparse rows {column: value}."""
+    return len(_row_reduce(rows, field)[1])
 
 
 def nullspace(rows, ncols: int, field):
     """Basis of the solution space of (rows) * x = 0, as dense vectors.
 
-    Rows may be empty, in which case the basis is the standard one.
+    Rows are dense, of length ncols, and may be empty, in which case the
+    basis is the standard one.  The basis is read off the reduced
+    row-echelon form, one vector per free column.
     """
     zero, one = fe_zero(field), fe_one(field)
-    mat, pivots = _row_reduce(rows, ncols, field)
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    mat, pivots = _row_reduce((dict(enumerate(r)) for r in rows), field)
+    pivot_set = set(pivots)
     basis = []
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
         vec = [zero] * ncols
         vec[fc] = one
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = -mat[prow][fc]
+        for row, pcol in zip(mat, pivots):
+            if fc in row:
+                vec[pcol] = -row[fc]
         basis.append(vec)
     return basis
-

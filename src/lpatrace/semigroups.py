@@ -28,6 +28,9 @@ class FiniteSemigroup:
     _sim: SimPartition | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )
+    _swaps: dict | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def size(self) -> int:
@@ -50,13 +53,13 @@ class FiniteSemigroup:
 
 def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
     """Validate a Cayley table: squareness, associativity, absorbing zero."""
-    rows = tuple(tuple(int(x) for x in row) for row in table)
+    rows = tuple(tuple(map(int, row)) for row in table)
     n = len(rows)
     if n == 0:
         raise ValueError("empty table")
     if any(len(row) != n for row in rows):
         raise ValueError("table is not square")
-    if any(x < 0 or x >= n for row in rows for x in row):
+    if any(min(row) < 0 or max(row) >= n for row in rows):
         raise ValueError("table entry out of range")
     if not 0 <= zero_index < n:
         raise ValueError("zero index out of range")
@@ -136,7 +139,7 @@ def parse_cayley(text: str) -> FiniteSemigroup:
     table = []
     for lineno, line in lines[1: 1 + size]:
         try:
-            row = [int(x) for x in line.split()]
+            row = list(map(int, line.split()))
         except ValueError:
             raise ParseError("table rows must be integers", lineno) from None
         if len(row) != size:
@@ -291,48 +294,59 @@ class SimPartition:
         return tuple(self.classes[i][0] for i in self.nonzero_class_ids)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+def _swap_pairs(G: FiniteSemigroup) -> dict:
+    """Each distinct pair (ab, ba), mapped to a*n + b for its first (a, b).
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
+    First means first in row-major order: the rows are written last to
+    first, each reversed, so the earliest witness of a pair is written
+    last.  Built once per semigroup, at C speed, and kept on the instance.
+    """
+    if G._swaps is None:
+        rows, n = G.table, G.size
+        cols = tuple(zip(*rows))  # cols[a][b] = b*a
+        index = {}
+        for a in reversed(range(n)):
+            start = a * n
+            index.update(zip(
+                zip(rows[a][::-1], cols[a][::-1]),
+                range(start + n - 1, start - 1, -1),
+            ))
+        object.__setattr__(G, "_swaps", index)
+    return G._swaps
 
 
 def sim_classes(G: FiniteSemigroup) -> SimPartition:
-    """Union-find closure of the merges {ab, ba} over all ordered pairs.
+    """Union-find closure of the merges {ab, ba} over the distinct swap pairs.
 
-    The partition is a pure function of the table, so it is computed once
-    and kept on the semigroup instance.
+    Each unordered pair {ab, ba} is merged once, however many (a, b) give
+    it.  The partition is a pure function of the table, so it is computed
+    once and kept on the semigroup instance.
     """
     if G._sim is not None:
         return G._sim
     n = G.size
-    uf = _UnionFind(n)
-    for a, b in itertools.product(range(n), repeat=2):
-        uf.union(G.table[a][b], G.table[b][a])
-    groups = {}
-    for x in range(n):
-        groups.setdefault(uf.find(x), []).append(x)
-    classes = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0])
-    class_of = [0] * n
-    zero_class_id = 0
-    for cid, cls in enumerate(classes):
-        for x in cls:
-            class_of[x] = cid
-        if G.zero in cls:
-            zero_class_id = cid
-    result = SimPartition(tuple(class_of), tuple(classes), zero_class_id)
+    # parent[x] <= x throughout, so every root is its class's least member
+    parent = list(range(n))
+    for u, v in _swap_pairs(G):
+        if u < v:
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u < v:
+                parent[v] = u
+            elif v < u:
+                parent[u] = v
+    for x in range(n):  # ascending, so parent[parent[x]] is already a root
+        parent[x] = parent[parent[x]]
+    class_id = {root: cid for cid, root in enumerate(dict.fromkeys(parent))}
+    class_of = tuple(map(class_id.__getitem__, parent))
+    classes = [[] for _ in class_id]
+    for x, cid in enumerate(class_of):
+        classes[cid].append(x)
+    result = SimPartition(
+        class_of, tuple(map(tuple, classes)), class_of[G.zero]
+    )
     object.__setattr__(G, "_sim", result)
     return result
 
@@ -341,37 +355,39 @@ def sim_witness_chain(G: FiniteSemigroup, g: int, h: int):
     """Shortest chain g = a1 b1, b1 a1 = a2 b2, ..., bn an = h, or None.
 
     Returns the empty list when g == h, a list of (a, b) pairs when a chain
-    exists, and None when g and h are inequivalent.
+    exists, and None when g and h are inequivalent.  The breadth-first
+    search runs over the distinct swap pairs; a step from ab to ba is
+    witnessed by the first such (a, b) in row-major order, and each
+    element's steps are tried in that order.
     """
     if g == h:
         return []
+    part = sim_classes(G)
+    if part.class_of[g] != part.class_of[h]:
+        return None
+    # g and h are joined in the swap-pair graph, which is symmetric: the
+    # pair (v, u) comes from (b, a) whenever (u, v) comes from (a, b)
     n = G.size
-    adjacency = {}
-    for a in range(n):
-        row = G.table[a]
-        for b in range(n):
-            u, v = row[b], G.table[b][a]
-            adjacency.setdefault(u, {}).setdefault(v, (a, b))
+    steps = {}
+    for (u, v), w in _swap_pairs(G).items():
+        steps.setdefault(u, []).append((w, v))
     parent = {g: None}
     frontier = [g]
-    while frontier:
+    while h not in parent:
         nxt = []
         for u in frontier:
-            for v, witness in adjacency.get(u, {}).items():
+            for w, v in sorted(steps[u]):
                 if v not in parent:
-                    parent[v] = (u, witness)
-                    if v == h:
-                        chain = []
-                        node = h
-                        while parent[node] is not None:
-                            prev, w = parent[node]
-                            chain.append(w)
-                            node = prev
-                        chain.reverse()
-                        return chain
+                    parent[v] = (u, divmod(w, n))
                     nxt.append(v)
         frontier = nxt
-    return None
+    chain = []
+    node = h
+    while parent[node] is not None:
+        node, w = parent[node]
+        chain.append(w)
+    chain.reverse()
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +558,19 @@ def minimal_trace(G: FiniteSemigroup, field=Q) -> CentralMap:
 
 
 def in_commutator_span(G: FiniteSemigroup, x: FreeVector, field=Q) -> bool:
-    """Membership in the additive span of all commutators gh - hg."""
-    return not sg_trace_eval(G, minimal_trace(G, field), x)
+    """Membership in the additive span of all commutators gh - hg.
+
+    That span is the kernel of the minimal trace, so x is in it exactly
+    when its coefficients sum to zero on every nonzero class.
+    """
+    part = sim_classes(G)
+    zero = fe_zero(field)
+    sums = {}
+    for idx, c in x.items():
+        cid = part.class_of[idx]
+        if cid != part.zero_class_id:
+            sums[cid] = sums.get(cid, zero) + c
+    return not any(sums.values())
 
 
 def is_minimal_sg_trace(G: FiniteSemigroup, delta: CentralMap) -> bool:
@@ -554,11 +581,13 @@ def is_minimal_sg_trace(G: FiniteSemigroup, delta: CentralMap) -> bool:
         return True
     values = [delta.values[r] for r in reps]
     if any(isinstance(v, FreeVector) for v in values):
-        keys = list(dict.fromkeys(k for v in values for k, _ in v.items()))
-        zero = fe_zero(delta.field)
-        rows = [[v.get(k, zero) for k in keys] for v in values]
+        column = {}  # FreeVector keys need not be ordered: number them
+        rows = [
+            {column.setdefault(k, len(column)): c for k, c in v.items()}
+            for v in values
+        ]
     else:
-        rows = [[v] for v in values]
+        rows = [{0: v} for v in values]
     return rank(rows, delta.field) == len(reps)
 
 

@@ -261,7 +261,7 @@ def is_minimal_cohn(g: Graph, spec: TraceSpec, classes=None) -> MinimalityVerdic
     else:
         classes = tuple(classes)
         relative = True
-    rows = [[spec.class_value(cls)] for cls in classes]
+    rows = [{0: spec.class_value(cls)} for cls in classes]
     minimal = _rank(rows, spec.field) == len(classes)
     return MinimalityVerdict(minimal, classes, relative)
 
@@ -315,8 +315,9 @@ def positivity_screen(g: Graph, spec: TraceSpec):
                 f"t({v}) = {format_scalar(t[v])} is not a "
                 f"nonnegative rational",
             ))
+    position = {v: i for i, v in enumerate(g.vertices)}
     for v in g.vertices:
-        for w in sorted(_reachable(g, v), key=g.vertices.index):
+        for w in sorted(_reachable(g, v), key=position.__getitem__):
             if w == v:
                 continue
             diff = t[v] - t[w]

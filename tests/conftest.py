@@ -232,6 +232,34 @@ def sim_classes_reference(G):
     return tuple(classes)
 
 
+def sim_witness_chain_reference(G, g, h):
+    """Breadth-first search over the adjacency of every pair (a, b) in
+    row-major order, each step ab -> ba keeping its first (a, b): the
+    shortest chain of (a, b) witnesses from g to h, [] if g == h, or None."""
+    if g == h:
+        return []
+    adjacency = {}
+    for a, b in itertools.product(range(G.size), repeat=2):
+        adjacency.setdefault(G.mul(a, b), {}).setdefault(G.mul(b, a), (a, b))
+    parent = {g: None}
+    frontier = [g]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v, witness in adjacency.get(u, {}).items():
+                if v not in parent:
+                    parent[v] = (u, witness)
+                    nxt.append(v)
+        if h in parent:
+            chain = []
+            while parent[h] is not None:
+                h, witness = parent[h]
+                chain.append(witness)
+            return chain[::-1]
+        frontier = nxt
+    return None
+
+
 def random_central_map(G, rng, field=Q):
     part = sim_classes(G)
     per_class = {cid: random_scalar(rng, field) for cid in part.nonzero_class_ids}

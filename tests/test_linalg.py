@@ -2,20 +2,31 @@ import pytest
 
 from lpatrace.linalg import nullspace, rank
 from lpatrace.scalars import QI, Q, fe, fe_one, fe_zero
+from lpatrace.semigroups import (
+    FREE_ZERO,
+    FreeVector,
+    central_map,
+    is_minimal_sg_trace,
+    sim_classes,
+)
 
-from conftest import SpanBasis, random_scalar
+from conftest import SEMIGROUPS, SpanBasis, random_scalar
 
 
 def _row(*vals):
     return [fe(v) for v in vals]
 
 
+def _sparse(rows):
+    return [dict(enumerate(r)) for r in rows]
+
+
 def test_rank_small():
     assert rank([], Q) == 0
-    assert rank([_row(0, 0)], Q) == 0
-    assert rank([_row(1, 2), _row(2, 4)], Q) == 1
-    assert rank([_row(1, 0), _row(0, 1)], Q) == 2
-    assert rank([_row(1, 2, 3), _row(0, 1, 1), _row(1, 3, 4)], Q) == 2
+    assert rank(_sparse([_row(0, 0)]), Q) == 0
+    assert rank(_sparse([_row(1, 2), _row(2, 4)]), Q) == 1
+    assert rank(_sparse([_row(1, 0), _row(0, 1)]), Q) == 2
+    assert rank(_sparse([_row(1, 2, 3), _row(0, 1, 1), _row(1, 3, 4)]), Q) == 2
 
 
 def test_nullspace_solves_the_system():
@@ -53,14 +64,37 @@ def test_rank_nullity_and_nullspace_solutions(rng, field):
             if trial % 4 == 0:
                 rows.insert(rng.randrange(nrows), [zero] * ncols)
         basis = nullspace(rows, ncols, field)
-        assert rank(rows, field) + len(basis) == ncols, (trial, nrows, ncols)
+        assert rank(_sparse(rows), field) + len(basis) == ncols, (trial, nrows, ncols)
         for vec in basis:
             for row in rows:
                 total = zero
                 for a, x in zip(row, vec):
                     total = total + a * x
                 assert not total, (trial, vec)
-        assert rank(basis, field) == len(basis)
+        assert rank(_sparse(basis), field) == len(basis)
+
+
+@pytest.mark.parametrize("field", [Q, QI])
+def test_sparse_rank_matches_span_basis(rng, field):
+    columns = [0, 3, 7, 12, 20]
+    for trial in range(80):
+        rows = []
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.random()
+            if rows and kind < 0.2:  # a repeated row
+                rows.append(dict(rng.choice(rows)))
+            elif rows and kind < 0.4:  # a scaled row
+                c = random_scalar(rng, field, nonzero=True)
+                rows.append({k: c * v for k, v in rng.choice(rows).items()})
+            elif kind < 0.5:  # an empty row
+                rows.append({})
+            else:  # keys inserted out of column order, zeros kept
+                cols = rng.sample(columns, rng.randint(1, len(columns)))
+                rows.append({k: random_scalar(rng, field) for k in cols})
+        sb = SpanBasis(field)
+        for row in rows:
+            sb.add(row)
+        assert rank(rows, field) == sb.dim, (trial, rows)
 
 
 def test_span_basis_membership():
@@ -73,3 +107,19 @@ def test_span_basis_membership():
     assert sb.contains({0: one, 2: -one})
     assert not sb.contains({0: one})
     assert sb.contains({})
+
+
+def test_is_minimal_sg_trace_rejects_proportional_class_values():
+    G = SEMIGROUPS["c3"]  # abelian: three nonzero classes
+    part = sim_classes(G)
+    first, second, third = part.nonzero_class_ids
+    base = FreeVector.make({"p": fe(1), "q": fe(2)})
+
+    def delta(second_value):
+        per_class = {first: base, second: second_value,
+                     third: FreeVector.make({"r": fe(5)})}
+        return central_map(G, [per_class.get(cid, FREE_ZERO)
+                               for cid in part.class_of])
+
+    assert is_minimal_sg_trace(G, delta(FreeVector.make({"q": fe(1)})))
+    assert not is_minimal_sg_trace(G, delta(base.scale(fe(-3))))

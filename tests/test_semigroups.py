@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lpatrace.errors import ParseError, PreconditionError
-from lpatrace.scalars import Q, fe, fe_one, fe_zero
+from lpatrace.scalars import QI, Q, fe, fe_one, fe_zero
 from lpatrace.semigroups import (
     FreeVector,
     admits_normalized_minimal,
@@ -38,6 +38,7 @@ from conftest import (
     random_central_map,
     random_sg_element,
     sim_classes_reference,
+    sim_witness_chain_reference,
 )
 
 
@@ -224,6 +225,26 @@ def test_sim_witness_chain_endo4_needs_two_steps():
     chain = sim_witness_chain(endo4, g, h)
     assert chain is not None and len(chain) == 2
     assert _chain_is_valid(endo4, g, h, chain)
+    # several two-step chains join g and h: the reference's order picks one
+    assert chain == sim_witness_chain_reference(endo4, g, h)
+    assert sim_witness_chain(endo4, h, g) == sim_witness_chain_reference(endo4, h, g)
+
+
+def test_sim_witness_chain_matches_row_major_reference():
+    rng = fresh_rng(16)
+    outcomes = set()
+    for name, G in {**SEMIGROUPS, "endo4": SEMIGROUPS_ENDO4()}.items():
+        part = sim_classes(G)
+        pairs = [(g, g) for g in rng.sample(range(G.size), min(2, G.size))]
+        for _ in range(12):
+            g = rng.randrange(G.size)
+            pairs.append((g, rng.choice(part.classes[part.class_of[g]])))
+            pairs.append((g, rng.randrange(G.size)))
+        for g, h in pairs:
+            chain = sim_witness_chain(G, g, h)
+            assert chain == sim_witness_chain_reference(G, g, h), (name, g, h)
+            outcomes.add(None if chain is None else len(chain))
+    assert {None, 0, 1, 2} <= outcomes
 
 
 def test_is_central_map_examples():
@@ -314,6 +335,29 @@ def test_minimal_trace_examples():
     c2 = SEMIGROUPS["c2"]
     classes = {k for v in minimal_trace(c2).values for k in v.as_dict()}
     assert len(classes) == 2  # two-dimensional target
+
+
+@pytest.mark.parametrize("field", [Q, QI])
+def test_in_commutator_span_is_the_minimal_trace_kernel(field):
+    rng = fresh_rng(17)
+    verdicts = set()
+    for name, G in SEMIGROUPS.items():
+        delta = minimal_trace(G, field)
+        part = sim_classes(G)
+        for trial in range(40):
+            x = random_sg_element(G, rng, field)
+            if trial % 2:  # subtract each class's sum at its least member
+                balanced = x.as_dict()
+                for idx, c in x.items():
+                    cid = part.class_of[idx]
+                    if cid != part.zero_class_id:
+                        least = part.classes[cid][0]
+                        balanced[least] = balanced.get(least, fe_zero(field)) - c
+                x = FreeVector.make(balanced)
+            verdict = in_commutator_span(G, x, field)
+            assert verdict == (not sg_trace_eval(G, delta, x)), (name, x)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_in_commutator_span_examples():

@@ -5,7 +5,7 @@ import pytest
 
 from lpatrace.errors import ParseError, PreconditionError
 from lpatrace.gis import CycleWord, CycleWordStar, MonPair, VertexClass
-from lpatrace.graphs import Graph, edge_path, vertex_path
+from lpatrace.graphs import Graph, edge_path, parse_graph, vertex_path
 from lpatrace.path_algebras import (
     COHN,
     LEAVITT,
@@ -218,6 +218,16 @@ def test_positivity_screen_examples():
     with pytest.raises(PreconditionError):
         positivity_screen(loop, trace_spec(loop, QI, IDENTITY,
                                            vertex_values={"v": fe_one(QI)}))
+
+
+def test_positivity_screen_keeps_declaration_order():
+    # z is declared before y, against name order; values rise along both
+    # edges, so both reachable pairs violate monotonicity
+    g = parse_graph("v s\nv z\nv y\ne f s z\ne h s y")
+    spec = trace_spec(g, Q, IDENTITY,
+                      vertex_values={"s": fe(1), "z": fe(2), "y": fe(3)})
+    pairs = [v.vertices for v in positivity_screen(g, spec) if v.condition == 2]
+    assert pairs == [("s", "z"), ("s", "y")]
 
 
 def test_screen_passes_on_the_insufficient_example():
