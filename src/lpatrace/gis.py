@@ -22,7 +22,6 @@ from .graphs import (
     format_path,
     is_path_prefix,
     path_remainder,
-    path_sort_key,
     _least_rotation,
 )
 
@@ -56,10 +55,6 @@ class MonPair:
 
 def is_zero(a) -> bool:
     return a is GIS_ZERO
-
-
-def mon_sort_key(m: MonPair):
-    return (path_sort_key(m.p), path_sort_key(m.q))
 
 
 def gis_mul(a, b):

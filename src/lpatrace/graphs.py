@@ -303,10 +303,21 @@ def cycle_vertices(g: Graph) -> frozenset:
     return frozenset(verts)
 
 
+# Most edge ids, summed over every trail pushed, that one `cycles` call may
+# spend; each trail is a fresh list, so the sum is its time and memory.  The
+# loopless complete digraph K8 needs 93,528, K9 860,736.
+CYCLE_WORK_LIMIT = 500_000
+
+
 def cycles(g: Graph):
-    """All simple cycles, one canonical rotation each, deterministically sorted."""
+    """All simple cycles, one canonical rotation each, deterministically sorted.
+
+    Raises `PreconditionError` once the DFS trails pushed hold more than
+    `CYCLE_WORK_LIMIT` edge ids in total.
+    """
     order = {v: i for i, v in enumerate(g.vertices)}
     found = {}
+    work = 0
     for comp, internal in _nontrivial_sccs(g):
         out_in_comp = {v: [e for e in internal if g.edge_src[e] == v] for v in comp}
         for start in sorted(comp, key=order.get):
@@ -321,6 +332,13 @@ def cycles(g: Graph):
                         word = _least_rotation(tuple(trail + [eid]))
                         found[word] = True
                     elif w not in visited and order[w] > order[start]:
+                        work += len(trail) + 1
+                        if work > CYCLE_WORK_LIMIT:
+                            raise PreconditionError(
+                                f"simple cycles of a graph with {len(g.vertices)} "
+                                f"vertices and {len(g.edges)} edges need more than "
+                                f"{CYCLE_WORK_LIMIT} edge ids of enumeration"
+                            )
                         stack.append((w, trail + [eid], visited | {w}))
     reps = [CycleRep(edge_path(g, word)) for word in found]
     reps.sort(key=lambda c: (len(c.edges), c.edges))

@@ -26,8 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
-from .gis import GIS_ZERO, MonPair, gis_mul, mon_sort_key
-from .graphs import Graph, PathSeq, edge_path, format_path, vertex_path
+from .gis import GIS_ZERO, MonPair, gis_mul
+from .graphs import (
+    Graph,
+    PathSeq,
+    edge_path,
+    format_path,
+    path_sort_key,
+    vertex_path,
+)
 from .scalars import (
     FieldElem,
     IDENTITY,
@@ -37,6 +44,7 @@ from .scalars import (
     fe_one,
     field_star,
     format_scalar,
+    parse_scalar,
 )
 
 COHN = "cohn"
@@ -88,7 +96,7 @@ class PathAlgebra:
         return fe(c, 0, self.field)
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, ())
+        return AlgebraElement(self, {})
 
     def one(self) -> "AlgebraElement":
         """Sum of all vertices: the identity, the graph being finite."""
@@ -114,9 +122,7 @@ class PathAlgebra:
         for mon, c in mapping.items():
             self._check_path(mon.p)
             self._check_path(mon.q)
-            c = self.scalar(c)
-            if c:
-                raw[mon] = raw[mon] + c if mon in raw else c
+            raw[mon] = self.scalar(c)
         return self._make(raw)
 
     def _vertex_mon(self, v: str) -> MonPair:
@@ -133,10 +139,9 @@ class PathAlgebra:
             raise ValueError(f"path {format_path(p)} is not a path of this graph")
 
     def _make(self, raw) -> "AlgebraElement":
-        canonical = self.normalize_terms(raw) if self.mode == LEAVITT else raw
-        items = [(m, c) for m, c in canonical.items() if c]
-        items.sort(key=lambda t: mon_sort_key(t[0]))
-        return AlgebraElement(self, tuple(items))
+        if self.mode == LEAVITT:
+            return AlgebraElement(self, self.normalize_terms(raw))
+        return AlgebraElement(self, {m: c for m, c in raw.items() if c})
 
     # -- the rewriting system ------------------------------------------------
 
@@ -230,13 +235,14 @@ class PathAlgebra:
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
-    """A finitely supported combination of monomials p q*, canonical per mode."""
+    """A finitely supported combination of monomials p q*, canonical per mode.
+
+    Equality and hashing ignore the order of the terms; `format_element`
+    writes them in path order.
+    """
 
     algebra: PathAlgebra
-    terms: tuple  # sorted (MonPair, FieldElem) pairs, no zeros
-
-    def as_dict(self):
-        return dict(self.terms)
+    terms: dict  # {MonPair: FieldElem}, no zeros
 
     def _check(self, other: "AlgebraElement") -> None:
         if not isinstance(other, AlgebraElement):
@@ -250,29 +256,25 @@ class AlgebraElement:
         return self.algebra is other.algebra and self.terms == other.terms
 
     def __hash__(self):
-        return hash((id(self.algebra), self.terms))
+        return hash((id(self.algebra), frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
 
     def __add__(self, other):
         self._check(other)
-        acc = self.as_dict()
-        for m, c in other.terms:
+        acc = dict(self.terms)
+        for m, c in other.terms.items():
             v = acc.get(m)
             v = c if v is None else v + c
             if v:
                 acc[m] = v
             else:
                 acc.pop(m, None)
-        # both sides canonical, so no renormalization is needed
-        items = sorted(acc.items(), key=lambda t: mon_sort_key(t[0]))
-        return AlgebraElement(self.algebra, tuple(items))
+        return AlgebraElement(self.algebra, acc)
 
     def __neg__(self):
-        return AlgebraElement(
-            self.algebra, tuple((m, -c) for m, c in self.terms)
-        )
+        return AlgebraElement(self.algebra, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -284,8 +286,8 @@ class AlgebraElement:
         alg = self.algebra
         cap = alg.degree_cap
         raw = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
                 prod = gis_mul(m1, m2)
                 if prod is GIS_ZERO:
                     continue
@@ -306,9 +308,7 @@ class AlgebraElement:
         c = self.algebra.scalar(c)
         if not c:
             return self.algebra.zero()
-        return AlgebraElement(
-            self.algebra, tuple((m, c * v) for m, v in self.terms)
-        )
+        return AlgebraElement(self.algebra, {m: c * v for m, v in self.terms.items()})
 
     def __repr__(self):
         return f"AlgebraElement({format_element(self)})"
@@ -321,7 +321,7 @@ def alg_star(x: AlgebraElement) -> AlgebraElement:
     """(sum a p q*)^* = sum a^* q p*."""
     alg = x.algebra
     raw = {}
-    for m, c in x.terms:
+    for m, c in x.terms.items():
         raw[MonPair(m.q, m.p)] = field_star(c, alg.involution)
     return alg._make(raw)
 
@@ -334,7 +334,7 @@ def transfer(x: AlgebraElement, target: PathAlgebra) -> AlgebraElement:
     """Reinterpret an element's raw support in another algebra (same graph)."""
     if target.graph is not x.algebra.graph:
         raise ValueError("transfer requires the same underlying graph")
-    return target.from_terms(x.as_dict())
+    return target.from_terms(x.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +376,7 @@ class _ExprParser:
         self.tokens = tokens
         self.pos = 0
         self.algebra = algebra
+        self.raw = {}  # {MonPair: FieldElem}, the terms read so far
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -386,44 +387,45 @@ class _ExprParser:
         return tok
 
     def parse(self) -> AlgebraElement:
-        acc = self.algebra.zero()
         sign = 1
         kind, val = self.peek()
         if kind == "op" and val in "+-":
             self.take()
             sign = -1 if val == "-" else 1
-        acc = acc + self.term(sign)
+        self.term(sign)
         while self.pos < len(self.tokens):
             kind, val = self.take()
             if kind != "op" or val not in "+-":
                 raise ParseError(f"expected + or - before {val!r}")
-            acc = acc + self.term(-1 if val == "-" else 1)
-        return acc
+            self.term(-1 if val == "-" else 1)
+        return self.algebra._make(self.raw)
 
-    def term(self, sign: int) -> AlgebraElement:
+    def term(self, sign: int) -> None:
+        alg = self.algebra
         kind, val = self.peek()
         if kind is None:
             raise ParseError("expected a term")
         if kind == "scalar":
             self.take()
-            coeff = self._scalar(val)
-            kind2, val2 = self.peek()
-            if kind2 == "op" and val2 == "*":
-                self.take()
-                body = self.mono()
-            else:
+            coeff = sign * parse_scalar(val, alg.field)
+            kind, val = self.peek()
+            if kind != "op" or val != "*":
                 # a bare scalar means that multiple of the identity
-                body = self.algebra.one()
-            return (sign * coeff) * body
-        return sign * self.mono()
+                for v in alg.graph.vertices:
+                    self.add(alg._vertex_mon(v), coeff)
+                return
+            self.take()
+        else:
+            coeff = alg.scalar(sign)
+        self.add(self.mono(), coeff)
 
-    def _scalar(self, text: str) -> FieldElem:
-        from .scalars import parse_scalar
+    def add(self, mon: MonPair, c: FieldElem) -> None:
+        raw = self.raw
+        raw[mon] = raw[mon] + c if mon in raw else c
 
-        return parse_scalar(text, self.algebra.field)
-
-    def mono(self) -> AlgebraElement:
+    def mono(self) -> MonPair:
         p = self.path()
+        g = self.algebra.graph
         kind, val = self.peek()
         if kind == "op" and val == ".":
             self.take()
@@ -432,18 +434,13 @@ class _ExprParser:
             if kind != "op" or val != "'":
                 raise ParseError("expected ' to close a p.q' monomial")
             try:
-                mon = MonPair(p, q)
+                return MonPair(p, q)
             except ValueError as exc:
                 raise ParseError(str(exc)) from None
-            return self.algebra.from_terms({mon: 1})
         if kind == "op" and val == "'":
             self.take()
-            g = self.algebra.graph
-            return self.algebra.from_terms(
-                {MonPair(vertex_path(g, p.dst), p): 1}
-            )
-        g = self.algebra.graph
-        return self.algebra.from_terms({MonPair(p, vertex_path(g, p.dst)): 1})
+            return MonPair(vertex_path(g, p.dst), p)
+        return MonPair(p, vertex_path(g, p.dst))
 
     def path(self) -> PathSeq:
         kind, val = self.take()
@@ -488,7 +485,10 @@ def format_element(x: AlgebraElement) -> str:
     if not x.terms:
         return "0"
     pieces = []
-    for m, c in x.terms:
+    for m, c in sorted(
+        x.terms.items(),
+        key=lambda t: (path_sort_key(t[0].p), path_sort_key(t[0].q)),
+    ):
         if m.p == m.q and m.p.is_vertex:
             body = m.p.src
         elif m.q.is_vertex:

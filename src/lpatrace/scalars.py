@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .errors import ParseError, PreconditionError
+
 Q = "Q"
 QI = "Qi"
 FIELDS = (Q, QI)
@@ -227,8 +229,6 @@ def is_positive_definite(field: str, involution: str) -> bool:
 
 
 def require_positive_definite(field: str, involution: str) -> None:
-    from .errors import PreconditionError
-
     if not is_positive_definite(field, involution):
         raise PreconditionError(
             f"({field}, {involution}) is not positive definite; "
@@ -364,8 +364,6 @@ def parse_scalar(text: str, field: str = Q) -> FieldElem:
     Raises ParseError for malformed text, a zero denominator, or an
     imaginary part over Q.
     """
-    from .errors import ParseError
-
     s = text.strip()
     m = _SCALAR_FULL_RE.match(s) or _SCALAR_IMAG_RE.match(s) or _SCALAR_RAT_RE.match(s)
     if not m:

@@ -328,7 +328,7 @@ def phi(dec: Decomposition, x: AlgebraElement) -> MatrixImage:
         raise ValueError("phi expects Leavitt-mode elements")
     field = alg.field
     blocks = [dict() for _ in dec.blocks]
-    for mon, c in x.terms:
+    for mon, c in x.terms.items():
         for b, j, l, k in dec.expand_monomial(mon):
             acc = blocks[b]
             key = (j, l)
@@ -382,7 +382,7 @@ def pull_back_trace(dec: Decomposition, field: str, involution: str):
         if x.algebra.field != field:
             raise ValueError("element field does not match the trace")
         acc = fe_zero(field)
-        for mon, c in x.terms:
+        for mon, c in x.terms.items():
             for b, j, l, k in dec.expand_monomial(mon):
                 if j == l and k == 0:
                     acc = acc + c

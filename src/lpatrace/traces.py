@@ -36,7 +36,7 @@ from .graphs import (
     is_no_exit,
     regular_vertices,
 )
-from .linalg import nullspace
+from .linalg import nullspace, rank as _rank
 from .path_algebras import COHN, LEAVITT, AlgebraElement
 from .scalars import (
     CONJUGATION,
@@ -61,7 +61,7 @@ from .semigroups import (
     central_map,
     group_identity,
 )
-from .linalg import rank as _rank
+from .structure import decompose
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def trace_eval(g: Graph, spec: TraceSpec, x: AlgebraElement) -> FieldElem:
                 + "; ".join(check.messages())
             )
     acc = fe_zero(spec.field)
-    for mon, c in x.terms:
+    for mon, c in x.terms.items():
         acc = acc + c * spec.class_value(classify_eq(g, mon))
     return acc
 
@@ -226,7 +226,7 @@ def minimal_trace_cohn(g: Graph, x: AlgebraElement) -> FreeVector:
     if x.algebra.mode != COHN:
         raise PreconditionError("minimal_trace_cohn expects a Cohn-mode element")
     acc = {}
-    for mon, c in x.terms:
+    for mon, c in x.terms.items():
         cls = classify_eq(g, mon)
         if isinstance(cls, ZeroClass):
             continue
@@ -388,8 +388,6 @@ def build_faithful_trace(g: Graph, field=QI, involution=CONJUGATION) -> TraceSpe
     verdict = faithful_trace_exists(g, field, involution)
     if not verdict:
         raise PreconditionError(f"no faithful trace exists: {verdict.reason}")
-    from .structure import decompose
-
     dec = decompose(g)
     counts = {v: 0 for v in g.vertices}
     for block in dec.blocks:

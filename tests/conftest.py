@@ -5,10 +5,12 @@ Set LPA_SEED to change the sampling seed for every randomized property test.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -97,7 +99,8 @@ def _right_zero_with_zero():
     return build_semigroup([[0, 0, 0], [0, 1, 2], [0, 1, 2]], 0)
 
 
-SEMIGROUPS = {
+# read-only, so that no test can change what another one iterates over
+SEMIGROUPS = MappingProxyType({
     "trivial": build_semigroup([[0]], 0),
     "two_elem": build_semigroup([[0, 0], [0, 1]], 0),
     "right_zero": _right_zero_with_zero(),
@@ -111,7 +114,14 @@ SEMIGROUPS = {
     "endo1": endo_semigroup(1),
     "endo2": endo_semigroup(2),
     "endo3": endo_semigroup(3),
-}
+})
+
+
+@functools.cache
+def endo4_semigroup():
+    """The maps of a 4-element set with an adjoined zero (257 elements),
+    built once; tests that want it next to `SEMIGROUPS` name it explicitly."""
+    return endo_semigroup(4)
 
 
 @pytest.fixture

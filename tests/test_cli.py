@@ -159,6 +159,32 @@ def test_classes_past_enumeration_limit_exits_3(tmp_path, capsys):
     assert code == 3 and out == "" and "--max-len" in err
 
 
+def _complete_digraph_text(n):
+    lines = [f"v a{i}" for i in range(n)]
+    lines += [f"e e{i}_{j} a{i} a{j}" for i in range(n) for j in range(n) if i != j]
+    return "\n".join(lines)
+
+
+def test_analyze_within_cycle_limit(tmp_path, capsys):
+    # K8's simple cycles take 93,528 edge ids of trails, under the limit
+    path = _write(tmp_path, "K8.graph", _complete_digraph_text(8))
+    code, out, _ = _run(capsys, "analyze", path)
+    assert code == 0
+    # one cycle per cyclic order of each vertex subset of size >= 2
+    count = sum(math.comb(8, k) * math.factorial(k - 1) for k in range(2, 9))
+    assert len(json.loads(out)["result"]["cycles"]) == count
+
+
+def test_analyze_past_cycle_limit_exits_3(tmp_path, capsys):
+    # K10's simple cycles would take millions of edge ids of trails
+    path = _write(tmp_path, "K10.graph", _complete_digraph_text(10))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "analyze", path)
+    assert time.perf_counter() - start < 3
+    assert code == 3 and out == ""
+    assert "10 vertices and 90 edges" in err
+
+
 def test_sg_commands(tmp_path, capsys):
     rows = ["0 0 0", "0 1 2", "0 2 1"]
     text = "n 3 zero 0\n" + "\n".join(rows) + "\nlabel 1 e\nlabel 2 g\n"

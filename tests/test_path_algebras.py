@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from lpatrace.errors import ParseError, PreconditionError
 from lpatrace.gis import MonPair
-from lpatrace.graphs import edge_path, vertex_path
+from lpatrace.graphs import edge_path, format_path, vertex_path
 from lpatrace.path_algebras import (
     COHN,
     LEAVITT,
@@ -13,13 +15,23 @@ from lpatrace.path_algebras import (
     parse_element,
     transfer,
 )
-from lpatrace.scalars import CONJUGATION, IDENTITY, QI, Q, fe, fe_i, fe_one
+from lpatrace.scalars import (
+    CONJUGATION,
+    IDENTITY,
+    QI,
+    FieldElem,
+    Q,
+    fe,
+    fe_i,
+    fe_one,
+)
 
 from conftest import (
     GIS_CORPUS,
     GRAPHS,
     fresh_rng,
     random_element,
+    random_monpair,
     random_raw_terms,
     randomized_normalize,
 )
@@ -106,7 +118,7 @@ def test_leavitt_normalize_examples():
     R = PathAlgebra(rose, Q, IDENTITY, LEAVITT)
     f = edge_path(rose, ["f"])  # special edge of v is e, not f
     x = R.from_terms({MonPair(f, f): 1})
-    assert x.terms == ((MonPair(f, f), fe_one(Q)),)
+    assert x.terms == {MonPair(f, f): fe_one(Q)}
 
 
 def test_relation_soundness_on_generators():
@@ -177,7 +189,7 @@ def test_confluence_under_random_redex_orders():
         A = PathAlgebra(g, Q, IDENTITY, LEAVITT)
         for _ in range(50):
             raw = random_raw_terms(g, rng, Q, n_terms=3, max_len=4)
-            expected = A.from_terms(raw).as_dict()
+            expected = A.from_terms(raw).terms
             for _ in range(10):
                 assert randomized_normalize(A, raw, rng) == expected
 
@@ -196,7 +208,7 @@ def test_long_redex_normal_form_matches_repeated_rewrite_steps():
             pending.extend((m2, k * k2) for m2, k2 in A.rewrite_step(m).items())
     expected = {m: fe(k) for m, k in expected.items() if k}
     assert len(expected) == 1201  # v minus e^k f f* e^k* for k < 1200
-    assert A.monomial(p, p).as_dict() == expected
+    assert A.monomial(p, p).terms == expected
     # every monomial on the way is cached, the redex itself included
     assert A._nf(mon) is A._nf_cache[mon]
     assert len(A._nf_cache) == 1200 + 1201
@@ -250,7 +262,7 @@ def test_one_loop_basis_shape():
     A = PathAlgebra(loop, Q, IDENTITY, LEAVITT)
     for _ in range(100):
         x = random_element(A, rng) * random_element(A, rng)
-        for mon, _ in x.terms:
+        for mon in x.terms:
             assert mon.p.is_vertex or mon.q.is_vertex  # v, e^n or (e*)^n
 
 
@@ -291,7 +303,6 @@ def test_parse_gaussian_coefficients():
     assert x == A.vertex("a") + fe_i() * A.vertex("b")
     # the Gaussian literal binds as one token: coefficient 1/2 - 3i
     y = parse_element("1/2-3i*a", A)
-    from fractions import Fraction
     assert y == A.from_terms({_vertex_mon(line, "a"): fe(Fraction(1, 2), -3, QI)})
 
 
@@ -302,6 +313,122 @@ def test_format_element_round_trip():
     for _ in range(50):
         x = random_element(A, rng)
         assert parse_element(format_element(x), A) == x or not x
+
+
+def _random_literal(rng, field):
+    """A scalar literal (no sign, as the grammar reads it) and its value."""
+    re = Fraction(rng.randint(0, 4), rng.randint(1, 3))
+    if field == Q or rng.random() < 0.5:
+        return str(re), FieldElem(re, Fraction(0), field)
+    im = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    if rng.random() < 0.3:
+        return f"{im}i", FieldElem(Fraction(0), im, field)
+    sign = rng.choice((1, -1))
+    text = f"{re}{'+' if sign > 0 else '-'}{im}i"
+    return text, FieldElem(re, sign * im, field)
+
+
+def _random_mono_text(g, rng):
+    """A monomial written as `p.q'`, or as `p` or `q'` where that applies."""
+    mon = random_monpair(g, rng, max_len=2)
+    forms = [("p.q'", f"{format_path(mon.p)}.{format_path(mon.q)}'")]
+    if mon.q.is_vertex:
+        forms.append(("p", format_path(mon.p)))
+    if mon.p.is_vertex:
+        forms.append(("q'", f"{format_path(mon.q)}'"))
+    form, text = rng.choice(forms)
+    return form, text, mon
+
+
+def _random_expression(A, rng):
+    """Expression text, the same element summed term by term through
+    `from_terms` and scalar multiplication, and the grammar forms drawn."""
+    forms = set()
+    terms = []  # (sign, literal or None, monomial text or None, MonPair or None)
+    for _ in range(rng.randint(1, 4)):
+        sign = rng.choice((1, -1))
+        kind = rng.choice(("scalar", "scaled", "mono"))
+        literal = _random_literal(rng, A.field) if kind != "mono" else None
+        text = mon = None
+        if kind == "scalar":
+            forms.add("bare scalar")
+        else:
+            form, text, mon = _random_mono_text(A.graph, rng)
+            forms.add(form)
+        terms.append((sign, literal, text, mon))
+        if rng.random() < 0.3:  # the same monomial again, cancelling it
+            terms.append((-sign, literal, text, mon))
+            forms.add("repeat")
+    pieces, expected = [], A.zero()
+    for i, (sign, literal, text, mon) in enumerate(terms):
+        body = "*".join(t for t in (literal and literal[0], text) if t)
+        if i == 0:
+            lead = "-" if sign < 0 else rng.choice(("", "+"))
+            if lead:
+                forms.add("leading sign")
+            pieces.append(lead + body)
+        else:
+            pieces.append(("- " if sign < 0 else "+ ") + body)
+        element = A.one() if mon is None else A.from_terms({mon: 1})
+        coeff = A.scalar(sign) * (literal[1] if literal else fe_one(A.field))
+        expected = expected + coeff * element
+    return " ".join(pieces), expected, forms
+
+
+@pytest.mark.parametrize("field", [Q, QI])
+@pytest.mark.parametrize("mode", [COHN, LEAVITT])
+def test_parse_element_matches_term_by_term_sum(mode, field):
+    rng = fresh_rng(37)
+    forms, zeros = set(), 0
+    for name in ("mixed", "rose2", "loop_exit", "tail_loop"):
+        A = PathAlgebra(GRAPHS[name], field, IDENTITY, mode)
+        for _ in range(60):
+            text, expected, drawn = _random_expression(A, rng)
+            got = parse_element(text, A)
+            assert got == expected, (name, text)
+            forms |= drawn
+            zeros += not got
+    assert forms == {"leading sign", "bare scalar", "p", "q'", "p.q'", "repeat"}
+    assert zeros > 0  # some expressions cancel to zero
+    A = PathAlgebra(GRAPHS["rose2"], field, IDENTITY, mode)
+    assert parse_element("2*e.f' - v + 3 - 2*e.f' - 2*v", A) == A.zero()
+
+
+@pytest.mark.parametrize("mode", [COHN, LEAVITT])
+def test_element_does_not_depend_on_summation_order(mode):
+    rng = fresh_rng(38)
+    for name in ("mixed", "rose2", "loop_exit"):
+        A = PathAlgebra(GRAPHS[name], QI, IDENTITY, mode)
+        for _ in range(30):
+            raw = random_raw_terms(A.graph, rng, QI, n_terms=6)
+            parts = [A.from_terms({mon: c}) for mon, c in raw.items()]
+            forward = sum(parts, A.zero())
+            shuffled = parts[:]
+            rng.shuffle(shuffled)
+            backward = sum(reversed(parts), A.zero())
+            for other in (backward, sum(shuffled, A.zero()), A.from_terms(raw)):
+                assert other == forward, name
+                assert hash(other) == hash(forward), name
+                assert repr(other) == repr(forward), name
+
+
+def test_parse_element_errors():
+    A = PathAlgebra(GRAPHS["tree"], Q, IDENTITY, LEAVITT)
+    cases = {
+        "x": "unknown edge 'x' in path",
+        "f/g": "edges 'f' and 'g' do not compose",
+        "f.g'": "ranges differ",
+        "2*f.": "expected an id",
+        "f.f": "expected ' to close",
+        "1/0*f": "zero denominator",
+        "1i*f": "imaginary scalar",
+        "f f": "expected \\+ or - before 'f'",
+        "f +": "expected a term",
+        "f ; g": "unexpected character",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ParseError, match=message):
+            parse_element(text, A)
 
 
 def test_transfer_normalizes_cohn_elements():

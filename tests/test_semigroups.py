@@ -34,6 +34,7 @@ from conftest import (
     SEMIGROUPS,
     commutator_span_oracle,
     cyclic_group_table,
+    endo4_semigroup,
     fresh_rng,
     random_central_map,
     random_sg_element,
@@ -165,7 +166,7 @@ def test_sim_classes_group_conjugacy():
 
 
 def test_sim_classes_endo4_paper_maps_share_class():
-    endo4 = SEMIGROUPS_ENDO4()
+    endo4 = endo4_semigroup()
     c = endo_map_index(4, (0, 0, 1, 3))
     d = endo_map_index(4, (0, 1, 1, 2))
     e = endo_map_index(4, (0, 0, 1, 2))
@@ -176,14 +177,8 @@ def test_sim_classes_endo4_paper_maps_share_class():
     assert part.class_of[g] == part.class_of[h]
 
 
-def SEMIGROUPS_ENDO4():
-    if "endo4" not in SEMIGROUPS:
-        SEMIGROUPS["endo4"] = endo_semigroup(4)
-    return SEMIGROUPS["endo4"]
-
-
 def test_sim_classes_match_component_reference():
-    for name, G in SEMIGROUPS.items():
+    for name, G in {**SEMIGROUPS, "endo4": endo4_semigroup()}.items():
         part = sim_classes(G)
         assert part.classes == sim_classes_reference(G), name
         assert part.class_of == tuple(
@@ -216,7 +211,7 @@ def test_sim_witness_chain_examples():
 
 
 def test_sim_witness_chain_endo4_needs_two_steps():
-    endo4 = SEMIGROUPS_ENDO4()
+    endo4 = endo4_semigroup()
     c = endo_map_index(4, (0, 0, 1, 3))
     d = endo_map_index(4, (0, 1, 1, 2))
     e = endo_map_index(4, (0, 0, 1, 2))
@@ -233,7 +228,7 @@ def test_sim_witness_chain_endo4_needs_two_steps():
 def test_sim_witness_chain_matches_row_major_reference():
     rng = fresh_rng(16)
     outcomes = set()
-    for name, G in {**SEMIGROUPS, "endo4": SEMIGROUPS_ENDO4()}.items():
+    for name, G in {**SEMIGROUPS, "endo4": endo4_semigroup()}.items():
         part = sim_classes(G)
         pairs = [(g, g) for g in rng.sample(range(G.size), min(2, G.size))]
         for _ in range(12):
@@ -341,7 +336,7 @@ def test_minimal_trace_examples():
 def test_in_commutator_span_is_the_minimal_trace_kernel(field):
     rng = fresh_rng(17)
     verdicts = set()
-    for name, G in SEMIGROUPS.items():
+    for name, G in {**SEMIGROUPS, "endo4": endo4_semigroup()}.items():
         delta = minimal_trace(G, field)
         part = sim_classes(G)
         for trial in range(40):
@@ -392,7 +387,7 @@ def test_is_minimal_sg_trace_examples():
     assert is_minimal_sg_trace(mu2, _scaled_usual_trace(mu2, 2, fe(2)))
     c2 = SEMIGROUPS["c2"]
     assert not is_minimal_sg_trace(c2, kaplansky_trace(c2))
-    for name, G in SEMIGROUPS.items():
+    for name, G in {**SEMIGROUPS, "endo4": endo4_semigroup()}.items():
         assert is_minimal_sg_trace(G, minimal_trace(G)), name
 
 

@@ -2,7 +2,8 @@
 
 Runtime checks must raise documented errors, so `assert` (stripped by
 `python -O`) is banned from `src/lpatrace`.  The package has no runtime
-dependencies, so it imports only itself and the standard library.  Every
+dependencies, so it imports only itself and the standard library, and it
+imports at the top of each module, never inside a function.  Every
 top-level function and class must be used somewhere in `src` or `tests`
 besides its own definition and its re-export from `lpatrace/__init__.py`;
 otherwise it is dead code.
@@ -71,6 +72,18 @@ def test_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == [], f"imports outside the standard library: {outside}"
+
+
+def test_no_imports_inside_functions():
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in _package_modules()
+        for func in ast.walk(_parse(path))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert offenders == [], f"move these imports to the top of the module: {offenders}"
 
 
 def test_every_top_level_definition_is_used():
