@@ -234,6 +234,10 @@ def regular_vertices(g: Graph) -> tuple:
 
 def strongly_connected_components(g: Graph):
     """Tarjan's algorithm, iterative; components in reverse topological order."""
+    return _tarjan(g.vertices, g.out_edges, g.edge_dst)
+
+
+def _tarjan(vertices, out_edges, edge_dst):
     index = {}
     lowlink = {}
     on_stack = set()
@@ -241,10 +245,10 @@ def strongly_connected_components(g: Graph):
     counter = [0]
     components = []
 
-    for root in g.vertices:
+    for root in vertices:
         if root in index:
             continue
-        work = [(root, iter(g.out_edges[root]))]
+        work = [(root, iter(out_edges[root]))]
         index[root] = lowlink[root] = counter[0]
         counter[0] += 1
         stack.append(root)
@@ -253,13 +257,13 @@ def strongly_connected_components(g: Graph):
             v, it = work[-1]
             advanced = False
             for eid in it:
-                w = g.edge_dst[eid]
+                w = edge_dst[eid]
                 if w not in index:
                     index[w] = lowlink[w] = counter[0]
                     counter[0] += 1
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(g.out_edges[w])))
+                    work.append((w, iter(out_edges[w])))
                     advanced = True
                     break
                 if w in on_stack:
@@ -282,13 +286,21 @@ def strongly_connected_components(g: Graph):
     return components
 
 
-def _nontrivial_sccs(g: Graph):
+def _nontrivial_sccs(g: Graph, vertices=None, edges=None):
     """SCCs containing at least one internal edge (including a self-loop),
-    each with its internal edges in declaration order; O(V + E)."""
-    comps = strongly_connected_components(g)
+    each with its internal edges in declaration order; O(V + E).
+
+    `vertices` and `edges` select a subgraph (default: all of `g`); its
+    edges must join its vertices and keep declaration order.
+    """
+    if vertices is None:
+        edges = g.edges
+        comps = strongly_connected_components(g)
+    else:
+        comps = _tarjan(vertices, _out_lists(g, vertices, edges), g.edge_dst)
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     internal = [[] for _ in comps]
-    for e in g.edges:
+    for e in edges:
         i = comp_of[g.edge_src[e]]
         if comp_of[g.edge_dst[e]] == i:
             internal[i].append(e)
@@ -303,46 +315,95 @@ def cycle_vertices(g: Graph) -> frozenset:
     return frozenset(verts)
 
 
-# Most edge ids, summed over every trail pushed, that one `cycles` call may
-# spend; each trail is a fresh list, so the sum is its time and memory.  The
-# loopless complete digraph K8 needs 93,528, K9 860,736.
+def _out_lists(g: Graph, vertices, edges) -> dict:
+    out = {v: [] for v in vertices}
+    for e in edges:
+        out[g.edge_src[e]].append(e)
+    return out
+
+
+# Most edge ids, summed over the cycles listed, that one `cycles` call may
+# return.  The loopless complete digraph K8 has 109,592, K9 986,400.
 CYCLE_WORK_LIMIT = 500_000
 
 
 def cycles(g: Graph):
     """All simple cycles, one canonical rotation each, deterministically sorted.
 
-    Raises `PreconditionError` once the DFS trails pushed hold more than
-    `CYCLE_WORK_LIMIT` edge ids in total.
+    Johnson's algorithm (SIAM J. Comput. 4(1), 1975): search from the least
+    vertex of each nontrivial SCC, then drop that vertex and split the rest
+    into SCCs again.  Every search lists at least one cycle in O(V + E)
+    steps per cycle, so the time is O((V + E)(C + 1)) for C cycles.  Raises
+    `PreconditionError` once the cycles hold more than `CYCLE_WORK_LIMIT`
+    edge ids in total.
     """
     order = {v: i for i, v in enumerate(g.vertices)}
-    found = {}
-    work = 0
-    for comp, internal in _nontrivial_sccs(g):
-        out_in_comp = {v: [e for e in internal if g.edge_src[e] == v] for v in comp}
-        for start in sorted(comp, key=order.get):
-            # DFS over edges; only vertices not before `start` in declaration
-            # order, so each cycle is found from its least vertex only.
-            stack = [(start, [], {start})]
-            while stack:
-                v, trail, visited = stack.pop()
-                for eid in out_in_comp[v]:
-                    w = g.edge_dst[eid]
-                    if w == start:
-                        word = _least_rotation(tuple(trail + [eid]))
-                        found[word] = True
-                    elif w not in visited and order[w] > order[start]:
-                        work += len(trail) + 1
-                        if work > CYCLE_WORK_LIMIT:
-                            raise PreconditionError(
-                                f"simple cycles of a graph with {len(g.vertices)} "
-                                f"vertices and {len(g.edges)} edges need more than "
-                                f"{CYCLE_WORK_LIMIT} edge ids of enumeration"
-                            )
-                        stack.append((w, trail + [eid], visited | {w}))
-    reps = [CycleRep(edge_path(g, word)) for word in found]
+    words = []
+    size = 0
+    pending = _nontrivial_sccs(g)
+    while pending:
+        comp, internal = pending.pop()
+        start = min(comp, key=order.__getitem__)
+        for word in _circuits(g, start, _out_lists(g, comp, internal)):
+            size += len(word)
+            if size > CYCLE_WORK_LIMIT:
+                raise PreconditionError(
+                    f"simple cycles of a graph with {len(g.vertices)} "
+                    f"vertices and {len(g.edges)} edges hold more than "
+                    f"{CYCLE_WORK_LIMIT} edge ids"
+                )
+            words.append(_least_rotation(tuple(word)))
+        rest = sorted(comp - {start}, key=order.__getitem__)
+        kept = [e for e in internal if start not in (g.edge_src[e], g.edge_dst[e])]
+        pending += _nontrivial_sccs(g, rest, kept)
+    reps = [CycleRep(edge_path(g, word)) for word in words]
     reps.sort(key=lambda c: (len(c.edges), c.edges))
     return reps
+
+
+def _circuits(g: Graph, start, out):
+    """Johnson's CIRCUIT, iterative: every simple cycle through `start` in
+    the strongly connected subgraph with out-edge lists `out`, as an
+    edge-id list leaving `start`.
+
+    A vertex stays blocked while every path from it back to `start` meets
+    the current trail; `blocked_by[w]` lists the vertices to unblock with w.
+    """
+    trail = []  # edges from `start` to the vertex of the top frame
+    frames = [(start, iter(out[start]))]
+    closed = [False]  # whether a cycle was found below each frame
+    blocked = {start}
+    blocked_by = {v: set() for v in out}
+    while frames:
+        v, remaining = frames[-1]
+        for eid in remaining:
+            w = g.edge_dst[eid]
+            if w == start:
+                yield trail + [eid]
+                closed[-1] = True
+            elif w not in blocked:
+                trail.append(eid)
+                frames.append((w, iter(out[w])))
+                closed.append(False)
+                blocked.add(w)
+                break
+        else:
+            frames.pop()
+            if trail:
+                trail.pop()
+            if closed.pop():
+                if closed:
+                    closed[-1] = True
+                unblock = [v]
+                while unblock:
+                    u = unblock.pop()
+                    if u in blocked:
+                        blocked.remove(u)
+                        unblock.extend(blocked_by[u])
+                        blocked_by[u].clear()
+            else:
+                for eid in out[v]:
+                    blocked_by[g.edge_dst[eid]].add(v)
 
 
 def is_no_exit(g: Graph) -> bool:

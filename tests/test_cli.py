@@ -166,7 +166,7 @@ def _complete_digraph_text(n):
 
 
 def test_analyze_within_cycle_limit(tmp_path, capsys):
-    # K8's simple cycles take 93,528 edge ids of trails, under the limit
+    # K8's simple cycles hold 109,592 edge ids, under the limit
     path = _write(tmp_path, "K8.graph", _complete_digraph_text(8))
     code, out, _ = _run(capsys, "analyze", path)
     assert code == 0
@@ -176,13 +176,29 @@ def test_analyze_within_cycle_limit(tmp_path, capsys):
 
 
 def test_analyze_past_cycle_limit_exits_3(tmp_path, capsys):
-    # K10's simple cycles would take millions of edge ids of trails
+    # K10's simple cycles would hold millions of edge ids
     path = _write(tmp_path, "K10.graph", _complete_digraph_text(10))
     start = time.perf_counter()
     code, out, err = _run(capsys, "analyze", path)
     assert time.perf_counter() - start < 3
     assert code == 3 and out == ""
     assert "10 vertices and 90 edges" in err
+
+
+def test_long_cycle_is_not_cut_by_cycle_limit(tmp_path, capsys):
+    # one no-exit cycle of 200 vertices, declared in cycle order
+    n = 200
+    lines = [f"v a{i}" for i in range(n)]
+    lines += [f"e e{i} a{i} a{(i + 1) % n}" for i in range(n)]
+    path = _write(tmp_path, "ring.graph", "\n".join(lines))
+    code, out, _ = _run(capsys, "analyze", path)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["cycles"] == ["/".join(f"e{i}" for i in range(n))]
+    code, out, _ = _run(capsys, "decompose", path)
+    assert code == 0
+    (block,) = json.loads(out)["result"]["cycle_blocks"]
+    assert block["size"] == n
 
 
 def test_sg_commands(tmp_path, capsys):

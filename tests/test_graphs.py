@@ -284,3 +284,35 @@ def test_closed_paths_up_to_matches_brute_force():
             assert [p.edges for p in got] == want, (name, max_len)
             for p in got:
                 assert p.is_closed and approx_canonical(g, p) == p, (name, p)
+
+
+def test_cycles_match_brute_force():
+    for name, g in _oracle_corpus(fresh_rng(62), 300).items():
+        words = {
+            _least_rotation(p.edges)
+            for p in all_paths_up_to(g, len(g.vertices))
+            if p.edges and p.is_closed
+            and len({g.edge_src[e] for e in p.edges}) == len(p.edges)
+        }
+        want = sorted(words, key=lambda w: (len(w), w))
+        assert [c.edges for c in cycles(g)] == want, name
+
+
+def _ring(n, chord=False):
+    vs = [f"v{i}" for i in range(n)]
+    edges = [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)]
+    if chord:
+        edges.append(("c", vs[n // 2], vs[0]))
+    return Graph(vs, edges)
+
+
+def test_cycles_search_tracks_output_on_long_rings():
+    # a DFS that only skips vertices before the start pushes trails of
+    # (n - 1) n (n + 1) / 6 edge ids on one n-cycle declared in cycle order
+    for n in (145, 2000):
+        start = time.perf_counter()
+        (c,) = cycles(_ring(n))
+        assert len(c.edges) == n and c.base == "v0"
+        assert time.perf_counter() - start < 1
+    chorded = cycles(_ring(2000, chord=True))
+    assert [len(c.edges) for c in chorded] == [1001, 2000]

@@ -285,12 +285,6 @@ def test_parse_element_examples():
 
     tree = GRAPHS["tree"]
     B = PathAlgebra(tree, Q, IDENTITY, LEAVITT)
-    with pytest.raises(ParseError, match="ranges differ"):
-        parse_element("f.g'", B)
-    with pytest.raises(ParseError):
-        parse_element("f +", B)
-    with pytest.raises(ParseError):
-        parse_element("unknown_id", B)
     # bare scalars are multiples of the identity
     assert parse_element("2", B) == 2 * B.one()
     assert parse_element("b - b", B) == B.zero()
@@ -415,7 +409,7 @@ def test_element_does_not_depend_on_summation_order(mode):
 def test_parse_element_errors():
     A = PathAlgebra(GRAPHS["tree"], Q, IDENTITY, LEAVITT)
     cases = {
-        "x": "unknown edge 'x' in path",
+        "unknown_id": "unknown edge 'unknown_id' in path",
         "f/g": "edges 'f' and 'g' do not compose",
         "f.g'": "ranges differ",
         "2*f.": "expected an id",
