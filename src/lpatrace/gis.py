@@ -23,6 +23,7 @@ from .graphs import (
     is_path_prefix,
     path_remainder,
     _least_rotation,
+    _least_rotation_path,
 )
 
 
@@ -86,11 +87,7 @@ def approx_canonical(g: Graph, t: PathSeq) -> PathSeq:
     """
     if not t.is_closed:
         raise ValueError(f"path {format_path(t)} is not closed")
-    if t.is_vertex:
-        return t
-    word = _least_rotation(t.edges)
-    base = g.edge_src[word[0]]
-    return PathSeq(base, base, word)
+    return t if t.is_vertex else _least_rotation_path(g, t.edges)
 
 
 # ---------------------------------------------------------------------------

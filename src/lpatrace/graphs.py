@@ -136,37 +136,26 @@ def path_remainder(prefix: PathSeq, whole: PathSeq) -> PathSeq:
     return PathSeq(prefix.dst, whole.dst, whole.edges[len(prefix.edges):])
 
 
-@dataclass(frozen=True)
-class CycleRep:
-    """A simple cycle in canonical rotation (lexicographically least edge word)."""
-
-    path: PathSeq
-
-    @property
-    def base(self) -> str:
-        return self.path.src
-
-    @property
-    def edges(self) -> tuple:
-        return self.path.edges
-
-    def __repr__(self):
-        return f"CycleRep({format_path(self.path)})"
-
-
 def _least_rotation(word: tuple) -> tuple:
     return min(word[i:] + word[:i] for i in range(len(word)))
 
 
-def cycle_rep(g: Graph, edge_ids) -> CycleRep:
-    """Validate a simple cycle and canonicalize its rotation."""
+def _least_rotation_path(g: Graph, word: tuple) -> PathSeq:
+    """The closed path of a nonempty closed edge word, in its least rotation."""
+    word = _least_rotation(word)
+    base = g.edge_src[word[0]]
+    return PathSeq(base, base, word)
+
+
+def cycle_rep(g: Graph, edge_ids) -> PathSeq:
+    """Validate a simple cycle; the closed path in its least rotation."""
     p = edge_path(g, edge_ids)
     if not p.is_closed:
         raise ValueError("not a closed path")
     sources = [g.edge_src[e] for e in p.edges]
     if len(set(sources)) != len(sources):
         raise ValueError("not a simple cycle: repeated source vertex")
-    return CycleRep(edge_path(g, _least_rotation(p.edges)))
+    return _least_rotation_path(g, p.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +317,8 @@ CYCLE_WORK_LIMIT = 500_000
 
 
 def cycles(g: Graph):
-    """All simple cycles, one canonical rotation each, deterministically sorted.
+    """All simple cycles, each a closed path in its least rotation, sorted by
+    (length, edge word).
 
     Johnson's algorithm (SIAM J. Comput. 4(1), 1975): search from the least
     vertex of each nontrivial SCC, then drop that vertex and split the rest
@@ -338,7 +328,7 @@ def cycles(g: Graph):
     edge ids in total.
     """
     order = {v: i for i, v in enumerate(g.vertices)}
-    words = []
+    out = []
     size = 0
     pending = _nontrivial_sccs(g)
     while pending:
@@ -352,13 +342,12 @@ def cycles(g: Graph):
                     f"vertices and {len(g.edges)} edges hold more than "
                     f"{CYCLE_WORK_LIMIT} edge ids"
                 )
-            words.append(_least_rotation(tuple(word)))
+            out.append(_least_rotation_path(g, tuple(word)))
         rest = sorted(comp - {start}, key=order.__getitem__)
         kept = [e for e in internal if start not in (g.edge_src[e], g.edge_dst[e])]
         pending += _nontrivial_sccs(g, rest, kept)
-    reps = [CycleRep(edge_path(g, word)) for word in words]
-    reps.sort(key=lambda c: (len(c.edges), c.edges))
-    return reps
+    out.sort(key=path_sort_key)
+    return out
 
 
 def _circuits(g: Graph, start, out):
@@ -463,20 +452,27 @@ def _contains_word(edges: tuple, word: tuple) -> bool:
     return any(edges[i: i + n] == word for i in range(len(edges) - n + 1))
 
 
-def paths_into(g: Graph, v: str, forbid_full_cycle: CycleRep | None = None):
+# Most edge ids, summed over the paths built, that one `paths_into` call may
+# return.  A chain of n double edges holds (n - 1) 2^(n+1) + 2 into its end:
+# 917,506 at n = 15, 1,966,082 at n = 16.
+PATHS_INTO_WORK_LIMIT = 10**6
+
+
+def paths_into(g: Graph, v: str, forbid_full_cycle: PathSeq | None = None):
     """All paths ending at v, including the lazy path v itself.
 
-    With `forbid_full_cycle=c` (v must be the base of c), paths containing
-    the full cycle word of c as a contiguous edge subword are excluded,
-    which makes the enumeration finite when v sits on c in a no-exit graph.
-    Without it, the territory feeding v must be acyclic.
+    With `forbid_full_cycle=c`, a closed path at v, paths containing the
+    edge word of c as a contiguous subword are excluded, which makes the
+    enumeration finite when v sits on c in a no-exit graph.  Without it, the
+    territory feeding v must be acyclic.  Raises `PreconditionError` once
+    the paths hold more than `PATHS_INTO_WORK_LIMIT` edge ids in total.
     """
     if not g.is_vertex(v):
         raise ValueError(f"unknown vertex {v!r}")
     word = None
     bound = len(g.vertices) + 1
     if forbid_full_cycle is not None:
-        if forbid_full_cycle.base != v:
+        if forbid_full_cycle.src != v:
             raise PreconditionError(
                 f"vertex {v!r} is not the base of the forbidden cycle"
             )
@@ -500,6 +496,7 @@ def paths_into(g: Graph, v: str, forbid_full_cycle: CycleRep | None = None):
                     ancestors.add(s)
                     frontier.append(s)
     out = []
+    size = 0
     frontier = [vertex_path(g, v)]
     while frontier:
         p = frontier.pop()
@@ -512,6 +509,13 @@ def paths_into(g: Graph, v: str, forbid_full_cycle: CycleRep | None = None):
                 raise PreconditionError(
                     f"paths into {v!r} exceed length bound {bound}; "
                     "enumeration would be infinite"
+                )
+            size += len(q.edges)
+            if size > PATHS_INTO_WORK_LIMIT:
+                raise PreconditionError(
+                    f"paths into {v!r} of a graph with {len(g.vertices)} "
+                    f"vertices and {len(g.edges)} edges hold more than "
+                    f"{PATHS_INTO_WORK_LIMIT} edge ids"
                 )
             frontier.append(q)
     out.sort(key=path_sort_key)

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 from .gis import MonPair
 from .graphs import (
-    CycleRep,
     Graph,
     PathSeq,
+    _contains_word,
     cycle_with_exit_witness,
     cycles,
     format_path,
@@ -55,12 +55,8 @@ class SinkBlock:
 
 @dataclass(frozen=True)
 class CycleBlock:
-    cycle: CycleRep
+    cycle: PathSeq  # closed, in least rotation; its source is the base
     paths: tuple  # cycle-free paths ending at the base, (length, word)-sorted
-
-    @property
-    def base(self) -> str:
-        return self.cycle.base
 
     @property
     def size(self) -> int:
@@ -97,45 +93,59 @@ class Decomposition:
     # -- monomial resolution -------------------------------------------------
 
     def expand_monomial(self, mon: MonPair):
-        """Resolve p q* into basis monomials: a list of (block, j, l, k)."""
-        cached = self._expand_cache.get(mon)
+        """Resolve p q* into basis monomials: a tuple of (block, j, l, k).
+
+        Every monomial met on the way is cached.  The expansion over the
+        out-edges of off-cycle regular vertices is walked with an explicit
+        stack, children before parents, so a long path to a sink or cycle
+        cannot exhaust the interpreter's recursion limit.
+        """
+        cache = self._expand_cache
+        cached = cache.get(mon)
         if cached is not None:
             return cached
         g = self.graph
-        w = mon.p.dst
-        if w in self._sink_block_of:
-            b = self._sink_block_of[w]
-            idx = self._index[b]
-            result = ((b, idx[mon.p], idx[mon.q], 0),)
-        elif w in self._cycle_block_of:
-            b = self._cycle_block_of[w]
-            block = self.blocks[b]
-            base, word = block.base, block.cycle.edges
-            p, q = mon.p, mon.q
-            while p.dst != base:
-                (eid,) = g.out_edges[p.dst]
-                p = PathSeq(p.src, g.edge_dst[eid], p.edges + (eid,))
-                q = PathSeq(q.src, g.edge_dst[eid], q.edges + (eid,))
-            p, a = _strip_cycle(p, word, base)
-            q, bcount = _strip_cycle(q, word, base)
-            idx = self._index[b]
-            if p not in idx or q not in idx:
-                raise PreconditionError(
-                    f"monomial {mon!r} not expressible in the block families"
-                )
-            result = ((b, idx[p], idx[q], a - bcount),)
-        else:
-            out = []
-            for eid in g.out_edges[w]:
-                dst = g.edge_dst[eid]
-                child = MonPair(
-                    PathSeq(mon.p.src, dst, mon.p.edges + (eid,)),
-                    PathSeq(mon.q.src, dst, mon.q.edges + (eid,)),
-                )
-                out.extend(self.expand_monomial(child))
-            result = tuple(out)
-        self._expand_cache[mon] = result
-        return result
+        stack = [(mon, None)]  # (monomial, its children once expanded)
+        while stack:
+            top, children = stack.pop()
+            if children is not None:
+                cache[top] = tuple(t for child in children for t in cache[child])
+                continue
+            if top in cache:
+                continue
+            p, q = top.p, top.q
+            w = p.dst
+            if w in self._sink_block_of:
+                b = self._sink_block_of[w]
+                idx = self._index[b]
+                cache[top] = ((b, idx[p], idx[q], 0),)
+            elif w in self._cycle_block_of:
+                b = self._cycle_block_of[w]
+                cycle = self.blocks[b].cycle
+                base, word = cycle.src, cycle.edges
+                while p.dst != base:
+                    (eid,) = g.out_edges[p.dst]
+                    p = PathSeq(p.src, g.edge_dst[eid], p.edges + (eid,))
+                    q = PathSeq(q.src, g.edge_dst[eid], q.edges + (eid,))
+                p, a = _strip_cycle(p, word, base)
+                q, bcount = _strip_cycle(q, word, base)
+                idx = self._index[b]
+                if p not in idx or q not in idx:
+                    raise PreconditionError(
+                        f"monomial {top!r} not expressible in the block families"
+                    )
+                cache[top] = ((b, idx[p], idx[q], a - bcount),)
+            else:
+                children = [
+                    MonPair(
+                        PathSeq(p.src, g.edge_dst[eid], p.edges + (eid,)),
+                        PathSeq(q.src, g.edge_dst[eid], q.edges + (eid,)),
+                    )
+                    for eid in g.out_edges[w]
+                ]
+                stack.append((top, children))
+                stack.extend((child, None) for child in children)
+        return cache[mon]
 
     def __repr__(self):
         sizes = ", ".join(
@@ -169,7 +179,7 @@ def decompose(g: Graph) -> Decomposition:
         )
     sink_blocks = [SinkBlock(s, tuple(paths_into(g, s))) for s in sinks(g)]
     cycle_blocks = [
-        CycleBlock(c, tuple(paths_into(g, c.base, forbid_full_cycle=c)))
+        CycleBlock(c, tuple(paths_into(g, c.src, forbid_full_cycle=c)))
         for c in cycles(g)
     ]
     dec = Decomposition(g, sink_blocks, cycle_blocks)
@@ -183,7 +193,7 @@ def _check_families(dec: Decomposition) -> None:
         if isinstance(block, SinkBlock):
             end, forbidden = block.sink, None
         else:
-            end, forbidden = block.base, block.cycle.edges
+            end, forbidden = block.cycle.src, block.cycle.edges
         for p in block.paths:
             if p in seen:
                 raise PreconditionError(f"duplicate family path {p!r}")
@@ -192,16 +202,11 @@ def _check_families(dec: Decomposition) -> None:
                 raise PreconditionError(
                     f"family path {format_path(p)} does not end at {end!r}"
                 )
-            if forbidden is not None:
-                n = len(forbidden)
-                if any(
-                    p.edges[i: i + n] == forbidden
-                    for i in range(len(p.edges) - n + 1)
-                ):
-                    raise PreconditionError(
-                        f"family path {format_path(p)} contains the full "
-                        f"cycle word {'/'.join(forbidden)}"
-                    )
+            if forbidden is not None and _contains_word(p.edges, forbidden):
+                raise PreconditionError(
+                    f"family path {format_path(p)} contains the full "
+                    f"cycle word {'/'.join(forbidden)}"
+                )
     covered = {p.src for p in seen}
     missing = [v for v in dec.graph.vertices if v not in covered]
     if missing:
@@ -362,8 +367,7 @@ def phi_inverse_unit(dec: Decomposition, algebra: PathAlgebra,
         if k != 0:
             raise ValueError("sink blocks carry no exponent: k must be 0")
         return algebra.monomial(pj, pl)
-    word = blk.cycle.edges
-    base = blk.base
+    base, word = blk.cycle.src, blk.cycle.edges
     if k >= 0:
         left = PathSeq(pj.src, base, pj.edges + word * k)
         right = pl

@@ -28,8 +28,8 @@ from .gis import (
     classify_eq,
 )
 from .graphs import (
-    CycleRep,
     Graph,
+    PathSeq,
     cycle_vertices,
     cycle_with_exit_witness,
     edge_path,
@@ -66,30 +66,25 @@ from .structure import decompose
 
 @dataclass(frozen=True)
 class TraceSpec:
-    """Values of a linear trace on class representatives.
+    """Values of a linear trace on classes.
 
-    `cycle_values` and `cycle_star_values` are keyed by canonical rotations
-    of closed edge words; absent keys mean zero.  The sorted tuples give
-    equality and `repr`; `class_value` reads one dict, keyed by
-    `VertexClass`, `CycleWord` and `CycleWordStar`, built at construction.
+    `values` maps `VertexClass`, `CycleWord` and `CycleWordStar` (edge words
+    in least rotation) to nonzero field elements; every other class has
+    value zero.
     """
 
     field: str
     involution: str
-    vertex_values: tuple       # sorted (vertex, FieldElem)
-    cycle_values: tuple        # sorted (edge word, FieldElem), no zeros
-    cycle_star_values: tuple   # sorted (edge word, FieldElem), no zeros
-    _by_class: dict = dataclasses.field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        by_class = {VertexClass(v): c for v, c in self.vertex_values}
-        by_class.update((CycleWord(w), c) for w, c in self.cycle_values)
-        by_class.update((CycleWordStar(w), c) for w, c in self.cycle_star_values)
-        object.__setattr__(self, "_by_class", by_class)
+    values: dict = dataclasses.field(hash=False)
 
     def class_value(self, cls) -> FieldElem:
-        value = self._by_class.get(cls)
+        value = self.values.get(cls)
         return fe_zero(self.field) if value is None else value
+
+
+def _least_word(g: Graph, word: tuple) -> tuple:
+    """The least rotation of a closed edge word, validated in `g`."""
+    return approx_canonical(g, edge_path(g, word)).edges
 
 
 def trace_spec(g: Graph, field=Q, involution=IDENTITY, vertex_values=None,
@@ -100,33 +95,20 @@ def trace_spec(g: Graph, field=Q, involution=IDENTITY, vertex_values=None,
     def coerce(c):
         return c if isinstance(c, FieldElem) else fe(c, 0, field)
 
-    verts = {}
+    values = {}
     for v, c in (vertex_values or {}).items():
         if not g.is_vertex(v):
             raise ValueError(f"unknown vertex {v!r}")
-        verts[v] = coerce(c)
-
-    def canon_table(table):
-        out = {}
+        values[VertexClass(v)] = coerce(c)
+    for kind, table in ((CycleWord, cycle_values), (CycleWordStar, cycle_star_values)):
         for word, c in (table or {}).items():
-            path = edge_path(g, tuple(word))
-            canonical = approx_canonical(g, path).edges
+            key = kind(_least_word(g, tuple(word)))
             c = coerce(c)
-            if canonical in out and out[canonical] != c:
+            if values.setdefault(key, c) != c:
                 raise ValueError(
-                    f"conflicting values for rotation class {'/'.join(canonical)}"
+                    f"conflicting values for rotation class {'/'.join(key.edges)}"
                 )
-            if c:
-                out[canonical] = c
-        return tuple(sorted(out.items()))
-
-    return TraceSpec(
-        field,
-        involution,
-        tuple(sorted(verts.items())),
-        canon_table(cycle_values),
-        canon_table(cycle_star_values),
-    )
+    return TraceSpec(field, involution, {k: c for k, c in values.items() if c})
 
 
 @dataclass(frozen=True)
@@ -147,7 +129,7 @@ class SpecValidation:
 
 def validate_trace_spec(g: Graph, spec: TraceSpec) -> SpecValidation:
     """Check the vertex constraint at every regular vertex."""
-    values = dict(spec.vertex_values)
+    values = {c.v: x for c, x in spec.values.items() if type(c) is VertexClass}
     zero = fe_zero(spec.field)
     bad = []
     for v in regular_vertices(g):
@@ -305,7 +287,7 @@ def positivity_screen(g: Graph, spec: TraceSpec):
     """
     require_positive_definite(spec.field, spec.involution)
     zero = fe_zero(spec.field)
-    values = dict(spec.vertex_values)
+    values = {c.v: x for c, x in spec.values.items() if type(c) is VertexClass}
     t = {v: values.get(v, zero) for v in g.vertices}
     violations = []
     for v in g.vertices:
@@ -351,7 +333,7 @@ def positivity_screen(g: Graph, spec: TraceSpec):
 class FaithfulVerdict:
     exists: bool
     reason: str
-    witness_cycle: CycleRep | None = None
+    witness_cycle: PathSeq | None = None
     witness_exit: str | None = None
 
     def __bool__(self):
@@ -438,9 +420,6 @@ def parse_trace_spec(text: str, g: Graph) -> TraceSpec:
     """
     field = Q
     involution = IDENTITY
-    vertex_values = {}
-    cycle_values = {}
-    star_values = {}
     pending = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -474,6 +453,7 @@ def parse_trace_spec(text: str, g: Graph) -> TraceSpec:
             pending.append(("cycle", parts[1], parts[2], star, lineno))
         else:
             raise ParseError(f"unknown declaration {kind!r}", lineno)
+    values = {}
     for kind, key, val, star, lineno in pending:
         try:
             value = parse_scalar(val, field)
@@ -481,27 +461,18 @@ def parse_trace_spec(text: str, g: Graph) -> TraceSpec:
         except ParseError as exc:
             raise ParseError(str(exc), lineno) from None
         if kind == "vertex":
-            _put_once(vertex_values, key, value, f"vertex {key!r}", lineno)
+            _put_once(values, VertexClass(key), value, f"vertex {key!r}", lineno)
         else:
-            word = tuple(key.split("/"))
             try:
-                path = edge_path(g, word)
-                canonical = approx_canonical(g, path).edges
+                word = _least_word(g, tuple(key.split("/")))
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
-            name = f"rotation class {'/'.join(canonical)}"
-            _put_once(cycle_values, canonical, value, name, lineno)
+            name = f"rotation class {'/'.join(word)}"
+            _put_once(values, CycleWord(word), value, name, lineno)
             if star_value is not None:
-                _put_once(star_values, canonical, star_value, f"starred {name}", lineno)
-    try:
-        return trace_spec(
-            g, field, involution,
-            vertex_values=vertex_values,
-            cycle_values=cycle_values,
-            cycle_star_values=star_values,
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+                _put_once(values, CycleWordStar(word), star_value,
+                          f"starred {name}", lineno)
+    return TraceSpec(field, involution, {k: c for k, c in values.items() if c})
 
 
 def _put_once(table, key, value, name, lineno):

@@ -1,4 +1,4 @@
-"""Shared fixtures: graph corpus, semigroup fixtures, seeded randomness.
+"""Shared test data: graph corpus, semigroups, seeded randomness.
 
 Set LPA_SEED to change the sampling seed for every randomized property test.
 """
@@ -71,13 +71,8 @@ NO_EXIT_NAMES = [
 ]
 
 
-@pytest.fixture
-def graphs():
-    return GRAPHS
-
-
 # ---------------------------------------------------------------------------
-# Semigroup fixtures
+# Semigroups
 # ---------------------------------------------------------------------------
 
 
@@ -122,11 +117,6 @@ def endo4_semigroup():
     """The maps of a 4-element set with an adjoined zero (257 elements),
     built once; tests that want it next to `SEMIGROUPS` name it explicitly."""
     return endo_semigroup(4)
-
-
-@pytest.fixture
-def semigroups():
-    return SEMIGROUPS
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from lpatrace.gis import MonPair
+from lpatrace.gis import MonPair, VertexClass
 from lpatrace.graphs import edge_path, is_no_exit, vertex_path
 from lpatrace.path_algebras import (
     COHN,
@@ -51,6 +51,7 @@ from lpatrace.structure import (
     pull_back_trace,
 )
 from lpatrace.traces import (
+    TraceSpec,
     augmentation_trace,
     build_faithful_trace,
     faithful_trace_exists,
@@ -312,14 +313,10 @@ def test_criterion_7_trace_classification_round_trip():
                 bump_at = next((w for w, c in row.items() if c), None)
                 if bump_at is None:
                     continue
-                bumped = dict(base.vertex_values)
-                bumped[bump_at] = bumped.get(bump_at, fe_zero(Q)) + fe_one(Q)
-                broken = trace_spec(
-                    g, Q, IDENTITY,
-                    vertex_values=bumped,
-                    cycle_values=dict(base.cycle_values),
-                    cycle_star_values=dict(base.cycle_star_values),
-                )
+                key = VertexClass(bump_at)
+                bumped = dict(base.values)
+                bumped[key] = base.class_value(key) + fe_one(Q)
+                broken = TraceSpec(Q, IDENTITY, {k: c for k, c in bumped.items() if c})
                 check = validate_trace_spec(g, broken)
                 assert not check
                 assert v in {violation[0] for violation in check.violations}

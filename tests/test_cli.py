@@ -201,6 +201,32 @@ def test_long_cycle_is_not_cut_by_cycle_limit(tmp_path, capsys):
     assert block["size"] == n
 
 
+def _double_edge_chain_text(n):
+    # a0 => a1 => ... => an: 2^(n+1) - 1 paths into an, holding
+    # (n - 1) 2^(n+1) + 2 edge ids
+    lines = [f"v a{i}" for i in range(n + 1)]
+    lines += [f"e {x}{i} a{i} a{i + 1}" for i in range(n) for x in "fg"]
+    return "\n".join(lines)
+
+
+def test_decompose_within_path_limit(tmp_path, capsys):
+    path = _write(tmp_path, "chain12.graph", _double_edge_chain_text(12))
+    code, out, _ = _run(capsys, "decompose", path)
+    assert code == 0
+    (block,) = json.loads(out)["result"]["sink_blocks"]
+    assert block["sink"] == "a12" and block["size"] == 2 ** 13 - 1
+
+
+def test_decompose_past_path_limit_exits_3(tmp_path, capsys):
+    # 1,966,082 edge ids of basis paths, past the 10**6 limit
+    path = _write(tmp_path, "chain16.graph", _double_edge_chain_text(16))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "decompose", path)
+    assert time.perf_counter() - start < 3
+    assert code == 3 and out == ""
+    assert "'a16'" in err and "17 vertices and 32 edges" in err
+
+
 def test_sg_commands(tmp_path, capsys):
     rows = ["0 0 0", "0 1 2", "0 2 1"]
     text = "n 3 zero 0\n" + "\n".join(rows) + "\nlabel 1 e\nlabel 2 g\n"

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from lpatrace import graphs
 from lpatrace.errors import ParseError, PreconditionError
 from lpatrace.gis import approx_canonical
 from lpatrace.graphs import (
@@ -131,6 +132,21 @@ def test_paths_into_guards_against_infinite_enumeration():
         paths_into(tail, "v")
 
 
+def test_paths_into_limit_counts_edge_ids_of_paths_built(monkeypatch):
+    # a => b => c => d => e: 31 paths into e holding 3 * 2^5 + 2 = 98 edge ids
+    g = parse_graph(
+        "v a\nv b\nv c\nv d\nv e\n"
+        + "".join(f"e {x}{i} {s} {d}\n" for i, (s, d) in enumerate(
+            ["ab", "bc", "cd", "de"]) for x in "fg")
+    )
+    monkeypatch.setattr(graphs, "PATHS_INTO_WORK_LIMIT", 98)
+    got = paths_into(g, "e")
+    assert len(got) == 31 and sum(len(p) for p in got) == 98
+    monkeypatch.setattr(graphs, "PATHS_INTO_WORK_LIMIT", 97)
+    with pytest.raises(PreconditionError, match="5 vertices and 8 edges"):
+        paths_into(g, "e")
+
+
 def test_paths_into_endpoints_and_filter():
     for name in ("line2", "line3", "tree", "disjoint", "mixed"):
         g = GRAPHS[name]
@@ -141,8 +157,8 @@ def test_paths_into_endpoints_and_filter():
         g = GRAPHS[name]
         for c in cycles(g):
             word = c.edges
-            for p in paths_into(g, c.base, c):
-                assert p.dst == c.base
+            for p in paths_into(g, c.src, c):
+                assert p.dst == c.src
                 n = len(word)
                 assert not any(
                     p.edges[i: i + n] == word
@@ -166,7 +182,7 @@ def test_path_building_and_concat():
 def test_paths_into_forbid_base_must_match():
     g = GRAPHS["two_cycle"]
     (c,) = cycles(g)
-    assert c.base == "u"
+    assert c.src == "u"
     with pytest.raises(PreconditionError):
         paths_into(g, "w", c)
 
@@ -312,7 +328,7 @@ def test_cycles_search_tracks_output_on_long_rings():
     for n in (145, 2000):
         start = time.perf_counter()
         (c,) = cycles(_ring(n))
-        assert len(c.edges) == n and c.base == "v0"
+        assert len(c.edges) == n and c.src == "v0"
         assert time.perf_counter() - start < 1
     chorded = cycles(_ring(2000, chord=True))
     assert [len(c.edges) for c in chorded] == [1001, 2000]

@@ -3,7 +3,9 @@
 Runtime checks must raise documented errors, so `assert` (stripped by
 `python -O`) is banned from `src/lpatrace`.  The package has no runtime
 dependencies, so it imports only itself and the standard library, and it
-imports at the top of each module, never inside a function.  Every
+imports at the top of each module, never inside a function.  No function
+calls itself: recursion depth would grow with the input, and a
+`RecursionError` would break `lpa`'s exit-code contract.  Every
 top-level function and class must be used somewhere in `src` or `tests`
 besides its own definition and its re-export from `lpatrace/__init__.py`;
 otherwise it is dead code.
@@ -84,6 +86,26 @@ def test_no_imports_inside_functions():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert offenders == [], f"move these imports to the top of the module: {offenders}"
+
+
+def test_no_recursive_functions():
+    offenders = []
+    for path in _package_modules():
+        for func in ast.walk(_parse(path)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                if (isinstance(callee, ast.Name) and callee.id == func.name) or (
+                    isinstance(callee, ast.Attribute)
+                    and callee.attr == func.name
+                    and isinstance(callee.value, ast.Name)
+                    and callee.value.id == "self"
+                ):
+                    offenders.append(f"{path.name}:{node.lineno}: {func.name}")
+    assert offenders == [], f"walk with an explicit stack instead: {offenders}"
 
 
 def test_every_top_level_definition_is_used():

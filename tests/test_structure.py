@@ -1,7 +1,7 @@
 import pytest
 
 from lpatrace.errors import PreconditionError
-from lpatrace.graphs import edge_path, format_path, vertex_path
+from lpatrace.graphs import edge_path, format_path, parse_graph, vertex_path
 from lpatrace.path_algebras import LEAVITT, PathAlgebra, alg_star, parse_element
 from lpatrace.scalars import (
     CONJUGATION,
@@ -260,6 +260,21 @@ def test_pull_back_trace_examples():
 
     with pytest.raises(PreconditionError):
         pull_back_trace(dl, QI, IDENTITY)
+
+
+def test_long_line_expands_without_exhausting_recursion():
+    # a0 -> a1 -> ... -> a1199: the monomial a0 expands through 1199 edges
+    n = 1200
+    lines = [f"v a{i}" for i in range(n)]
+    lines += [f"e e{i} a{i} a{i + 1}" for i in range(n - 1)]
+    g = parse_graph("\n".join(lines))
+    A = PathAlgebra(g, Q, IDENTITY, LEAVITT)
+    dec = decompose(g)
+    j = dec.blocks[0].paths.index(edge_path(g, [f"e{i}" for i in range(n - 1)]))
+    assert phi(dec, A.vertex("a0")).blocks == ({(j, j): fe_one(Q)},)
+    # a fresh decomposition, so the trace meets an empty expansion cache
+    t = pull_back_trace(decompose(g), Q, IDENTITY)
+    assert t(A.vertex("a0")) == fe(1)
 
 
 def test_pull_back_trace_of_identity_is_total_block_size():

@@ -74,6 +74,19 @@ def test_validate_trace_spec_examples():
         assert validate_trace_spec(line, spec)
 
 
+def test_trace_spec_keys_classes_once():
+    rose = GRAPHS["rose2"]
+    spec = trace_spec(rose, Q, IDENTITY, vertex_values={"v": fe(0)},
+                      cycle_values={("e", "f"): 2, ("f", "e"): 2})
+    assert spec == trace_spec(rose, Q, IDENTITY, cycle_values={("e", "f"): 2})
+    assert spec.values == {CycleWord(("e", "f")): fe(2)}
+    # a zero and a nonzero value for one class conflict in either order
+    for table in ({("e", "f"): 0, ("f", "e"): 3}, {("e", "f"): 3, ("f", "e"): 0}):
+        for kind in ("cycle_values", "cycle_star_values"):
+            with pytest.raises(ValueError, match="conflicting values for rotation class e/f"):
+                trace_spec(rose, Q, IDENTITY, **{kind: table})
+
+
 def test_vertex_trace_space_examples():
     assert vertex_trace_space(GRAPHS["rose2"], Q).dimension == 0
     assert vertex_trace_space(GRAPHS["one_loop"], Q).dimension == 1
@@ -341,14 +354,15 @@ def test_spec_round_trip_through_the_evaluator():
         }
         cycle_values = {}
         star_values = {}
-        for word, _ in spec.cycle_values:
-            p = edge_path(g, word)
-            mon = MonPair(p, vertex_path(g, p.dst))
-            cycle_values[word] = trace_eval(g, spec, A.from_terms({mon: 1}))
-        for word, _ in spec.cycle_star_values:
-            p = edge_path(g, word)
-            mon = MonPair(vertex_path(g, p.dst), p)
-            star_values[word] = trace_eval(g, spec, A.from_terms({mon: 1}))
+        for cls in spec.values:
+            if type(cls) is CycleWord:
+                p = edge_path(g, cls.edges)
+                mon = MonPair(p, vertex_path(g, p.dst))
+                cycle_values[cls.edges] = trace_eval(g, spec, A.from_terms({mon: 1}))
+            elif type(cls) is CycleWordStar:
+                p = edge_path(g, cls.edges)
+                mon = MonPair(vertex_path(g, p.dst), p)
+                star_values[cls.edges] = trace_eval(g, spec, A.from_terms({mon: 1}))
         rebuilt = trace_spec(
             g, Q, IDENTITY,
             vertex_values=vertex_values,
