@@ -452,9 +452,10 @@ def _contains_word(edges: tuple, word: tuple) -> bool:
     return any(edges[i: i + n] == word for i in range(len(edges) - n + 1))
 
 
-# Most edge ids, summed over the paths built, that one `paths_into` call may
-# return.  A chain of n double edges holds (n - 1) 2^(n+1) + 2 into its end:
-# 917,506 at n = 15, 1,966,082 at n = 16.
+# Most edge ids, summed over the paths built, that one `paths_into` call, or
+# one `structure.decompose` over all its blocks, may return.  A chain of n
+# double edges holds (n - 1) 2^(n+1) + 2 into its end: 917,506 at n = 15,
+# 1,966,082 at n = 16.
 PATHS_INTO_WORK_LIMIT = 10**6
 
 
@@ -464,8 +465,10 @@ def paths_into(g: Graph, v: str, forbid_full_cycle: PathSeq | None = None):
     With `forbid_full_cycle=c`, a closed path at v, paths containing the
     edge word of c as a contiguous subword are excluded, which makes the
     enumeration finite when v sits on c in a no-exit graph.  Without it, the
-    territory feeding v must be acyclic.  Raises `PreconditionError` once
-    the paths hold more than `PATHS_INTO_WORK_LIMIT` edge ids in total.
+    territory feeding v must be acyclic.  Raises `PreconditionError` once a
+    path is longer than any finite enumeration allows, or once the paths
+    hold more than `PATHS_INTO_WORK_LIMIT` edge ids in total, so a cyclic
+    territory ends in one of the two.
     """
     if not g.is_vertex(v):
         raise ValueError(f"unknown vertex {v!r}")
@@ -478,23 +481,6 @@ def paths_into(g: Graph, v: str, forbid_full_cycle: PathSeq | None = None):
             )
         word = forbid_full_cycle.edges
         bound += len(word)
-    else:
-        # every ancestor of v must be outside nontrivial SCCs
-        on_cycle = cycle_vertices(g)
-        frontier = [v]
-        ancestors = {v}
-        while frontier:
-            u = frontier.pop()
-            if u in on_cycle:
-                raise PreconditionError(
-                    f"paths into {v!r} are not finitely enumerable: "
-                    f"ancestor {u!r} lies on a cycle"
-                )
-            for eid in g.in_edges[u]:
-                s = g.edge_src[eid]
-                if s not in ancestors:
-                    ancestors.add(s)
-                    frontier.append(s)
     out = []
     size = 0
     frontier = [vertex_path(g, v)]

@@ -51,6 +51,9 @@ COHN = "cohn"
 LEAVITT = "leavitt"
 MODES = (COHN, LEAVITT)
 
+# Most edge ids in one monomial p q* that a product may build.
+DEGREE_CAP = 64
+
 
 class PathAlgebra:
     """Algebra context: graph, coefficient field, involution, and mode.
@@ -60,7 +63,7 @@ class PathAlgebra:
     """
 
     def __init__(self, graph: Graph, field=Q, involution=IDENTITY,
-                 mode=LEAVITT, special_edges=None, degree_cap=64):
+                 mode=LEAVITT, special_edges=None):
         check_involution(field, involution)
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
@@ -68,7 +71,6 @@ class PathAlgebra:
         self.field = field
         self.involution = involution
         self.mode = mode
-        self.degree_cap = degree_cap
         if special_edges is None:
             special_edges = {
                 v: min(graph.out_edges[v])
@@ -284,16 +286,15 @@ class AlgebraElement:
             return self._scaled(other)
         self._check(other)
         alg = self.algebra
-        cap = alg.degree_cap
         raw = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 prod = gis_mul(m1, m2)
                 if prod is GIS_ZERO:
                     continue
-                if len(prod.p.edges) + len(prod.q.edges) > cap:
+                if len(prod.p.edges) + len(prod.q.edges) > DEGREE_CAP:
                     raise PreconditionError(
-                        f"product monomial exceeds degree cap {cap}"
+                        f"product monomial exceeds degree cap {DEGREE_CAP}"
                     )
                 c = c1 * c2
                 raw[prod] = raw[prod] + c if prod in raw else c

@@ -17,16 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import graphs
 from .errors import PreconditionError
 from .gis import MonPair
 from .graphs import (
     Graph,
     PathSeq,
-    _contains_word,
     cycle_with_exit_witness,
     cycles,
     format_path,
-    is_no_exit,
     paths_into,
     sinks,
 )
@@ -170,49 +169,36 @@ def _strip_cycle(p: PathSeq, word: tuple, base: str):
 
 
 def decompose(g: Graph) -> Decomposition:
-    """Block decomposition; requires the graph to have no cycle with an exit."""
-    if not is_no_exit(g):
-        cyc, exit_edge = cycle_with_exit_witness(g)
+    """Block decomposition; requires the graph to have no cycle with an exit.
+
+    Raises `PreconditionError` once the basis paths of all blocks hold more
+    than `graphs.PATHS_INTO_WORK_LIMIT` edge ids in total; the total is
+    checked after each block, so at most one block past the limit is built.
+    """
+    witness = cycle_with_exit_witness(g)
+    if witness is not None:
+        cyc, exit_edge = witness
         raise PreconditionError(
             f"graph is not no-exit: cycle {'/'.join(cyc.edges)} "
             f"has exit {exit_edge}"
         )
-    sink_blocks = [SinkBlock(s, tuple(paths_into(g, s))) for s in sinks(g)]
-    cycle_blocks = [
-        CycleBlock(c, tuple(paths_into(g, c.src, forbid_full_cycle=c)))
-        for c in cycles(g)
-    ]
-    dec = Decomposition(g, sink_blocks, cycle_blocks)
-    _check_families(dec)
-    return dec
-
-
-def _check_families(dec: Decomposition) -> None:
-    seen = set()
-    for block in dec.blocks:
-        if isinstance(block, SinkBlock):
-            end, forbidden = block.sink, None
+    ends = [(s, None) for s in sinks(g)] + [(c.src, c) for c in cycles(g)]
+    sink_blocks, cycle_blocks = [], []
+    size = 0
+    for end, cycle in ends:
+        paths = tuple(paths_into(g, end, cycle))
+        size += sum(map(len, paths))
+        if size > graphs.PATHS_INTO_WORK_LIMIT:
+            raise PreconditionError(
+                f"basis paths of a graph with {len(g.vertices)} vertices "
+                f"and {len(g.edges)} edges hold more than "
+                f"{graphs.PATHS_INTO_WORK_LIMIT} edge ids"
+            )
+        if cycle is None:
+            sink_blocks.append(SinkBlock(end, paths))
         else:
-            end, forbidden = block.cycle.src, block.cycle.edges
-        for p in block.paths:
-            if p in seen:
-                raise PreconditionError(f"duplicate family path {p!r}")
-            seen.add(p)
-            if p.dst != end:
-                raise PreconditionError(
-                    f"family path {format_path(p)} does not end at {end!r}"
-                )
-            if forbidden is not None and _contains_word(p.edges, forbidden):
-                raise PreconditionError(
-                    f"family path {format_path(p)} contains the full "
-                    f"cycle word {'/'.join(forbidden)}"
-                )
-    covered = {p.src for p in seen}
-    missing = [v for v in dec.graph.vertices if v not in covered]
-    if missing:
-        raise PreconditionError(
-            f"vertices {missing} source no decomposition basis path"
-        )
+            cycle_blocks.append(CycleBlock(cycle, paths))
+    return Decomposition(g, sink_blocks, cycle_blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .graphs import (
     cycle_vertices,
     cycle_with_exit_witness,
     edge_path,
-    is_no_exit,
     regular_vertices,
 )
 from .linalg import nullspace, rank as _rank
@@ -348,9 +347,10 @@ def faithful_trace_exists(g: Graph, field=Q, involution=IDENTITY) -> FaithfulVer
     configurations are refused: the equivalence genuinely fails there.
     """
     require_positive_definite(field, involution)
-    if is_no_exit(g):
+    witness = cycle_with_exit_witness(g)
+    if witness is None:
         return FaithfulVerdict(True, "no cycle has an exit")
-    cyc, exit_edge = cycle_with_exit_witness(g)
+    cyc, exit_edge = witness
     return FaithfulVerdict(
         False,
         f"cycle {'/'.join(cyc.edges)} has exit {exit_edge}",
@@ -375,15 +375,10 @@ def build_faithful_trace(g: Graph, field=QI, involution=CONJUGATION) -> TraceSpe
     for block in dec.blocks:
         for p in block.paths:
             counts[p.src] += 1
-    spec = trace_spec(
+    return trace_spec(
         g, field, involution,
         vertex_values={v: fe(c, 0, field) for v, c in counts.items()},
     )
-    if not validate_trace_spec(g, spec):
-        raise PreconditionError(
-            "block path counts do not satisfy the vertex constraint"
-        )
-    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,20 @@ def test_decompose_past_path_limit_exits_3(tmp_path, capsys):
     assert "'a16'" in err and "17 vertices and 32 edges" in err
 
 
+def test_decompose_past_limit_of_all_blocks_exits_3(tmp_path, capsys):
+    # the end of a chain of 14 double edges fans out to 3 sinks: each sink
+    # block holds 458,753 edge ids, inside the limit, and the three together
+    # hold 1,376,259, past it
+    lines = [_double_edge_chain_text(14)]
+    lines += [f"v s{i}\ne x{i} a14 s{i}" for i in range(3)]
+    path = _write(tmp_path, "fan3.graph", "\n".join(lines))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "decompose", path)
+    assert time.perf_counter() - start < 3
+    assert code == 3 and out == ""
+    assert "basis paths of a graph with 18 vertices and 31 edges" in err
+
+
 def test_sg_commands(tmp_path, capsys):
     rows = ["0 0 0", "0 1 2", "0 2 1"]
     text = "n 3 zero 0\n" + "\n".join(rows) + "\nlabel 1 e\nlabel 2 g\n"

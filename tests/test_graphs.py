@@ -130,6 +130,21 @@ def test_paths_into_guards_against_infinite_enumeration():
     tail = GRAPHS["tail_loop"]
     with pytest.raises(PreconditionError):
         paths_into(tail, "v")
+    k20 = parse_graph(
+        "".join(f"v a{i}\n" for i in range(20))
+        + "".join(f"e e{i}_{j} a{i} a{j}\n"
+                  for i in range(20) for j in range(20) if i != j)
+    )
+    with pytest.raises(PreconditionError):
+        paths_into(k20, "a0")
+    # a0 => a1 => ... => a16, with a loop at a16
+    chain = parse_graph(
+        "".join(f"v a{i}\n" for i in range(17))
+        + "".join(f"e {x}{i} a{i} a{i + 1}\n" for i in range(16) for x in "fg")
+        + "e loop a16 a16"
+    )
+    with pytest.raises(PreconditionError):
+        paths_into(chain, "a16")
 
 
 def test_paths_into_limit_counts_edge_ids_of_paths_built(monkeypatch):

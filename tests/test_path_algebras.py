@@ -268,10 +268,11 @@ def test_one_loop_basis_shape():
 
 def test_degree_cap_guards_runaway_products():
     loop = GRAPHS["one_loop"]
-    A = PathAlgebra(loop, Q, IDENTITY, LEAVITT, degree_cap=8)
+    A = PathAlgebra(loop, Q, IDENTITY, LEAVITT)
     e = A.path(["e"])
     x = e
-    with pytest.raises(PreconditionError):
+    # e^(2^7) is the first square longer than DEGREE_CAP = 64
+    with pytest.raises(PreconditionError, match="degree cap 64"):
         for _ in range(10):
             x = x * x
 

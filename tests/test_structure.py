@@ -1,7 +1,8 @@
 import pytest
 
+from lpatrace import graphs, structure
 from lpatrace.errors import PreconditionError
-from lpatrace.graphs import edge_path, format_path, parse_graph, vertex_path
+from lpatrace.graphs import edge_path, format_path, is_no_exit, parse_graph
 from lpatrace.path_algebras import LEAVITT, PathAlgebra, alg_star, parse_element
 from lpatrace.scalars import (
     CONJUGATION,
@@ -14,10 +15,6 @@ from lpatrace.scalars import (
     laurent,
 )
 from lpatrace.structure import (
-    CycleBlock,
-    Decomposition,
-    SinkBlock,
-    _check_families,
     decompose,
     decomposition_report,
     matrix_identity,
@@ -25,6 +22,7 @@ from lpatrace.structure import (
     phi_inverse_unit,
     pull_back_trace,
 )
+from lpatrace.traces import build_faithful_trace, trace_eval, validate_trace_spec
 
 from conftest import (
     GRAPHS,
@@ -56,17 +54,101 @@ def test_decompose_requires_no_exit():
         decompose(GRAPHS["loop_exit"])
 
 
-def test_check_families_rejects_bad_paths():
-    g = GRAPHS["line2"]
-    wrong_end = SinkBlock("b", (vertex_path(g, "b"), vertex_path(g, "a")))
-    with pytest.raises(PreconditionError, match="does not end at 'b'"):
-        _check_families(Decomposition(g, [wrong_end], []))
+def _random_no_exit_graph(rng):
+    """Disjoint simple cycles fed by a random DAG, parallel edges allowed."""
+    lines, edges = [], []
+    cycle_vertices = []
+    for i in range(rng.randint(0, 3)):
+        ring = [f"c{i}_{j}" for j in range(rng.randint(1, 3))]
+        cycle_vertices += ring
+        lines += [f"v {v}" for v in ring]
+        edges += [(v, ring[(j + 1) % len(ring)]) for j, v in enumerate(ring)]
+    dag = [f"d{i}" for i in range(rng.randint(1, 7))]
+    lines += [f"v {v}" for v in dag]
+    for i, v in enumerate(dag):
+        targets = dag[i + 1:] + cycle_vertices
+        for _ in range(rng.randint(0, 3) if targets else 0):
+            edges.append((v, rng.choice(targets)))
+    lines += [f"e x{k} {s} {d}" for k, (s, d) in enumerate(edges)]
+    return parse_graph("\n".join(lines))
 
-    loop = GRAPHS["one_loop"]
-    (block,) = decompose(loop).cycle_blocks
-    full_word = CycleBlock(block.cycle, (edge_path(loop, ["e"]),))
-    with pytest.raises(PreconditionError, match="full cycle word"):
-        _check_families(Decomposition(loop, [], [full_word]))
+
+def test_decompose_families_are_disjoint_bases():
+    rng = fresh_rng(61)
+    corpus = [GRAPHS[name] for name in NO_EXIT_NAMES]
+    corpus += [_random_no_exit_graph(rng) for _ in range(60)]
+    for g in corpus:
+        assert is_no_exit(g)
+        dec = decompose(g)
+        seen = set()
+        for b, block in enumerate(dec.blocks):
+            if dec.is_cycle_block(b):
+                end, word = block.cycle.src, block.cycle.edges
+            else:
+                end, word = block.sink, None
+            for p in block.paths:
+                assert p not in seen, (g, p)
+                seen.add(p)
+                assert p.dst == end, (g, p)
+                if word is not None:
+                    n = len(word)
+                    assert all(
+                        p.edges[i: i + n] != word
+                        for i in range(len(p.edges) - n + 1)
+                    ), (g, p)
+        assert {p.src for p in seen} == set(g.vertices), g
+        assert validate_trace_spec(g, build_faithful_trace(g, Q, IDENTITY))
+
+
+def _star_text(n):
+    lines = ["v r"] + [f"v s{i}" for i in range(n)]
+    lines += [f"e e{i} r s{i}" for i in range(n)]
+    return "\n".join(lines)
+
+
+def test_decompose_runs_a_fixed_number_of_scc_passes(monkeypatch):
+    tarjan = graphs.strongly_connected_components
+    passes = []
+
+    def counted(g):
+        passes.append(g)
+        return tarjan(g)
+
+    monkeypatch.setattr(graphs, "strongly_connected_components", counted)
+    counts = []
+    for n in (10, 50):
+        passes.clear()
+        dec = decompose(parse_graph(_star_text(n)))
+        assert dec.block_sizes() == (2,) * n
+        counts.append(len(passes))
+    assert counts[0] == counts[1]
+
+
+def test_decompose_limit_counts_edge_ids_of_all_blocks(monkeypatch):
+    # a => b -> s0, s1, s2: each sink block is s, x, f/x and g/x, 5 edge ids
+    g = parse_graph(
+        "v a\nv b\nv s0\nv s1\nv s2\ne f a b\ne g a b\n"
+        + "".join(f"e x{i} b s{i}\n" for i in range(3))
+    )
+    paths_into = structure.paths_into
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return paths_into(*args)
+
+    monkeypatch.setattr(structure, "paths_into", counted)
+    monkeypatch.setattr(graphs, "PATHS_INTO_WORK_LIMIT", 15)
+    assert decompose(g).block_sizes() == (4, 4, 4)
+    monkeypatch.setattr(graphs, "PATHS_INTO_WORK_LIMIT", 14)
+    with pytest.raises(PreconditionError, match="5 vertices and 5 edges"):
+        decompose(g)
+    # the total is checked after each block: 10 edge ids pass 5 at block two
+    monkeypatch.setattr(graphs, "PATHS_INTO_WORK_LIMIT", 5)
+    calls.clear()
+    with pytest.raises(PreconditionError, match="more than 5 edge ids"):
+        decompose(g)
+    assert len(calls) == 2
 
 
 def test_decomposition_report_schema():
@@ -287,8 +369,6 @@ def test_pull_back_trace_of_identity_is_total_block_size():
 
 
 def test_pull_back_agrees_with_built_spec():
-    from lpatrace.traces import build_faithful_trace, trace_eval
-
     rng = fresh_rng(52)
     for name in NO_EXIT_NAMES:
         g = GRAPHS[name]
