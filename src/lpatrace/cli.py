@@ -192,37 +192,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="structural report for a graph file")
     p.add_argument("graph")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("classes", help="closed-path classes up to a length")
     p.add_argument("graph")
     p.add_argument("--max-len", type=int, default=3)
-    p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("eval", help="evaluate a trace on an element expression")
     p.add_argument("graph")
     p.add_argument("expr")
     p.add_argument("--spec", required=True)
     p.add_argument("--mode", choices=["cohn", "leavitt"], default="leavitt")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("decompose", help="matrix-block decomposition report")
     p.add_argument("graph")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("sg", help="semigroup analyses on a Cayley-table file")
     p.add_argument("cayley")
     p.add_argument("action", choices=["classes", "minimal", "normalized"])
-    p.set_defaults(func=cmd_sg)
 
     return parser
 
 
+_PARSER = None  # built by the first `main` call, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
+    # the cmd_* names are read on every call, so a rebinding takes effect
+    command = {
+        "analyze": cmd_analyze,
+        "classes": cmd_classes,
+        "eval": cmd_eval,
+        "decompose": cmd_decompose,
+        "sg": cmd_sg,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -342,7 +342,7 @@ def transfer(x: AlgebraElement, target: PathAlgebra) -> AlgebraElement:
 # Element expressions
 # ---------------------------------------------------------------------------
 
-_TOKEN_SCALAR = _re.compile(r"\d+(?:/\d+)?(?:[+-]\d+(?:/\d+)?i|i)?")
+_TOKEN_SCALAR = _re.compile(r"[0-9]+(?:/[0-9]+)?(?:[+-][0-9]+(?:/[0-9]+)?i|i)?")
 _TOKEN_ID = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -354,7 +354,7 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             m = _TOKEN_SCALAR.match(text, i)
             tokens.append(("scalar", m.group()))
             i = m.end()

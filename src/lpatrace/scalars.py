@@ -17,6 +17,7 @@ but positivity queries on it are errors.
 from __future__ import annotations
 
 import re as _re
+import sys as _sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -350,9 +351,9 @@ def laurent_a0(p: LaurentPoly) -> FieldElem:
 # Text syntax
 # ---------------------------------------------------------------------------
 
-_RATIONAL = r"-?\d+(?:/\d+)?"
+_RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"  # ASCII digits only
 _SCALAR_FULL_RE = _re.compile(
-    rf"^(?P<re>{_RATIONAL})(?P<im>[+-]\d+(?:/\d+)?)i$"
+    rf"^(?P<re>{_RATIONAL})(?P<im>[+-][0-9]+(?:/[0-9]+)?)i$"
 )
 _SCALAR_IMAG_RE = _re.compile(rf"^(?P<im>{_RATIONAL})i$")
 _SCALAR_RAT_RE = _re.compile(rf"^(?P<re>{_RATIONAL})$")
@@ -361,8 +362,9 @@ _SCALAR_RAT_RE = _re.compile(rf"^(?P<re>{_RATIONAL})$")
 def parse_scalar(text: str, field: str = Q) -> FieldElem:
     """Parse `a`, `a/b`, `a/b+c/di`, `a/b-c/di`, or `c/di`.
 
-    Raises ParseError for malformed text, a zero denominator, or an
-    imaginary part over Q.
+    Digits are ASCII.  Raises ParseError for malformed text, a zero
+    denominator, an integer of more digits than `int()` converts (4300 by
+    default), or an imaginary part over Q.
     """
     s = text.strip()
     m = _SCALAR_FULL_RE.match(s) or _SCALAR_IMAG_RE.match(s) or _SCALAR_RAT_RE.match(s)
@@ -373,6 +375,11 @@ def parse_scalar(text: str, field: str = Q) -> FieldElem:
         re_part, im_part = Fraction(parts.get("re", 0)), Fraction(parts.get("im", 0))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in scalar {text!r}") from None
+    except ValueError:  # an integer past CPython's int_max_str_digits
+        raise ParseError(
+            f"scalar {s[:20] + '...'!r} ({len(s)} characters) has an integer "
+            f"of more than {_sys.get_int_max_str_digits()} digits"
+        ) from None
     if field == Q and im_part != 0:
         raise ParseError(f"imaginary scalar {text!r} not allowed over Q")
     return FieldElem(re_part, im_part, field)

@@ -3,6 +3,7 @@ import json
 import math
 import time
 
+from lpatrace import cli
 from lpatrace.cli import main
 
 from conftest import GRAPH_TEXTS
@@ -330,6 +331,59 @@ def test_eval_long_redex_does_not_exhaust_recursion(tmp_path, capsys):
     code, out, _ = _run(capsys, "eval", graph, f"{p}.{p}'", "--spec", spec)
     assert code == 0
     assert json.loads(out)["result"]["value"] == "0"
+
+
+def test_non_ascii_digits_and_long_integers_exit_2(tmp_path, capsys):
+    graph = _write(tmp_path, "loop.graph", GRAPH_TEXTS["one_loop"])
+    spec = _write(tmp_path, "loop.spec", "vertex v 1\n")
+    long = "1" * 5000
+    cases = {
+        "superscript digit": ("²", spec),
+        "Arabic-Indic digit": ("٣*v", spec),
+        "long integer in expression": (f"{long}*v", spec),
+        "long denominator in expression": (f"1/{long}*v", spec),
+        "long integer in spec": ("v", _write(tmp_path, "s.spec", f"vertex v {long}\n")),
+        "long denominator in spec": ("v", _write(tmp_path, "d.spec", f"vertex v 1/{long}\n")),
+    }
+    for name, (expr, spec_path) in cases.items():
+        code, out, err = _run(capsys, "eval", graph, expr, "--spec", spec_path)
+        assert code == 2 and out == "", name
+        assert err.startswith("input error:") and "Traceback" not in err, name
+        if "long" in name:
+            assert "characters) has an integer of more than 4300 digits" in err, name
+    # 4300 digits still convert, in and out
+    code, out, _ = _run(capsys, "eval", graph, "1" * 4300 + "*v", "--spec", spec)
+    assert code == 0 and json.loads(out)["result"]["value"] == "1" * 4300
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    path = _write(tmp_path, "loop.graph", GRAPH_TEXTS["one_loop"])
+    for argv in (["analyze", path], ["classes", path], ["decompose", path]) * 2:
+        assert _run(capsys, *argv)[0] == 0
+    assert len(built) == 1
+
+
+def test_main_runs_the_command_bound_at_call_time(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "loop.graph", GRAPH_TEXTS["one_loop"])
+    assert _run(capsys, "analyze", path)[0] == 0  # the parser exists now
+    seen = []
+
+    def stand_in(args):
+        seen.append(args.graph)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_analyze", stand_in)
+    code, out, _ = _run(capsys, "analyze", path)
+    assert code == 0 and out == "" and seen == [path]
 
 
 # Valid Leavitt specs for every corpus graph; in Cohn mode any spec is valid.

@@ -317,6 +317,24 @@ def test_closed_paths_up_to_matches_brute_force():
                 assert p.is_closed and approx_canonical(g, p) == p, (name, p)
 
 
+def test_least_rotation_matches_brute_force():
+    rng = fresh_rng(67)
+    words = [("a",), ("e10",), ("a",) * 9, ("a", "b") * 6, ("b", "a", "a", "b", "a")]
+    words += [("a",) * k + ("b",) for k in (1, 2, 3, 50, 1999)]
+    words += [("b",) + ("a",) * k for k in (1, 7, 1999)]
+    for n in (2, 3, 5, 8, 13, 40, 300, 2000):
+        letters = [f"e{i}" for i in range(n)]
+        rng.shuffle(letters)
+        words.append(tuple(letters))  # distinct letters: a unique least one
+        for alphabet in ("ab", "abc", "abcd"):
+            words.append(tuple(rng.choice(alphabet) for _ in range(n)))
+        block = tuple(rng.choice("ab") for _ in range(rng.randint(1, 5)))
+        words.append((block * n)[:n])  # near-periodic words
+    for word in words:
+        want = min(word[i:] + word[:i] for i in range(len(word)))
+        assert _least_rotation(word) == want, word[:20]
+
+
 def test_cycles_match_brute_force():
     for name, g in _oracle_corpus(fresh_rng(62), 300).items():
         words = {

@@ -54,6 +54,9 @@ def test_build_semigroup_examples():
         build_semigroup([[0, 1], [1, 1]], 0)
     with pytest.raises(ValueError, match="square"):
         build_semigroup([[0, 0]], 0)
+    # library callers may pass any int-convertible entries
+    G = build_semigroup([["0", 0.0], [0, "1"]], 0)
+    assert G.table == ((0, 0), (0, 1))
 
 
 def _brute_force_violation(rows):
