@@ -9,6 +9,7 @@ precondition.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -183,7 +184,10 @@ def cmd_sg(args) -> int:
     return 0
 
 
+@functools.cache  # built by the first `main` call, then reused
 def build_parser() -> argparse.ArgumentParser:
+    # each `func` reads its cmd_* name when called, not when the parser is
+    # built, so a later rebinding (a wrapper, a monkeypatch) takes effect
     parser = argparse.ArgumentParser(
         prog="lpa",
         description="Exact traces on Cohn and Leavitt path algebras",
@@ -192,45 +196,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="structural report for a graph file")
     p.add_argument("graph")
+    p.set_defaults(func=lambda args: cmd_analyze(args))
 
     p = sub.add_parser("classes", help="closed-path classes up to a length")
     p.add_argument("graph")
     p.add_argument("--max-len", type=int, default=3)
+    p.set_defaults(func=lambda args: cmd_classes(args))
 
     p = sub.add_parser("eval", help="evaluate a trace on an element expression")
     p.add_argument("graph")
     p.add_argument("expr")
     p.add_argument("--spec", required=True)
     p.add_argument("--mode", choices=["cohn", "leavitt"], default="leavitt")
+    p.set_defaults(func=lambda args: cmd_eval(args))
 
     p = sub.add_parser("decompose", help="matrix-block decomposition report")
     p.add_argument("graph")
+    p.set_defaults(func=lambda args: cmd_decompose(args))
 
     p = sub.add_parser("sg", help="semigroup analyses on a Cayley-table file")
     p.add_argument("cayley")
     p.add_argument("action", choices=["classes", "minimal", "normalized"])
+    p.set_defaults(func=lambda args: cmd_sg(args))
 
     return parser
 
 
-_PARSER = None  # built by the first `main` call, then reused
-
-
 def main(argv=None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
-    # the cmd_* names are read on every call, so a rebinding takes effect
-    command = {
-        "analyze": cmd_analyze,
-        "classes": cmd_classes,
-        "eval": cmd_eval,
-        "decompose": cmd_decompose,
-        "sg": cmd_sg,
-    }[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        return command(args)
+        return args.func(args)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -51,14 +51,9 @@ class FiniteSemigroup:
         return f"FiniteSemigroup(size={self.size}, zero={self.zero})"
 
 
-def build_semigroup(table, zero_index: int, labels=None, *,
-                    _int_rows=False) -> FiniteSemigroup:
-    """Validate a Cayley table: squareness, associativity, absorbing zero.
-
-    Entries are coerced with `int`, unless `_int_rows` says the table is
-    already a tuple of int tuples, as `parse_cayley` builds it.
-    """
-    rows = table if _int_rows else tuple(tuple(map(int, row)) for row in table)
+def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
+    """Validate a Cayley table: squareness, associativity, absorbing zero."""
+    rows = tuple(tuple(map(int, row)) for row in table)
     n = len(rows)
     if n == 0:
         raise ValueError("empty table")
@@ -144,7 +139,7 @@ def parse_cayley(text: str) -> FiniteSemigroup:
     table = []
     for lineno, line in lines[1: 1 + size]:
         try:
-            row = tuple(map(int, line.split()))
+            row = list(map(int, line.split()))
         except ValueError:
             raise ParseError("table rows must be integers", lineno) from None
         if len(row) != size:
@@ -167,7 +162,7 @@ def parse_cayley(text: str) -> FiniteSemigroup:
     if label_map:
         labels = tuple(label_map.get(i, str(i)) for i in range(size))
     try:
-        return build_semigroup(tuple(table), zero, labels, _int_rows=True)
+        return build_semigroup(table, zero, labels)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

@@ -356,20 +356,13 @@ def test_non_ascii_digits_and_long_integers_exit_2(tmp_path, capsys):
     assert code == 0 and json.loads(out)["result"]["value"] == "1" * 4300
 
 
-def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
-    built = []
-
-    def counting_build_parser():
-        built.append(1)
-        return build_parser()
-
-    build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "_PARSER", None)
-    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+def test_main_builds_the_parser_once(tmp_path, capsys):
+    cli.build_parser.cache_clear()
     path = _write(tmp_path, "loop.graph", GRAPH_TEXTS["one_loop"])
     for argv in (["analyze", path], ["classes", path], ["decompose", path]) * 2:
         assert _run(capsys, *argv)[0] == 0
-    assert len(built) == 1
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
 
 
 def test_main_runs_the_command_bound_at_call_time(tmp_path, capsys, monkeypatch):
