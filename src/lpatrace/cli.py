@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .graphs import (
     sinks,
 )
 from .path_algebras import COHN, LEAVITT, PathAlgebra, parse_element
-from .scalars import CONJUGATION, IDENTITY, Q, QI, format_scalar
+from .scalars import CONJUGATION, IDENTITY, Q, QI, format_scalar, natural_numbers
 from .semigroups import (
     admits_normalized_minimal,
     is_minimal_sg_trace,
@@ -93,14 +94,20 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_classes(args) -> int:
+    try:
+        (max_len,) = natural_numbers([args.max_len])
+    except ValueError:
+        raise ParseError(
+            f"--max-len takes ASCII digits, got {args.max_len[:20]!r}"
+        ) from None
     text = _read(args.graph)
     g = parse_graph(text)
-    words = sorted(p.edges for p in closed_paths_up_to(g, args.max_len))
+    words = sorted(p.edges for p in closed_paths_up_to(g, max_len))
     result = {
         "vertex_classes": list(g.vertices),
         "cycle_classes": ["/".join(w) for w in words],
         "cycle_star_classes": ["/".join(w) for w in words],
-        "max_len": args.max_len,
+        "max_len": max_len,
     }
     _print(_report(
         "classes",
@@ -200,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classes", help="closed-path classes up to a length")
     p.add_argument("graph")
-    p.add_argument("--max-len", type=int, default=3)
+    p.add_argument("--max-len", default="3")
     p.set_defaults(func=lambda args: cmd_classes(args))
 
     p = sub.add_parser("eval", help="evaluate a trace on an element expression")
@@ -225,13 +232,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader left early, after the report was computed; stdout now
+        # goes to devnull, so the interpreter's final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

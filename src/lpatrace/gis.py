@@ -54,10 +54,6 @@ class MonPair:
         return f"MonPair({format_path(self.p)}.{format_path(self.q)}')"
 
 
-def is_zero(a) -> bool:
-    return a is GIS_ZERO
-
-
 def gis_mul(a, b):
     """Product in the graph inverse semigroup; zero absorbs."""
     if a is GIS_ZERO or b is GIS_ZERO:

@@ -7,18 +7,13 @@ operations, not k^2.  `nullspace` takes dense rows and converts them.
 
 from __future__ import annotations
 
-from .scalars import fe_one, fe_zero
+from .scalars import add_terms, fe_one, fe_zero
 
 
 def _subtract_multiple(row: dict, factor, pivot_row: dict):
     """row -= factor * pivot_row, in place, dropping entries that vanish."""
-    for col, y in pivot_row.items():
-        x = row.get(col)
-        new = -(factor * y) if x is None else x - factor * y
-        if new:
-            row[col] = new
-        else:
-            del row[col]
+    neg = -factor
+    add_terms(row, ((col, neg * y) for col, y in pivot_row.items()))
 
 
 def _row_reduce(rows, field):

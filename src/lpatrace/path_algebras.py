@@ -22,7 +22,6 @@ choices.
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
@@ -39,6 +38,8 @@ from .scalars import (
     FieldElem,
     IDENTITY,
     Q,
+    SparseTerms,
+    add_terms,
     check_involution,
     fe,
     fe_one,
@@ -175,7 +176,7 @@ class PathAlgebra:
                 PathSeq(p0.src, w, p0.edges + (e,)),
                 PathSeq(q0.src, w, q0.edges + (e,)),
             )
-            out[sibling] = out.get(sibling, 0) - 1
+            out[sibling] = -1
         return out
 
     def _nf(self, mon: MonPair):
@@ -235,55 +236,20 @@ class PathAlgebra:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraElement:
+class AlgebraElement(SparseTerms):
     """A finitely supported combination of monomials p q*, canonical per mode.
 
-    Equality and hashing ignore the order of the terms; `format_element`
-    writes them in path order.
+    `terms` maps MonPair to FieldElem; `format_element` writes them in path
+    order.
     """
 
-    algebra: PathAlgebra
-    terms: dict  # {MonPair: FieldElem}, no zeros
-
-    def _check(self, other: "AlgebraElement") -> None:
-        if not isinstance(other, AlgebraElement):
-            raise TypeError(f"cannot combine with {type(other).__name__}")
-        if other.algebra is not self.algebra:
-            raise ValueError("elements belong to different algebras")
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((id(self.algebra), frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        self._check(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            v = acc.get(m)
-            v = c if v is None else v + c
-            if v:
-                acc[m] = v
-            else:
-                acc.pop(m, None)
-        return AlgebraElement(self.algebra, acc)
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+    __slots__ = ()
+    algebra = SparseTerms._context
+    _MIXED = "elements belong to different algebras"
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElem)):
-            return self._scaled(other)
+            return self.scale(self.algebra.scalar(other))
         self._check(other)
         alg = self.algebra
         raw = {}
@@ -300,16 +266,7 @@ class AlgebraElement:
                 raw[prod] = raw[prod] + c if prod in raw else c
         return alg._make(raw)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, FieldElem)):
-            return self._scaled(other)
-        return NotImplemented
-
-    def _scaled(self, c) -> "AlgebraElement":
-        c = self.algebra.scalar(c)
-        if not c:
-            return self.algebra.zero()
-        return AlgebraElement(self.algebra, {m: c * v for m, v in self.terms.items()})
+    __rmul__ = __mul__  # scalars are central
 
     def __repr__(self):
         return f"AlgebraElement({format_element(self)})"
@@ -372,102 +329,52 @@ def _tokenize(text: str):
     return tokens
 
 
-class _ExprParser:
-    def __init__(self, tokens, algebra: PathAlgebra):
-        self.tokens = tokens
-        self.pos = 0
-        self.algebra = algebra
-        self.raw = {}  # {MonPair: FieldElem}, the terms read so far
+def _take(tokens):
+    """Pop the next token off a reversed token list; (None, None) past the end."""
+    return tokens.pop() if tokens else (None, None)
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
 
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+def _take_op(tokens, ops: str):
+    """Pop the next token if it is one of the operator characters `ops`."""
+    if tokens and tokens[-1][0] == "op" and tokens[-1][1] in ops:
+        return tokens.pop()[1]
+    return None
 
-    def parse(self) -> AlgebraElement:
-        sign = 1
-        kind, val = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-            sign = -1 if val == "-" else 1
-        self.term(sign)
-        while self.pos < len(self.tokens):
-            kind, val = self.take()
-            if kind != "op" or val not in "+-":
-                raise ParseError(f"expected + or - before {val!r}")
-            self.term(-1 if val == "-" else 1)
-        return self.algebra._make(self.raw)
 
-    def term(self, sign: int) -> None:
-        alg = self.algebra
-        kind, val = self.peek()
-        if kind is None:
-            raise ParseError("expected a term")
-        if kind == "scalar":
-            self.take()
-            coeff = sign * parse_scalar(val, alg.field)
-            kind, val = self.peek()
-            if kind != "op" or val != "*":
-                # a bare scalar means that multiple of the identity
-                for v in alg.graph.vertices:
-                    self.add(alg._vertex_mon(v), coeff)
-                return
-            self.take()
-        else:
-            coeff = alg.scalar(sign)
-        self.add(self.mono(), coeff)
-
-    def add(self, mon: MonPair, c: FieldElem) -> None:
-        raw = self.raw
-        raw[mon] = raw[mon] + c if mon in raw else c
-
-    def mono(self) -> MonPair:
-        p = self.path()
-        g = self.algebra.graph
-        kind, val = self.peek()
-        if kind == "op" and val == ".":
-            self.take()
-            q = self.path()
-            kind, val = self.take()
-            if kind != "op" or val != "'":
-                raise ParseError("expected ' to close a p.q' monomial")
-            try:
-                return MonPair(p, q)
-            except ValueError as exc:
-                raise ParseError(str(exc)) from None
-        if kind == "op" and val == "'":
-            self.take()
-            return MonPair(vertex_path(g, p.dst), p)
-        return MonPair(p, vertex_path(g, p.dst))
-
-    def path(self) -> PathSeq:
-        kind, val = self.take()
+def _path(tokens, g: Graph) -> PathSeq:
+    kind, val = _take(tokens)
+    if kind != "id":
+        raise ParseError(f"expected an id, got {val!r}")
+    ids = [val]
+    while _take_op(tokens, "/"):
+        kind, val = _take(tokens)
         if kind != "id":
-            raise ParseError(f"expected an id, got {val!r}")
-        ids = [val]
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val == "/":
-                self.take()
-                kind, val = self.take()
-                if kind != "id":
-                    raise ParseError(f"expected an id after '/', got {val!r}")
-                ids.append(val)
-            else:
-                break
-        g = self.algebra.graph
-        if len(ids) == 1 and g.is_vertex(ids[0]):
-            return vertex_path(g, ids[0])
-        for name in ids:
-            if not g.is_edge(name):
-                raise ParseError(f"unknown edge {name!r} in path")
+            raise ParseError(f"expected an id after '/', got {val!r}")
+        ids.append(val)
+    if len(ids) == 1 and g.is_vertex(ids[0]):
+        return vertex_path(g, ids[0])
+    for name in ids:
+        if not g.is_edge(name):
+            raise ParseError(f"unknown edge {name!r} in path")
+    try:
+        return edge_path(g, ids)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _mono(tokens, g: Graph) -> MonPair:
+    p = _path(tokens, g)
+    if _take_op(tokens, "."):
+        q = _path(tokens, g)
+        if not _take_op(tokens, "'"):
+            raise ParseError("expected ' to close a p.q' monomial")
         try:
-            return edge_path(g, ids)
+            return MonPair(p, q)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
+    if _take_op(tokens, "'"):
+        return MonPair(vertex_path(g, p.dst), p)
+    return MonPair(p, vertex_path(g, p.dst))
 
 
 def parse_element(text: str, algebra: PathAlgebra) -> AlgebraElement:
@@ -479,7 +386,29 @@ def parse_element(text: str, algebra: PathAlgebra) -> AlgebraElement:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    return _ExprParser(tokens, algebra).parse()
+    tokens.reverse()  # the next token is the last one
+    g = algebra.graph
+    raw = {}  # {MonPair: FieldElem}, the terms read so far
+    sign = -1 if _take_op(tokens, "+-") == "-" else 1
+    while True:
+        kind, val = tokens[-1] if tokens else (None, None)
+        if kind is None:
+            raise ParseError("expected a term")
+        if kind != "scalar":
+            add_terms(raw, ((_mono(tokens, g), algebra.scalar(sign)),))
+        else:
+            tokens.pop()
+            coeff = sign * parse_scalar(val, algebra.field)
+            if _take_op(tokens, "*"):
+                add_terms(raw, ((_mono(tokens, g), coeff),))
+            else:  # a bare scalar means that multiple of the identity
+                add_terms(raw, ((algebra._vertex_mon(v), coeff) for v in g.vertices))
+        if not tokens:
+            return algebra._make(raw)
+        kind, val = tokens.pop()
+        if kind != "op" or val not in "+-":
+            raise ParseError(f"expected + or - before {val!r}")
+        sign = -1 if val == "-" else 1
 
 
 def format_element(x: AlgebraElement) -> str:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re as _re
 import sys as _sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -253,61 +252,123 @@ def is_nonnegative(a: FieldElem, involution: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials
+# Sparse terms
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
-    """Sparse Laurent polynomial over a tagged field.
+def add_terms(acc: dict, pairs) -> dict:
+    """Add each (key, value) pair into `acc`, dropping keys whose sum is zero.
 
-    `coeffs` is a tuple of (exponent, coefficient) pairs, sorted by
-    exponent, with no zero coefficients; the empty tuple is zero.
+    Returns `acc`; a zero value in `pairs` leaves no key behind either.
+    """
+    for key, value in pairs:
+        cur = acc.get(key)
+        if cur is not None:
+            value = cur + value
+        if value:
+            acc[key] = value
+        elif cur is not None:
+            del acc[key]
+    return acc
+
+
+class SparseTerms:
+    """A finitely supported combination: `terms` is a dict without zeros.
+
+    The value lives over a context that both operands of `+` and `-` must
+    share: the field tag for `LaurentPoly`, the `PathAlgebra` for
+    `AlgebraElement`, and None for `FreeVector`.  Each subclass reads the
+    context under its own name and adds its own product, star and repr.
+    Equality and hashing ignore the order of the keys.
     """
 
-    field: str
-    coeffs: tuple
+    __slots__ = ("_context", "terms")
+    _MIXED = ""  # the ValueError text for operands over different contexts
 
-    def coeff(self, k: int) -> FieldElem:
-        for exp, c in self.coeffs:
-            if exp == k:
-                return c
-        return fe_zero(self.field)
+    def __init__(self, context, terms: dict):
+        _set_context(self, context)
+        _set_terms(self, terms)
 
-    def _check(self, other: "LaurentPoly") -> None:
-        if not isinstance(other, LaurentPoly):
-            raise TypeError(f"cannot combine LaurentPoly with {type(other).__name__}")
-        if other.field != self.field:
-            raise ValueError(f"mixed fields: {self.field} and {other.field}")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self._context, self.terms)
+
+    def _like(self, terms: dict):
+        return type(self)(self._context, terms)
+
+    def _check(self, other) -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine with {type(other).__name__}")
+        if other._context != self._context:
+            raise ValueError(self._MIXED.format(self._context, other._context))
 
     def __add__(self, other):
         self._check(other)
-        acc = dict(self.coeffs)
-        for exp, c in other.coeffs:
-            acc[exp] = acc[exp] + c if exp in acc else c
-        return laurent(self.field, acc)
-
-    def __neg__(self):
-        return LaurentPoly(self.field, tuple((exp, -c) for exp, c in self.coeffs))
+        return self._like(add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        negated = ((k, -v) for k, v in other.terms.items())
+        return self._like(add_terms(dict(self.terms), negated))
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def scale(self, c):
+        """Every value multiplied by the scalar `c` (on the left)."""
+        return self._like({k: c * v for k, v in self.terms.items()} if c else {})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._context == other._context and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._context, frozenset(self.terms.items())))
+
+
+_set_context = SparseTerms._context.__set__
+_set_terms = SparseTerms.terms.__set__
+
+
+class LaurentPoly(SparseTerms):
+    """Sparse Laurent polynomial over a tagged field.
+
+    `terms` maps exponents to nonzero coefficients; `coeffs` lists them as
+    (exponent, coefficient) pairs sorted by exponent.  Zero has no terms.
+    """
+
+    __slots__ = ()
+    field = SparseTerms._context
+    _MIXED = "mixed fields: {} and {}"
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(sorted(self.terms.items()))  # exponents are distinct
+
+    def coeff(self, k: int) -> FieldElem:
+        c = self.terms.get(k)
+        return fe_zero(self.field) if c is None else c
 
     def __mul__(self, other):
         self._check(other)
-        acc = {}
-        for e1, c1 in self.coeffs:
-            for e2, c2 in other.coeffs:
-                exp = e1 + e2
-                prod = c1 * c2
-                acc[exp] = acc[exp] + prod if exp in acc else prod
-        return laurent(self.field, acc)
-
-    def __bool__(self):
-        return bool(self.coeffs)
+        products = (
+            (e1 + e2, c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
+        return LaurentPoly(self.field, add_terms({}, products))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "LaurentPoly(0)"
         parts = [f"({format_scalar(c)})x^{exp}" for exp, c in self.coeffs]
         return "LaurentPoly(" + " + ".join(parts) + ")"
@@ -315,30 +376,25 @@ class LaurentPoly:
 
 def laurent(field: str, coeffs) -> LaurentPoly:
     """Build a Laurent polynomial from an {exponent: FieldElem} mapping."""
-    items = []
+    terms = {}
     for exp, c in coeffs.items() if isinstance(coeffs, dict) else coeffs:
         if not isinstance(c, FieldElem):
             c = fe(c, 0, field)
         if c.field != field:
             raise ValueError(f"coefficient field {c.field} != {field}")
         if c:
-            items.append((int(exp), c))
-    items.sort(key=lambda t: t[0])
-    return LaurentPoly(field, tuple(items))
+            terms[int(exp)] = c
+    return LaurentPoly(field, terms)
 
 
 def laurent_one(field=Q) -> LaurentPoly:
     return laurent(field, {0: fe_one(field)})
 
 
-def laurent_x(field=Q, k=1, coeff=None) -> LaurentPoly:
-    return laurent(field, {k: coeff if coeff is not None else fe_one(field)})
-
-
 def laurent_star(p: LaurentPoly, involution: str) -> LaurentPoly:
     """(sum a_k x^k)^* = sum a_k^* x^(-k)."""
-    return laurent(
-        p.field, {-exp: field_star(c, involution) for exp, c in p.coeffs}
+    return LaurentPoly(
+        p.field, {-exp: field_star(c, involution) for exp, c in p.terms.items()}
     )
 
 
@@ -385,9 +441,43 @@ def parse_scalar(text: str, field: str = Q) -> FieldElem:
     return FieldElem(re_part, im_part, field)
 
 
+def natural_numbers(words: list) -> list:
+    """The values of `words` if each is ASCII digits `[0-9]+`; else ValueError.
+
+    `int()` also accepts signs, underscores, spaces and non-ASCII digits.
+    The words are checked together, as one Cayley row has many.
+    """
+    joined = "".join(words)
+    if not (joined.isascii() and joined.isdigit()):
+        raise ValueError("expected natural numbers in ASCII digits")
+    return list(map(int, words))  # int("") raises for an empty word
+
+
 def format_scalar(a: FieldElem) -> str:
-    """Canonical text form; rationals as `a[/b]`, Gaussians as `a+bi`/`a-bi`."""
-    if a.im == 0:
-        return str(a.re)
-    sign = "+" if a.im > 0 else "-"
-    return f"{a.re}{sign}{abs(a.im)}i"
+    """Canonical text form; rationals as `a[/b]`, Gaussians as `a+bi`/`a-bi`.
+
+    Raises PreconditionError when an integer of the value has more digits
+    than `str()` writes (4300 by default); the limit is not raised, since
+    it is global to the interpreter.
+    """
+    try:
+        if a.im == 0:
+            return str(a.re)
+        sign = "+" if a.im > 0 else "-"
+        return f"{a.re}{sign}{abs(a.im)}i"
+    except ValueError:  # an integer past CPython's int_max_str_digits
+        digits = max(_digit_count(n) for n in a._v[:3])
+        raise PreconditionError(
+            f"result has an integer of {digits} digits; at most "
+            f"{_sys.get_int_max_str_digits()} can be written"
+        ) from None
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of |n|, counted without `str()`."""
+    n = abs(n)
+    # a lower bound, as 0.30102999 < log10(2), then counted up
+    d = (n.bit_length() - 1) * 30102999 // 10**8 + 1
+    while n >= 10**d:
+        d += 1
+    return d

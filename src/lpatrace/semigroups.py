@@ -15,7 +15,16 @@ from operator import itemgetter
 
 from .errors import ParseError, PreconditionError
 from .linalg import rank
-from .scalars import FieldElem, Q, fe, fe_one, fe_zero
+from .scalars import (
+    FieldElem,
+    Q,
+    SparseTerms,
+    add_terms,
+    fe,
+    fe_one,
+    fe_zero,
+    natural_numbers,
+)
 
 
 @dataclass(frozen=True)
@@ -131,7 +140,7 @@ def parse_cayley(text: str) -> FiniteSemigroup:
     if len(parts) != 4 or parts[0] != "n" or parts[2] != "zero":
         raise ParseError("expected `n <size> zero <index>`", lineno)
     try:
-        size, zero = int(parts[1]), int(parts[3])
+        size, zero = natural_numbers(parts[1::2])
     except ValueError:
         raise ParseError("size and zero index must be integers", lineno) from None
     if len(lines) < 1 + size:
@@ -139,7 +148,7 @@ def parse_cayley(text: str) -> FiniteSemigroup:
     table = []
     for lineno, line in lines[1: 1 + size]:
         try:
-            row = list(map(int, line.split()))
+            row = natural_numbers(line.split())
         except ValueError:
             raise ParseError("table rows must be integers", lineno) from None
         if len(row) != size:
@@ -152,7 +161,7 @@ def parse_cayley(text: str) -> FiniteSemigroup:
         if len(parts) != 3 or parts[0] != "label":
             raise ParseError("expected `label <index> <name>`", lineno)
         try:
-            idx = int(parts[1])
+            (idx,) = natural_numbers(parts[1:2])
         except ValueError:
             raise ParseError("label index must be an integer", lineno) from None
         if not 0 <= idx < size:
@@ -395,91 +404,58 @@ def sim_witness_chain(G: FiniteSemigroup, g: int, h: int):
 # ---------------------------------------------------------------------------
 
 
-class FreeVector:
+class FreeVector(SparseTerms):
     """Finitely supported vector in the free module on hashable keys.
 
-    Holds a dict without zero values.  Elements of the contracted semigroup
-    ring are FreeVectors on the nonzero element indices; values of a minimal
-    trace are FreeVectors on the nonzero classes.  Equality and hashing
-    ignore the order of the keys.  Build one with `make`.
+    Its context is None.  Elements of the contracted semigroup ring are
+    FreeVectors on the nonzero element indices; values of a minimal trace
+    are FreeVectors on the nonzero classes.  Build one with `make`.
     """
 
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: dict):
-        self._coeffs = coeffs
+    __slots__ = ()
 
     @classmethod
     def make(cls, mapping) -> "FreeVector":
-        return cls({k: v for k, v in mapping.items() if v})
+        return cls(None, {k: v for k, v in mapping.items() if v})
 
     def get(self, key, default=None):
-        return self._coeffs.get(key, default)
+        return self.terms.get(key, default)
 
     def items(self):
-        return self._coeffs.items()
+        return self.terms.items()
 
     def as_dict(self):
-        return dict(self._coeffs)
-
-    def __add__(self, other):
-        acc = dict(self._coeffs)
-        for k, v in other.items():
-            acc[k] = acc[k] + v if k in acc else v
-        return FreeVector.make(acc)
-
-    def __neg__(self):
-        return FreeVector({k: -v for k, v in self.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: FieldElem) -> "FreeVector":
-        return FreeVector.make({k: c * v for k, v in self.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeVector):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
-
-    def __bool__(self):
-        return bool(self._coeffs)
+        return dict(self.terms)
 
     def __repr__(self):
         return "FreeVector(" + ", ".join(f"{k!r}: {v!r}" for k, v in self.items()) + ")"
 
 
-FREE_ZERO = FreeVector({})
+FREE_ZERO = FreeVector(None, {})
 
 
 def sg_element(G: FiniteSemigroup, mapping, field=Q) -> FreeVector:
-    acc = {}
+    pairs = []
     for idx, c in mapping.items():
         idx = int(idx)
         if not 0 <= idx < G.size:
             raise ValueError(f"element index {idx} out of range")
         if not isinstance(c, FieldElem):
             c = fe(c, 0, field)
-        if idx == G.zero:
-            continue
-        acc[idx] = acc[idx] + c if idx in acc else c
-    return FreeVector.make(acc)
+        if idx != G.zero:
+            pairs.append((idx, c))
+    return FreeVector(None, add_terms({}, pairs))
 
 
 def sg_mul(G: FiniteSemigroup, x: FreeVector, y: FreeVector) -> FreeVector:
-    acc = {}
-    for a, ca in x.items():
-        row = G.table[a]
-        for b, cb in y.items():
-            prod = row[b]
-            if prod == G.zero:
-                continue
-            c = ca * cb
-            acc[prod] = acc[prod] + c if prod in acc else c
-    return FreeVector.make(acc)
+    table, zero = G.table, G.zero
+    products = (
+        (prod, ca * cb)
+        for a, ca in x.items()
+        for b, cb in y.items()
+        if (prod := table[a][b]) != zero
+    )
+    return FreeVector(None, add_terms({}, products))
 
 
 def sg_commutator(G: FiniteSemigroup, x: FreeVector, y: FreeVector) -> FreeVector:
@@ -531,12 +507,12 @@ def central_map(G: FiniteSemigroup, values, field=Q) -> CentralMap:
 def sg_trace_eval(G: FiniteSemigroup, delta: CentralMap, x: FreeVector):
     """sum of a_g * delta(g); FieldElem- or FreeVector-valued with delta."""
     if delta.is_vector_valued:
-        acc = FREE_ZERO
+        acc = {}
         for idx, c in x.items():
             v = delta.values[idx]
             if v:
-                acc = acc + v.scale(c)
-        return acc
+                add_terms(acc, ((k, c * w) for k, w in v.items()))
+        return FreeVector(None, acc)
     acc = fe_zero(delta.field)
     for idx, c in x.items():
         acc = acc + c * delta.values[idx]
@@ -564,13 +540,9 @@ def in_commutator_span(G: FiniteSemigroup, x: FreeVector, field=Q) -> bool:
     when its coefficients sum to zero on every nonzero class.
     """
     part = sim_classes(G)
-    zero = fe_zero(field)
-    sums = {}
-    for idx, c in x.items():
-        cid = part.class_of[idx]
-        if cid != part.zero_class_id:
-            sums[cid] = sums.get(cid, zero) + c
-    return not any(sums.values())
+    sums = add_terms({}, ((part.class_of[idx], c) for idx, c in x.items()))
+    sums.pop(part.zero_class_id, None)
+    return not sums
 
 
 def is_minimal_sg_trace(G: FiniteSemigroup, delta: CentralMap) -> bool:

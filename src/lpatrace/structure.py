@@ -32,10 +32,11 @@ from .graphs import (
 from .path_algebras import LEAVITT, AlgebraElement, PathAlgebra
 from .scalars import (
     FieldElem,
+    LaurentPoly,
+    add_terms,
     fe_one,
     fe_zero,
     field_star,
-    laurent,
     laurent_one,
     laurent_star,
     require_positive_definite,
@@ -227,18 +228,10 @@ class MatrixImage:
 
     def __add__(self, other):
         self._check(other)
-        out = []
-        for mine, theirs in zip(self.blocks, other.blocks):
-            acc = dict(mine)
-            for key, val in theirs.items():
-                cur = acc.get(key)
-                cur = val if cur is None else cur + val
-                if cur:
-                    acc[key] = cur
-                else:
-                    acc.pop(key, None)
-            out.append(acc)
-        return MatrixImage(self.dec, tuple(out))
+        return MatrixImage(self.dec, tuple(
+            add_terms(dict(mine), theirs.items())
+            for mine, theirs in zip(self.blocks, other.blocks)
+        ))
 
     def __neg__(self):
         return MatrixImage(
@@ -256,17 +249,11 @@ class MatrixImage:
             by_row = {}
             for (j, m), val in theirs.items():
                 by_row.setdefault(j, []).append((m, val))
-            acc = {}
-            for (j, m), val in mine.items():
-                for l, val2 in by_row.get(m, ()):
-                    key = (j, l)
-                    cur = acc.get(key)
-                    cur = val * val2 if cur is None else cur + val * val2
-                    if cur:
-                        acc[key] = cur
-                    else:
-                        acc.pop(key, None)
-            out.append(acc)
+            out.append(add_terms({}, (
+                ((j, l), val * val2)
+                for (j, m), val in mine.items()
+                for l, val2 in by_row.get(m, ())
+            )))
         return MatrixImage(self.dec, tuple(out))
 
     def star(self, involution: str) -> "MatrixImage":
@@ -317,23 +304,20 @@ def phi(dec: Decomposition, x: AlgebraElement) -> MatrixImage:
         raise ValueError("element is over a different graph")
     if alg.mode != LEAVITT:
         raise ValueError("phi expects Leavitt-mode elements")
-    field = alg.field
-    blocks = [dict() for _ in dec.blocks]
-    for mon, c in x.terms.items():
-        for b, j, l, k in dec.expand_monomial(mon):
-            acc = blocks[b]
-            key = (j, l)
-            if dec.is_cycle_block(b):
-                add = laurent(field, {k: c})
-            else:
-                add = c
-            cur = acc.get(key)
-            cur = add if cur is None else cur + add
-            if cur:
-                acc[key] = cur
-            else:
-                acc.pop(key, None)
-    return MatrixImage(dec, tuple(blocks))
+    # sum the coefficients of each matrix unit (block, j, l, x^k) first
+    units = add_terms({}, (
+        (unit, c) for mon, c in x.terms.items() for unit in dec.expand_monomial(mon)
+    ))
+    blocks = [{} for _ in dec.blocks]
+    for (b, j, l, k), c in units.items():
+        blocks[b].setdefault((j, l), {})[k] = c
+    return MatrixImage(dec, tuple(
+        {
+            key: LaurentPoly(alg.field, entry) if dec.is_cycle_block(b) else entry[0]
+            for key, entry in block.items()
+        }
+        for b, block in enumerate(blocks)
+    ))
 
 
 def phi_inverse_unit(dec: Decomposition, algebra: PathAlgebra,

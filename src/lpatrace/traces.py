@@ -23,7 +23,7 @@ from .gis import (
     CycleWord,
     CycleWordStar,
     VertexClass,
-    ZeroClass,
+    ZERO_CLASS,
     approx_canonical,
     classify_eq,
 )
@@ -43,6 +43,7 @@ from .scalars import (
     IDENTITY,
     Q,
     QI,
+    add_terms,
     check_involution,
     fe,
     fe_one,
@@ -206,13 +207,9 @@ def minimal_trace_cohn(g: Graph, x: AlgebraElement) -> FreeVector:
     """
     if x.algebra.mode != COHN:
         raise PreconditionError("minimal_trace_cohn expects a Cohn-mode element")
-    acc = {}
-    for mon, c in x.terms.items():
-        cls = classify_eq(g, mon)
-        if isinstance(cls, ZeroClass):
-            continue
-        acc[cls] = acc[cls] + c if cls in acc else c
-    return FreeVector.make(acc)
+    acc = add_terms({}, ((classify_eq(g, mon), c) for mon, c in x.terms.items()))
+    acc.pop(ZERO_CLASS, None)
+    return FreeVector(None, acc)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from lpatrace.scalars import (
     laurent_a0,
     laurent_one,
     laurent_star,
-    laurent_x,
     parse_scalar,
 )
 
@@ -115,7 +114,7 @@ def test_laurent_a0_examples():
     assert laurent_a0(p) == fe(3)
     assert laurent_a0(laurent(Q, {})) == fe_zero(Q)
     # a0 of (1+x)(1+x)^* over Q: expand (1+x)(1+x^-1) = x^-1 + 2 + x
-    one_plus_x = laurent_one(Q) + laurent_x(Q)
+    one_plus_x = laurent_one(Q) + laurent(Q, {1: fe_one(Q)})
     assert laurent_a0(one_plus_x * laurent_star(one_plus_x, IDENTITY)) == fe(2)
 
 
