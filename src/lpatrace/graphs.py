@@ -19,14 +19,19 @@ _ID_RE = _re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 class Graph:
     """A finite directed graph; immutable after construction.
 
-    `edges` is an iterable of (edge id, source vertex, range vertex).
-    Ids must be unique across vertices and edges together, which keeps the
-    element-expression grammar unambiguous.
+    `edges` is an iterable of (edge id, source vertex, range vertex), read
+    once.  Ids must be unique across vertices and edges together, which
+    keeps the element-expression grammar unambiguous.
+
+    The private `_sccs` is None until `_nontrivial_sccs` fills it on first
+    use; it never changes what a public attribute holds.
     """
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
+        edges = tuple(edges)
         self.edges = tuple(e[0] for e in edges)
+        self._sccs = None
         self.edge_src = {}
         self.edge_dst = {}
         seen = set()
@@ -308,33 +313,25 @@ def _tarjan(vertices, out_edges, edge_dst):
     return components
 
 
-def _nontrivial_sccs(g: Graph, vertices=None, edges=None):
+def _nontrivial_sccs(g: Graph) -> tuple:
     """SCCs containing at least one internal edge (including a self-loop),
-    each with its internal edges in declaration order; O(V + E).
-
-    `vertices` and `edges` select a subgraph (default: all of `g`); its
-    edges must join its vertices and keep declaration order.
+    each with its internal edges in declaration order; O(V + E) on the first
+    call, which keeps the result on `g` for every later one.
     """
-    if vertices is None:
-        edges = g.edges
-        comps = strongly_connected_components(g)
-    else:
-        comps = _tarjan(vertices, _out_lists(g, vertices, edges), g.edge_dst)
+    if g._sccs is None:
+        g._sccs = _with_internal_edges(g, strongly_connected_components(g), g.edges)
+    return g._sccs
+
+
+def _with_internal_edges(g: Graph, comps, edges) -> tuple:
+    """(component, its edges among `edges`) for each component with one."""
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     internal = [[] for _ in comps]
     for e in edges:
         i = comp_of[g.edge_src[e]]
         if comp_of[g.edge_dst[e]] == i:
             internal[i].append(e)
-    return [(comp, edges) for comp, edges in zip(comps, internal) if edges]
-
-
-def cycle_vertices(g: Graph) -> frozenset:
-    """Vertices lying on some cycle (= members of nontrivial SCCs)."""
-    verts = set()
-    for comp, _ in _nontrivial_sccs(g):
-        verts |= comp
-    return frozenset(verts)
+    return tuple((comp, tuple(es)) for comp, es in zip(comps, internal) if es)
 
 
 def _out_lists(g: Graph, vertices, edges) -> dict:
@@ -363,7 +360,7 @@ def cycles(g: Graph):
     order = {v: i for i, v in enumerate(g.vertices)}
     out = []
     size = 0
-    pending = _nontrivial_sccs(g)
+    pending = list(_nontrivial_sccs(g))
     while pending:
         comp, internal = pending.pop()
         start = min(comp, key=order.__getitem__)
@@ -378,7 +375,8 @@ def cycles(g: Graph):
             out.append(_least_rotation_path(g, tuple(word)))
         rest = sorted(comp - {start}, key=order.__getitem__)
         kept = [e for e in internal if start not in (g.edge_src[e], g.edge_dst[e])]
-        pending += _nontrivial_sccs(g, rest, kept)
+        sub = _tarjan(rest, _out_lists(g, rest, kept), g.edge_dst)
+        pending += _with_internal_edges(g, sub, kept)
     out.sort(key=path_sort_key)
     return out
 
@@ -430,7 +428,9 @@ def _circuits(g: Graph, start, out):
 
 def is_no_exit(g: Graph) -> bool:
     """True iff every vertex on a cycle has out-degree exactly one."""
-    return all(len(g.out_edges[v]) == 1 for v in cycle_vertices(g))
+    return all(
+        len(g.out_edges[v]) == 1 for comp, _ in _nontrivial_sccs(g) for v in comp
+    )
 
 
 def cycle_with_exit_witness(g: Graph):

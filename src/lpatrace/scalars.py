@@ -442,15 +442,21 @@ def parse_scalar(text: str, field: str = Q) -> FieldElem:
 
 
 def natural_numbers(words: list) -> list:
-    """The values of `words` if each is ASCII digits `[0-9]+`; else ValueError.
+    """The values of `words` if each is ASCII digits `[0-9]+` of at most
+    `sys.get_int_max_str_digits()` digits; else ValueError naming the rule.
 
     `int()` also accepts signs, underscores, spaces and non-ASCII digits.
     The words are checked together, as one Cayley row has many.
     """
     joined = "".join(words)
-    if not (joined.isascii() and joined.isdigit()):
-        raise ValueError("expected natural numbers in ASCII digits")
-    return list(map(int, words))  # int("") raises for an empty word
+    if not (joined.isascii() and joined.isdigit() and all(words)):
+        raise ValueError("must be ASCII digits [0-9]+")
+    try:
+        return list(map(int, words))
+    except ValueError:  # an integer past CPython's int_max_str_digits
+        raise ValueError(
+            f"must have at most {_sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def format_scalar(a: FieldElem) -> str:

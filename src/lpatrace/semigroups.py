@@ -141,16 +141,16 @@ def parse_cayley(text: str) -> FiniteSemigroup:
         raise ParseError("expected `n <size> zero <index>`", lineno)
     try:
         size, zero = natural_numbers(parts[1::2])
-    except ValueError:
-        raise ParseError("size and zero index must be integers", lineno) from None
+    except ValueError as exc:
+        raise ParseError(f"size and zero index {exc}", lineno) from None
     if len(lines) < 1 + size:
         raise ParseError(f"expected {size} table rows", lineno)
     table = []
     for lineno, line in lines[1: 1 + size]:
         try:
             row = natural_numbers(line.split())
-        except ValueError:
-            raise ParseError("table rows must be integers", lineno) from None
+        except ValueError as exc:
+            raise ParseError(f"table entries {exc}", lineno) from None
         if len(row) != size:
             raise ParseError(f"expected {size} entries", lineno)
         table.append(row)
@@ -162,8 +162,8 @@ def parse_cayley(text: str) -> FiniteSemigroup:
             raise ParseError("expected `label <index> <name>`", lineno)
         try:
             (idx,) = natural_numbers(parts[1:2])
-        except ValueError:
-            raise ParseError("label index must be an integer", lineno) from None
+        except ValueError as exc:
+            raise ParseError(f"label index {exc}", lineno) from None
         if not 0 <= idx < size:
             raise ParseError(f"label index {idx} out of range", lineno)
         if label_map.setdefault(idx, parts[2]) != parts[2]:

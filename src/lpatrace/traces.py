@@ -30,7 +30,7 @@ from .gis import (
 from .graphs import (
     Graph,
     PathSeq,
-    cycle_vertices,
+    _nontrivial_sccs,
     cycle_with_exit_witness,
     edge_path,
     regular_vertices,
@@ -230,7 +230,7 @@ def is_minimal_cohn(g: Graph, spec: TraceSpec, classes=None) -> MinimalityVerdic
     be supplied, and the verdict is relative to that list.
     """
     if classes is None:
-        if cycle_vertices(g):
+        if _nontrivial_sccs(g):
             raise PreconditionError(
                 "graph has cycles: supply the class list to test against"
             )
@@ -363,10 +363,9 @@ def build_faithful_trace(g: Graph, field=QI, involution=CONJUGATION) -> TraceSpe
     the decomposition basis paths starting there (paths into sinks, plus
     cycle-free paths into cycle bases), and all cycle classes get zero.
     The result evaluates identically to the pulled-back block trace.
+    `decompose` raises `PreconditionError` when a cycle has an exit.
     """
-    verdict = faithful_trace_exists(g, field, involution)
-    if not verdict:
-        raise PreconditionError(f"no faithful trace exists: {verdict.reason}")
+    require_positive_definite(field, involution)
     dec = decompose(g)
     counts = {v: 0 for v in g.vertices}
     for block in dec.blocks:

@@ -14,6 +14,7 @@ from types import MappingProxyType
 
 import pytest
 
+from lpatrace import graphs
 from lpatrace.gis import MonPair
 from lpatrace.graphs import PathSeq, parse_graph, path_sort_key, vertex_path
 from lpatrace.scalars import QI, FieldElem, Q, fe_one, fe_zero
@@ -69,6 +70,20 @@ NO_EXIT_NAMES = [
     "line2", "line3", "tree", "one_loop", "two_cycle",
     "tail_loop", "disjoint", "mixed",
 ]
+
+
+@pytest.fixture
+def scc_passes(monkeypatch):
+    """The graphs of whole-graph SCC passes, appended as they run."""
+    tarjan = graphs.strongly_connected_components
+    passes = []
+
+    def counted(g):
+        passes.append(g)
+        return tarjan(g)
+
+    monkeypatch.setattr(graphs, "strongly_connected_components", counted)
+    return passes
 
 
 # ---------------------------------------------------------------------------

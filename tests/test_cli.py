@@ -356,6 +356,30 @@ def test_non_ascii_digits_and_long_integers_exit_2(tmp_path, capsys):
     assert code == 0 and json.loads(out)["result"]["value"] == "1" * 4300
 
 
+def test_each_command_runs_at_most_one_scc_pass(tmp_path, capsys, scc_passes):
+    k7 = [f"a{i}" for i in range(7)]
+    texts = {
+        "K7": "\n".join([f"v {v}" for v in k7] + [
+            f"e {v}_{w} {v} {w}" for v in k7 for w in k7 if v != w]),
+        "mixed": GRAPH_TEXTS["mixed"],
+        "tail_loop": GRAPH_TEXTS["tail_loop"],
+    }
+    spec = _write(tmp_path, "empty.spec", "")
+    # eval reads no structure of the graph; the others read it once
+    for name, text in texts.items():
+        graph = _write(tmp_path, f"{name}.graph", text)
+        first = text.split()[1]
+        for want, argv in (
+            (1, ["analyze", graph]),
+            (1, ["classes", graph, "--max-len", "3"]),
+            (0, ["eval", graph, first, "--spec", spec]),
+            (1, ["decompose", graph]),
+        ):
+            scc_passes.clear()
+            code, _, _ = _run(capsys, *argv)
+            assert code in (0, 3) and len(scc_passes) == want, (name, argv[0])
+
+
 def test_main_builds_the_parser_once(tmp_path, capsys):
     cli.build_parser.cache_clear()
     path = _write(tmp_path, "loop.graph", GRAPH_TEXTS["one_loop"])

@@ -145,26 +145,44 @@ def test_fixed_regressions(tmp_path, capsys):
     files = {
         "arabic.cayley": "n ٢ zero 0\n0 0\n0 1\n",
         "underscore.cayley": "n 11 zero 0\n" + "\n".join(rows) + "\n",
+        "sign_head.cayley": "n -1 zero 0\n",
+        "sign_row.cayley": "n 2 zero 0\n0 0\n0 -1\n",
+        "sign_label.cayley": "n 2 zero 0\n0 0\n0 1\nlabel -1 x\n",
+        "long_entry.cayley": "n 2 zero 0\n0 0\n0 " + "1" * 5000 + "\n",
         "u.graph": "v u\n",
         "u.spec": "vertex u " + "9" * 3000 + "\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
+
+    def sg(name):
+        return ["sg", str(tmp_path / name), "classes"]
+
+    digits = "must be ASCII digits [0-9]+"
+    # name: (exit code, argv, a part of stderr)
     cases = {
-        "non-ASCII Cayley size": (2, ["sg", str(tmp_path / "arabic.cayley"), "classes"]),
-        "underscore in a Cayley entry": (
-            2, ["sg", str(tmp_path / "underscore.cayley"), "classes"]),
-        "non-ASCII --max-len": (2, ["classes", str(loop), "--max-len", "٣"]),
+        "non-ASCII Cayley size": (2, sg("arabic.cayley"), ""),
+        "underscore in a Cayley entry": (2, sg("underscore.cayley"), ""),
+        "non-ASCII --max-len": (2, ["classes", str(loop), "--max-len", "٣"], ""),
         "result past the digit limit": (
             3, ["eval", str(tmp_path / "u.graph"), "9" * 3000 + "*u",
-                "--spec", str(tmp_path / "u.spec")]),
+                "--spec", str(tmp_path / "u.spec")],
+            "result has an integer of 6000 digits"),
+        "sign in the Cayley header": (
+            2, sg("sign_head.cayley"), f"line 1: size and zero index {digits}"),
+        "sign in a Cayley row": (
+            2, sg("sign_row.cayley"), f"line 3: table entries {digits}"),
+        "sign in a Cayley label": (
+            2, sg("sign_label.cayley"), f"line 4: label index {digits}"),
+        "5000-digit Cayley entry": (
+            2, sg("long_entry.cayley"),
+            f"line 3: table entries must have at most "
+            f"{sys.get_int_max_str_digits()} digits"),
     }
-    for name, (want, argv) in cases.items():
+    for name, (want, argv, text) in cases.items():
         code, out, err = _run(capsys, argv)
         assert code == want and out == "", name
-        assert "Traceback" not in err, name
-    _, _, err = _run(capsys, *cases["result past the digit limit"][1:])
-    assert "result has an integer of 6000 digits" in err
+        assert "Traceback" not in err and text in err, name
     # the same table with plain digits is valid
     (tmp_path / "plain.cayley").write_text(
         files["underscore.cayley"].replace("1_0", "10"), encoding="utf-8")

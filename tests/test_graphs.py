@@ -36,6 +36,10 @@ def test_parse_graph_examples():
     assert sinks(single) == ("a",)
     with pytest.raises(ParseError, match="line 1"):
         parse_graph("e f a b")
+    # the edges are read once, so a generator is enough
+    gen = Graph(["a", "b"], ((e, s, d) for e, s, d in [("e", "a", "b")]))
+    assert gen.edges == ("e",) and gen.edge_src == {"e": "a"}
+    assert gen.out_edges == {"a": ("e",), "b": ()}
 
 
 def test_parse_graph_errors_carry_line_numbers():
@@ -284,13 +288,17 @@ def test_nontrivial_sccs_match_per_scc_edge_scan():
     for name, g in _oracle_corpus(fresh_rng(60), 300).items():
         scan = []
         for comp in strongly_connected_components(g):
-            internal = [
+            internal = tuple(
                 e for e in g.edges
                 if g.edge_src[e] in comp and g.edge_dst[e] in comp
-            ]
+            )
             if internal:
                 scan.append((comp, internal))
-        assert _nontrivial_sccs(g) == scan, name
+        # the readers of the kept SCCs leave them as they were
+        found = cycles(g)
+        closed_paths_up_to(g, 4)
+        assert _nontrivial_sccs(g) == tuple(scan), name
+        assert cycles(g) == found, name
     n = 4000
     loops = Graph(
         [f"v{i}" for i in range(n)],

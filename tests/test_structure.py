@@ -25,6 +25,7 @@ from lpatrace.structure import (
 from lpatrace.traces import build_faithful_trace, trace_eval, validate_trace_spec
 
 from conftest import (
+    GRAPH_TEXTS,
     GRAPHS,
     NO_EXIT_NAMES,
     all_paths_up_to,
@@ -106,22 +107,21 @@ def _star_text(n):
     return "\n".join(lines)
 
 
-def test_decompose_runs_a_fixed_number_of_scc_passes(monkeypatch):
-    tarjan = graphs.strongly_connected_components
-    passes = []
-
-    def counted(g):
-        passes.append(g)
-        return tarjan(g)
-
-    monkeypatch.setattr(graphs, "strongly_connected_components", counted)
+def test_decompose_runs_a_fixed_number_of_scc_passes(scc_passes):
     counts = []
     for n in (10, 50):
-        passes.clear()
+        scc_passes.clear()
         dec = decompose(parse_graph(_star_text(n)))
         assert dec.block_sizes() == (2,) * n
-        counts.append(len(passes))
-    assert counts[0] == counts[1]
+        counts.append(len(scc_passes))
+    assert counts == [1, 1]
+
+
+def test_build_faithful_trace_runs_one_scc_pass(scc_passes):
+    for name in NO_EXIT_NAMES:
+        scc_passes.clear()
+        build_faithful_trace(parse_graph(GRAPH_TEXTS[name]), Q, IDENTITY)
+        assert len(scc_passes) == 1, name
 
 
 def test_decompose_limit_counts_edge_ids_of_all_blocks(monkeypatch):

@@ -288,7 +288,7 @@ def test_build_faithful_trace_examples():
     x = parse_element("v + e", A)
     assert trace_eval(loop, spec, x * alg_star(x)) == fe(2)
 
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="graph is not no-exit: cycle e"):
         build_faithful_trace(GRAPHS["rose2"], Q, IDENTITY)
 
 
