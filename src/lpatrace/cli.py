@@ -96,10 +96,8 @@ def cmd_analyze(args) -> int:
 def cmd_classes(args) -> int:
     try:
         (max_len,) = natural_numbers([args.max_len])
-    except ValueError:
-        raise ParseError(
-            f"--max-len takes ASCII digits, got {args.max_len[:20]!r}"
-        ) from None
+    except ValueError as exc:
+        raise ParseError(f"--max-len {exc}, got {args.max_len[:20]!r}") from None
     text = _read(args.graph)
     g = parse_graph(text)
     words = sorted(p.edges for p in closed_paths_up_to(g, max_len))

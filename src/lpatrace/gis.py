@@ -142,7 +142,3 @@ def classify_eq(g: Graph, a):
     if is_path_prefix(p, q):
         return CycleWordStar(_least_rotation(q.edges[len(p.edges):]))
     return ZERO_CLASS
-
-
-def sim_equivalent(g: Graph, a, b) -> bool:
-    return classify_eq(g, a) == classify_eq(g, b)

@@ -115,12 +115,6 @@ def edge_path(g: Graph, edge_ids) -> PathSeq:
     return PathSeq(g.edge_src[ids[0]], g.edge_dst[ids[-1]], ids)
 
 
-def path_concat(a: PathSeq, b: PathSeq) -> PathSeq:
-    if a.dst != b.src:
-        raise ValueError(f"paths do not compose: {a!r} then {b!r}")
-    return PathSeq(a.src, b.dst, a.edges + b.edges)
-
-
 def path_sort_key(p: PathSeq):
     return (len(p.edges), p.edges, p.src)
 

@@ -84,7 +84,6 @@ class PathAlgebra:
                 if not graph.is_edge(e) or graph.edge_src[e] != v:
                     raise ValueError(f"special edge {e!r} does not leave {v!r}")
         self.special_edges = special_edges
-        self._nf_cache = {}
 
     def __repr__(self):
         return f"PathAlgebra({self.mode}, {self.field}, {self.involution})"
@@ -159,7 +158,12 @@ class PathAlgebra:
         return f if self.special_edges.get(self.graph.edge_src[f]) == f else None
 
     def rewrite_step(self, mon: MonPair):
-        """One application of the rule at a redex; {monomial: integer coeff}."""
+        """One application of the rule at a redex (p f)(q f)*; {monomial: int}.
+
+        The first key is the shorter monomial p q* with coefficient 1; every
+        other key is a sibling (p e)(q e)*, e not special, which is not a
+        redex, with coefficient -1.
+        """
         f = self.redex_edge(mon)
         if f is None:
             raise ValueError("monomial is not a redex")
@@ -180,59 +184,27 @@ class PathAlgebra:
         return out
 
     def _nf(self, mon: MonPair):
-        """Canonical expansion of a monomial: {canonical monomial: int}.
+        """Canonical expansion of a monomial: {canonical monomial: 1 or -1}.
 
-        Every monomial met on the way is cached.  The rewrite tree is walked
-        with an explicit stack, children before parents, so long redexes
-        cannot exhaust the interpreter's recursion limit.
+        By rewrite_step's invariant the expansion is one chain of steps:
+        each keeps its siblings and goes on from its shorter monomial.  The
+        siblings of different steps differ in length, so none repeat.
         """
-        cache = self._nf_cache
-        cached = cache.get(mon)
-        if cached is not None:
-            return cached
-        stack = [(mon, None)]  # (monomial, its rewrite step once expanded)
-        while stack:
-            top, step = stack.pop()
-            if top in cache:
-                continue
-            if step is None:
-                if self.redex_edge(top) is None:
-                    cache[top] = {top: 1}
-                    continue
-                step = self.rewrite_step(top)
-                stack.append((top, step))
-                stack.extend((m, None) for m in step if m not in cache)
-                continue
-            result = {}
-            for m, k in step.items():
-                if k == 1 and not result:
-                    # a plain copy keeps the stored key hashes; rehashing the
-                    # long paths of a deep redex would cost O(length) a key
-                    result = dict(cache[m])
-                    continue
-                for m2, k2 in cache[m].items():
-                    acc = result.get(m2, 0) + k * k2
-                    if acc:
-                        result[m2] = acc
-                    else:
-                        result.pop(m2, None)
-            cache[top] = result
-        return cache[mon]
+        out, top = {}, mon
+        while self.redex_edge(top) is not None:
+            step = iter(self.rewrite_step(top).items())
+            top, _ = next(step)
+            out.update(step)
+        out[top] = 1
+        return out
 
     def normalize_terms(self, raw):
         """Rewrite a raw {MonPair: FieldElem} support to canonical form."""
         out = {}
         for mon, c in raw.items():
-            if not c:
-                continue
-            for m, k in self._nf(mon).items():
-                add = c * k
-                acc = out.get(m)
-                acc = add if acc is None else acc + add
-                if acc:
-                    out[m] = acc
-                else:
-                    out.pop(m, None)
+            if c:
+                nf = self._nf(mon).items()
+                add_terms(out, ((m, c if k == 1 else -c) for m, k in nf))
         return out
 
 

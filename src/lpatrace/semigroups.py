@@ -533,7 +533,7 @@ def minimal_trace(G: FiniteSemigroup, field=Q) -> CentralMap:
     return CentralMap(tuple(values), field)
 
 
-def in_commutator_span(G: FiniteSemigroup, x: FreeVector, field=Q) -> bool:
+def in_commutator_span(G: FiniteSemigroup, x: FreeVector) -> bool:
     """Membership in the additive span of all commutators gh - hg.
 
     That span is the kernel of the minimal trace, so x is in it exactly

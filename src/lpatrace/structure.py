@@ -34,10 +34,8 @@ from .scalars import (
     FieldElem,
     LaurentPoly,
     add_terms,
-    fe_one,
     fe_zero,
     field_star,
-    laurent_one,
     laurent_star,
     require_positive_definite,
 )
@@ -284,17 +282,6 @@ class MatrixImage:
             for (j, l), v in sorted(block.items()):
                 parts.append(f"b{b}[{j},{l}]={v!r}")
         return "MatrixImage(" + ", ".join(parts) + ")" if parts else "MatrixImage(0)"
-
-
-def matrix_identity(dec: Decomposition, field: str) -> MatrixImage:
-    blocks = []
-    for b, block in enumerate(dec.blocks):
-        if dec.is_cycle_block(b):
-            one = laurent_one(field)
-        else:
-            one = fe_one(field)
-        blocks.append({(j, j): one for j in range(block.size)})
-    return MatrixImage(dec, tuple(blocks))
 
 
 def phi(dec: Decomposition, x: AlgebraElement) -> MatrixImage:

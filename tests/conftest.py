@@ -15,9 +15,9 @@ from types import MappingProxyType
 import pytest
 
 from lpatrace import graphs
-from lpatrace.gis import MonPair
+from lpatrace.gis import MonPair, classify_eq
 from lpatrace.graphs import PathSeq, parse_graph, path_sort_key, vertex_path
-from lpatrace.scalars import QI, FieldElem, Q, fe_one, fe_zero
+from lpatrace.scalars import QI, FieldElem, Q, fe_one, fe_zero, laurent_one
 from lpatrace.semigroups import (
     build_semigroup,
     central_map,
@@ -27,6 +27,7 @@ from lpatrace.semigroups import (
     sg_element,
     sim_classes,
 )
+from lpatrace.structure import MatrixImage
 from lpatrace.traces import trace_spec, vertex_trace_space
 
 SEED = int(os.environ.get("LPA_SEED", "20240901"))
@@ -84,6 +85,27 @@ def scc_passes(monkeypatch):
 
     monkeypatch.setattr(graphs, "strongly_connected_components", counted)
     return passes
+
+
+def path_concat(a, b):
+    """The path a followed by the path b."""
+    if a.dst != b.src:
+        raise ValueError(f"paths do not compose: {a!r} then {b!r}")
+    return PathSeq(a.src, b.dst, a.edges + b.edges)
+
+
+def sim_equivalent(g, a, b):
+    """Whether two GIS elements fall in the same ~ class."""
+    return classify_eq(g, a) == classify_eq(g, b)
+
+
+def matrix_identity(dec, field):
+    """The identity of phi's target: 1 or the Laurent 1 on each diagonal."""
+    blocks = []
+    for b, block in enumerate(dec.blocks):
+        one = laurent_one(field) if dec.is_cycle_block(b) else fe_one(field)
+        blocks.append({(j, j): one for j in range(block.size)})
+    return MatrixImage(dec, tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

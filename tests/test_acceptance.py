@@ -45,7 +45,6 @@ from lpatrace.semigroups import (
 )
 from lpatrace.structure import (
     decompose,
-    matrix_identity,
     phi,
     phi_inverse_unit,
     pull_back_trace,
@@ -73,6 +72,7 @@ from conftest import (
     cyclic_group_table,
     endo4_semigroup,
     fresh_rng,
+    matrix_identity,
     random_central_map,
     random_element,
     random_monpair,

@@ -163,7 +163,11 @@ def test_fixed_regressions(tmp_path, capsys):
     cases = {
         "non-ASCII Cayley size": (2, sg("arabic.cayley"), ""),
         "underscore in a Cayley entry": (2, sg("underscore.cayley"), ""),
-        "non-ASCII --max-len": (2, ["classes", str(loop), "--max-len", "٣"], ""),
+        "non-ASCII --max-len": (
+            2, ["classes", str(loop), "--max-len", "٣"], f"--max-len {digits}"),
+        "5000-digit --max-len": (
+            2, ["classes", str(loop), "--max-len", "9" * 5000],
+            f"--max-len must have at most {sys.get_int_max_str_digits()} digits"),
         "result past the digit limit": (
             3, ["eval", str(tmp_path / "u.graph"), "9" * 3000 + "*u",
                 "--spec", str(tmp_path / "u.spec")],

@@ -11,11 +11,17 @@ from lpatrace.gis import (
     classify_eq,
     gis_mul,
     gis_star,
-    sim_equivalent,
 )
 from lpatrace.graphs import edge_path, vertex_path
 
-from conftest import GIS_CORPUS, GRAPHS, fresh_rng, random_monpair, random_path
+from conftest import (
+    GIS_CORPUS,
+    GRAPHS,
+    fresh_rng,
+    random_monpair,
+    random_path,
+    sim_equivalent,
+)
 
 
 def _edge_elem(g, eid):

@@ -18,7 +18,6 @@ from lpatrace.graphs import (
     infinite_paths_tame,
     is_no_exit,
     parse_graph,
-    path_concat,
     paths_into,
     regular_vertices,
     sinks,
@@ -26,7 +25,7 @@ from lpatrace.graphs import (
     vertex_path,
 )
 
-from conftest import GRAPHS, all_paths_up_to, fresh_rng
+from conftest import GRAPHS, all_paths_up_to, fresh_rng, path_concat
 
 
 def test_parse_graph_examples():

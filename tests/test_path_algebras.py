@@ -4,7 +4,7 @@ import pytest
 
 from lpatrace.errors import ParseError, PreconditionError
 from lpatrace.gis import MonPair
-from lpatrace.graphs import edge_path, format_path, vertex_path
+from lpatrace.graphs import PathSeq, edge_path, format_path, vertex_path
 from lpatrace.path_algebras import (
     COHN,
     LEAVITT,
@@ -209,9 +209,60 @@ def test_long_redex_normal_form_matches_repeated_rewrite_steps():
     expected = {m: fe(k) for m, k in expected.items() if k}
     assert len(expected) == 1201  # v minus e^k f f* e^k* for k < 1200
     assert A.monomial(p, p).terms == expected
-    # every monomial on the way is cached, the redex itself included
-    assert A._nf(mon) is A._nf_cache[mon]
-    assert len(A._nf_cache) == 1200 + 1201
+    # one chain: v with 1, and the 1200 siblings e^k f f* e^k* with -1
+    nf = A._nf(mon)
+    v = _vertex_mon(g, "v")
+    assert len(nf) == 1201 and nf[v] == 1
+    assert all(k == -1 for m, k in nf.items() if m != v)
+
+
+def _special_suffix(A, mon):
+    """Length of the longest shared final run of special edges of p and q."""
+    p, q, n = mon.p.edges, mon.q.edges, 0
+    while n < min(len(p), len(q)) and p[-1 - n] == q[-1 - n] and \
+            A.special_edges.get(A.graph.edge_src[p[-1 - n]]) == p[-1 - n]:
+        n += 1
+    return n
+
+
+def _drop_last(g, path):
+    """The path without its final edge."""
+    return PathSeq(path.src, g.edge_src[path.edges[-1]], path.edges[:-1])
+
+
+def test_rewrite_step_invariant_and_one_step_per_chain_level(monkeypatch):
+    rng = fresh_rng(36)
+    for name, g in GRAPHS.items():
+        A = PathAlgebra(g, Q, IDENTITY, LEAVITT)
+        steps = []
+        real_step = A.rewrite_step
+        monkeypatch.setattr(
+            A, "rewrite_step", lambda m: steps.append(m) or real_step(m))
+        for _ in range(40):
+            mon = random_monpair(g, rng, max_len=3)
+            # extend both paths along special edges; a sink end leaves no redex
+            p, q = mon.p, mon.q
+            for _ in range(rng.randint(1, 4)):
+                f = A.special_edges.get(p.dst)
+                if f is None:
+                    break
+                p = edge_path(g, p.edges + (f,))
+                q = edge_path(g, q.edges + (f,))
+            m = MonPair(p, q)
+            depth = _special_suffix(A, m)
+            if not depth:
+                continue
+            steps.clear()
+            nf = A._nf(m)
+            assert len(steps) == depth, (name, m)
+            assert all(A.redex_edge(k) is None for k in nf), (name, m)
+            assert list(nf.values()).count(1) == 1, (name, m)
+            for redex in list(steps):
+                first, *rest = real_step(redex).items()
+                shorter = MonPair(_drop_last(g, redex.p), _drop_last(g, redex.q))
+                assert first == (shorter, 1), (name, redex)
+                assert all(k == -1 and A.redex_edge(s) is None
+                           for s, k in rest), (name, redex)
 
 
 def test_equality_verdicts_match_under_different_special_edges():

@@ -352,7 +352,7 @@ def test_in_commutator_span_is_the_minimal_trace_kernel(field):
                         least = part.classes[cid][0]
                         balanced[least] = balanced.get(least, fe_zero(field)) - c
                 x = FreeVector.make(balanced)
-            verdict = in_commutator_span(G, x, field)
+            verdict = in_commutator_span(G, x)
             assert verdict == (not sg_trace_eval(G, delta, x)), (name, x)
             verdicts.add(verdict)
     assert verdicts == {True, False}

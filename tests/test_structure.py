@@ -17,7 +17,6 @@ from lpatrace.scalars import (
 from lpatrace.structure import (
     decompose,
     decomposition_report,
-    matrix_identity,
     phi,
     phi_inverse_unit,
     pull_back_trace,
@@ -30,6 +29,7 @@ from conftest import (
     NO_EXIT_NAMES,
     all_paths_up_to,
     fresh_rng,
+    matrix_identity,
     random_element,
 )
 
