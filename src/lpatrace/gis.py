@@ -14,6 +14,7 @@ of a closed word, the starred rotation class, or the zero class.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .graphs import (
@@ -21,7 +22,6 @@ from .graphs import (
     PathSeq,
     format_path,
     is_path_prefix,
-    path_remainder,
     _least_rotation,
     _least_rotation_path,
 )
@@ -37,18 +37,22 @@ class _GisZero:
 GIS_ZERO = _GisZero()
 
 
-@dataclass(frozen=True)
-class MonPair:
-    """Normal form p q* of a nonzero graph-inverse-semigroup element."""
+_tuple_new = tuple.__new__
 
-    p: PathSeq
-    q: PathSeq
 
-    def __post_init__(self):
-        if self.p.dst != self.q.dst:
-            raise ValueError(
-                f"ranges differ: {format_path(self.p)} vs {format_path(self.q)}"
-            )
+class MonPair(namedtuple("MonPair", "p q")):
+    """Normal form p q* of a nonzero graph-inverse-semigroup element.
+
+    A named tuple of two `PathSeq`s with a common range, so hashing and
+    equality run in C; it is equal to the plain tuple (p, q).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p, q):
+        if p.dst != q.dst:
+            raise ValueError(f"ranges differ: {format_path(p)} vs {format_path(q)}")
+        return _tuple_new(cls, (p, q))
 
     def __repr__(self):
         return f"MonPair({format_path(self.p)}.{format_path(self.q)}')"
@@ -58,14 +62,21 @@ def gis_mul(a, b):
     """Product in the graph inverse semigroup; zero absorbs."""
     if a is GIS_ZERO or b is GIS_ZERO:
         return GIS_ZERO
-    p, q, r, s = a.p, a.q, b.p, b.q
-    if is_path_prefix(q, r):
-        t = path_remainder(q, r)
-        return MonPair(PathSeq(p.src, t.dst, p.edges + t.edges), s)
-    if is_path_prefix(r, q):
-        t = path_remainder(r, q)
-        return MonPair(p, PathSeq(s.src, t.dst, s.edges + t.edges))
-    return GIS_ZERO
+    (p, q), (r, s) = a, b
+    if q.src != r.src:
+        return GIS_ZERO
+    q_edges, r_edges = q.edges, r.edges
+    n, m = len(q_edges), len(r_edges)
+    # the products below share a range by construction, so they skip the check
+    if n <= m:  # r = q t: (p t) s*
+        if r_edges[:n] != q_edges:
+            return GIS_ZERO
+        pt = _tuple_new(PathSeq, (p.src, r.dst, p.edges + r_edges[n:]))
+        return _tuple_new(MonPair, (pt, s))
+    if q_edges[:m] != r_edges:  # q = r t: p (s t)*
+        return GIS_ZERO
+    st = _tuple_new(PathSeq, (s.src, q.dst, s.edges + q_edges[m:]))
+    return _tuple_new(MonPair, (p, st))
 
 
 def gis_star(a):

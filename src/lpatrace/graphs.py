@@ -9,7 +9,7 @@ declaration order for vertices/edges, then (length, edge ids) for paths.
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParseError, PreconditionError
 
@@ -72,13 +72,15 @@ class Graph:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-@dataclass(frozen=True)
-class PathSeq:
-    """A path: a lone vertex (no edges) or a composable edge sequence."""
+class PathSeq(namedtuple("PathSeq", "src dst edges")):
+    """A path: a lone vertex (no edges) or a composable edge sequence.
 
-    src: str
-    dst: str
-    edges: tuple
+    A named tuple, so hashing and equality run in C; it is equal to the
+    plain tuple (src, dst, edges), so no dict should mix the two as keys.
+    `len` counts the edges.
+    """
+
+    __slots__ = ()
 
     def __len__(self):
         return len(self.edges)
@@ -126,13 +128,6 @@ def format_path(p: PathSeq) -> str:
 def is_path_prefix(a: PathSeq, b: PathSeq) -> bool:
     """Whether a is an initial segment of b (vertices prefix any path at them)."""
     return a.src == b.src and a.edges == b.edges[: len(a.edges)]
-
-
-def path_remainder(prefix: PathSeq, whole: PathSeq) -> PathSeq:
-    """The t with whole = prefix . t; prefix must be a prefix of whole."""
-    if not is_path_prefix(prefix, whole):
-        raise ValueError("not a prefix")
-    return PathSeq(prefix.dst, whole.dst, whole.edges[len(prefix.edges):])
 
 
 def _least_rotation(word: tuple) -> tuple:

@@ -271,33 +271,28 @@ def transfer(x: AlgebraElement, target: PathAlgebra) -> AlgebraElement:
 # Element expressions
 # ---------------------------------------------------------------------------
 
-_TOKEN_SCALAR = _re.compile(r"[0-9]+(?:/[0-9]+)?(?:[+-][0-9]+(?:/[0-9]+)?i|i)?")
-_TOKEN_ID = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# one alternative per token kind; whitespace matches none of them, and \S
+# any other character, which is an error
+_TOKEN_RE = _re.compile(
+    r"([0-9]+(?:/[0-9]+)?(?:[+-][0-9]+(?:/[0-9]+)?i|i)?)"  # scalar
+    r"|([A-Za-z_][A-Za-z0-9_]*)"  # id
+    r"|([-+*.'/])"  # op
+    r"|(\S)"
+)
 
 
 def _tokenize(text: str):
+    """The (kind, text) tokens of an expression; kind is scalar, id or op."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            m = _TOKEN_SCALAR.match(text, i)
-            tokens.append(("scalar", m.group()))
-            i = m.end()
-            continue
-        m = _TOKEN_ID.match(text, i)
-        if m:
-            tokens.append(("id", m.group()))
-            i = m.end()
-            continue
-        if ch in "+-*.'/":
-            tokens.append(("op", ch))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r} in expression")
+    for scalar, ident, op, other in _TOKEN_RE.findall(text):
+        if scalar:
+            tokens.append(("scalar", scalar))
+        elif ident:
+            tokens.append(("id", ident))
+        elif op:
+            tokens.append(("op", op))
+        else:
+            raise ParseError(f"unexpected character {other!r} in expression")
     return tokens
 
 

@@ -407,12 +407,11 @@ def laurent_a0(p: LaurentPoly) -> FieldElem:
 # Text syntax
 # ---------------------------------------------------------------------------
 
-_RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"  # ASCII digits only
-_SCALAR_FULL_RE = _re.compile(
-    rf"^(?P<re>{_RATIONAL})(?P<im>[+-][0-9]+(?:/[0-9]+)?)i$"
+# a rational, then an optional signed rational before `i`, or `i` alone,
+# which makes the first rational the imaginary part; ASCII digits only
+_SCALAR_RE = _re.compile(
+    r"(-?[0-9]+)(?:/([0-9]+))?(?:([+-][0-9]+)(?:/([0-9]+))?i|(i))?"
 )
-_SCALAR_IMAG_RE = _re.compile(rf"^(?P<im>{_RATIONAL})i$")
-_SCALAR_RAT_RE = _re.compile(rf"^(?P<re>{_RATIONAL})$")
 
 
 def parse_scalar(text: str, field: str = Q) -> FieldElem:
@@ -420,25 +419,38 @@ def parse_scalar(text: str, field: str = Q) -> FieldElem:
 
     Digits are ASCII.  Raises ParseError for malformed text, a zero
     denominator, an integer of more digits than `int()` converts (4300 by
-    default), or an imaginary part over Q.
+    default), or an imaginary part over Q.  The checks run in the order
+    `Fraction` would make them: the real part before the imaginary part,
+    and within a part its integers before its denominator's zero test.
     """
     s = text.strip()
-    m = _SCALAR_FULL_RE.match(s) or _SCALAR_IMAG_RE.match(s) or _SCALAR_RAT_RE.match(s)
+    m = _SCALAR_RE.fullmatch(s)
     if not m:
         raise ParseError(f"malformed scalar {text!r}")
-    parts = m.groupdict()
+    num1, den1, num2, den2, imaginary = m.groups()
+    a, d1 = _scalar_part(num1, den1, text, s)
+    b, d2 = _scalar_part(num2, den2, text, s) if num2 else (0, 1)
+    if imaginary:  # `c/di`: the only part is the imaginary one
+        a, b, d1, d2 = 0, a, 1, d1
+    if field == Q and b:
+        raise ParseError(f"imaginary scalar {text!r} not allowed over Q")
+    if field not in FIELDS:
+        raise ValueError(f"unknown field tag {field!r}")
+    return _make(a * d2, b * d1, d1 * d2, field)
+
+
+def _scalar_part(num: str, den, text: str, s: str) -> tuple:
+    """(numerator, denominator) of one part of the scalar `text` (`s` stripped)."""
     try:
-        re_part, im_part = Fraction(parts.get("re", 0)), Fraction(parts.get("im", 0))
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in scalar {text!r}") from None
+        n, d = int(num), int(den) if den else 1
     except ValueError:  # an integer past CPython's int_max_str_digits
         raise ParseError(
             f"scalar {s[:20] + '...'!r} ({len(s)} characters) has an integer "
             f"of more than {_sys.get_int_max_str_digits()} digits"
         ) from None
-    if field == Q and im_part != 0:
-        raise ParseError(f"imaginary scalar {text!r} not allowed over Q")
-    return FieldElem(re_part, im_part, field)
+    if not d:
+        raise ParseError(f"zero denominator in scalar {text!r}")
+    return n, d
 
 
 def natural_numbers(words: list) -> list:

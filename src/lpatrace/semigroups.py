@@ -146,11 +146,18 @@ def parse_cayley(text: str) -> FiniteSemigroup:
     if len(lines) < 1 + size:
         raise ParseError(f"expected {size} table rows", lineno)
     table = []
+    # entries written plainly are looked up; any other word (a leading
+    # zero, a sign, an entry out of range) goes through natural_numbers
+    names = {str(i): i for i in range(size)}
     for lineno, line in lines[1: 1 + size]:
+        words = line.split()
         try:
-            row = natural_numbers(line.split())
-        except ValueError as exc:
-            raise ParseError(f"table entries {exc}", lineno) from None
+            row = tuple(map(names.__getitem__, words))
+        except KeyError:
+            try:
+                row = natural_numbers(words)
+            except ValueError as exc:
+                raise ParseError(f"table entries {exc}", lineno) from None
         if len(row) != size:
             raise ParseError(f"expected {size} entries", lineno)
         table.append(row)

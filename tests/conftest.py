@@ -9,12 +9,15 @@ import functools
 import itertools
 import os
 import random
+import re
+import sys
 from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
 
 from lpatrace import graphs
+from lpatrace.errors import ParseError
 from lpatrace.gis import MonPair, classify_eq
 from lpatrace.graphs import PathSeq, parse_graph, path_sort_key, vertex_path
 from lpatrace.scalars import QI, FieldElem, Q, fe_one, fe_zero, laurent_one
@@ -425,3 +428,99 @@ def commutator_span_oracle(G, field=Q):
                 vec[v] = vec.get(v, fe_zero(field)) - one
             sb.add(vec)
     return sb
+
+
+# ---------------------------------------------------------------------------
+# Reference parsers: scalars through Fraction, tokens one character at a time
+# ---------------------------------------------------------------------------
+
+_RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
+_SCALAR_FULL_RE = re.compile(
+    rf"^(?P<re>{_RATIONAL})(?P<im>[+-][0-9]+(?:/[0-9]+)?)i$"
+)
+_SCALAR_IMAG_RE = re.compile(rf"^(?P<im>{_RATIONAL})i$")
+_SCALAR_RAT_RE = re.compile(rf"^(?P<re>{_RATIONAL})$")
+
+
+def reference_parse_scalar(text, field=Q):
+    """`scalars.parse_scalar`, reading each part through `Fraction`."""
+    s = text.strip()
+    m = _SCALAR_FULL_RE.match(s) or _SCALAR_IMAG_RE.match(s) or _SCALAR_RAT_RE.match(s)
+    if not m:
+        raise ParseError(f"malformed scalar {text!r}")
+    parts = m.groupdict()
+    try:
+        re_part, im_part = Fraction(parts.get("re", 0)), Fraction(parts.get("im", 0))
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in scalar {text!r}") from None
+    except ValueError:
+        raise ParseError(
+            f"scalar {s[:20] + '...'!r} ({len(s)} characters) has an integer "
+            f"of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    if field == Q and im_part != 0:
+        raise ParseError(f"imaginary scalar {text!r} not allowed over Q")
+    return FieldElem(re_part, im_part, field)
+
+
+_TOKEN_SCALAR = re.compile(r"[0-9]+(?:/[0-9]+)?(?:[+-][0-9]+(?:/[0-9]+)?i|i)?")
+_TOKEN_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def reference_tokenize(text):
+    """`path_algebras._tokenize`, walking the text one character at a time."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if "0" <= ch <= "9":
+            m = _TOKEN_SCALAR.match(text, i)
+            tokens.append(("scalar", m.group()))
+            i = m.end()
+            continue
+        m = _TOKEN_ID.match(text, i)
+        if m:
+            tokens.append(("id", m.group()))
+            i = m.end()
+            continue
+        if ch in "+-*.'/":
+            tokens.append(("op", ch))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r} in expression")
+    return tokens
+
+
+# single characters, then whole pieces: a 5000-digit integer and `/0`
+_TEXT_CHARS = "0123456789" + "/+-i*.'" + "abefxv_" + "\u0663\u00b2\t\x1c\u3000 "
+_TEXT_PIECES = ("9" * 5000, "1" + "0" * 4999, "/0")
+
+
+def random_scalar_text(rng):
+    """A short string that is often a scalar, near one, or an edge case."""
+    if rng.random() < 0.5:  # a scalar shape, with signs and parts dropped at random
+        def part():
+            num = str(rng.randint(0, 30))
+            return num + (f"/{rng.randint(0, 9)}" if rng.random() < 0.5 else "")
+        pieces = [rng.choice(["", "-"]), part()]
+        if rng.random() < 0.6:
+            pieces += [rng.choice("+-"), part()]
+        if rng.random() < 0.6:
+            pieces.append("i")
+    else:
+        pieces = []
+    for _ in range(rng.randint(0 if pieces else 1, 3)):
+        piece = rng.choice(_TEXT_PIECES) if rng.random() < 0.1 else rng.choice(_TEXT_CHARS)
+        pieces.insert(rng.randint(0, len(pieces)), piece)
+    return "".join(pieces)
+
+
+def outcome(f, *args):
+    """("ok", value) or (exception type, message) of calling f(*args)."""
+    try:
+        return "ok", f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)

@@ -12,12 +12,14 @@ from lpatrace.gis import (
     gis_mul,
     gis_star,
 )
-from lpatrace.graphs import edge_path, vertex_path
+from lpatrace.graphs import PathSeq, edge_path, vertex_path
 
 from conftest import (
     GIS_CORPUS,
     GRAPHS,
+    all_paths_up_to,
     fresh_rng,
+    path_concat,
     random_monpair,
     random_path,
     sim_equivalent,
@@ -57,6 +59,34 @@ def test_mul_prefix_case():
     assert gis_mul(a, b) == MonPair(fg, q)
     # e* . e = r(e), via the vertex-prefix case
     assert gis_mul(MonPair(q, fg), MonPair(fg, fg)) == MonPair(q, fg)
+
+
+def test_gis_mul_matches_the_three_case_definition():
+    # every product of monomials with paths of length <= 3, against the
+    # module docstring's cases; a prefix is found by trying every remainder
+    for name in GIS_CORPUS:
+        g = GRAPHS[name]
+        paths = all_paths_up_to(g, 3)
+        rest = {}  # (a, b) -> the path t with b = a t
+        for a in paths:
+            for t in paths:
+                if t.src == a.dst:
+                    rest[a, path_concat(a, t)] = t
+        mons = [MonPair(p, q) for p in paths for q in paths if p.dst == q.dst]
+        for x in mons:
+            for y in mons:
+                (p, q), (r, s) = x, y
+                if (q, r) in rest:  # r = q t
+                    want = MonPair(path_concat(p, rest[q, r]), s)
+                elif (r, q) in rest:  # q = r t
+                    want = MonPair(p, path_concat(s, rest[r, q]))
+                else:
+                    want = GIS_ZERO
+                got = gis_mul(x, y)
+                assert got == want, (name, x, y)
+                assert type(got) is type(want)
+                if got is not GIS_ZERO:
+                    assert {type(got.p), type(got.q)} == {PathSeq}
 
 
 def test_mon_pair_requires_matching_ranges():

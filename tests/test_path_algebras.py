@@ -11,6 +11,7 @@ from lpatrace.path_algebras import (
     PathAlgebra,
     alg_commutator,
     alg_star,
+    _tokenize,
     format_element,
     parse_element,
     transfer,
@@ -30,10 +31,13 @@ from conftest import (
     GIS_CORPUS,
     GRAPHS,
     fresh_rng,
+    outcome,
     random_element,
     random_monpair,
     random_raw_terms,
+    random_scalar_text,
     randomized_normalize,
+    reference_tokenize,
 )
 
 
@@ -475,6 +479,19 @@ def test_parse_element_errors():
     for text, message in cases.items():
         with pytest.raises(ParseError, match=message):
             parse_element(text, A)
+
+
+def test_tokenize_matches_the_character_walk():
+    # tokens, exception types and texts; the strings mix scalars, ids,
+    # operators, non-ASCII digits and Unicode whitespace
+    rng = fresh_rng(39)
+    tokenized = 0
+    for _ in range(3000):
+        text = " ".join(random_scalar_text(rng) for _ in range(rng.randint(1, 3)))
+        got = outcome(_tokenize, text)
+        assert got == outcome(reference_tokenize, text), text[:40]
+        tokenized += got[0] == "ok"
+    assert tokenized > 1000
 
 
 def test_transfer_normalizes_cohn_elements():

@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 
 from lpatrace.errors import ParseError, PreconditionError
+from lpatrace.gis import MonPair
+from lpatrace.graphs import edge_path, parse_graph, vertex_path
+from lpatrace.path_algebras import PathAlgebra, format_element, parse_element
 from lpatrace.scalars import (
     CONJUGATION,
     IDENTITY,
@@ -26,7 +29,13 @@ from lpatrace.scalars import (
     parse_scalar,
 )
 
-from conftest import fresh_rng, random_scalar
+from conftest import (
+    fresh_rng,
+    outcome,
+    random_scalar,
+    random_scalar_text,
+    reference_parse_scalar,
+)
 
 
 def test_field_star_examples():
@@ -286,12 +295,49 @@ def test_field_elem_errors():
 
 
 def test_pickle_and_deepcopy_round_trips():
+    g = parse_graph("v v\ne e v v\ne f v v")
+    path = edge_path(g, ["e", "f"])
+    x = parse_element("1/2+3i*e/f.e' - f'", PathAlgebra(g, QI, CONJUGATION))
     values = [
         fe(Fraction(-3, 4)),
         fe(Fraction(1, 2), -5, QI),
         laurent(QI, {-2: fe(1, 1, QI), 3: fe(Fraction(2, 7), 0, QI)}),
+        path,
+        MonPair(path, vertex_path(g, "v")),
+        x,
     ]
     for v in values:
         for copied in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
-            assert copied == v and hash(copied) == hash(v)
             assert type(copied) is type(v)
+            if v is x:  # the algebra is copied too, and algebras compare by identity
+                assert copied.terms == x.terms
+                assert format_element(copied) == format_element(x)
+                for mon in copied.terms:
+                    assert type(mon) is MonPair
+                    assert type(mon.p) is type(mon.q) is type(path)
+            else:
+                assert copied == v and hash(copied) == hash(v)
+
+
+def test_parse_scalar_matches_the_fraction_reference():
+    # values, exception types and texts, over Q and Q(i)
+    rng = fresh_rng(2)
+    parsed = 0
+    for _ in range(3000):
+        text = random_scalar_text(rng)
+        for field in (Q, QI):
+            got = outcome(parse_scalar, text, field)
+            assert got == outcome(reference_parse_scalar, text, field), (text[:40], field)
+            parsed += got[0] == "ok"
+    assert parsed > 1000
+
+
+def test_parse_scalar_reads_the_real_part_first():
+    # the real part's zero denominator is met before the imaginary part's
+    # digit limit, as Fraction(real) is built before Fraction(imaginary)
+    text = "1/0+" + "9" * 5000 + "i"
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_scalar(text, QI)
+    assert outcome(parse_scalar, text, QI) == outcome(reference_parse_scalar, text, QI)
+    with pytest.raises(ParseError, match="more than"):
+        parse_scalar("9" * 5000 + "+1/0i", QI)
