@@ -37,9 +37,6 @@ class FiniteSemigroup:
     _sim: SimPartition | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )
-    _swaps: dict | None = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def size(self) -> int:
@@ -310,53 +307,35 @@ class SimPartition:
         return tuple(self.classes[i][0] for i in self.nonzero_class_ids)
 
 
-def _swap_pairs(G: FiniteSemigroup) -> dict:
-    """Each distinct pair (ab, ba), mapped to a*n + b for its first (a, b).
-
-    First means first in row-major order: the rows are written last to
-    first, each reversed, so the earliest witness of a pair is written
-    last.  Built once per semigroup, at C speed, and kept on the instance.
-    """
-    if G._swaps is None:
-        rows, n = G.table, G.size
-        cols = tuple(zip(*rows))  # cols[a][b] = b*a
-        index = {}
-        for a in reversed(range(n)):
-            start = a * n
-            index.update(zip(
-                zip(rows[a][::-1], cols[a][::-1]),
-                range(start + n - 1, start - 1, -1),
-            ))
-        object.__setattr__(G, "_swaps", index)
-    return G._swaps
-
-
 def sim_classes(G: FiniteSemigroup) -> SimPartition:
-    """Union-find closure of the merges {ab, ba} over the distinct swap pairs.
+    """One pass over the rows, merging the classes of ab and ba.
 
-    Each unordered pair {ab, ba} is merged once, however many (a, b) give
-    it.  The partition is a pure function of the table, so it is computed
-    once and kept on the semigroup instance.
+    label[x] is the least member of x's class.  Row a and column a give
+    every pair (ab, ba) for this a; a row whose pairs already share their
+    labels is skipped by two C-level comparisons.  Merging only coarsens
+    the partition, so a pair merged once stays merged and one pass is
+    enough.  The partition is a pure function of the table, so it is
+    computed once and kept on the semigroup instance.
     """
     if G._sim is not None:
         return G._sim
-    n = G.size
-    # parent[x] <= x throughout, so every root is its class's least member
-    parent = list(range(n))
-    for u, v in _swap_pairs(G):
-        if u < v:
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if u < v:
-                parent[v] = u
-            elif v < u:
-                parent[u] = v
-    for x in range(n):  # ascending, so parent[parent[x]] is already a root
-        parent[x] = parent[parent[x]]
-    class_id = {root: cid for cid, root in enumerate(dict.fromkeys(parent))}
-    class_of = tuple(map(class_id.__getitem__, parent))
+    rows, n = G.table, G.size
+    label = list(range(n))
+    members = [[x] for x in range(n)]
+    for row, col in zip(rows, zip(*rows)):  # col[b] = b*a
+        if row == col or itemgetter(*row)(label) == itemgetter(*col)(label):
+            continue
+        for u, v in zip(row, col):
+            lu, lv = label[u], label[v]
+            if lu != lv:
+                if lv < lu:
+                    lu, lv = lv, lu
+                for x in members[lv]:
+                    label[x] = lu
+                members[lu] += members[lv]
+                members[lv] = None
+    class_id = {root: cid for cid, root in enumerate(dict.fromkeys(label))}
+    class_of = tuple(map(class_id.__getitem__, label))
     classes = [[] for _ in class_id]
     for x, cid in enumerate(class_of):
         classes[cid].append(x)
@@ -372,31 +351,34 @@ def sim_witness_chain(G: FiniteSemigroup, g: int, h: int):
 
     Returns the empty list when g == h, a list of (a, b) pairs when a chain
     exists, and None when g and h are inequivalent.  The breadth-first
-    search runs over the distinct swap pairs; a step from ab to ba is
-    witnessed by the first such (a, b) in row-major order, and each
-    element's steps are tried in that order.
+    search expands u by scanning the table in row-major order for each ab
+    equal to u, so a step from ab to ba is witnessed by the first such
+    (a, b), and each element's steps are tried in that order.  It stops
+    when h gets its parent, which is never overwritten.
     """
     if g == h:
         return []
     part = sim_classes(G)
     if part.class_of[g] != part.class_of[h]:
         return None
-    # g and h are joined in the swap-pair graph, which is symmetric: the
-    # pair (v, u) comes from (b, a) whenever (u, v) comes from (a, b)
-    n = G.size
-    steps = {}
-    for (u, v), w in _swap_pairs(G).items():
-        steps.setdefault(u, []).append((w, v))
+    rows, n = G.table, G.size
+    find = list(itertools.chain.from_iterable(rows)).index
     parent = {g: None}
-    frontier = [g]
-    while h not in parent:
-        nxt = []
-        for u in frontier:
-            for w, v in sorted(steps[u]):
+    queue = [g]  # read in order while it grows: breadth first
+    for u in queue:
+        w = -1
+        try:
+            while h not in parent:
+                w = find(u, w + 1)
+                a, b = divmod(w, n)
+                v = rows[b][a]
                 if v not in parent:
-                    parent[v] = (u, divmod(w, n))
-                    nxt.append(v)
-        frontier = nxt
+                    parent[v] = (u, (a, b))
+                    queue.append(v)
+        except ValueError:  # no ab == u after position w
+            pass
+        if h in parent:  # reached, since g ~ h
+            break
     chain = []
     node = h
     while parent[node] is not None:
@@ -489,19 +471,20 @@ class CentralMap:
 
 
 def is_central_map(G: FiniteSemigroup, values) -> bool:
-    """Whether values[0-indexed table] is central and kills zero."""
+    """Whether values[0-indexed table] is central and kills zero.
+
+    Central means values[ab] == values[ba] for every pair, read row a
+    against column a for each a.
+    """
     values = tuple(values)
     if len(values) != G.size:
         raise ValueError("value table must cover every element")
     if values[G.zero]:
         return False
-    n = G.size
-    for a in range(n):
-        row = G.table[a]
-        for b in range(a + 1, n):
-            if values[row[b]] != values[G.table[b][a]]:
-                return False
-    return True
+    return all(
+        itemgetter(*row)(values) == itemgetter(*col)(values)
+        for row, col in zip(G.table, zip(*G.table))
+    )
 
 
 def central_map(G: FiniteSemigroup, values, field=Q) -> CentralMap:

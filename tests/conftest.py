@@ -300,6 +300,17 @@ def sim_witness_chain_reference(G, g, h):
     return None
 
 
+def is_central_map_reference(G, values):
+    """Whether values kills zero and values[ab] == values[ba] for every
+    pair (a, b), checked one pair at a time."""
+    if values[G.zero]:
+        return False
+    return all(
+        values[G.mul(a, b)] == values[G.mul(b, a)]
+        for a, b in itertools.product(range(G.size), repeat=2)
+    )
+
+
 def random_central_map(G, rng, field=Q):
     part = sim_classes(G)
     per_class = {cid: random_scalar(rng, field) for cid in part.nonzero_class_ids}

@@ -36,7 +36,9 @@ from conftest import (
     cyclic_group_table,
     endo4_semigroup,
     fresh_rng,
+    is_central_map_reference,
     random_central_map,
+    random_scalar,
     random_sg_element,
     sim_classes_reference,
     sim_witness_chain_reference,
@@ -219,13 +221,19 @@ def test_sim_witness_chain_endo4_needs_two_steps():
     d = endo_map_index(4, (0, 1, 1, 2))
     e = endo_map_index(4, (0, 0, 1, 2))
     f = endo_map_index(4, (0, 0, 0, 2))
-    g, h = endo4.mul(d, c), endo4.mul(f, e)
-    chain = sim_witness_chain(endo4, g, h)
-    assert chain is not None and len(chain) == 2
-    assert _chain_is_valid(endo4, g, h, chain)
-    # several two-step chains join g and h: the reference's order picks one
-    assert chain == sim_witness_chain_reference(endo4, g, h)
-    assert sim_witness_chain(endo4, h, g) == sim_witness_chain_reference(endo4, h, g)
+    # the paper's pair, and the least member of the constant map 0's
+    # 64-element class with the member the search meets last
+    deepest = endo_map_index(4, (0, 0, 0, 0)), endo_map_index(4, (1, 2, 3, 3))
+    part = sim_classes(endo4)
+    assert part.classes[part.class_of[deepest[1]]][0] == deepest[0]
+    assert len(part.classes[part.class_of[deepest[0]]]) == 64
+    for g, h in [(endo4.mul(d, c), endo4.mul(f, e)), deepest]:
+        chain = sim_witness_chain(endo4, g, h)
+        assert chain is not None and len(chain) == 2
+        assert _chain_is_valid(endo4, g, h, chain)
+        # several two-step chains join g and h: the reference's order picks one
+        assert chain == sim_witness_chain_reference(endo4, g, h)
+        assert sim_witness_chain(endo4, h, g) == sim_witness_chain_reference(endo4, h, g)
 
 
 def test_sim_witness_chain_matches_row_major_reference():
@@ -243,6 +251,42 @@ def test_sim_witness_chain_matches_row_major_reference():
             assert chain == sim_witness_chain_reference(G, g, h), (name, g, h)
             outcomes.add(None if chain is None else len(chain))
     assert {None, 0, 1, 2} <= outcomes
+
+
+def _relabeled(G, rng):
+    """G with its element indices permuted at random, as the benchmark's
+    semigroup tables are."""
+    perm = list(range(G.size))
+    rng.shuffle(perm)
+    table = [[0] * G.size for _ in range(G.size)]
+    for a, row in enumerate(G.table):
+        for b, ab in enumerate(row):
+            table[perm[a]][perm[b]] = perm[ab]
+    return build_semigroup(table, perm[G.zero])
+
+
+def _relabeled_corpus(rng):
+    named = [(name, SEMIGROUPS[name]) for name in
+             ("endo3", "mu3", "mu4", "s3", "c3", "right_zero")]
+    named += [(f"null{k}", build_semigroup([[0] * k] * k, 0)) for k in range(5, 10)]
+    return [(name, _relabeled(G, rng)) for name, G in named for _ in range(2)]
+
+
+def test_sim_classes_and_chains_on_relabeled_tables():
+    rng = fresh_rng(18)
+    lengths, zero_class_pairs = set(), 0
+    for name, G in _relabeled_corpus(rng):
+        part = sim_classes(G)
+        assert part.classes == sim_classes_reference(G), name
+        zero_class = part.classes[part.zero_class_id]
+        for g in rng.sample(range(G.size), min(3, G.size)) + [zero_class[-1]]:
+            for h in range(G.size):  # h == g, its class, the zero class, the rest
+                chain = sim_witness_chain(G, g, h)
+                assert chain == sim_witness_chain_reference(G, g, h), (name, g, h)
+                lengths.add(None if chain is None else min(len(chain), 2))
+                zero_class_pairs += g != h and {g, h} <= set(zero_class)
+    assert lengths == {None, 0, 1, 2}
+    assert zero_class_pairs > 0
 
 
 def test_is_central_map_examples():
@@ -275,6 +319,29 @@ def test_is_central_map_iff_constant_on_classes():
             values = [fe_zero(Q)] * G.size
             values[cls[0]] = fe_one(Q)
             assert not is_central_map(G, values)
+
+
+def test_is_central_map_matches_pairwise_oracle():
+    rng = fresh_rng(19)
+    outcomes = set()
+    corpus = [*SEMIGROUPS.items(), *_relabeled_corpus(rng)]
+    for name, G in corpus:
+        classes = sim_classes_reference(G)
+        for _ in range(3):
+            values = [None] * G.size
+            for cls in classes:
+                c = fe_zero(Q) if G.zero in cls else random_scalar(rng)
+                for x in cls:
+                    values[x] = c
+            tables = [list(values), list(values), list(values)]
+            x = rng.randrange(G.size)  # one value changed: central iff alone in its class
+            tables[1][x] = values[x] + fe_one(Q)
+            tables[2][G.zero] = random_scalar(rng, nonzero=True)
+            for table in tables:
+                want = is_central_map_reference(G, table)
+                assert is_central_map(G, table) == want, (name, table)
+                outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_sg_trace_eval_examples():
