@@ -330,6 +330,14 @@ def _out_lists(g: Graph, vertices, edges) -> dict:
     return out
 
 
+def _work_limit_error(what: str, g: Graph, limit: int) -> PreconditionError:
+    """The error for an enumeration whose results pass `limit` edge ids."""
+    return PreconditionError(
+        f"{what} of a graph with {len(g.vertices)} vertices and "
+        f"{len(g.edges)} edges hold more than {limit} edge ids"
+    )
+
+
 # Most edge ids, summed over the cycles listed, that one `cycles` call may
 # return.  The loopless complete digraph K8 has 109,592, K9 986,400.
 CYCLE_WORK_LIMIT = 500_000
@@ -356,11 +364,7 @@ def cycles(g: Graph):
         for word in _circuits(g, start, _out_lists(g, comp, internal)):
             size += len(word)
             if size > CYCLE_WORK_LIMIT:
-                raise PreconditionError(
-                    f"simple cycles of a graph with {len(g.vertices)} "
-                    f"vertices and {len(g.edges)} edges hold more than "
-                    f"{CYCLE_WORK_LIMIT} edge ids"
-                )
+                raise _work_limit_error("simple cycles", g, CYCLE_WORK_LIMIT)
             out.append(_least_rotation_path(g, tuple(word)))
         rest = sorted(comp - {start}, key=order.__getitem__)
         kept = [e for e in internal if start not in (g.edge_src[e], g.edge_dst[e])]
@@ -417,9 +421,7 @@ def _circuits(g: Graph, start, out):
 
 def is_no_exit(g: Graph) -> bool:
     """True iff every vertex on a cycle has out-degree exactly one."""
-    return all(
-        len(g.out_edges[v]) == 1 for comp, _ in _nontrivial_sccs(g) for v in comp
-    )
+    return cycle_with_exit_witness(g) is None
 
 
 def cycle_with_exit_witness(g: Graph):
@@ -455,18 +457,11 @@ def infinite_paths_tame(g: Graph) -> bool:
     """Whether every infinite path is eventually trapped in a single cycle.
 
     For a finite graph this holds iff each nontrivial SCC is exactly one
-    simple cycle: as many internal edges as vertices, one outgoing internal
-    edge per vertex.
+    simple cycle: one internal out-edge per vertex.  In a nontrivial SCC
+    every vertex has at least one internal out-edge, so that is the case
+    exactly when the SCC has as many internal edges as vertices.
     """
-    for comp, internal in _nontrivial_sccs(g):
-        if len(internal) != len(comp):
-            return False
-        out_count = {v: 0 for v in comp}
-        for e in internal:
-            out_count[g.edge_src[e]] += 1
-        if any(c != 1 for c in out_count.values()):
-            return False
-    return True
+    return all(len(internal) == len(comp) for comp, internal in _nontrivial_sccs(g))
 
 
 def _contains_word(edges: tuple, word: tuple) -> bool:
@@ -520,11 +515,7 @@ def paths_into(g: Graph, v: str, forbid_full_cycle: PathSeq | None = None):
                 )
             size += len(q.edges)
             if size > PATHS_INTO_WORK_LIMIT:
-                raise PreconditionError(
-                    f"paths into {v!r} of a graph with {len(g.vertices)} "
-                    f"vertices and {len(g.edges)} edges hold more than "
-                    f"{PATHS_INTO_WORK_LIMIT} edge ids"
-                )
+                raise _work_limit_error(f"paths into {v!r}", g, PATHS_INTO_WORK_LIMIT)
             frontier.append(q)
     out.sort(key=path_sort_key)
     return out

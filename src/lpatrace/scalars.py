@@ -277,9 +277,10 @@ class SparseTerms:
 
     The value lives over a context that both operands of `+` and `-` must
     share: the field tag for `LaurentPoly`, the `PathAlgebra` for
-    `AlgebraElement`, and None for `FreeVector`.  Each subclass reads the
-    context under its own name and adds its own product, star and repr.
-    Equality and hashing ignore the order of the keys.
+    `AlgebraElement`, the `Decomposition` for `MatrixImage`, and None for
+    `FreeVector`.  Each subclass reads the context under its own name and
+    adds its own product, star and repr.  Equality and hashing ignore the
+    order of the keys.
     """
 
     __slots__ = ("_context", "terms")

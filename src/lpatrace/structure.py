@@ -15,7 +15,7 @@ strips full copies of the cycle word into the exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import graphs
 from .errors import PreconditionError
@@ -33,6 +33,7 @@ from .path_algebras import LEAVITT, AlgebraElement, PathAlgebra
 from .scalars import (
     FieldElem,
     LaurentPoly,
+    SparseTerms,
     add_terms,
     fe_zero,
     field_star,
@@ -41,20 +42,21 @@ from .scalars import (
 )
 
 
-@dataclass(frozen=True)
-class SinkBlock:
-    sink: str
-    paths: tuple  # all paths ending at the sink, (length, word)-sorted
+class SinkBlock(namedtuple("SinkBlock", "sink paths")):
+    """A sink and all paths ending at it, (length, word)-sorted."""
+
+    __slots__ = ()
 
     @property
     def size(self) -> int:
         return len(self.paths)
 
 
-@dataclass(frozen=True)
-class CycleBlock:
-    cycle: PathSeq  # closed, in least rotation; its source is the base
-    paths: tuple  # cycle-free paths ending at the base, (length, word)-sorted
+class CycleBlock(namedtuple("CycleBlock", "cycle paths")):
+    """A cycle, closed and in least rotation (its source is the base), and
+    the cycle-free paths ending at the base, (length, word)-sorted."""
+
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -188,10 +190,8 @@ def decompose(g: Graph) -> Decomposition:
         paths = tuple(paths_into(g, end, cycle))
         size += sum(map(len, paths))
         if size > graphs.PATHS_INTO_WORK_LIMIT:
-            raise PreconditionError(
-                f"basis paths of a graph with {len(g.vertices)} vertices "
-                f"and {len(g.edges)} edges hold more than "
-                f"{graphs.PATHS_INTO_WORK_LIMIT} edge ids"
+            raise graphs._work_limit_error(
+                "basis paths", g, graphs.PATHS_INTO_WORK_LIMIT
             )
         if cycle is None:
             sink_blocks.append(SinkBlock(end, paths))
@@ -205,82 +205,48 @@ def decompose(g: Graph) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class MatrixImage:
-    """Block-diagonal image: sparse {(row, col): entry} per block.
+class MatrixImage(SparseTerms):
+    """Block-diagonal image: `terms` maps (block, row, col) to the entry.
 
     Sink-block entries are field elements, cycle-block entries Laurent
     polynomials.  Indices are 0-based.
     """
 
-    dec: Decomposition
-    blocks: tuple  # dicts, aligned with dec.blocks
+    __slots__ = ()
+    dec = SparseTerms._context
+    _MIXED = "images over different decompositions"
 
-    def __eq__(self, other):
-        if not isinstance(other, MatrixImage):
-            return NotImplemented
-        return self.dec is other.dec and self.blocks == other.blocks
-
-    def __bool__(self):
-        return any(self.blocks)
-
-    def __add__(self, other):
-        self._check(other)
-        return MatrixImage(self.dec, tuple(
-            add_terms(dict(mine), theirs.items())
-            for mine, theirs in zip(self.blocks, other.blocks)
-        ))
-
-    def __neg__(self):
-        return MatrixImage(
-            self.dec,
-            tuple({k: -v for k, v in block.items()} for block in self.blocks),
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
+    @property
+    def blocks(self) -> tuple:
+        """The {(row, col): entry} dict of each block, aligned with
+        `dec.blocks`; built on each read."""
+        out = tuple({} for _ in self.dec.blocks)
+        for (b, j, l), v in self.terms.items():
+            out[b][j, l] = v
+        return out
 
     def __mul__(self, other):
         self._check(other)
-        out = []
-        for mine, theirs in zip(self.blocks, other.blocks):
-            by_row = {}
-            for (j, m), val in theirs.items():
-                by_row.setdefault(j, []).append((m, val))
-            out.append(add_terms({}, (
-                ((j, l), val * val2)
-                for (j, m), val in mine.items()
-                for l, val2 in by_row.get(m, ())
-            )))
-        return MatrixImage(self.dec, tuple(out))
+        by_row = {}
+        for (b, m, l), v in other.terms.items():
+            by_row.setdefault((b, m), []).append((l, v))
+        return self._like(add_terms({}, (
+            ((b, j, l), v * w)
+            for (b, j, m), v in self.terms.items()
+            for l, w in by_row.get((b, m), ())
+        )))
 
     def star(self, involution: str) -> "MatrixImage":
         """Conjugate transpose blockwise; Laurent entries also invert x."""
-        out = []
-        for b, block in enumerate(self.blocks):
-            if self.dec.is_cycle_block(b):
-                out.append({
-                    (l, j): laurent_star(v, involution)
-                    for (j, l), v in block.items()
-                })
-            else:
-                out.append({
-                    (l, j): field_star(v, involution)
-                    for (j, l), v in block.items()
-                })
-        return MatrixImage(self.dec, tuple(out))
-
-    def _check(self, other):
-        if not isinstance(other, MatrixImage):
-            raise TypeError(f"cannot combine with {type(other).__name__}")
-        if other.dec is not self.dec:
-            raise ValueError("images over different decompositions")
+        dec = self.dec
+        return self._like({
+            (b, l, j): laurent_star(v, involution) if dec.is_cycle_block(b)
+            else field_star(v, involution)
+            for (b, j, l), v in self.terms.items()
+        })
 
     def __repr__(self):
-        parts = []
-        for b, block in enumerate(self.blocks):
-            for (j, l), v in sorted(block.items()):
-                parts.append(f"b{b}[{j},{l}]={v!r}")
+        parts = [f"b{b}[{j},{l}]={v!r}" for (b, j, l), v in sorted(self.terms.items())]
         return "MatrixImage(" + ", ".join(parts) + ")" if parts else "MatrixImage(0)"
 
 
@@ -295,16 +261,13 @@ def phi(dec: Decomposition, x: AlgebraElement) -> MatrixImage:
     units = add_terms({}, (
         (unit, c) for mon, c in x.terms.items() for unit in dec.expand_monomial(mon)
     ))
-    blocks = [{} for _ in dec.blocks]
+    entries = {}
     for (b, j, l, k), c in units.items():
-        blocks[b].setdefault((j, l), {})[k] = c
-    return MatrixImage(dec, tuple(
-        {
-            key: LaurentPoly(alg.field, entry) if dec.is_cycle_block(b) else entry[0]
-            for key, entry in block.items()
-        }
-        for b, block in enumerate(blocks)
-    ))
+        entries.setdefault((b, j, l), {})[k] = c
+    return MatrixImage(dec, {
+        key: LaurentPoly(alg.field, entry) if dec.is_cycle_block(key[0]) else entry[0]
+        for key, entry in entries.items()
+    })
 
 
 def phi_inverse_unit(dec: Decomposition, algebra: PathAlgebra,

@@ -90,6 +90,35 @@ def scc_passes(monkeypatch):
     return passes
 
 
+def _reach(g, v):
+    """Every vertex reachable from v by a path of length at least one."""
+    seen, todo = set(), [v]
+    while todo:
+        for e in g.out_edges[todo.pop()]:
+            w = g.edge_dst[e]
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def is_no_exit_reference(g):
+    """Brute force: every vertex on a cycle has out-degree 1."""
+    return all(
+        len(g.out_edges[v]) == 1 for v in g.vertices if v in _reach(g, v)
+    )
+
+
+def is_tame_reference(g):
+    """Brute force: every vertex of a nontrivial SCC (one on a cycle) has
+    exactly one internal out-edge, one whose target reaches back to it."""
+    reach = {v: _reach(g, v) | {v} for v in g.vertices}
+    return all(
+        sum(v in reach[g.edge_dst[e]] for e in g.out_edges[v]) == 1
+        for v in g.vertices if v in _reach(g, v)
+    )
+
+
 def path_concat(a, b):
     """The path a followed by the path b."""
     if a.dst != b.src:
@@ -104,11 +133,11 @@ def sim_equivalent(g, a, b):
 
 def matrix_identity(dec, field):
     """The identity of phi's target: 1 or the Laurent 1 on each diagonal."""
-    blocks = []
+    terms = {}
     for b, block in enumerate(dec.blocks):
         one = laurent_one(field) if dec.is_cycle_block(b) else fe_one(field)
-        blocks.append({(j, j): one for j in range(block.size)})
-    return MatrixImage(dec, tuple(blocks))
+        terms.update(((b, j, j), one) for j in range(block.size))
+    return MatrixImage(dec, terms)
 
 
 # ---------------------------------------------------------------------------

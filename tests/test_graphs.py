@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -25,7 +26,14 @@ from lpatrace.graphs import (
     vertex_path,
 )
 
-from conftest import GRAPHS, all_paths_up_to, fresh_rng, path_concat
+from conftest import (
+    GRAPHS,
+    all_paths_up_to,
+    fresh_rng,
+    is_no_exit_reference,
+    is_tame_reference,
+    path_concat,
+)
 
 
 def test_parse_graph_examples():
@@ -161,8 +169,23 @@ def test_paths_into_limit_counts_edge_ids_of_paths_built(monkeypatch):
     got = paths_into(g, "e")
     assert len(got) == 31 and sum(len(p) for p in got) == 98
     monkeypatch.setattr(graphs, "PATHS_INTO_WORK_LIMIT", 97)
-    with pytest.raises(PreconditionError, match="5 vertices and 8 edges"):
+    with pytest.raises(PreconditionError, match=re.escape(
+        "paths into 'e' of a graph with 5 vertices and 8 edges hold more than "
+        "97 edge ids"
+    )):
         paths_into(g, "e")
+
+
+def test_cycles_limit_counts_edge_ids_of_cycles_listed(monkeypatch):
+    g = parse_graph("v u\nv w\ne e1 u w\ne e2 w u\ne e3 u u")  # 3 edge ids
+    monkeypatch.setattr(graphs, "CYCLE_WORK_LIMIT", 3)
+    assert sum(map(len, cycles(g))) == 3
+    monkeypatch.setattr(graphs, "CYCLE_WORK_LIMIT", 2)
+    with pytest.raises(PreconditionError, match=re.escape(
+        "simple cycles of a graph with 2 vertices and 3 edges hold more than "
+        "2 edge ids"
+    )):
+        cycles(g)
 
 
 def test_paths_into_endpoints_and_filter():
@@ -281,6 +304,17 @@ def _oracle_corpus(rng, n_random):
     for i in range(n_random):
         corpus[f"random{i}"] = _random_graph(rng)
     return corpus
+
+
+def test_no_exit_and_tameness_match_brute_force_references():
+    rng = fresh_rng(61)
+    for _ in range(3000):
+        vs = [f"v{i}" for i in range(rng.randint(1, 7))]
+        g = Graph(vs, [
+            (f"e{i}", rng.choice(vs), rng.choice(vs)) for i in range(rng.randint(0, 12))
+        ])
+        assert is_no_exit(g) == is_no_exit_reference(g), g
+        assert infinite_paths_tame(g) == is_tame_reference(g), g
 
 
 def test_nontrivial_sccs_match_per_scc_edge_scan():

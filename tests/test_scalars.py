@@ -7,7 +7,7 @@ import pytest
 from lpatrace.errors import ParseError, PreconditionError
 from lpatrace.gis import MonPair
 from lpatrace.graphs import edge_path, parse_graph, vertex_path
-from lpatrace.path_algebras import PathAlgebra, format_element, parse_element
+from lpatrace.path_algebras import LEAVITT, PathAlgebra, format_element, parse_element
 from lpatrace.scalars import (
     CONJUGATION,
     IDENTITY,
@@ -28,6 +28,7 @@ from lpatrace.scalars import (
     laurent_star,
     parse_scalar,
 )
+from lpatrace.structure import decompose, phi
 
 from conftest import (
     fresh_rng,
@@ -298,6 +299,9 @@ def test_pickle_and_deepcopy_round_trips():
     g = parse_graph("v v\ne e v v\ne f v v")
     path = edge_path(g, ["e", "f"])
     x = parse_element("1/2+3i*e/f.e' - f'", PathAlgebra(g, QI, CONJUGATION))
+    h = parse_graph("v a\nv b\nv v\ne f a b\ne e v v")
+    leavitt = PathAlgebra(h, QI, CONJUGATION, LEAVITT)
+    image = phi(decompose(h), parse_element("2*f - a + e/e + v", leavitt))
     values = [
         fe(Fraction(-3, 4)),
         fe(Fraction(1, 2), -5, QI),
@@ -305,6 +309,7 @@ def test_pickle_and_deepcopy_round_trips():
         path,
         MonPair(path, vertex_path(g, "v")),
         x,
+        image,
     ]
     for v in values:
         for copied in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
@@ -315,6 +320,9 @@ def test_pickle_and_deepcopy_round_trips():
                 for mon in copied.terms:
                     assert type(mon) is MonPair
                     assert type(mon.p) is type(mon.q) is type(path)
+            elif v is image:  # so are the decomposition and its graph
+                assert copied.blocks == image.blocks
+                assert repr(copied) == repr(image)
             else:
                 assert copied == v and hash(copied) == hash(v)
 

@@ -134,3 +134,18 @@ def test_every_top_level_definition_is_used():
         f"{module}:{name}" for (module, name) in definitions if not uses[name]
     )
     assert unused == [], f"top-level definitions nothing uses: {unused}"
+
+
+def test_only_the_sparse_core_and_scalars_define_addition():
+    # every sparse sum goes through `scalars.SparseTerms`
+    adders = sorted(
+        node.name
+        for path in _package_modules()
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name == "__add__"
+            for item in node.body
+        )
+    )
+    assert adders == ["FieldElem", "SparseTerms"]

@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import pytest
 
 from lpatrace import graphs, structure
@@ -141,7 +144,10 @@ def test_decompose_limit_counts_edge_ids_of_all_blocks(monkeypatch):
     monkeypatch.setattr(graphs, "PATHS_INTO_WORK_LIMIT", 15)
     assert decompose(g).block_sizes() == (4, 4, 4)
     monkeypatch.setattr(graphs, "PATHS_INTO_WORK_LIMIT", 14)
-    with pytest.raises(PreconditionError, match="5 vertices and 5 edges"):
+    with pytest.raises(PreconditionError, match=re.escape(
+        "basis paths of a graph with 5 vertices and 5 edges hold more than "
+        "14 edge ids"
+    )):
         decompose(g)
     # the total is checked after each block: 10 edge ids pass 5 at block two
     monkeypatch.setattr(graphs, "PATHS_INTO_WORK_LIMIT", 5)
@@ -193,6 +199,37 @@ def test_phi_two_cycle_rolls_to_base():
     assert img.blocks == ({(0, 0): laurent(Q, {1: fe(1)})},)
     img = phi(dec, A.path(["e1"]))  # u -> w: ends at w, rolls by e2
     assert img.blocks == ({(0, 1): laurent(Q, {1: fe(1)})},)
+
+
+def test_matrix_image_repr_and_sparse_terms_rules():
+    g = GRAPHS["disjoint"]
+    dec = decompose(g)
+    A = PathAlgebra(g, Q, IDENTITY, LEAVITT)
+    x = parse_element("2*f - 1/3*a + e/e + v", A)
+    img = phi(dec, x)
+    assert repr(img) == (
+        "MatrixImage(b0[1,0]=FieldElem('2', Q), b0[1,1]=FieldElem('-1/3', Q), "
+        "b1[0,0]=LaurentPoly((1)x^0 + (1)x^2))"
+    )
+    assert repr(phi(dec, A.zero())) == "MatrixImage(0)"
+    assert repr(dec.blocks) == (
+        "(SinkBlock(sink='b', paths=(<b>, <f>)), CycleBlock(cycle=<e>, paths=(<v>,)))"
+    )
+    assert img.terms == {
+        (0, 1, 0): fe(2),
+        (0, 1, 1): fe(Fraction(-1, 3)),
+        (1, 0, 0): laurent(Q, {0: 1, 2: 1}),
+    }
+    again = phi(dec, parse_element("v + e/e - 1/3*a + 2*f", A))
+    assert again == img and hash(again) == hash(img)
+    assert not img - img and not phi(dec, x) - phi(dec, x)
+    other = phi(decompose(g), x)  # decompositions compare by identity
+    assert other.blocks == img.blocks and other != img
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError, match="^images over different decompositions$"):
+            op(img, other)
+        with pytest.raises(TypeError):
+            op(img, x)
 
 
 def test_phi_inverse_unit_examples():
