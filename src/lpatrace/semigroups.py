@@ -58,14 +58,34 @@ class FiniteSemigroup:
 
 
 def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
-    """Validate a Cayley table: squareness, associativity, absorbing zero."""
-    rows = tuple(tuple(map(int, row)) for row in table)
-    n = len(rows)
+    """Validate a Cayley table: squareness, associativity, absorbing zero.
+
+    Entries are read with int().  Up to 256 elements each row is packed
+    into `bytes` instead, whose C constructor checks in one pass that every
+    entry is an integer in 0..255, and Light's test composes the packed
+    rows in C.  A row that bytes() rejects (strings, floats, a negative
+    entry, ...) is read with int(), so the rows and the errors are the
+    same either way.
+    """
+    table = tuple(table)
+    n = len(table)
+    if n <= 256:
+        rows = tuple(map(_read_row, table))
+    else:
+        rows = tuple(tuple(map(int, row)) for row in table)
     if n == 0:
         raise ValueError("empty table")
     if any(len(row) != n for row in rows):
         raise ValueError("table is not square")
-    if any(min(row) < 0 or max(row) >= n for row in rows):
+    if n <= 256:
+        try:  # a row read with int() may still hold -1 or 256
+            rows = tuple(map(bytes, rows))
+            in_range = not b"".join(rows).translate(None, bytes(range(n)))
+        except ValueError:
+            in_range = False
+    else:
+        in_range = all(min(row) >= 0 and max(row) < n for row in rows)
+    if not in_range:
         raise ValueError("table entry out of range")
     if not 0 <= zero_index < n:
         raise ValueError("zero index out of range")
@@ -80,7 +100,16 @@ def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
         labels = tuple(labels)
         if len(labels) != n or len(set(labels)) != n:
             raise ValueError("labels must be unique and cover all elements")
-    return FiniteSemigroup(rows, zero_index, labels)
+    return FiniteSemigroup(tuple(map(tuple, rows)), zero_index, labels)
+
+
+def _read_row(row):
+    """A row as bytes if its entries are integers in 0..255, else as int()s."""
+    row = tuple(row)  # read once, and never as a buffer (an array's bytes)
+    try:
+        return bytes(row)
+    except (TypeError, ValueError):
+        return tuple(map(int, row))
 
 
 def _associativity_witness(rows):
@@ -90,10 +119,14 @@ def _associativity_witness(rows):
     even in a non-associative table, so g need only range over a set whose
     right products reach every element.  Both sides depend on x only
     through its row, so one x per distinct row is checked.
+
+    Rows are `bytes` up to 256 elements: the products x*(g*y) for every y
+    are then row g translated through row x, padded to the 256-byte table
+    that `bytes.translate` reads, all in C, and the compare with row x*g
+    is a memcmp.  Larger tables have tuple rows, and an itemgetter over
+    row g picks the same products out of row x, one object per entry.
     """
     n = len(rows)
-    if n == 1:
-        return None  # itemgetter with one index would return a scalar
     # generators in index order, right-product closure kept incremental
     gens, reached = [], set()
     for x in range(n):
@@ -108,9 +141,13 @@ def _associativity_witness(rows):
     first_with_row = {}
     for x, row in enumerate(rows):
         first_with_row.setdefault(row, x)
+    if n <= 256:  # translate reads a 256-byte table: pad each row to one
+        pad = bytes(256 - n)
+        first_with_row = {row + pad: x for row, x in first_with_row.items()}
     for g in gens:
         g_row = rows[g]
-        times_g_row = itemgetter(*g_row)  # row of x -> (x*(g*y) for each y)
+        # (padded) row x -> (x*(g*y) for each y)
+        times_g_row = g_row.translate if n <= 256 else itemgetter(*g_row)
         for row, x in first_with_row.items():
             left = rows[row[g]]
             if left != times_g_row(row):

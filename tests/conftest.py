@@ -12,6 +12,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from operator import itemgetter
 from types import MappingProxyType
 
 import pytest
@@ -326,6 +327,44 @@ def sim_witness_chain_reference(G, g, h):
                 chain.append(witness)
             return chain[::-1]
         frontier = nxt
+    return None
+
+
+def associativity_witness_reference(rows):
+    """A triple (a, b, c) with (a*b)*c != a*(b*c), or None: Light's test
+    over tuple rows with an itemgetter composer at every size, the first
+    triple in the order that `build_semigroup`'s error must name.
+
+    The g with (x*g)*y == x*(g*y) for all x, y are closed under the product,
+    even in a non-associative table, so g need only range over a set whose
+    right products reach every element.  Both sides depend on x only
+    through its row, so one x per distinct row is checked.
+    """
+    n = len(rows)
+    if n == 1:
+        return None  # itemgetter with one index would return a scalar
+    # generators in index order, right-product closure kept incremental
+    gens, reached = [], set()
+    for x in range(n):
+        if x not in reached:
+            gens.append(x)
+            todo = [rows[y][x] for y in reached] + [x]
+            while todo:
+                y = todo.pop()
+                if y not in reached:
+                    reached.add(y)
+                    todo.extend(rows[y][h] for h in gens)
+    first_with_row = {}
+    for x, row in enumerate(rows):
+        first_with_row.setdefault(row, x)
+    for g in gens:
+        g_row = rows[g]
+        times_g_row = itemgetter(*g_row)  # row of x -> (x*(g*y) for each y)
+        for row, x in first_with_row.items():
+            left = rows[row[g]]
+            if left != times_g_row(row):
+                c = next(y for y in range(n) if left[y] != row[g_row[y]])
+                return x, g, c
     return None
 
 

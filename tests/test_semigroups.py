@@ -1,5 +1,6 @@
 import itertools
 import re
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -32,11 +33,13 @@ from lpatrace.traces import augmentation_trace, kaplansky_trace
 
 from conftest import (
     SEMIGROUPS,
+    associativity_witness_reference,
     commutator_span_oracle,
     cyclic_group_table,
     endo4_semigroup,
     fresh_rng,
     is_central_map_reference,
+    outcome,
     random_central_map,
     random_scalar,
     random_sg_element,
@@ -109,6 +112,103 @@ def test_associativity_decision_matches_brute_force():
             a, b, c = map(int, message_re.fullmatch(message).groups())
             assert rows[rows[a][b]][c] != rows[a][rows[b][c]], (rows, message)
     assert 0 < violations < len(tables)
+
+
+def _null_table(n):
+    return [[0] * n for _ in range(n)]
+
+
+def _right_zero_table(n):
+    """Zero adjoined to xy = y on the other n - 1 elements: every element is
+    one of Light's generators, but only two rows are distinct."""
+    return [[0] * n] + [list(range(n)) for _ in range(n - 1)]
+
+
+def test_associativity_witness_matches_reference_on_both_composers():
+    """Rows packed into bytes (n <= 256) and tuple rows (n = 257) name the
+    same first violating triple as Light's test over tuples alone."""
+    rng = fresh_rng(19)
+    bases = [_null_table(n) for n in (1, 2, 255, 256, 257)]
+    bases += [_right_zero_table(n) for n in (255, 256, 257)]
+    bases += [
+        [list(row) for row in G.table]
+        for G in (SEMIGROUPS["endo3"], SEMIGROUPS["mu3"],
+                  group_with_zero(cyclic_group_table(5)))
+    ]
+    tables = []
+    for base in bases:
+        n = len(base)
+        tables.append(base)
+        for _ in range(8):
+            rows = [list(row) for row in base]
+            for _ in range(rng.randint(1, 2)):
+                # entries anywhere, or among the last three elements only
+                low = rng.choice((0, n - min(n, 3)))
+                rows[rng.randrange(low, n)][rng.randrange(low, n)] = rng.randrange(n)
+            tables.append(rows)
+        if n > 2 and not any(map(any, base)):
+            # a*b = a in a null table: (a*b)*b != a*(b*b), first seen at
+            # g = b = n - 1, the last of Light's generators
+            rows = _null_table(n)
+            rows[n - 2][n - 1] = n - 2
+            tables.append(rows)
+    middles, late = set(), 0
+    for rows in tables:
+        expected = associativity_witness_reference(tuple(map(tuple, rows)))
+        kind, message = outcome(build_semigroup, rows, 0)
+        if expected is None:
+            assert "associative" not in str(message), (len(rows), message)
+        else:
+            a, b, c = expected
+            text = f"table not associative: ({a}*{b})*{c} != {a}*({b}*{c})"
+            assert (kind, message) == (ValueError, text), len(rows)
+            middles.add(b)
+            late += b == len(rows) - 1 > 250
+    assert late == 3 and len(middles) >= 5
+
+
+@pytest.mark.parametrize("n", [6, 255, 256, 257])
+def test_build_semigroup_coerces_entries_alike_on_both_paths(n):
+    """Entries that int() accepts give the table of their int() values, and
+    a rejected table raises the type and text that int() and the shape
+    checks give, in the same order, whether or not its rows fit in bytes."""
+    base = _right_zero_table(n)
+
+    def with_entry(row, col, value):
+        rows = [list(r) for r in base]
+        rows[row][col] = value
+        return rows
+
+    for rows in (
+        with_entry(1, 3, "3"),
+        with_entry(1, 3, 3.0),
+        with_entry(2, 3, Fraction(7, 2)),
+        with_entry(1, 1, True),
+        with_entry(1, 1, Fraction(3, 2)),
+        with_entry(n - 1, n - 1, str(n - 1)),
+        [tuple(r) for r in base],
+        [base[0], array("q", base[1])] + base[2:],  # bytes() would read its buffer
+        [base[0], iter(base[1])] + base[2:],
+    ):
+        assert build_semigroup(rows, 0).table == tuple(map(tuple, base))
+    out_of_range = (ValueError, "table entry out of range")
+    not_square = (ValueError, "table is not square")
+    cases = [
+        (with_entry(2, 4, "x"), outcome(int, "x")),
+        (with_entry(2, 4, None), outcome(int, None)),
+        (with_entry(2, 4, "-1"), out_of_range),
+        (with_entry(2, 4, -1), out_of_range),
+        (with_entry(2, 4, n), out_of_range),
+        (with_entry(n - 1, 0, 10 ** 30), out_of_range),
+        ([base[0], 7] + base[2:], outcome(iter, 7)),
+        ([base[0], base[1] + [0]] + with_entry(2, 4, n)[2:], not_square),
+        ([base[0], base[1][:-1]] + with_entry(2, 4, -1)[2:], not_square),
+        ([base[0], base[1][:-1]] + with_entry(2, 4, "x")[2:], outcome(int, "x")),
+    ]
+    if n <= 256:
+        cases.append((with_entry(1, 1, 256), out_of_range))
+    for rows, want in cases:
+        assert outcome(build_semigroup, rows, 0) == want
 
 
 def test_matrix_units_examples():
