@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from pathlib import Path
 
 from .errors import ParseError, PreconditionError
 from .graphs import (
@@ -46,7 +45,8 @@ from .traces import (
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:

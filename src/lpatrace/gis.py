@@ -15,7 +15,6 @@ of a closed word, the starred rotation class, or the zero class.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .graphs import (
     Graph,
@@ -102,32 +101,35 @@ def approx_canonical(g: Graph, t: PathSeq) -> PathSeq:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VertexClass:
-    v: str
+class VertexClass(namedtuple("VertexClass", "v")):
+    __slots__ = ()
 
     def __repr__(self):
         return f"[{self.v}]"
 
 
-@dataclass(frozen=True)
-class CycleWord:
-    edges: tuple
+class CycleWord(namedtuple("CycleWord", "edges")):
+    __slots__ = ()
 
     def __repr__(self):
         return f"[{'/'.join(self.edges)}]"
 
 
-@dataclass(frozen=True)
-class CycleWordStar:
-    edges: tuple
+# the constant second field keeps CycleWordStar(w) != CycleWord(w): class
+# ids of all kinds share the dicts of traces and minimal traces
+class CycleWordStar(namedtuple("CycleWordStar", "edges star", defaults=("*",))):
+    __slots__ = ()
 
     def __repr__(self):
         return f"[{'/'.join(self.edges)}*]"
 
 
-@dataclass(frozen=True)
-class ZeroClass:
+class ZeroClass(namedtuple("ZeroClass", ())):
+    __slots__ = ()
+
+    def __bool__(self):  # a class id is truthy, though it has no fields
+        return True
+
     def __repr__(self):
         return "[0]"
 

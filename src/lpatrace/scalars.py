@@ -201,10 +201,6 @@ def fe_one(field=Q) -> FieldElem:
     return FieldElem(1, 0, field)
 
 
-def fe_i() -> FieldElem:
-    return FieldElem(0, 1, QI)
-
-
 def check_involution(field: str, involution: str) -> None:
     """Reject unknown tags.  Conjugation on Q is allowed (it is the identity)."""
     if field not in FIELDS:

@@ -8,9 +8,8 @@ classes, and the associated decision procedures.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 from .errors import ParseError, PreconditionError
@@ -27,16 +26,35 @@ from .scalars import (
 )
 
 
-@dataclass(frozen=True)
 class FiniteSemigroup:
-    """A validated Cayley table with an absorbing zero element."""
+    """A validated Cayley table with an absorbing zero element.
 
-    table: tuple
-    zero: int
-    labels: tuple | None = None
-    _sim: SimPartition | None = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
+    Immutable.  Equality and hashing read (table, zero, labels); `_sim`
+    is the `sim_classes` cache, which they and pickling leave out.
+    """
+
+    __slots__ = ("table", "zero", "labels", "_sim")
+
+    def __init__(self, table: tuple, zero: int, labels: tuple | None = None):
+        for name, value in zip(self.__slots__, (table, zero, labels, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiniteSemigroup is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("FiniteSemigroup is immutable")
+
+    def __reduce__(self):
+        return FiniteSemigroup, (self.table, self.zero, self.labels)
+
+    def __eq__(self, other):  # compares the constructor arguments
+        if type(other) is not FiniteSemigroup:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
 
     @property
     def size(self) -> int:
@@ -305,33 +323,19 @@ def endo_semigroup(n: int) -> FiniteSemigroup:
     return build_semigroup(table, 0, labels)
 
 
-def endo_map_index(n: int, images) -> int:
-    """Element index of the map with the given 0-based image tuple."""
-    images = tuple(images)
-    if len(images) != n or any(not 0 <= x < n for x in images):
-        raise ValueError("bad image tuple")
-    idx = 0
-    for x in images:
-        idx = idx * n + x
-    return 1 + idx
-
-
 # ---------------------------------------------------------------------------
 # The conjugacy-type equivalence
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimPartition:
+class SimPartition(namedtuple("SimPartition", "class_of classes zero_class_id")):
     """Partition by the transitive closure of relating ab to ba.
 
     Classes are sorted tuples of element indices, ordered by least member,
     so the partition is a canonical value.
     """
 
-    class_of: tuple
-    classes: tuple
-    zero_class_id: int
+    __slots__ = ()
 
     @property
     def nonzero_class_ids(self):
@@ -488,16 +492,14 @@ def sg_commutator(G: FiniteSemigroup, x: FreeVector, y: FreeVector) -> FreeVecto
     return sg_mul(G, x, y) - sg_mul(G, y, x)
 
 
-@dataclass(frozen=True)
-class CentralMap:
+class CentralMap(namedtuple("CentralMap", "values field")):
     """A zero-preserving central map, as a total value table.
 
     Values are FieldElems (trace into the field) or FreeVectors (trace into
     the free module on the nonzero classes).
     """
 
-    values: tuple
-    field: str
+    __slots__ = ()
 
     @property
     def is_vector_valued(self) -> bool:

@@ -15,8 +15,7 @@ at every regular vertex v, which `validate_trace_spec` checks and
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParseError, PreconditionError
 from .gis import (
@@ -29,7 +28,6 @@ from .gis import (
 )
 from .graphs import (
     Graph,
-    PathSeq,
     _nontrivial_sccs,
     cycle_with_exit_witness,
     edge_path,
@@ -64,18 +62,18 @@ from .semigroups import (
 from .structure import decompose
 
 
-@dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(namedtuple("TraceSpec", "field involution values")):
     """Values of a linear trace on classes.
 
     `values` maps `VertexClass`, `CycleWord` and `CycleWordStar` (edge words
     in least rotation) to nonzero field elements; every other class has
-    value zero.
+    value zero.  The hash reads the field and involution only.
     """
 
-    field: str
-    involution: str
-    values: dict = dataclasses.field(hash=False)
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash((self.field, self.involution))
 
     def class_value(self, cls) -> FieldElem:
         value = self.values.get(cls)
@@ -111,10 +109,9 @@ def trace_spec(g: Graph, field=Q, involution=IDENTITY, vertex_values=None,
     return TraceSpec(field, involution, {k: c for k, c in values.items() if c})
 
 
-@dataclass(frozen=True)
-class SpecValidation:
-    ok: bool
-    violations: tuple  # (vertex, delta(v), sum over out-edges of delta(r(e)))
+# violations: (vertex, delta(v), sum over out-edges of delta(r(e)))
+class SpecValidation(namedtuple("SpecValidation", "ok violations")):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -142,13 +139,13 @@ def validate_trace_spec(g: Graph, spec: TraceSpec) -> SpecValidation:
     return SpecValidation(not bad, tuple(bad))
 
 
-@dataclass(frozen=True)
-class VertexSolutionSpace:
-    """Basis of vertex-value assignments satisfying the vertex constraint."""
+class VertexSolutionSpace(namedtuple("VertexSolutionSpace", "field vertices basis")):
+    """Basis of vertex-value assignments satisfying the vertex constraint.
 
-    field: str
-    vertices: tuple
-    basis: tuple  # each entry: tuple of FieldElem aligned with `vertices`
+    Each basis entry is a tuple of FieldElem aligned with `vertices`.
+    """
+
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:
@@ -212,11 +209,10 @@ def minimal_trace_cohn(g: Graph, x: AlgebraElement) -> FreeVector:
     return FreeVector(None, acc)
 
 
-@dataclass(frozen=True)
-class MinimalityVerdict:
-    minimal: bool
-    classes: tuple
-    relative_to_supplied_list: bool
+class MinimalityVerdict(namedtuple(
+    "MinimalityVerdict", "minimal classes relative_to_supplied_list"
+)):
+    __slots__ = ()
 
     def __bool__(self):
         return self.minimal
@@ -249,11 +245,8 @@ def is_minimal_cohn(g: Graph, spec: TraceSpec, classes=None) -> MinimalityVerdic
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScreenViolation:
-    condition: int
-    vertices: tuple
-    message: str
+class ScreenViolation(namedtuple("ScreenViolation", "condition vertices message")):
+    __slots__ = ()
 
     def __repr__(self):
         return f"ScreenViolation({self.condition}, {self.message})"
@@ -325,12 +318,11 @@ def positivity_screen(g: Graph, spec: TraceSpec):
     return violations
 
 
-@dataclass(frozen=True)
-class FaithfulVerdict:
-    exists: bool
-    reason: str
-    witness_cycle: PathSeq | None = None
-    witness_exit: str | None = None
+class FaithfulVerdict(namedtuple(
+    "FaithfulVerdict", "exists reason witness_cycle witness_exit",
+    defaults=(None, None),
+)):
+    __slots__ = ()
 
     def __bool__(self):
         return self.exists

@@ -189,9 +189,26 @@ def endo4_semigroup():
     return endo_semigroup(4)
 
 
+def endo_map_index(n, images):
+    """Element index in `endo_semigroup(n)` of the map with the given
+    0-based image tuple."""
+    images = tuple(images)
+    if len(images) != n or any(not 0 <= x < n for x in images):
+        raise ValueError("bad image tuple")
+    idx = 0
+    for x in images:
+        idx = idx * n + x
+    return 1 + idx
+
+
 # ---------------------------------------------------------------------------
 # Random generators
 # ---------------------------------------------------------------------------
+
+
+def fe_i():
+    """The imaginary unit of Q(i)."""
+    return FieldElem(0, 1, QI)
 
 
 def random_scalar(rng, field=Q, nonzero=False):

@@ -23,14 +23,12 @@ from lpatrace.scalars import (
     QI,
     Q,
     fe,
-    fe_i,
     fe_one,
     fe_zero,
     is_positive_nonzero,
 )
 from lpatrace.semigroups import (
     central_map,
-    endo_map_index,
     endo_semigroup,
     group_with_zero,
     in_commutator_span,
@@ -71,6 +69,8 @@ from conftest import (
     commutator_span_oracle,
     cyclic_group_table,
     endo4_semigroup,
+    endo_map_index,
+    fe_i,
     fresh_rng,
     matrix_identity,
     random_central_map,

@@ -267,8 +267,21 @@ def test_input_errors_exit_2(tmp_path, capsys):
     bad = _write(tmp_path, "bad.graph", "e f a b\n")
     code, _, err = _run(capsys, "analyze", bad)
     assert code == 2 and "line 1" in err
-    code, _, err = _run(capsys, "analyze", str(tmp_path / "missing.graph"))
-    assert code == 2
+    # unreadable files keep their texts; a trailing slash after a file is
+    # "Not a directory", as for open(), not the file itself
+    binary = tmp_path / "binary.graph"
+    binary.write_bytes(b"v v\ne e v v\xff\n")
+    loop = _write(tmp_path, "loop.graph", GRAPH_TEXTS["one_loop"])
+    unreadable = {
+        str(tmp_path / "missing.graph"): "No such file or directory",
+        str(tmp_path): "Is a directory",
+        str(binary): "not UTF-8 text",
+        loop + "/": "Not a directory",
+    }
+    for path, reason in unreadable.items():
+        code, out, err = _run(capsys, "analyze", path)
+        assert (code, out) == (2, "")
+        assert err == f"input error: cannot read {path}: {reason}\n"
     graph = _write(tmp_path, "line.graph", GRAPH_TEXTS["line2"])
     spec = _write(tmp_path, "line.spec", "field Q\nvertex a 1\nvertex b 1\n")
     code, _, err = _run(capsys, "eval", graph, "a +", "--spec", spec)

@@ -134,6 +134,12 @@ def test_classify_eq_examples():
         p = random_path(tree, rng)
         assert classify_eq(tree, MonPair(p, p)) == VertexClass(p.dst)
     assert classify_eq(GRAPHS["one_loop"], GIS_ZERO) == ZeroClass()
+    # the three id kinds of one word are three keys in one dict
+    assert CycleWord(("e",)) != CycleWordStar(("e",))
+    ids = {VertexClass("e"): 1, CycleWord(("e",)): 2, CycleWordStar(("e",)): 3}
+    assert len(ids) == 3 and ids[CycleWordStar(("e",))] == 3
+    assert repr(list(ids)) == "[[e], [e], [e*]]" and repr(ZeroClass()) == "[0]"
+    assert ZeroClass()
 
 
 def test_classify_eq_incomparable_is_zero_class():

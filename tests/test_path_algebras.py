@@ -23,13 +23,13 @@ from lpatrace.scalars import (
     FieldElem,
     Q,
     fe,
-    fe_i,
     fe_one,
 )
 
 from conftest import (
     GIS_CORPUS,
     GRAPHS,
+    fe_i,
     fresh_rng,
     outcome,
     random_element,

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lpatrace.errors import ParseError, PreconditionError
-from lpatrace.gis import MonPair
+from lpatrace.gis import CycleWord, CycleWordStar, MonPair, VertexClass, ZERO_CLASS
 from lpatrace.graphs import edge_path, parse_graph, vertex_path
 from lpatrace.path_algebras import LEAVITT, PathAlgebra, format_element, parse_element
 from lpatrace.scalars import (
@@ -15,7 +15,6 @@ from lpatrace.scalars import (
     Q,
     FieldElem,
     fe,
-    fe_i,
     fe_one,
     fe_zero,
     field_star,
@@ -28,9 +27,19 @@ from lpatrace.scalars import (
     laurent_star,
     parse_scalar,
 )
+from lpatrace.semigroups import endo_semigroup, minimal_trace, sim_classes
 from lpatrace.structure import decompose, phi
+from lpatrace.traces import (
+    faithful_trace_exists,
+    is_minimal_cohn,
+    parse_trace_spec,
+    positivity_screen,
+    validate_trace_spec,
+    vertex_trace_space,
+)
 
 from conftest import (
+    fe_i,
     fresh_rng,
     outcome,
     random_scalar,
@@ -310,6 +319,17 @@ def test_pickle_and_deepcopy_round_trips():
         MonPair(path, vertex_path(g, "v")),
         x,
         image,
+    ]
+    # the value types: class ids, verdicts, partitions, maps and tables
+    spec = parse_trace_spec("field Qi\nvertex v 1\ncycle e/f 2 1-1i\n", g)
+    endo = endo_semigroup(2)
+    values += [
+        VertexClass("v"), CycleWord(("e", "f")), CycleWordStar(("e", "f")),
+        ZERO_CLASS, spec, validate_trace_spec(g, spec),
+        vertex_trace_space(g, QI), is_minimal_cohn(g, spec, list(spec.values)),
+        *positivity_screen(h, parse_trace_spec("vertex a -1\n", h)),
+        faithful_trace_exists(g), faithful_trace_exists(h),
+        sim_classes(endo), minimal_trace(endo), endo,  # its `_sim` is filled
     ]
     for v in values:
         for copied in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):

@@ -12,7 +12,6 @@ from lpatrace.semigroups import (
     admits_normalized_minimal,
     build_semigroup,
     central_map,
-    endo_map_index,
     endo_semigroup,
     group_with_zero,
     in_commutator_span,
@@ -37,6 +36,7 @@ from conftest import (
     commutator_span_oracle,
     cyclic_group_table,
     endo4_semigroup,
+    endo_map_index,
     fresh_rng,
     is_central_map_reference,
     outcome,
@@ -62,6 +62,17 @@ def test_build_semigroup_examples():
     # library callers may pass any int-convertible entries
     G = build_semigroup([["0", 0.0], [0, "1"]], 0)
     assert G.table == ((0, 0), (0, 1))
+    # immutable, and the sim_classes cache is not part of its value
+    for name in ("table", "zero", "labels", "_sim"):
+        with pytest.raises(AttributeError):
+            setattr(G, name, None)
+        with pytest.raises(AttributeError):
+            delattr(G, name)
+    fresh = build_semigroup([[0, 0], [0, 1]], 0)
+    sim_classes(G)
+    assert G._sim is not None and fresh._sim is None
+    assert G == fresh and hash(G) == hash(fresh)
+    assert repr(G) == "FiniteSemigroup(size=2, zero=0)"
 
 
 def _brute_force_violation(rows):

@@ -8,12 +8,16 @@ calls itself: recursion depth would grow with the input, and a
 `RecursionError` would break `lpa`'s exit-code contract.  Every
 top-level function and class must be used somewhere in `src` or `tests`
 besides its own definition and its re-export from `lpatrace/__init__.py`;
-otherwise it is dead code.
+otherwise it is dead code.  Importing the `lpa` front end loads neither
+`dataclasses` (with `inspect`) nor `pathlib`, which would add to the
+start-up time of every `lpa` process.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -149,3 +153,17 @@ def test_only_the_sparse_core_and_scalars_define_addition():
         )
     )
     assert adders == ["FieldElem", "SparseTerms"]
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_pathlib():
+    # -S: without `site`, whose own imports could hide the package's
+    check = (
+        "import sys, lpatrace.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", check],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "[]\n"

@@ -19,7 +19,6 @@ from lpatrace.scalars import (
     QI,
     Q,
     fe,
-    fe_i,
     fe_one,
     fe_zero,
     is_positive_nonzero,
@@ -45,6 +44,7 @@ from conftest import (
     GRAPHS,
     NO_EXIT_NAMES,
     SEMIGROUPS,
+    fe_i,
     fresh_rng,
     random_element,
     random_nonzero_element,
