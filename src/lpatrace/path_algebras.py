@@ -271,111 +271,106 @@ def transfer(x: AlgebraElement, target: PathAlgebra) -> AlgebraElement:
 # Element expressions
 # ---------------------------------------------------------------------------
 
-# one alternative per token kind; whitespace matches none of them, and \S
-# any other character, which is an error
-_TOKEN_RE = _re.compile(
-    r"([0-9]+(?:/[0-9]+)?(?:[+-][0-9]+(?:/[0-9]+)?i|i)?)"  # scalar
-    r"|([A-Za-z_][A-Za-z0-9_]*)"  # id
-    r"|([-+*.'/])"  # op
-    r"|(\S)"
+# The token grammar: a scalar, an id, or one of `+ - * . ' /`, with
+# whitespace allowed between any two tokens.  Any other character is an
+# error, found before any grammar error.
+_SCALAR = r"[0-9]+(?:/[0-9]+)?(?:[+-][0-9]+(?:/[0-9]+)?i|i)?"
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_PATH = rf"{_ID}(?:\s*/\s*{_ID})*"
+_BAD_CHAR_RE = _re.compile(r"[^\s0-9A-Za-z_+\-*.'/]")
+_TOKEN_RE = _re.compile(rf"\s*({_SCALAR}|{_ID}|\S)?")
+# one term, read as far as it is well formed: sign, scalar, `*`, p, `.`, q
+# and `'`, each optional.  What follows a token can always match empty, so
+# each token reads as it would alone, and only one run of whitespace is
+# ever read twice: a `/` starts each repetition in a path.
+_TERM_RE = _re.compile(
+    rf"\s*([+-]?)\s*(?:({_SCALAR})\s*(\*?)\s*)?"
+    rf"(?:({_PATH})\s*(?:(\.)\s*(?:({_PATH})\s*)?)?('?)\s*)?"
 )
 
 
-def _tokenize(text: str):
-    """The (kind, text) tokens of an expression; kind is scalar, id or op."""
-    tokens = []
-    for scalar, ident, op, other in _TOKEN_RE.findall(text):
-        if scalar:
-            tokens.append(("scalar", scalar))
-        elif ident:
-            tokens.append(("id", ident))
-        elif op:
-            tokens.append(("op", op))
-        else:
-            raise ParseError(f"unexpected character {other!r} in expression")
-    return tokens
+def _token(text: str, pos: int):
+    """The next token at or after `pos`, or None at the end of the text."""
+    return _TOKEN_RE.match(text, pos)[1]
 
 
-def _take(tokens):
-    """Pop the next token off a reversed token list; (None, None) past the end."""
-    return tokens.pop() if tokens else (None, None)
-
-
-def _take_op(tokens, ops: str):
-    """Pop the next token if it is one of the operator characters `ops`."""
-    if tokens and tokens[-1][0] == "op" and tokens[-1][1] in ops:
-        return tokens.pop()[1]
-    return None
-
-
-def _path(tokens, g: Graph) -> PathSeq:
-    kind, val = _take(tokens)
-    if kind != "id":
-        raise ParseError(f"expected an id, got {val!r}")
-    ids = [val]
-    while _take_op(tokens, "/"):
-        kind, val = _take(tokens)
-        if kind != "id":
-            raise ParseError(f"expected an id after '/', got {val!r}")
-        ids.append(val)
-    if len(ids) == 1 and g.is_vertex(ids[0]):
-        return vertex_path(g, ids[0])
-    for name in ids:
-        if not g.is_edge(name):
-            raise ParseError(f"unknown edge {name!r} in path")
+def _path(g: Graph, text: str) -> PathSeq:
+    """The path of `id[/id]...` text: one vertex id or composable edge ids."""
+    ids = "".join(text.split()).split("/")
+    if len(ids) == 1 and ids[0] in g.out_edges:
+        return PathSeq(ids[0], ids[0], ())
     try:
-        return edge_path(g, ids)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-
-
-def _mono(tokens, g: Graph) -> MonPair:
-    p = _path(tokens, g)
-    if _take_op(tokens, "."):
-        q = _path(tokens, g)
-        if not _take_op(tokens, "'"):
-            raise ParseError("expected ' to close a p.q' monomial")
+        srcs = list(map(g.edge_src.__getitem__, ids))
+    except KeyError as exc:
+        raise ParseError(f"unknown edge {exc.args[0]!r} in path") from None
+    dsts = list(map(g.edge_dst.__getitem__, ids))
+    if srcs[1:] != dsts[:-1]:
         try:
-            return MonPair(p, q)
+            edge_path(g, ids)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-    if _take_op(tokens, "'"):
-        return MonPair(vertex_path(g, p.dst), p)
-    return MonPair(p, vertex_path(g, p.dst))
+    return PathSeq(srcs[0], dsts[-1], tuple(ids))
+
+
+def _path_ends(text: str, pos: int) -> None:
+    """Reject a `/` at `pos`, where the regex stopped: no id follows it."""
+    if text.startswith("/", pos):
+        raise ParseError(f"expected an id after '/', got {_token(text, pos + 1)!r}")
 
 
 def parse_element(text: str, algebra: PathAlgebra) -> AlgebraElement:
     """Parse the element grammar: terms of `[scalar *] mono` joined by +/-.
 
     `p.q'` is the monomial p q*, `q'` alone is r(q) q*, a bare path is the
-    path itself, and a bare scalar is that multiple of the identity.
+    path itself, and a bare scalar is that multiple of the identity.  Each
+    term is one match of `_TERM_RE`; where the match stops short, the next
+    token names the error, and the checks run in reading order.
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r} in expression")
+    if not text or text.isspace():
         raise ParseError("empty expression")
-    tokens.reverse()  # the next token is the last one
-    g = algebra.graph
+    g, one = algebra.graph, fe_one(algebra.field)
     raw = {}  # {MonPair: FieldElem}, the terms read so far
-    sign = -1 if _take_op(tokens, "+-") == "-" else 1
-    while True:
-        kind, val = tokens[-1] if tokens else (None, None)
-        if kind is None:
-            raise ParseError("expected a term")
-        if kind != "scalar":
-            add_terms(raw, ((_mono(tokens, g), algebra.scalar(sign)),))
+    pos = 0
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        sign, scalar, star, p, dot, q, prime = m.groups()
+        if pos and not sign:  # after the first term, a sign starts each one
+            raise ParseError(f"expected + or - before {_token(text, pos)!r}")
+        c = parse_scalar(scalar, algebra.field) if scalar else one
+        c = -c if sign == "-" else c
+        pos = m.end()
+        if scalar and not star:  # a bare scalar means that multiple of the identity
+            if p:
+                raise ParseError(f"expected + or - before {_token(text, m.end(2))!r}")
+            add_terms(raw, ((algebra._vertex_mon(v), c) for v in g.vertices))
+            continue
+        if not p:
+            got = _token(text, pos)
+            raise ParseError(f"expected an id, got {got!r}" if scalar or got
+                             else "expected a term")
+        if not (dot or prime):
+            _path_ends(text, pos)
+        p = _path(g, p)
+        if dot:
+            if not q:
+                raise ParseError(f"expected an id, got {_token(text, m.end(5))!r}")
+            if not prime:
+                _path_ends(text, pos)
+            q = _path(g, q)
+            if not prime:
+                raise ParseError("expected ' to close a p.q' monomial")
+            try:
+                mon = MonPair(p, q)
+            except ValueError as exc:
+                raise ParseError(str(exc)) from None
         else:
-            tokens.pop()
-            coeff = sign * parse_scalar(val, algebra.field)
-            if _take_op(tokens, "*"):
-                add_terms(raw, ((_mono(tokens, g), coeff),))
-            else:  # a bare scalar means that multiple of the identity
-                add_terms(raw, ((algebra._vertex_mon(v), coeff) for v in g.vertices))
-        if not tokens:
-            return algebra._make(raw)
-        kind, val = tokens.pop()
-        if kind != "op" or val not in "+-":
-            raise ParseError(f"expected + or - before {val!r}")
-        sign = -1 if val == "-" else 1
+            r = PathSeq(p.dst, p.dst, ())
+            mon = MonPair(r, p) if prime else MonPair(p, r)
+        add_terms(raw, ((mon, c),))
+    return algebra._make(raw)
 
 
 def format_element(x: AlgebraElement) -> str:

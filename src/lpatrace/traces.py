@@ -176,7 +176,9 @@ def trace_eval(g: Graph, spec: TraceSpec, x: AlgebraElement) -> FieldElem:
     """Evaluate the induced trace on an algebra element.
 
     In Leavitt mode the spec must satisfy the vertex constraint (otherwise
-    the functional is not well defined on the quotient).
+    the functional is not well defined on the quotient).  Every term is
+    classified, but only a term whose class has a value in `spec.values`
+    costs a product and a sum: the zero class and unvalued classes add 0.
     """
     alg = x.algebra
     if alg.graph is not g:
@@ -190,9 +192,11 @@ def trace_eval(g: Graph, spec: TraceSpec, x: AlgebraElement) -> FieldElem:
                 "spec does not satisfy the vertex constraint: "
                 + "; ".join(check.messages())
             )
-    acc = fe_zero(spec.field)
+    acc, values = fe_zero(spec.field), spec.values
     for mon, c in x.terms.items():
-        acc = acc + c * spec.class_value(classify_eq(g, mon))
+        value = values.get(classify_eq(g, mon))
+        if value is not None:
+            acc = acc + c * value
     return acc
 
 

@@ -18,10 +18,27 @@ from types import MappingProxyType
 import pytest
 
 from lpatrace import graphs
-from lpatrace.errors import ParseError
+from lpatrace.errors import ParseError, PreconditionError
 from lpatrace.gis import MonPair, classify_eq
-from lpatrace.graphs import PathSeq, parse_graph, path_sort_key, vertex_path
-from lpatrace.scalars import QI, FieldElem, Q, fe_one, fe_zero, laurent_one
+from lpatrace.graphs import (
+    Graph,
+    PathSeq,
+    edge_path,
+    parse_graph,
+    path_sort_key,
+    vertex_path,
+)
+from lpatrace.path_algebras import LEAVITT, AlgebraElement, PathAlgebra
+from lpatrace.scalars import (
+    QI,
+    FieldElem,
+    Q,
+    add_terms,
+    fe_one,
+    fe_zero,
+    laurent_one,
+    parse_scalar,
+)
 from lpatrace.semigroups import (
     build_semigroup,
     central_map,
@@ -32,7 +49,7 @@ from lpatrace.semigroups import (
     sim_classes,
 )
 from lpatrace.structure import MatrixImage
-from lpatrace.traces import trace_spec, vertex_trace_space
+from lpatrace.traces import TraceSpec, trace_spec, validate_trace_spec, vertex_trace_space
 
 SEED = int(os.environ.get("LPA_SEED", "20240901"))
 
@@ -434,6 +451,33 @@ def random_validated_spec(g, rng, field=Q, involution="identity", max_cycle_len=
     )
 
 
+def trace_eval_reference(g: Graph, spec: TraceSpec, x: AlgebraElement) -> FieldElem:
+    """`traces.trace_eval` with one product and one sum for every term,
+    the zero class and unvalued classes included: the loop that the
+    valued-classes-only sum replaced, kept as the reference for its values
+    and errors.
+
+    In Leavitt mode the spec must satisfy the vertex constraint (otherwise
+    the functional is not well defined on the quotient).
+    """
+    alg = x.algebra
+    if alg.graph is not g:
+        raise ValueError("element is over a different graph")
+    if alg.field != spec.field:
+        raise ValueError(f"element field {alg.field} != spec field {spec.field}")
+    if alg.mode == LEAVITT:
+        check = validate_trace_spec(g, spec)
+        if not check:
+            raise PreconditionError(
+                "spec does not satisfy the vertex constraint: "
+                + "; ".join(check.messages())
+            )
+    acc = fe_zero(spec.field)
+    for mon, c in x.terms.items():
+        acc = acc + c * spec.class_value(classify_eq(g, mon))
+    return acc
+
+
 def randomized_normalize(A, raw, rng):
     """Apply redex rewrites in random order; must agree with from_terms."""
     terms = {}
@@ -527,7 +571,7 @@ def commutator_span_oracle(G, field=Q):
 
 
 # ---------------------------------------------------------------------------
-# Reference parsers: scalars through Fraction, tokens one character at a time
+# Reference parsers: scalars through Fraction, elements one token at a time
 # ---------------------------------------------------------------------------
 
 _RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
@@ -559,35 +603,113 @@ def reference_parse_scalar(text, field=Q):
     return FieldElem(re_part, im_part, field)
 
 
-_TOKEN_SCALAR = re.compile(r"[0-9]+(?:/[0-9]+)?(?:[+-][0-9]+(?:/[0-9]+)?i|i)?")
-_TOKEN_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# one alternative per token kind; whitespace matches none of them, and \S
+# any other character, which is an error
+_TOKEN_RE = re.compile(
+    r"([0-9]+(?:/[0-9]+)?(?:[+-][0-9]+(?:/[0-9]+)?i|i)?)"  # scalar
+    r"|([A-Za-z_][A-Za-z0-9_]*)"  # id
+    r"|([-+*.'/])"  # op
+    r"|(\S)"
+)
 
 
-def reference_tokenize(text):
-    """`path_algebras._tokenize`, walking the text one character at a time."""
+def _tokenize(text: str):
+    """The (kind, text) tokens of an expression; kind is scalar, id or op."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            m = _TOKEN_SCALAR.match(text, i)
-            tokens.append(("scalar", m.group()))
-            i = m.end()
-            continue
-        m = _TOKEN_ID.match(text, i)
-        if m:
-            tokens.append(("id", m.group()))
-            i = m.end()
-            continue
-        if ch in "+-*.'/":
-            tokens.append(("op", ch))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r} in expression")
+    for scalar, ident, op, other in _TOKEN_RE.findall(text):
+        if scalar:
+            tokens.append(("scalar", scalar))
+        elif ident:
+            tokens.append(("id", ident))
+        elif op:
+            tokens.append(("op", op))
+        else:
+            raise ParseError(f"unexpected character {other!r} in expression")
     return tokens
+
+
+def _take(tokens):
+    """Pop the next token off a reversed token list; (None, None) past the end."""
+    return tokens.pop() if tokens else (None, None)
+
+
+def _take_op(tokens, ops: str):
+    """Pop the next token if it is one of the operator characters `ops`."""
+    if tokens and tokens[-1][0] == "op" and tokens[-1][1] in ops:
+        return tokens.pop()[1]
+    return None
+
+
+def _path(tokens, g: Graph) -> PathSeq:
+    kind, val = _take(tokens)
+    if kind != "id":
+        raise ParseError(f"expected an id, got {val!r}")
+    ids = [val]
+    while _take_op(tokens, "/"):
+        kind, val = _take(tokens)
+        if kind != "id":
+            raise ParseError(f"expected an id after '/', got {val!r}")
+        ids.append(val)
+    if len(ids) == 1 and g.is_vertex(ids[0]):
+        return vertex_path(g, ids[0])
+    for name in ids:
+        if not g.is_edge(name):
+            raise ParseError(f"unknown edge {name!r} in path")
+    try:
+        return edge_path(g, ids)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _mono(tokens, g: Graph) -> MonPair:
+    p = _path(tokens, g)
+    if _take_op(tokens, "."):
+        q = _path(tokens, g)
+        if not _take_op(tokens, "'"):
+            raise ParseError("expected ' to close a p.q' monomial")
+        try:
+            return MonPair(p, q)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
+    if _take_op(tokens, "'"):
+        return MonPair(vertex_path(g, p.dst), p)
+    return MonPair(p, vertex_path(g, p.dst))
+
+
+def reference_parse_element(text: str, algebra: PathAlgebra) -> AlgebraElement:
+    """`path_algebras.parse_element` over a token list: the parser that the
+    one-regex-per-term reader replaced, kept as the reference for its
+    elements, error types and messages.
+
+    `p.q'` is the monomial p q*, `q'` alone is r(q) q*, a bare path is the
+    path itself, and a bare scalar is that multiple of the identity.
+    """
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty expression")
+    tokens.reverse()  # the next token is the last one
+    g = algebra.graph
+    raw = {}  # {MonPair: FieldElem}, the terms read so far
+    sign = -1 if _take_op(tokens, "+-") == "-" else 1
+    while True:
+        kind, val = tokens[-1] if tokens else (None, None)
+        if kind is None:
+            raise ParseError("expected a term")
+        if kind != "scalar":
+            add_terms(raw, ((_mono(tokens, g), algebra.scalar(sign)),))
+        else:
+            tokens.pop()
+            coeff = sign * parse_scalar(val, algebra.field)
+            if _take_op(tokens, "*"):
+                add_terms(raw, ((_mono(tokens, g), coeff),))
+            else:  # a bare scalar means that multiple of the identity
+                add_terms(raw, ((algebra._vertex_mon(v), coeff) for v in g.vertices))
+        if not tokens:
+            return algebra._make(raw)
+        kind, val = tokens.pop()
+        if kind != "op" or val not in "+-":
+            raise ParseError(f"expected + or - before {val!r}")
+        sign = -1 if val == "-" else 1
 
 
 # single characters, then whole pieces: a 5000-digit integer and `/0`

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from lpatrace.path_algebras import (
     PathAlgebra,
     alg_commutator,
     alg_star,
-    _tokenize,
     format_element,
     parse_element,
     transfer,
@@ -37,7 +37,7 @@ from conftest import (
     random_raw_terms,
     random_scalar_text,
     randomized_normalize,
-    reference_tokenize,
+    reference_parse_element,
 )
 
 
@@ -475,23 +475,111 @@ def test_parse_element_errors():
         "f f": "expected \\+ or - before 'f'",
         "f +": "expected a term",
         "f ; g": "unexpected character",
+        # a scalar directly before an id is a bare scalar and then an id
+        "3f": "expected \\+ or - before 'f'",
+        "2*": "expected an id, got None",
+        "f/": "expected an id after '/', got None",
+        # whitespace may separate any two tokens, inside p/q too
+        " f\t/ g": "edges 'f' and 'g' do not compose",
+        "f . g '": "ranges differ",
     }
     for text, message in cases.items():
         with pytest.raises(ParseError, match=message):
             parse_element(text, A)
 
 
-def test_tokenize_matches_the_character_walk():
-    # tokens, exception types and texts; the strings mix scalars, ids,
-    # operators, non-ASCII digits and Unicode whitespace
+def test_parse_element_reads_scalar_text_as_the_reference():
+    # elements, exception types and texts; the strings mix scalars, ids,
+    # operators, non-ASCII digits, Unicode whitespace and long integers
     rng = fresh_rng(39)
-    tokenized = 0
+    A = PathAlgebra(GRAPHS["loop_exit"], QI, CONJUGATION, LEAVITT)
+    parsed = 0
     for _ in range(3000):
         text = " ".join(random_scalar_text(rng) for _ in range(rng.randint(1, 3)))
-        got = outcome(_tokenize, text)
-        assert got == outcome(reference_tokenize, text), text[:40]
-        tokenized += got[0] == "ok"
-    assert tokenized > 1000
+        got = outcome(parse_element, text, A)
+        assert got == outcome(reference_parse_element, text, A), text[:40]
+        parsed += got[0] == "ok"
+    assert parsed > 250
+
+
+# whitespace between two tokens: none, which may merge them, ASCII, tab or
+# ideographic space
+_GAPS = ("", " ", " ", "  ", "\t", "\u3000")
+# pieces a mutation inserts, and whole texts read as they are
+_ODD_PIECES = ("\u0663", "\u00b2", ";", "9" * 5000, "/0", "'", "*", ".", "/", "+", "-", "f", "3")
+_FIXED_TEXTS = (
+    "3f", "2*", "f/", "f.g", "'", "--f", "+", "", " ", "\t\u3000 ",
+    "f . g '", "2 * f / g", "e' .", "1/0*f", "2 i*v", "f /", "f. '",
+)
+
+
+def _expression_tokens(A, rng):
+    """The tokens of a workload-shaped expression: signed terms `c*p.q'`,
+    some with their scalar or `.q` left out."""
+    tokens = []
+    for i in range(rng.randint(1, 5)):
+        if i or rng.random() < 0.5:
+            tokens.append(rng.choice("+-"))
+        if rng.random() < 0.8:
+            tokens += [_random_literal(rng, A.field)[0], "*"]
+        mon = random_monpair(A.graph, rng, max_len=3)
+        tokens += format_path(mon.p).replace("/", " / ").split()
+        if rng.random() < 0.8:
+            tokens += ["."] + format_path(mon.q).replace("/", " / ").split() + ["'"]
+    return tokens
+
+
+def _mutate(tokens, rng):
+    """Drop, duplicate, swap or insert tokens, a few times at random."""
+    tokens = tokens[:]
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randrange(len(tokens) + 1)
+        kind = rng.choice(("drop", "duplicate", "swap", "insert"))
+        if kind == "insert" or not tokens:
+            tokens.insert(i, rng.choice(_ODD_PIECES))
+        elif kind == "drop":
+            del tokens[i - 1]
+        elif kind == "duplicate":
+            tokens.insert(i, tokens[i - 1])
+        else:
+            j = rng.randrange(len(tokens))
+            tokens[i - 1], tokens[j] = tokens[j], tokens[i - 1]
+    return tokens
+
+
+def _error_kind(result):
+    """The message of an error outcome up to its first quote, digit or colon."""
+    return None if result[0] == "ok" else re.split(r"['\d:]", result[1])[0]
+
+
+@pytest.mark.parametrize("field,involution", [(Q, IDENTITY), (QI, CONJUGATION)])
+@pytest.mark.parametrize("mode", [COHN, LEAVITT])
+def test_parse_element_matches_the_token_list_parser(mode, field, involution):
+    # elements with their term order, exception types and texts, on
+    # workload-shaped expressions, their mutations and fixed edge cases
+    rng = fresh_rng(40)
+    kinds = set()
+    for name in ("tree", "mixed", "rose2", "loop_exit", "tail_loop"):
+        A = PathAlgebra(GRAPHS[name], field, involution, mode)
+        texts = list(_FIXED_TEXTS)
+        for _ in range(300):
+            tokens = _mutate(_expression_tokens(A, rng), rng)
+            gaps = [rng.choice(_GAPS) for _ in range(len(tokens) + 1)]
+            texts.append("".join(g + t for g, t in zip(gaps, tokens + [""])))
+        for text in texts:
+            got = outcome(parse_element, text, A)
+            want = outcome(reference_parse_element, text, A)
+            assert got == want, (name, text[:60])
+            if got[0] == "ok":
+                assert list(got[1].terms.items()) == list(want[1].terms.items())
+            kinds.add(_error_kind(got))
+    expected = {
+        None, "unexpected character ", "empty expression", "expected a term",
+        "expected an id, got ", "expected an id after ", "expected + or - before ",
+        "expected ", "unknown edge ", "edges ", "ranges differ",
+        "zero denominator in scalar ", "scalar ",
+    }
+    assert expected <= kinds, expected - kinds
 
 
 def test_transfer_normalizes_cohn_elements():

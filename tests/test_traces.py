@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lpatrace.errors import ParseError, PreconditionError
-from lpatrace.gis import CycleWord, CycleWordStar, MonPair, VertexClass
+from lpatrace.gis import ZERO_CLASS, CycleWord, CycleWordStar, MonPair, VertexClass
 from lpatrace.graphs import Graph, edge_path, parse_graph, vertex_path
 from lpatrace.path_algebras import (
     COHN,
@@ -25,6 +25,7 @@ from lpatrace.scalars import (
 )
 from lpatrace.semigroups import group_with_zero
 from lpatrace.traces import (
+    TraceSpec,
     augmentation_trace,
     build_faithful_trace,
     faithful_trace_exists,
@@ -41,15 +42,18 @@ from lpatrace.traces import (
 
 from conftest import (
     CATALOG10,
+    GRAPH_TEXTS,
     GRAPHS,
     NO_EXIT_NAMES,
     SEMIGROUPS,
     fe_i,
     fresh_rng,
+    outcome,
     random_element,
     random_nonzero_element,
     random_raw_terms,
     random_validated_spec,
+    trace_eval_reference,
 )
 
 
@@ -140,6 +144,47 @@ def test_trace_eval_rejects_invalid_spec_in_leavitt_mode():
     # the same spec is fine on the Cohn algebra
     C = PathAlgebra(rose, Q, IDENTITY, COHN)
     assert trace_eval(rose, bad, C.vertex("v")) == fe(1)
+
+
+@pytest.mark.parametrize("field,involution", [(Q, IDENTITY), (QI, CONJUGATION)])
+@pytest.mark.parametrize("mode", [COHN, LEAVITT])
+def test_trace_eval_matches_the_every_term_reference(mode, field, involution):
+    # values and errors of the valued-classes-only sum and of the loop that
+    # multiplies every term, on validated specs and on hand-built ones with
+    # zero values, a zero-class key, a mixed field or a broken vertex value
+    rng = fresh_rng(41)
+    other = QI if field == Q else Q
+    results = set()
+    for name in ("rose2", "loop_exit", "two_cycle", "tail_loop", "mixed"):
+        g = GRAPHS[name]
+        A = PathAlgebra(g, field, involution, mode)
+        valid = random_validated_spec(g, rng, field, involution)
+        zeros = {VertexClass(v): fe_zero(field) for v in g.vertices}
+        specs = [
+            valid,
+            random_validated_spec(g, rng, field, involution),
+            TraceSpec(field, involution, {**zeros, ZERO_CLASS: fe(3, 0, field)}),
+            TraceSpec(field, involution, {**valid.values, **zeros}),
+            TraceSpec(field, involution, {**valid.values, ZERO_CLASS: fe(1, 0, other)}),
+            TraceSpec(field, involution, {**valid.values, ZERO_CLASS: fe_zero(other)}),
+            TraceSpec(field, involution, {**valid.values, VertexClass(g.vertices[0]): fe(5, 0, field)}),
+        ]
+        for spec in specs:
+            for _ in range(15):
+                x = random_element(A, rng, n_terms=5)
+                got = outcome(trace_eval, g, spec, x)
+                assert got == outcome(trace_eval_reference, g, spec, x), (name, spec)
+                results.add(got[0] if got[0] != "ok" else bool(got[1]))
+            copy = parse_graph(GRAPH_TEXTS[name])  # an equal graph, not the same one
+            foreign = TraceSpec(other, involution, spec.values)
+            for args in ((copy, spec, x), (g, foreign, x)):
+                got = outcome(trace_eval, *args)
+                assert got[0] is ValueError
+                assert got == outcome(trace_eval_reference, *args)
+    # nonzero and zero values, mixed-field errors, and in Leavitt mode the
+    # broken vertex values
+    assert {True, False, ValueError} <= results
+    assert (PreconditionError in results) == (mode == LEAVITT)
 
 
 def test_minimal_trace_cohn_examples():
