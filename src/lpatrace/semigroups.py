@@ -9,7 +9,9 @@ classes, and the associated decision procedures.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import namedtuple
+from functools import partial
 from operator import itemgetter
 
 from .errors import ParseError, PreconditionError
@@ -30,13 +32,15 @@ class FiniteSemigroup:
     """A validated Cayley table with an absorbing zero element.
 
     Immutable.  Equality and hashing read (table, zero, labels); `_sim`
-    is the `sim_classes` cache, which they and pickling leave out.
+    is the `sim_classes` cache and `_flat` the table packed row by row
+    into `bytes` (up to 256 elements), both written once, and both left
+    out of equality, hashing and pickling.
     """
 
-    __slots__ = ("table", "zero", "labels", "_sim")
+    __slots__ = ("table", "zero", "labels", "_sim", "_flat")
 
     def __init__(self, table: tuple, zero: int, labels: tuple | None = None):
-        for name, value in zip(self.__slots__, (table, zero, labels, None)):
+        for name, value in zip(self.__slots__, (table, zero, labels, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -75,34 +79,46 @@ class FiniteSemigroup:
         return f"FiniteSemigroup(size={self.size}, zero={self.zero})"
 
 
+def _packed(G: FiniteSemigroup) -> bytes:
+    """The table of G (at most 256 elements) as n*n bytes, row after row."""
+    if G._flat is None:  # G was built directly or unpickled
+        object.__setattr__(G, "_flat", bytes(itertools.chain.from_iterable(G.table)))
+    return G._flat
+
+
 def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
     """Validate a Cayley table: squareness, associativity, absorbing zero.
 
-    Entries are read with int().  Up to 256 elements each row is packed
-    into `bytes` instead, whose C constructor checks in one pass that every
-    entry is an integer in 0..255, and Light's test composes the packed
-    rows in C.  A row that bytes() rejects (strings, floats, a negative
-    entry, ...) is read with int(), so the rows and the errors are the
-    same either way.
+    Each row is read once by a C constructor: up to 256 elements into
+    `bytes`, which checks that every entry is an integer in 0..255, and
+    above that into `array('H')`, which checks 0..65535, so the range
+    check is one `max` per row.  A row that the constructor rejects
+    (strings, floats, a negative entry, ...) is read with int() instead,
+    so the rows and the errors are the same either way.  Up to 256
+    elements the rows, joined for the range check, stay on the semigroup
+    as its packed table, and Light's test composes the packed rows in C.
     """
     table = tuple(table)
     n = len(table)
-    if n <= 256:
-        rows = tuple(map(_read_row, table))
-    else:
-        rows = tuple(tuple(map(int, row)) for row in table)
+    pack = bytes if n <= 256 else partial(array, "H")
+    rows = [_read_row(row, pack) for row in table]
     if n == 0:
         raise ValueError("empty table")
     if any(len(row) != n for row in rows):
         raise ValueError("table is not square")
+    flat = None
     if n <= 256:
         try:  # a row read with int() may still hold -1 or 256
             rows = tuple(map(bytes, rows))
-            in_range = not b"".join(rows).translate(None, bytes(range(n)))
+            flat = b"".join(rows)
+            in_range = not flat.translate(None, bytes(range(n)))
         except ValueError:
             in_range = False
-    else:
-        in_range = all(min(row) >= 0 and max(row) < n for row in rows)
+    else:  # an array('H') row holds no negative entry; an int() row may
+        in_range = all(
+            max(row) < n and (type(row) is array or min(row) >= 0) for row in rows
+        )
+        rows = tuple(map(tuple, rows))
     if not in_range:
         raise ValueError("table entry out of range")
     if not 0 <= zero_index < n:
@@ -118,15 +134,17 @@ def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
         labels = tuple(labels)
         if len(labels) != n or len(set(labels)) != n:
             raise ValueError("labels must be unique and cover all elements")
-    return FiniteSemigroup(tuple(map(tuple, rows)), zero_index, labels)
+    G = FiniteSemigroup(tuple(map(tuple, rows)), zero_index, labels)
+    object.__setattr__(G, "_flat", flat)
+    return G
 
 
-def _read_row(row):
-    """A row as bytes if its entries are integers in 0..255, else as int()s."""
+def _read_row(row, pack):
+    """A row packed by `pack` if it takes every entry, else as int()s."""
     row = tuple(row)  # read once, and never as a buffer (an array's bytes)
     try:
-        return bytes(row)
-    except (TypeError, ValueError):
+        return pack(row)
+    except (TypeError, ValueError, OverflowError):
         return tuple(map(int, row))
 
 
@@ -141,29 +159,41 @@ def _associativity_witness(rows):
     Rows are `bytes` up to 256 elements: the products x*(g*y) for every y
     are then row g translated through row x, padded to the 256-byte table
     that `bytes.translate` reads, all in C, and the compare with row x*g
-    is a memcmp.  Larger tables have tuple rows, and an itemgetter over
-    row g picks the same products out of row x, one object per entry.
+    is a memcmp.  Larger tables have tuple rows.  For each g, the rows x*g
+    and the columns g*y are first compared whole, transposed by zip, so
+    only a g that fails is checked row by row, an itemgetter over row g
+    picking the products out of row x, to name the triple.
     """
     n = len(rows)
-    # generators in index order, right-product closure kept incremental
+    # generators in index order; each new one grows the closure under
+    # right products by frontier sets, read from the rows in C
     gens, reached = [], set()
     for x in range(n):
         if x not in reached:
             gens.append(x)
-            todo = [rows[y][x] for y in reached] + [x]
-            while todo:
-                y = todo.pop()
-                if y not in reached:
-                    reached.add(y)
-                    todo.extend(rows[y][h] for h in gens)
+            right = itemgetter(*gens, x)  # row y -> (y*h for h in gens, y*x)
+            frontier = set(map(itemgetter(x), map(rows.__getitem__, reached)))
+            frontier.add(x)
+            frontier -= reached
+            while frontier:
+                reached |= frontier
+                products = map(right, map(rows.__getitem__, frontier))
+                frontier = set(itertools.chain.from_iterable(products)) - reached
     first_with_row = {}
     for x, row in enumerate(rows):
         first_with_row.setdefault(row, x)
     if n <= 256:  # translate reads a 256-byte table: pad each row to one
         pad = bytes(256 - n)
         first_with_row = {row + pad: x for row, x in first_with_row.items()}
+    else:  # cols[a] = (x*a for each first x with its row)
+        cols = tuple(zip(*map(rows.__getitem__, first_with_row.values())))
     for g in gens:
         g_row = rows[g]
+        if n > 256 and (
+            tuple(zip(*map(rows.__getitem__, cols[g])))
+            == tuple(map(cols.__getitem__, g_row))
+        ):
+            continue  # ((x*g)*y for x) == (x*(g*y) for x), for every y
         # (padded) row x -> (x*(g*y) for each y)
         times_g_row = g_row.translate if n <= 256 else itemgetter(*g_row)
         for row, x in first_with_row.items():
@@ -204,7 +234,10 @@ def parse_cayley(text: str) -> FiniteSemigroup:
     for lineno, line in lines[1: 1 + size]:
         words = line.split()
         try:
-            row = tuple(map(names.__getitem__, words))
+            if len(words) > 1:
+                row = itemgetter(*words)(names)
+            else:  # one index would make itemgetter return a scalar
+                row = (names[words[0]],)
         except KeyError:
             try:
                 row = natural_numbers(words)
@@ -353,18 +386,32 @@ def sim_classes(G: FiniteSemigroup) -> SimPartition:
 
     label[x] is the least member of x's class.  Row a and column a give
     every pair (ab, ba) for this a; a row whose pairs already share their
-    labels is skipped by two C-level comparisons.  Merging only coarsens
-    the partition, so a pair merged once stays merged and one pass is
-    enough.  The partition is a pure function of the table, so it is
-    computed once and kept on the semigroup instance.
+    labels is skipped by two C-level comparisons.  Up to 256 elements row
+    and column are slices of the packed table (the column a strided one)
+    and the labels a `bytes.translate` table, so the skip test is two
+    translates and a memcmp; larger tables compare tuple rows and columns
+    through itemgetters.  Merging only coarsens the partition, so a pair
+    merged once stays merged and one pass is enough.  The partition is a
+    pure function of the table, so it is computed once and kept on the
+    semigroup instance.
     """
     if G._sim is not None:
         return G._sim
     rows, n = G.table, G.size
-    label = list(range(n))
+    packed = n <= 256
+    if packed:
+        flat = _packed(G)
+        label = bytearray(range(256))  # a translate table
+        pairs = ((flat[a * n:a * n + n], flat[a::n]) for a in range(n))
+    else:
+        label = list(range(n))
+        pairs = zip(rows, zip(*rows))  # col[b] = b*a
     members = [[x] for x in range(n)]
-    for row, col in zip(rows, zip(*rows)):  # col[b] = b*a
-        if row == col or itemgetter(*row)(label) == itemgetter(*col)(label):
+    for row, col in pairs:
+        if row == col or (
+            row.translate(label) == col.translate(label) if packed
+            else itemgetter(*row)(label) == itemgetter(*col)(label)
+        ):
             continue
         for u, v in zip(row, col):
             lu, lv = label[u], label[v]
@@ -375,6 +422,7 @@ def sim_classes(G: FiniteSemigroup) -> SimPartition:
                     label[x] = lu
                 members[lu] += members[lv]
                 members[lv] = None
+    label = label[:n]
     class_id = {root: cid for cid, root in enumerate(dict.fromkeys(label))}
     class_of = tuple(map(class_id.__getitem__, label))
     classes = [[] for _ in class_id]
@@ -393,9 +441,11 @@ def sim_witness_chain(G: FiniteSemigroup, g: int, h: int):
     Returns the empty list when g == h, a list of (a, b) pairs when a chain
     exists, and None when g and h are inequivalent.  The breadth-first
     search expands u by scanning the table in row-major order for each ab
-    equal to u, so a step from ab to ba is witnessed by the first such
-    (a, b), and each element's steps are tried in that order.  It stops
-    when h gets its parent, which is never overwritten.
+    equal to u (`bytes.index` on the packed table up to 256 elements,
+    `list.index` on the flattened rows above), so a step from ab to ba is
+    witnessed by the first such (a, b), and each element's steps are tried
+    in that order.  It stops when h gets its parent, which is never
+    overwritten.
     """
     if g == h:
         return []
@@ -403,7 +453,10 @@ def sim_witness_chain(G: FiniteSemigroup, g: int, h: int):
     if part.class_of[g] != part.class_of[h]:
         return None
     rows, n = G.table, G.size
-    find = list(itertools.chain.from_iterable(rows)).index
+    if n <= 256:
+        find = _packed(G).index
+    else:
+        find = list(itertools.chain.from_iterable(rows)).index
     parent = {g: None}
     queue = [g]  # read in order while it grows: breadth first
     for u in queue:

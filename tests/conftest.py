@@ -19,13 +19,14 @@ import pytest
 
 from lpatrace import graphs
 from lpatrace.errors import ParseError, PreconditionError
-from lpatrace.gis import MonPair, classify_eq
+from lpatrace.gis import MonPair, VertexClass, classify_eq
 from lpatrace.graphs import (
     Graph,
     PathSeq,
     edge_path,
     parse_graph,
     path_sort_key,
+    regular_vertices,
     vertex_path,
 )
 from lpatrace.path_algebras import LEAVITT, AlgebraElement, PathAlgebra
@@ -36,8 +37,12 @@ from lpatrace.scalars import (
     add_terms,
     fe_one,
     fe_zero,
+    format_scalar,
+    is_nonnegative,
+    is_positive_nonzero,
     laurent_one,
     parse_scalar,
+    require_positive_definite,
 )
 from lpatrace.semigroups import (
     build_semigroup,
@@ -49,7 +54,13 @@ from lpatrace.semigroups import (
     sim_classes,
 )
 from lpatrace.structure import MatrixImage
-from lpatrace.traces import TraceSpec, trace_spec, validate_trace_spec, vertex_trace_space
+from lpatrace.traces import (
+    ScreenViolation,
+    TraceSpec,
+    trace_spec,
+    validate_trace_spec,
+    vertex_trace_space,
+)
 
 SEED = int(os.environ.get("LPA_SEED", "20240901"))
 
@@ -476,6 +487,55 @@ def trace_eval_reference(g: Graph, spec: TraceSpec, x: AlgebraElement) -> FieldE
     for mon, c in x.terms.items():
         acc = acc + c * spec.class_value(classify_eq(g, mon))
     return acc
+
+
+def positivity_screen_reference(g: Graph, spec: TraceSpec):
+    """`traces.positivity_screen` walking every reachable pair for
+    condition 2 whatever the edges give: the O(V^2) screen that the
+    edge-first check replaced, kept as the reference for its violation
+    list and order."""
+    require_positive_definite(spec.field, spec.involution)
+    zero = fe_zero(spec.field)
+    values = {c.v: x for c, x in spec.values.items() if type(c) is VertexClass}
+    t = {v: values.get(v, zero) for v in g.vertices}
+    violations = []
+    for v in g.vertices:
+        if not is_nonnegative(t[v], spec.involution):
+            violations.append(ScreenViolation(
+                1, (v,),
+                f"t({v}) = {format_scalar(t[v])} is not a "
+                f"nonnegative rational",
+            ))
+    position = {v: i for i, v in enumerate(g.vertices)}
+    for v in g.vertices:
+        for w in sorted(_reach(g, v), key=position.__getitem__):
+            if w == v:
+                continue
+            diff = t[v] - t[w]
+            if not (diff.im == 0 and diff.re >= 0):
+                violations.append(ScreenViolation(
+                    2, (v, w),
+                    f"t({v}) < t({w}) although {w} is reachable from {v}",
+                ))
+    for v in regular_vertices(g):
+        total = zero
+        for eid in g.out_edges[v]:
+            total = total + t[g.edge_dst[eid]]
+        diff = t[v] - total
+        if not (diff.im == 0 and diff.re >= 0):
+            violations.append(ScreenViolation(
+                3, (v,),
+                f"t({v}) is less than the sum over the ranges of its "
+                f"outgoing edges",
+            ))
+    for v in g.vertices:
+        if not is_positive_nonzero(t[v], spec.involution):
+            violations.append(ScreenViolation(
+                4, (v,),
+                f"t({v}) = {format_scalar(t[v])} is not "
+                f"strictly positive (faithfulness candidacy)",
+            ))
+    return violations
 
 
 def randomized_normalize(A, raw, rng):

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import re
 from array import array
 from fractions import Fraction
@@ -8,6 +10,7 @@ import pytest
 from lpatrace.errors import ParseError, PreconditionError
 from lpatrace.scalars import QI, Q, fe, fe_one, fe_zero
 from lpatrace.semigroups import (
+    FiniteSemigroup,
     FreeVector,
     admits_normalized_minimal,
     build_semigroup,
@@ -178,12 +181,34 @@ def test_associativity_witness_matches_reference_on_both_composers():
     assert late == 3 and len(middles) >= 5
 
 
+def test_late_violation_in_a_257_element_table_names_the_reference_triple():
+    """A null semigroup on 1..200 beside a right-zero one on 201..256: all
+    257 elements are Light's generators, and one changed product in the
+    right-zero block first fails at generator 201.  The whole-table
+    compare passes the 201 generators before it, fails there, and the row
+    loop names the reference's triple."""
+    n = 257
+    rows = [[0] * n for _ in range(n)]
+    for x in range(201, n):
+        rows[x][201:] = range(201, n)
+    assert build_semigroup(rows, 0).size == n
+    rows[250][255] = 251
+    expected = associativity_witness_reference(tuple(map(tuple, rows)))
+    assert expected == (250, 201, 255)
+    a, b, c = expected
+    text = f"table not associative: ({a}*{b})*{c} != {a}*({b}*{c})"
+    assert outcome(build_semigroup, rows, 0) == (ValueError, text)
+
+
 @pytest.mark.parametrize("n", [6, 255, 256, 257])
 def test_build_semigroup_coerces_entries_alike_on_both_paths(n):
     """Entries that int() accepts give the table of their int() values, and
     a rejected table raises the type and text that int() and the shape
-    checks give, in the same order, whether or not its rows fit in bytes."""
+    checks give, in the same order, whether its rows are read into bytes
+    (n <= 256) or array('H') (n = 257): entries either constructor
+    rejects (strings, floats, -1, 65536) are read with int()."""
     base = _right_zero_table(n)
+    k = min(7, n - 1)
 
     def with_entry(row, col, value):
         rows = [list(r) for r in base]
@@ -197,6 +222,9 @@ def test_build_semigroup_coerces_entries_alike_on_both_paths(n):
         with_entry(1, 1, True),
         with_entry(1, 1, Fraction(3, 2)),
         with_entry(n - 1, n - 1, str(n - 1)),
+        with_entry(1, k, str(k)),
+        with_entry(1, k, float(k)),
+        with_entry(n - 1, 1, True),
         [tuple(r) for r in base],
         [base[0], array("q", base[1])] + base[2:],  # bytes() would read its buffer
         [base[0], iter(base[1])] + base[2:],
@@ -211,6 +239,11 @@ def test_build_semigroup_coerces_entries_alike_on_both_paths(n):
         (with_entry(2, 4, -1), out_of_range),
         (with_entry(2, 4, n), out_of_range),
         (with_entry(n - 1, 0, 10 ** 30), out_of_range),
+        (with_entry(2, 4, 65535), out_of_range),
+        (with_entry(2, 4, 65536), out_of_range),
+        (with_entry(n - 1, n - 1, -1), out_of_range),
+        (with_entry(n - 1, n - 1, "-1"), out_of_range),
+        (with_entry(1, k, "7.0"), outcome(int, "7.0")),
         ([base[0], 7] + base[2:], outcome(iter, 7)),
         ([base[0], base[1] + [0]] + with_entry(2, 4, n)[2:], not_square),
         ([base[0], base[1][:-1]] + with_entry(2, 4, -1)[2:], not_square),
@@ -398,6 +431,67 @@ def test_sim_classes_and_chains_on_relabeled_tables():
                 zero_class_pairs += g != h and {g, h} <= set(zero_class)
     assert lengths == {None, 0, 1, 2}
     assert zero_class_pairs > 0
+
+
+def _packed_corpus(rng):
+    """(table, associative) pairs of sizes 1, 2, 255, 256 and 257: null and
+    right-zero tables, those with a few entries perturbed among the last
+    elements or anywhere, perturbed fixtures, and small random tables."""
+    corpus = [(_null_table(n), True) for n in (1, 2, 255, 256, 257)]
+    corpus += [(_right_zero_table(n), True) for n in (2, 255, 256, 257)]
+    bases = [_null_table(n) for n in (255, 256, 257)]
+    bases += [_right_zero_table(n) for n in (256, 257)]
+    bases += [[list(row) for row in SEMIGROUPS[name].table]
+              for name in ("endo3", "mu3", "s3", "right_zero")]
+    for base in bases:
+        n = len(base)
+        rows = [list(row) for row in base]
+        for _ in range(rng.randint(2, 6)):  # keeps 0 absorbing
+            low = rng.choice((1, n - min(n - 1, 4)))
+            rows[rng.randrange(low, n)][rng.randrange(low, n)] = rng.randrange(n)
+        corpus.append((rows, False))
+    for n in (1, 2, 2, 3, 5, 8):
+        corpus.append(([[rng.randrange(n) for _ in range(n)] for _ in range(n)], False))
+    return corpus
+
+
+def test_packed_sim_classes_and_chains_match_the_references():
+    """sim_classes and sim_witness_chain on the packed table (n <= 256) and
+    on tuple rows (n = 257) equal the references, for a semigroup that
+    build_semigroup packed, one built directly, and its pickled and deep
+    copies; the packed table is written once, and equality, hashing and
+    pickling do not see it."""
+    rng = fresh_rng(21)
+    lengths = set()
+    for rows, associative in _packed_corpus(rng):
+        n = len(rows)
+        table = tuple(map(tuple, rows))
+        packed = bytes(itertools.chain.from_iterable(table)) if n <= 256 else None
+        variants = [FiniteSemigroup(table, 0)]
+        if associative:
+            built = build_semigroup(rows, 0)
+            assert built._flat == packed, n
+            variants += [pickle.loads(pickle.dumps(built)), copy.deepcopy(built)]
+        assert all(G._flat is None for G in variants), n
+        if associative:
+            variants.append(built)
+        classes = sim_classes_reference(variants[0])
+        g = rng.randrange(n)
+        same_class = next(c for c in classes if g in c)
+        pairs = [(g, rng.choice(same_class)), (rng.randrange(n), rng.randrange(n))]
+        chains = [sim_witness_chain_reference(variants[0], *pair) for pair in pairs]
+        lengths.update(None if c is None else min(len(c), 2) for c in chains)
+        bare = FiniteSemigroup(table, 0)
+        for G in variants:
+            assert sim_classes(G).classes == classes, n
+            assert [sim_witness_chain(G, *pair) for pair in pairs] == chains, n
+            assert G._flat == packed, n
+            with pytest.raises(AttributeError):
+                G._flat = None
+            # the packed table is a cache, not part of the value
+            assert G == bare and hash(G) == hash(bare), n
+            assert pickle.dumps(G) == pickle.dumps(bare), n
+    assert lengths == {None, 0, 1, 2}
 
 
 def test_is_central_map_examples():
@@ -604,6 +698,14 @@ def test_parse_cayley_round_trip():
         parse_cayley("n 2 zero 0\n0 0\n")
     with pytest.raises(ParseError):
         parse_cayley("bogus\n")
+    # rows of one word: a 1-element table, and short rows
+    assert parse_cayley("n 1 zero 0\n0\n").table == ((0,),)
+    for text, message in [
+        ("n 2 zero 0\n0\n0 1\n", "line 2: expected 2 entries"),
+        ("n 2 zero 0\n0 0\n7\n", "line 3: expected 2 entries"),
+        ("n 1 zero 0\n0 0\n", "line 2: expected 1 entries"),
+    ]:
+        assert outcome(parse_cayley, text) == (ParseError, message)
 
 
 def test_central_map_rejects_noncentral():

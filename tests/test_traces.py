@@ -49,6 +49,7 @@ from conftest import (
     fe_i,
     fresh_rng,
     outcome,
+    positivity_screen_reference,
     random_element,
     random_nonzero_element,
     random_raw_terms,
@@ -286,6 +287,48 @@ def test_positivity_screen_keeps_declaration_order():
                       vertex_values={"s": fe(1), "z": fe(2), "y": fe(3)})
     pairs = [v.vertices for v in positivity_screen(g, spec) if v.condition == 2]
     assert pairs == [("s", "z"), ("s", "y")]
+
+
+def _random_screen_case(rng):
+    vs = [f"v{i}" for i in range(rng.randint(1, 8))]
+    edges = [(f"e{i}", rng.choice(vs), rng.choice(vs))
+             for i in range(rng.randint(0, 12))]
+    g = Graph(vs, edges)
+    field, involution = rng.choice([(Q, IDENTITY), (QI, CONJUGATION)])
+    values = {}
+    for v in vs:
+        if rng.random() < 0.8:  # few distinct values, so ties and monotone runs
+            re, im = rng.randint(-1, 4), 0
+            if field is QI and rng.random() < 0.15:
+                im = rng.choice((-1, 1))
+            values[v] = fe(Fraction(re, rng.choice((1, 2))), im, field)
+    return g, trace_spec(g, field, involution, vertex_values=values)
+
+
+def test_positivity_screen_matches_the_pair_walk_reference():
+    """The edge check decides whether any reachable pair violates condition
+    2; the violation list, and its order, is the pair walk's."""
+    rng = fresh_rng(21)
+    walked = skipped = 0
+    for _ in range(600):
+        g, spec = _random_screen_case(rng)
+        got = positivity_screen(g, spec)
+        assert got == positivity_screen_reference(g, spec), (g.edges, spec)
+        if any(v.condition == 2 for v in got):
+            walked += 1
+        elif g.edges and any(src != g.edge_dst[e] for e, src in g.edge_src.items()):
+            skipped += 1
+    assert walked > 50 and skipped > 50
+    # a 600-vertex line whose values fall along it: every edge passes, so
+    # the pair walk (180,000 pairs in the reference) is skipped
+    n = 600
+    line = Graph([f"v{i}" for i in range(n)],
+                 [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)])
+    spec = trace_spec(line, Q, IDENTITY,
+                      vertex_values={f"v{i}": fe(n - 2 - i) for i in range(n)})
+    got = positivity_screen(line, spec)
+    assert got == positivity_screen_reference(line, spec)
+    assert [v.condition for v in got] == [1, 4, 4]
 
 
 def test_screen_passes_on_the_insufficient_example():
