@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types, and the line reader of the text formats.
 
 The CLI maps these to exit codes: ParseError (and I/O problems) exit with
 code 2, PreconditionError with code 3.
@@ -20,3 +20,10 @@ class ParseError(ValueError):
 
 class PreconditionError(ValueError):
     """A mathematical precondition of an operation does not hold."""
+
+
+def content_lines(text: str) -> list:
+    """(line number from 1, stripped text) of each nonblank line, in every
+    text format: `#` starts a comment that runs to the end of its line."""
+    lines = enumerate(text.splitlines(), start=1)
+    return [(n, s) for n, line in lines if (s := line.split("#", 1)[0].strip())]

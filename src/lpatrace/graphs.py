@@ -11,9 +11,11 @@ from __future__ import annotations
 import re as _re
 from collections import namedtuple
 
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, content_lines
 
-_ID_RE = _re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# the id grammar of every format
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_ID_RE = _re.compile(_ID)
 
 
 class Graph:
@@ -36,14 +38,14 @@ class Graph:
         self.edge_dst = {}
         seen = set()
         for v in self.vertices:
-            if not _ID_RE.match(v):
+            if not _ID_RE.fullmatch(v):
                 raise ValueError(f"bad vertex id {v!r}")
             if v in seen:
                 raise ValueError(f"duplicate id {v!r}")
             seen.add(v)
         vset = set(self.vertices)
         for eid, src, dst in edges:
-            if not _ID_RE.match(eid):
+            if not _ID_RE.fullmatch(eid):
                 raise ValueError(f"bad edge id {eid!r}")
             if eid in seen:
                 raise ValueError(f"duplicate id {eid!r}")
@@ -174,17 +176,6 @@ def _least_rotation_path(g: Graph, word: tuple) -> PathSeq:
     return PathSeq(base, base, word)
 
 
-def cycle_rep(g: Graph, edge_ids) -> PathSeq:
-    """Validate a simple cycle; the closed path in its least rotation."""
-    p = edge_path(g, edge_ids)
-    if not p.is_closed:
-        raise ValueError("not a closed path")
-    sources = [g.edge_src[e] for e in p.edges]
-    if len(set(sources)) != len(sources):
-        raise ValueError("not a simple cycle: repeated source vertex")
-    return _least_rotation_path(g, p.edges)
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
@@ -193,23 +184,20 @@ def cycle_rep(g: Graph, edge_ids) -> PathSeq:
 def parse_graph(text: str) -> Graph:
     """Parse the line-based graph format.
 
-    `#` starts a comment; `v <id>` declares a vertex, `e <id> <src> <dst>`
-    an edge.  Declaration order is preserved.
+    `v <id>` declares a vertex, `e <id> <src> <dst>` an edge, and `#` starts
+    a comment (`errors.content_lines`).  Declaration order is preserved.
     """
     vertices = []
     edges = []
     seen = set()
     declared = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if parts[0] == "v":
             if len(parts) != 2:
                 raise ParseError("expected `v <id>`", lineno)
             (vid,) = parts[1:]
-            if not _ID_RE.match(vid):
+            if not _ID_RE.fullmatch(vid):
                 raise ParseError(f"bad id {vid!r}", lineno)
             if vid in seen:
                 raise ParseError(f"duplicate id {vid!r}", lineno)
@@ -220,7 +208,7 @@ def parse_graph(text: str) -> Graph:
             if len(parts) != 4:
                 raise ParseError("expected `e <id> <src> <dst>`", lineno)
             eid, src, dst = parts[1:]
-            if not _ID_RE.match(eid):
+            if not _ID_RE.fullmatch(eid):
                 raise ParseError(f"bad id {eid!r}", lineno)
             if eid in seen:
                 raise ParseError(f"duplicate id {eid!r}", lineno)
@@ -338,8 +326,9 @@ def _work_limit_error(what: str, g: Graph, limit: int) -> PreconditionError:
     )
 
 
-# Most edge ids, summed over the cycles listed, that one `cycles` call may
-# return.  The loopless complete digraph K8 has 109,592, K9 986,400.
+# Most edge ids, summed over the cycles that Johnson's search lists, that
+# one `cycles` call may return.  The loopless complete digraph K8 has
+# 109,592, K9 986,400.
 CYCLE_WORK_LIMIT = 500_000
 
 
@@ -347,12 +336,14 @@ def cycles(g: Graph):
     """All simple cycles, each a closed path in its least rotation, sorted by
     (length, edge word).
 
-    Johnson's algorithm (SIAM J. Comput. 4(1), 1975): search from the least
-    vertex of each nontrivial SCC, then drop that vertex and split the rest
-    into SCCs again.  Every search lists at least one cycle in O(V + E)
-    steps per cycle, so the time is O((V + E)(C + 1)) for C cycles.  Raises
-    `PreconditionError` once the cycles hold more than `CYCLE_WORK_LIMIT`
-    edge ids in total.
+    A nontrivial SCC with as many internal edges as vertices is one cycle,
+    walked along each vertex's one internal out-edge in O(V + E); every SCC
+    of a no-exit graph is one.  The others go to Johnson's algorithm (SIAM
+    J. Comput. 4(1), 1975): search from the SCC's least vertex, then drop it
+    and split the rest into SCCs again.  Every search lists at least one
+    cycle in O(V + E) steps per cycle, so the time is O((V + E)(C + 1)) for
+    C cycles.  Raises `PreconditionError` once the searched cycles hold more
+    than `CYCLE_WORK_LIMIT` edge ids in total.
     """
     order = {v: i for i, v in enumerate(g.vertices)}
     out = []
@@ -360,8 +351,15 @@ def cycles(g: Graph):
     pending = list(_nontrivial_sccs(g))
     while pending:
         comp, internal = pending.pop()
+        succ = _out_lists(g, comp, internal)
+        if len(internal) == len(comp):
+            word = [internal[0]]
+            while len(word) < len(internal):
+                word += succ[g.edge_dst[word[-1]]]
+            out.append(_least_rotation_path(g, tuple(word)))
+            continue
         start = min(comp, key=order.__getitem__)
-        for word in _circuits(g, start, _out_lists(g, comp, internal)):
+        for word in _circuits(g, start, succ):
             size += len(word)
             if size > CYCLE_WORK_LIMIT:
                 raise _work_limit_error("simple cycles", g, CYCLE_WORK_LIMIT)
@@ -429,7 +427,8 @@ def cycle_with_exit_witness(g: Graph):
 
     The first vertex of a nontrivial SCC with two or more out-edges lies on
     a cycle with an exit there; a breadth-first search inside the SCC back
-    to the vertex finds a simple one in O(V + E).
+    to the vertex finds a simple one (a tree path closed by one edge) in
+    O(V + E).
     """
     comp_of = {v: comp for comp, _ in _nontrivial_sccs(g) for v in comp}
     bases = [v for v in g.vertices if v in comp_of and len(g.out_edges[v]) > 1]
@@ -447,7 +446,7 @@ def cycle_with_exit_witness(g: Graph):
                     trail.append(reached_by[u])
                     u = g.edge_src[trail[-1]]
                 exit_edge = next(e for e in g.out_edges[base] if e != trail[-1])
-                return cycle_rep(g, trail[::-1]), exit_edge
+                return _least_rotation_path(g, tuple(trail[::-1])), exit_edge
             if w in comp_of[base] and w not in reached_by:
                 reached_by[w] = eid
                 queue.append(w)

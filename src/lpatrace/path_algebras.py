@@ -29,6 +29,7 @@ from .gis import GIS_ZERO, MonPair, gis_mul
 from .graphs import (
     Graph,
     PathSeq,
+    _ID,
     edge_path,
     format_path,
     path_sort_key,
@@ -39,13 +40,14 @@ from .scalars import (
     IDENTITY,
     Q,
     SparseTerms,
+    _SCALAR,
+    _scalar_value,
     add_terms,
     check_involution,
     fe,
     fe_one,
     field_star,
     format_scalar,
-    parse_scalar,
 )
 
 COHN = "cohn"
@@ -60,7 +62,8 @@ class PathAlgebra:
     """Algebra context: graph, coefficient field, involution, and mode.
 
     Elements are tied to the context that made them; operations between
-    elements of different contexts are rejected.
+    elements of different contexts are rejected.  A regular vertex's special
+    out-edge is its least one, unless `special_edges` names another.
     """
 
     def __init__(self, graph: Graph, field=Q, involution=IDENTITY,
@@ -72,18 +75,11 @@ class PathAlgebra:
         self.field = field
         self.involution = involution
         self.mode = mode
-        if special_edges is None:
-            special_edges = {
-                v: min(graph.out_edges[v])
-                for v in graph.vertices
-                if graph.out_edges[v]
-            }
-        else:
-            special_edges = dict(special_edges)
-            for v, e in special_edges.items():
-                if not graph.is_edge(e) or graph.edge_src[e] != v:
-                    raise ValueError(f"special edge {e!r} does not leave {v!r}")
-        self.special_edges = special_edges
+        self.special_edges = {v: min(es) for v, es in graph.out_edges.items() if es}
+        for v, e in dict(special_edges or {}).items():
+            if not graph.is_edge(e) or graph.edge_src[e] != v:
+                raise ValueError(f"special edge {e!r} does not leave {v!r}")
+            self.special_edges[v] = e
 
     def __repr__(self):
         return f"PathAlgebra({self.mode}, {self.field}, {self.involution})"
@@ -271,11 +267,9 @@ def transfer(x: AlgebraElement, target: PathAlgebra) -> AlgebraElement:
 # Element expressions
 # ---------------------------------------------------------------------------
 
-# The token grammar: a scalar, an id, or one of `+ - * . ' /`, with
-# whitespace allowed between any two tokens.  Any other character is an
-# error, found before any grammar error.
-_SCALAR = r"[0-9]+(?:/[0-9]+)?(?:[+-][0-9]+(?:/[0-9]+)?i|i)?"
-_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+# The token grammar: a scalar (`scalars._SCALAR`), an id (`graphs._ID`),
+# or one of `+ - * . ' /`, with whitespace allowed between any two tokens.
+# Any other character is an error, found before any grammar error.
 _PATH = rf"{_ID}(?:\s*/\s*{_ID})*"
 _BAD_CHAR_RE = _re.compile(r"[^\s0-9A-Za-z_+\-*.'/]")
 _TOKEN_RE = _re.compile(rf"\s*({_SCALAR}|{_ID}|\S)?")
@@ -285,7 +279,7 @@ _TOKEN_RE = _re.compile(rf"\s*({_SCALAR}|{_ID}|\S)?")
 # ever read twice: a `/` starts each repetition in a path.
 _TERM_RE = _re.compile(
     rf"\s*([+-]?)\s*(?:({_SCALAR})\s*(\*?)\s*)?"
-    rf"(?:({_PATH})\s*(?:(\.)\s*(?:({_PATH})\s*)?)?('?)\s*)?"
+    rf"(?:({_PATH})\s*(?:(?P<dot>\.)\s*(?:({_PATH})\s*)?)?('?)\s*)?"
 )
 
 
@@ -336,10 +330,10 @@ def parse_element(text: str, algebra: PathAlgebra) -> AlgebraElement:
     pos = 0
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
-        sign, scalar, star, p, dot, q, prime = m.groups()
+        sign, scalar, *parts, star, p, dot, q, prime = m.groups()
         if pos and not sign:  # after the first term, a sign starts each one
             raise ParseError(f"expected + or - before {_token(text, pos)!r}")
-        c = parse_scalar(scalar, algebra.field) if scalar else one
+        c = _scalar_value(*parts, algebra.field, scalar, scalar) if scalar else one
         c = -c if sign == "-" else c
         pos = m.end()
         if scalar and not star:  # a bare scalar means that multiple of the identity
@@ -356,7 +350,7 @@ def parse_element(text: str, algebra: PathAlgebra) -> AlgebraElement:
         p = _path(g, p)
         if dot:
             if not q:
-                raise ParseError(f"expected an id, got {_token(text, m.end(5))!r}")
+                raise ParseError(f"expected an id, got {_token(text, m.end('dot'))!r}")
             if not prime:
                 _path_ends(text, pos)
             q = _path(g, q)

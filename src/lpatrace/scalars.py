@@ -404,11 +404,10 @@ def laurent_a0(p: LaurentPoly) -> FieldElem:
 # Text syntax
 # ---------------------------------------------------------------------------
 
-# a rational, then an optional signed rational before `i`, or `i` alone,
-# which makes the first rational the imaginary part; ASCII digits only
-_SCALAR_RE = _re.compile(
-    r"(-?[0-9]+)(?:/([0-9]+))?(?:([+-][0-9]+)(?:/([0-9]+))?i|(i))?"
-)
+# every format's unsigned scalar, in five groups: a rational, then a signed
+# rational before `i`, or `i` alone (the first rational is then imaginary)
+_SCALAR = r"([0-9]+)(?:/([0-9]+))?(?:([+-][0-9]+)(?:/([0-9]+))?i|(i))?"
+_SCALAR_RE = _re.compile(rf"(-?){_SCALAR}")
 
 
 def parse_scalar(text: str, field: str = Q) -> FieldElem:
@@ -424,7 +423,13 @@ def parse_scalar(text: str, field: str = Q) -> FieldElem:
     m = _SCALAR_RE.fullmatch(s)
     if not m:
         raise ParseError(f"malformed scalar {text!r}")
-    num1, den1, num2, den2, imaginary = m.groups()
+    sign, num1, *parts = m.groups()
+    return _scalar_value(sign + num1, *parts, field, text, s)
+
+
+def _scalar_value(num1, den1, num2, den2, imaginary, field, text, s):
+    """The scalar of the five groups of one `_SCALAR` match, `num1` perhaps
+    signed; `text` is the scalar as given and `s` as matched, for errors."""
     a, d1 = _scalar_part(num1, den1, text, s)
     b, d2 = _scalar_part(num2, den2, text, s) if num2 else (0, 1)
     if imaginary:  # `c/di`: the only part is the imaginary one

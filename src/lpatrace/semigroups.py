@@ -12,9 +12,9 @@ import itertools
 from array import array
 from collections import namedtuple
 from functools import partial
-from operator import itemgetter
+from operator import eq, itemgetter
 
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, content_lines
 from .linalg import rank
 from .scalars import (
     FieldElem,
@@ -210,11 +210,7 @@ def parse_cayley(text: str) -> FiniteSemigroup:
     First line `n <size> zero <index>`, then <size> rows of element indices,
     then optional `label <index> <name>` lines.  `#` starts a comment.
     """
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty Cayley file")
     lineno, head = lines[0]
@@ -445,8 +441,11 @@ def sim_witness_chain(G: FiniteSemigroup, g: int, h: int):
     `list.index` on the flattened rows above), so a step from ab to ba is
     witnessed by the first such (a, b), and each element's steps are tried
     in that order.  It stops when h gets its parent, which is never
-    overwritten.
+    overwritten.  Raises ValueError for an index outside 0..n-1.
     """
+    for idx in (g, h):
+        if not 0 <= idx < G.size:
+            raise ValueError(f"element index {idx} out of range")
     if g == h:
         return []
     part = sim_classes(G)
@@ -565,18 +564,18 @@ class CentralMap(namedtuple("CentralMap", "values field")):
 def is_central_map(G: FiniteSemigroup, values) -> bool:
     """Whether values[0-indexed table] is central and kills zero.
 
-    Central means values[ab] == values[ba] for every pair, read row a
-    against column a for each a.
+    Central means values[ab] == values[ba] for every pair, that is, values
+    is constant on each class of `sim_classes`: an O(n) read of the cached
+    partition against each class's least member.
     """
     values = tuple(values)
     if len(values) != G.size:
         raise ValueError("value table must cover every element")
     if values[G.zero]:
         return False
-    return all(
-        itemgetter(*row)(values) == itemgetter(*col)(values)
-        for row, col in zip(G.table, zip(*G.table))
-    )
+    part = sim_classes(G)
+    first = [values[members[0]] for members in part.classes]
+    return all(map(eq, values, map(first.__getitem__, part.class_of)))
 
 
 def central_map(G: FiniteSemigroup, values, field=Q) -> CentralMap:

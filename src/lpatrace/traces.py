@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, content_lines
 from .gis import (
     CycleWord,
     CycleWordStar,
@@ -416,10 +416,7 @@ def parse_trace_spec(text: str, g: Graph) -> TraceSpec:
     field = Q
     involution = IDENTITY
     pending = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         kind = parts[0]
         if kind == "field":

@@ -23,10 +23,13 @@ from lpatrace.gis import MonPair, VertexClass, classify_eq
 from lpatrace.graphs import (
     Graph,
     PathSeq,
+    cycle_with_exit_witness,
     edge_path,
     parse_graph,
     path_sort_key,
+    paths_into,
     regular_vertices,
+    sinks,
     vertex_path,
 )
 from lpatrace.path_algebras import LEAVITT, AlgebraElement, PathAlgebra
@@ -53,7 +56,7 @@ from lpatrace.semigroups import (
     sg_element,
     sim_classes,
 )
-from lpatrace.structure import MatrixImage
+from lpatrace.structure import CycleBlock, MatrixImage, SinkBlock
 from lpatrace.traces import (
     ScreenViolation,
     TraceSpec,
@@ -148,6 +151,69 @@ def is_tame_reference(g):
     )
 
 
+def cycle_rep(g, edge_ids):
+    """Validate a simple cycle; the closed path in its least rotation."""
+    p = edge_path(g, edge_ids)
+    if not p.is_closed:
+        raise ValueError("not a closed path")
+    sources = [g.edge_src[e] for e in p.edges]
+    if len(set(sources)) != len(sources):
+        raise ValueError("not a simple cycle: repeated source vertex")
+    return graphs._least_rotation_path(g, p.edges)
+
+
+@functools.cache
+def small_graphs(max_vertices=3, max_edges=4):
+    """Every graph on 1..max_vertices vertices with at most max_edges edges,
+    loops and parallel edges allowed: one per multiset of (source, range)
+    pairs, walked with an explicit stack.  Vertices are v0, v1, ... and
+    edges e0, e1, ... in the order of their pairs.  With the defaults there
+    are 790 graphs, 274 of them no-exit."""
+    out = []
+    for n in range(1, max_vertices + 1):
+        vertices = [f"v{i}" for i in range(n)]
+        pairs = list(itertools.product(vertices, repeat=2))
+        stack = [()]  # nondecreasing tuples of pair indices
+        while stack:
+            chosen = stack.pop()
+            out.append(Graph(vertices, [
+                (f"e{i}", *pairs[p]) for i, p in enumerate(chosen)
+            ]))
+            if len(chosen) < max_edges:
+                first = chosen[-1] if chosen else 0
+                stack += [chosen + (p,) for p in reversed(range(first, len(pairs)))]
+    return tuple(out)
+
+
+def cycles_reference(g):
+    """The edge words of `cycles(g)` by brute force: every closed path with
+    no repeated source vertex, in least rotation, sorted by (length, word)."""
+    words = {
+        graphs._least_rotation(p.edges)
+        for p in all_paths_up_to(g, len(g.vertices))
+        if p.edges and p.is_closed
+        and len({g.edge_src[e] for e in p.edges}) == len(p.edges)
+    }
+    return sorted(words, key=lambda w: (len(w), w))
+
+
+def decompose_reference(g):
+    """The blocks of `decompose(g)` from the brute-force cycle list: the exit
+    witness checked first, then one sink block per sink and one cycle block
+    per cycle of `cycles_reference(g)`, in that order."""
+    witness = cycle_with_exit_witness(g)
+    if witness is not None:
+        cyc, exit_edge = witness
+        raise PreconditionError(
+            f"graph is not no-exit: cycle {'/'.join(cyc.edges)} has exit {exit_edge}"
+        )
+    blocks = [SinkBlock(s, tuple(paths_into(g, s))) for s in sinks(g)]
+    for word in cycles_reference(g):
+        c = edge_path(g, word)
+        blocks.append(CycleBlock(c, tuple(paths_into(g, c.src, c))))
+    return tuple(blocks)
+
+
 def path_concat(a, b):
     """The path a followed by the path b."""
     if a.dst != b.src:
@@ -208,6 +274,55 @@ SEMIGROUPS = MappingProxyType({
     "endo2": endo_semigroup(2),
     "endo3": endo_semigroup(3),
 })
+
+
+@functools.cache
+def small_semigroup_tables(n):
+    """Every associative table on 0..n-1, the labelled semigroups of order
+    n (1, 8, 113 and 3492 for n = 1..4, OEIS A023814), as tuples of rows:
+    cell-by-cell backtracking over an explicit stack, each new cell checked
+    on the triples that read it with every product read filled in."""
+    # a triple (x, y, z) reads cell (a, b) only if x == a or z == b
+    reading = [
+        [(a, y, z) for y in range(n) for z in range(n)]
+        + [(x, y, b) for x in range(n) if x != a for y in range(n)]
+        for a in range(n) for b in range(n)
+    ]
+    t = [-1] * (n * n)  # the table row by row, -1 where not yet filled
+    out = []
+    stack = [0]  # stack[k]: the next value to try in cell k
+    while stack:
+        k = len(stack) - 1
+        if stack[k] == n:
+            stack.pop()
+            t[k] = -1
+            continue
+        t[k] = stack[k]
+        stack[k] += 1
+        for x, y, z in reading[k]:
+            xy, yz = t[x * n + y], t[y * n + z]
+            if xy >= 0 and yz >= 0:
+                left, right = t[xy * n + z], t[x * n + yz]
+                if left != right and left >= 0 and right >= 0:
+                    break
+        else:
+            if k + 1 < n * n:
+                stack.append(0)
+            else:
+                out.append(tuple(tuple(t[r * n:r * n + n]) for r in range(n)))
+    return tuple(out)
+
+
+@functools.cache
+def small_semigroups_with_zero(max_order=4):
+    """Each labelled semigroup of order 1..max_order with a zero adjoined
+    as element 0: 3614 semigroups with the default."""
+    out = []
+    for n in range(1, max_order + 1):
+        for rows in small_semigroup_tables(n):
+            table = [[0] * (n + 1)] + [[0] + [x + 1 for x in row] for row in rows]
+            out.append(build_semigroup(table, 0))
+    return tuple(out)
 
 
 @functools.cache

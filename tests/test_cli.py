@@ -3,7 +3,7 @@ import json
 import math
 import time
 
-from lpatrace import cli
+from lpatrace import cli, graphs
 from lpatrace.cli import main
 
 from conftest import GRAPH_TEXTS
@@ -391,6 +391,19 @@ def test_each_command_runs_at_most_one_scc_pass(tmp_path, capsys, scc_passes):
             scc_passes.clear()
             code, _, _ = _run(capsys, *argv)
             assert code in (0, 3) and len(scc_passes) == want, (name, argv[0])
+
+
+def test_single_cycle_sccs_are_outside_the_cycle_limit(tmp_path, capsys, monkeypatch):
+    # the limit bounds Johnson's search; 11 disjoint loops never reach it,
+    # so `analyze` and `decompose` agree above it
+    monkeypatch.setattr(graphs, "CYCLE_WORK_LIMIT", 10)
+    path = _write(tmp_path, "loops.graph", "".join(
+        f"v x{i}\ne l{i} x{i} x{i}\n" for i in range(11)
+    ))
+    code, out, _ = _run(capsys, "analyze", path)
+    assert code == 0 and len(json.loads(out)["result"]["cycles"]) == 11
+    code, out, _ = _run(capsys, "decompose", path)
+    assert code == 0 and len(json.loads(out)["result"]["cycle_blocks"]) == 11
 
 
 def test_main_builds_the_parser_once(tmp_path, capsys):

@@ -11,7 +11,6 @@ from lpatrace.graphs import (
     _least_rotation,
     _nontrivial_sccs,
     closed_paths_up_to,
-    cycle_rep,
     cycle_with_exit_witness,
     cycles,
     edge_path,
@@ -29,10 +28,13 @@ from lpatrace.graphs import (
 from conftest import (
     GRAPHS,
     all_paths_up_to,
+    cycle_rep,
+    cycles_reference,
     fresh_rng,
     is_no_exit_reference,
     is_tame_reference,
     path_concat,
+    small_graphs,
 )
 
 
@@ -47,6 +49,28 @@ def test_parse_graph_examples():
     gen = Graph(["a", "b"], ((e, s, d) for e, s, d in [("e", "a", "b")]))
     assert gen.edges == ("e",) and gen.edge_src == {"e": "a"}
     assert gen.out_edges == {"a": ("e",), "b": ()}
+
+
+def test_graph_ids_are_whole_strings():
+    # a `$` anchor would also match before a final newline
+    with pytest.raises(ValueError, match=re.escape(r"bad vertex id 'v\n'")):
+        Graph(["v\n"], [("e", "v\n", "v\n")])
+    with pytest.raises(ValueError, match=re.escape(r"bad edge id 'e\n'")):
+        Graph(["v"], [("e\n", "v", "v")])
+    with pytest.raises(ValueError, match="bad vertex id"):
+        Graph(["v\n\n"], [])
+    assert Graph(["v_1"], [("_e", "v_1", "v_1")]).edges == ("_e",)
+
+
+def test_small_graphs_are_every_multigraph():
+    """Every graph with 1-3 vertices and at most 4 edges, loops and parallel
+    edges allowed: C(k + m - 1, m) multisets of m of the k ordered pairs."""
+    gs = small_graphs()
+    assert len(gs) == 790
+    assert len({(g.vertices, tuple(g.edge_src.items()), tuple(g.edge_dst.items()))
+                for g in gs}) == 790
+    assert [is_no_exit(g) for g in gs] == [is_no_exit_reference(g) for g in gs]
+    assert sum(map(is_no_exit, gs)) == 274
 
 
 def test_parse_graph_errors_carry_line_numbers():
@@ -378,14 +402,36 @@ def test_least_rotation_matches_brute_force():
 
 def test_cycles_match_brute_force():
     for name, g in _oracle_corpus(fresh_rng(62), 300).items():
-        words = {
-            _least_rotation(p.edges)
-            for p in all_paths_up_to(g, len(g.vertices))
-            if p.edges and p.is_closed
-            and len({g.edge_src[e] for e in p.edges}) == len(p.edges)
-        }
-        want = sorted(words, key=lambda w: (len(w), w))
-        assert [c.edges for c in cycles(g)] == want, name
+        assert [c.edges for c in cycles(g)] == cycles_reference(g), name
+
+
+def test_cycles_on_every_small_graph():
+    """Single-cycle SCCs are walked and the rest searched; on every graph
+    with at most 3 vertices and 4 edges, and on each with its edge ids in
+    reverse declaration order, both give the brute-force list."""
+    for g in small_graphs():
+        n = len(g.edges)
+        for renamed in (g, Graph(g.vertices, [
+            (f"e{n - 1 - i}", g.edge_src[e], g.edge_dst[e])
+            for i, e in enumerate(g.edges)
+        ])):
+            assert [c.edges for c in cycles(renamed)] == cycles_reference(renamed)
+
+
+def test_cycles_limit_skips_single_cycle_sccs(monkeypatch):
+    # 11 disjoint loops and a 3-cycle walk in linear time and never count;
+    # the two cycles of the {u, w} SCC come from the search and do
+    loops = "".join(f"v x{i}\ne l{i} x{i} x{i}\n" for i in range(11))
+    g = parse_graph(
+        loops + "v a\nv b\nv c\ne p a b\ne q b c\ne r c a\n"
+        "v u\nv w\ne e1 u w\ne e2 w u\ne e3 u u"
+    )
+    monkeypatch.setattr(graphs, "CYCLE_WORK_LIMIT", 3)
+    assert [c.edges for c in cycles(g)] == cycles_reference(g)
+    assert len(cycles(g)) == 14
+    monkeypatch.setattr(graphs, "CYCLE_WORK_LIMIT", 2)
+    with pytest.raises(PreconditionError, match="simple cycles of a graph"):
+        cycles(g)
 
 
 def _ring(n, chord=False):

@@ -5,7 +5,7 @@ import pytest
 
 from lpatrace.errors import ParseError, PreconditionError
 from lpatrace.gis import MonPair
-from lpatrace.graphs import PathSeq, edge_path, format_path, vertex_path
+from lpatrace.graphs import PathSeq, edge_path, format_path, parse_graph, vertex_path
 from lpatrace.path_algebras import (
     COHN,
     LEAVITT,
@@ -29,6 +29,7 @@ from lpatrace.scalars import (
 from conftest import (
     GIS_CORPUS,
     GRAPHS,
+    all_paths_up_to,
     fe_i,
     fresh_rng,
     outcome,
@@ -610,6 +611,33 @@ def test_path_algebra_constructor_validation():
     assert B.special_edges["a"] == "g"
     with pytest.raises(ValueError):
         A = PathAlgebra(g, "R", IDENTITY, LEAVITT)
+
+
+def test_partial_special_edges_keep_the_default_elsewhere():
+    # v -> w by e and f: v = e e* + f f* whichever edge is special
+    g = parse_graph("v v\nv w\ne e v w\ne f v w")
+    for chosen in (None, {}, {"v": "e"}, {"v": "f"}):
+        A = PathAlgebra(g, special_edges=chosen)
+        assert not parse_element("v - e.e' - f.f'", A), chosen
+    # u -> v by a and b, then v -> w by e and f
+    g = parse_graph("v u\nv v\nv w\ne a u v\ne b u v\ne e v w\ne f v w")
+    default = PathAlgebra(g)
+    paths = all_paths_up_to(g, 2)
+    pairs = [MonPair(p, q) for p in paths for q in paths if p.dst == q.dst]
+    empty = PathAlgebra(g, special_edges={})
+    assert empty.special_edges == default.special_edges == {"u": "a", "v": "e"}
+    for mon in pairs:
+        assert empty.from_terms({mon: 1}).terms == default.from_terms({mon: 1}).terms
+    partial = PathAlgebra(g, special_edges={"u": "b"})
+    assert partial.special_edges == {"u": "b", "v": "e"}
+    for mon in pairs:
+        got = partial.from_terms({mon: 1}).terms
+        if "u" not in (mon.p.src, mon.q.src):  # no edge out of u in p or q
+            assert got == default.from_terms({mon: 1}).terms, mon
+    # the given entry applies: a a* is a redex only where a is special
+    aa = MonPair(edge_path(g, ["a"]), edge_path(g, ["a"]))
+    assert partial.from_terms({aa: 1}).terms == {aa: fe_one(Q)}
+    assert default.from_terms({aa: 1}) == parse_element("u - b.b'", default)
 
 
 def test_from_terms_rejects_foreign_paths():

@@ -48,6 +48,8 @@ from conftest import (
     random_sg_element,
     sim_classes_reference,
     sim_witness_chain_reference,
+    small_semigroup_tables,
+    small_semigroups_with_zero,
 )
 
 
@@ -547,6 +549,45 @@ def test_is_central_map_matches_pairwise_oracle():
                 assert is_central_map(G, table) == want, (name, table)
                 outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def test_small_semigroups_are_every_labelled_semigroup():
+    # OEIS A023814: labelled semigroups of order 1, 2, 3, 4
+    assert [len(small_semigroup_tables(n)) for n in range(1, 5)] == [1, 8, 113, 3492]
+    tables = small_semigroup_tables(3)
+    assert len(set(tables)) == len(tables)
+    assert all(associativity_witness_reference(rows) is None for rows in tables)
+    assert len(small_semigroups_with_zero()) == 3614
+
+
+def test_is_central_map_on_every_small_semigroup():
+    """A map is central iff it kills zero and is constant on the classes of
+    ~: on every semigroup of order at most 4 with a zero adjoined, on a map
+    constant on the classes and on each map with one value changed."""
+    outcomes = set()
+    for G in small_semigroups_with_zero():
+        values = [None] * G.size
+        for cid, cls in enumerate(sim_classes_reference(G)):
+            for x in cls:
+                values[x] = 0 if G.zero in cls else cid + 1
+        tables = [values]
+        for x in range(G.size):
+            for other in {0, G.size + 1} - {values[x]}:
+                tables.append(values[:x] + [other] + values[x + 1:])
+        for table in tables:
+            want = is_central_map_reference(G, table)
+            assert is_central_map(G, table) == want, (G.table, table)
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_sim_witness_chain_rejects_indices_out_of_range():
+    mu2 = matrix_units_semigroup(2)
+    for g, h in ((-5, 1), (-1, 1), (1, -1), (5, 1), (1, 5), (5, 5), (-1, -1)):
+        bad = g if not 0 <= g < mu2.size else h
+        with pytest.raises(ValueError, match=rf"^element index {bad} out of range$"):
+            sim_witness_chain(mu2, g, h)
+    assert sim_witness_chain(mu2, 4, 4) == []
 
 
 def test_sg_trace_eval_examples():

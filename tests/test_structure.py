@@ -5,7 +5,14 @@ import pytest
 
 from lpatrace import graphs, structure
 from lpatrace.errors import PreconditionError
-from lpatrace.graphs import edge_path, format_path, is_no_exit, parse_graph
+from lpatrace.graphs import (
+    Graph,
+    cycle_with_exit_witness,
+    edge_path,
+    format_path,
+    is_no_exit,
+    parse_graph,
+)
 from lpatrace.path_algebras import LEAVITT, PathAlgebra, alg_star, parse_element
 from lpatrace.scalars import (
     CONJUGATION,
@@ -31,9 +38,13 @@ from conftest import (
     GRAPHS,
     NO_EXIT_NAMES,
     all_paths_up_to,
+    cycle_rep,
+    decompose_reference,
     fresh_rng,
     matrix_identity,
+    outcome,
     random_element,
+    small_graphs,
 )
 
 
@@ -49,6 +60,30 @@ def test_decompose_examples():
 
     both = decompose(GRAPHS["disjoint"])
     assert both.block_sizes() == (2, 1)
+
+
+def test_decompose_on_every_small_graph():
+    """On every graph with at most 3 vertices and 4 edges, `decompose` gives
+    the blocks built from the brute-force cycle list, or the same error; an
+    exit witness is a simple cycle in least rotation and an edge leaving it.
+    Each graph also runs with its edge ids in reverse declaration order, so
+    a cycle's least rotation need not start at its first declared edge."""
+    for g in small_graphs():
+        edges = [(e, g.edge_src[e], g.edge_dst[e]) for e in g.edges]
+        renamed = [(f"e{len(edges) - 1 - i}", s, d) for i, (_, s, d) in enumerate(edges)]
+        _check_decompose(g, edges)
+        _check_decompose(Graph(g.vertices, renamed), renamed)
+
+
+def _check_decompose(g, edges):
+    got = outcome(lambda: decompose(g).blocks)
+    assert got == outcome(decompose_reference, g), edges
+    witness = cycle_with_exit_witness(g)
+    if witness is not None:
+        cyc, exit_edge = witness
+        assert cycle_rep(g, cyc.edges) == cyc, edges
+        on_cycle = {g.edge_src[e] for e in cyc.edges}
+        assert exit_edge not in cyc.edges and g.edge_src[exit_edge] in on_cycle
 
 
 def test_decompose_requires_no_exit():
