@@ -66,8 +66,60 @@ def _report(command: str, inputs: dict, result: dict, diagnostics=()) -> dict:
     }
 
 
+# exact types, so that a subclass of one is laid out frame by frame
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _encoder(depth: int):
+    """`encode` of the C JSON encoder with sorted keys, whose item separator
+    holds the newline and indent of an item `depth` levels in."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
+
+
 def _print(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    """Print `json.dumps(report, indent=2, sort_keys=True)` and a newline.
+
+    A nonempty dict or list whose values are all strings, numbers, booleans
+    or None goes to the C encoder in one call, and only its brackets move
+    onto lines of their own; the other containers are opened frame by
+    frame, with no recursion.  Dict keys are strings.
+    """
+    encode = _encoder(0)
+    chunks = []
+    frames = [(zip([""], [report]), "")]  # (head, value) pairs, closing text
+    while frames:
+        pairs, close = frames[-1]
+        for head, value in pairs:
+            chunks.append(head)
+            is_dict = isinstance(value, dict)
+            if not (is_dict or isinstance(value, (list, tuple))):
+                chunks.append(encode(value))
+                continue
+            if not value:
+                chunks.append("{}" if is_dict else "[]")
+                continue
+            outer = "\n" + "  " * (len(frames) - 1)
+            inner = outer + "  "
+            values = value.values() if is_dict else value
+            if _SCALAR_TYPES.issuperset(map(type, values)):
+                text = _encoder(len(frames))(value)
+                chunks += text[0], inner, text[1:-1], outer, text[-1]
+                continue
+            if is_dict:
+                keys = sorted(value)
+                heads = [f",{inner}{encode(k)}: " for k in keys]
+                values = [value[k] for k in keys]
+            else:
+                heads = ["," + inner] * len(value)
+            heads[0] = heads[0][1:]
+            chunks.append("{" if is_dict else "[")
+            frames.append((zip(heads, values), outer + ("}" if is_dict else "]")))
+            break
+        else:
+            frames.pop()
+            chunks.append(close)
+    print("".join(chunks))
 
 
 def cmd_analyze(args) -> int:
@@ -101,10 +153,11 @@ def cmd_classes(args) -> int:
     text = _read(args.graph)
     g = parse_graph(text)
     words = sorted(p.edges for p in closed_paths_up_to(g, max_len))
+    joined = ["/".join(w) for w in words]
     result = {
         "vertex_classes": list(g.vertices),
-        "cycle_classes": ["/".join(w) for w in words],
-        "cycle_star_classes": ["/".join(w) for w in words],
+        "cycle_classes": joined,
+        "cycle_star_classes": joined,
         "max_len": max_len,
     }
     _print(_report(

@@ -334,7 +334,8 @@ CYCLE_WORK_LIMIT = 500_000
 
 def cycles(g: Graph):
     """All simple cycles, each a closed path in its least rotation, sorted by
-    (length, edge word).
+    length and then by edge word, ids compared as strings (so `e10` comes
+    before `e2`), whatever their declaration order.
 
     A nontrivial SCC with as many internal edges as vertices is one cycle,
     walked along each vertex's one internal out-edge in O(V + E); every SCC
@@ -346,7 +347,7 @@ def cycles(g: Graph):
     than `CYCLE_WORK_LIMIT` edge ids in total.
     """
     order = {v: i for i, v in enumerate(g.vertices)}
-    out = []
+    words = []
     size = 0
     pending = list(_nontrivial_sccs(g))
     while pending:
@@ -356,20 +357,32 @@ def cycles(g: Graph):
             word = [internal[0]]
             while len(word) < len(internal):
                 word += succ[g.edge_dst[word[-1]]]
-            out.append(_least_rotation_path(g, tuple(word)))
+            words.append(_least_rotation(tuple(word)))
             continue
         start = min(comp, key=order.__getitem__)
         for word in _circuits(g, start, succ):
             size += len(word)
             if size > CYCLE_WORK_LIMIT:
                 raise _work_limit_error("simple cycles", g, CYCLE_WORK_LIMIT)
-            out.append(_least_rotation_path(g, tuple(word)))
+            # distinct ids: the least one starts the least rotation
+            k = word.index(min(word))
+            words.append(tuple(word[k:] + word[:k]))
         rest = sorted(comp - {start}, key=order.__getitem__)
         kept = [e for e in internal if start not in (g.edge_src[e], g.edge_dst[e])]
         sub = _tarjan(rest, _out_lists(g, rest, kept), g.edge_dst)
         pending += _with_internal_edges(g, sub, kept)
-    out.sort(key=path_sort_key)
-    return out
+    return _closed_paths(g, words)
+
+
+def _closed_paths(g: Graph, words: list) -> list:
+    """The closed paths of nonempty closed edge words, in (length, word)
+    order: `path_sort_key`'s order, since a closed word fixes its base.
+    Sorts `words` in place, by word and then stably by length, both in C.
+    """
+    words.sort()
+    words.sort(key=len)
+    src = g.edge_src
+    return [PathSeq(src[w[0]], src[w[0]], w) for w in words]
 
 
 def _circuits(g: Graph, start, out):
@@ -380,6 +393,7 @@ def _circuits(g: Graph, start, out):
     A vertex stays blocked while every path from it back to `start` meets
     the current trail; `blocked_by[w]` lists the vertices to unblock with w.
     """
+    dst = g.edge_dst
     trail = []  # edges from `start` to the vertex of the top frame
     frames = [(start, iter(out[start]))]
     closed = [False]  # whether a cycle was found below each frame
@@ -388,7 +402,7 @@ def _circuits(g: Graph, start, out):
     while frames:
         v, remaining = frames[-1]
         for eid in remaining:
-            w = g.edge_dst[eid]
+            w = dst[eid]
             if w == start:
                 yield trail + [eid]
                 closed[-1] = True
@@ -414,7 +428,7 @@ def _circuits(g: Graph, start, out):
                         blocked_by[u].clear()
             else:
                 for eid in out[v]:
-                    blocked_by[g.edge_dst[eid]].add(v)
+                    blocked_by[dst[eid]].add(v)
 
 
 def is_no_exit(g: Graph) -> bool:
@@ -532,8 +546,9 @@ CLOSED_PATH_WORK_LIMIT = 10**7
 
 def closed_paths_up_to(g: Graph, max_len: int):
     """One closed path per rotation class of nonvertex closed paths of length
-    <= max_len, each in its least rotation (edge ids compared as strings),
-    in (length, edge word) order.
+    <= max_len, each in its least rotation, sorted by length and then by
+    edge word; edge ids are compared as strings throughout, so `e10` comes
+    before `e2`, whatever their declaration order.
 
     The words are the necklaces of the Fredricksen-Kessler-Maiorana
     prenecklace tree, walked once per nontrivial SCC over its internal edges
@@ -545,7 +560,7 @@ def closed_paths_up_to(g: Graph, max_len: int):
     if max_len < 1:
         return []
     src, dst = g.edge_src, g.edge_dst
-    out = []
+    words = []
     work = 0
     for comp, internal in _nontrivial_sccs(g):
         letters = sorted(internal)
@@ -565,7 +580,7 @@ def closed_paths_up_to(g: Graph, max_len: int):
                     "lower --max-len"
                 )
             if t % period == 0 and dst[word[-1]] == src[word[0]]:
-                out.append(PathSeq(src[word[0]], src[word[0]], word))
+                words.append(word)
             if t == max_len:
                 continue
             floor = word[t - period]
@@ -576,5 +591,4 @@ def closed_paths_up_to(g: Graph, max_len: int):
                     stack.append((word + (e,), period))
                 else:
                     break
-    out.sort(key=path_sort_key)
-    return out
+    return _closed_paths(g, words)

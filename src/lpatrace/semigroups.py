@@ -12,7 +12,7 @@ import itertools
 from array import array
 from collections import namedtuple
 from functools import partial
-from operator import eq, itemgetter
+from operator import eq, index, itemgetter
 
 from .errors import ParseError, PreconditionError, content_lines
 from .linalg import rank
@@ -441,11 +441,20 @@ def sim_witness_chain(G: FiniteSemigroup, g: int, h: int):
     `list.index` on the flattened rows above), so a step from ab to ba is
     witnessed by the first such (a, b), and each element's steps are tried
     in that order.  It stops when h gets its parent, which is never
-    overwritten.  Raises ValueError for an index outside 0..n-1.
+    overwritten.  Each index is read with `operator.index`, so a bool
+    reads as 0 or 1; raises ValueError for an index that it refuses (a
+    float, a string, None) and for one outside 0..n-1.
     """
+    indices = []
     for idx in (g, h):
+        try:
+            idx = index(idx)
+        except TypeError:
+            raise ValueError(f"element index {idx!r} is not an integer") from None
         if not 0 <= idx < G.size:
             raise ValueError(f"element index {idx} out of range")
+        indices.append(idx)
+    g, h = indices
     if g == h:
         return []
     part = sim_classes(G)

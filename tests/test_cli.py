@@ -6,7 +6,7 @@ import time
 from lpatrace import cli, graphs
 from lpatrace.cli import main
 
-from conftest import GRAPH_TEXTS
+from conftest import GRAPH_TEXTS, fresh_rng
 
 
 def _write(tmp_path, name, text):
@@ -542,3 +542,83 @@ def test_report_results_match_golden_digests(tmp_path, capsys):
         else:
             seen[key] = code
     assert seen == GOLDEN
+
+
+def _dict_keys(value):
+    """Every key of every dict inside a JSON-like value, walked with a stack."""
+    keys = []
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            keys += value
+            stack += value.values()
+        elif isinstance(value, (list, tuple)):
+            stack += value
+    return keys
+
+
+def test_report_bytes_are_json_dumps_with_indent_2_and_sorted_keys(
+    tmp_path, capsys, monkeypatch
+):
+    # the layout is part of the output contract, not only the parsed result
+    reports = []
+    write = cli._print
+    monkeypatch.setattr(cli, "_print", lambda report: (reports.append(report), write(report)))
+    cases = list(_golden_cases(tmp_path))
+    cases.append(("analyze K5", ["analyze", _write(tmp_path, "K5.graph", _complete_digraph_text(5))]))
+    printed = 0
+    for key, argv in cases:
+        code, out, _ = _run(capsys, *argv)
+        if code != 0:
+            assert out == "", key
+            continue
+        printed += 1
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", key
+        assert all(type(k) is str for k in _dict_keys(reports[-1])), key
+    assert printed == len(reports) == len(cases) - 2  # two decompose cases exit 3
+    assert len(json.loads(out)["result"]["cycles"]) == 84  # K5's simple cycles
+
+
+_STRINGS = ["", "a", "é", "日本", '"', "\\", "\n\t", "\x00", "a/b", "\U0001f600", "z" * 30]
+
+
+def _random_json(rng, steps=12):
+    """A random JSON-like value, built bottom-up from a pool: nested and
+    empty containers, tuples, the three constants, 40-digit integers and
+    strings that need escapes, at most 4 containers deep."""
+    pool = [(v, 0) for v in (None, True, False, 0, -7, "", [], {}, ())]
+    for _ in range(steps):
+        kind = rng.randrange(6)
+        if kind == 0:
+            pool.append((rng.randint(-10**40, 10**40), 0))
+        elif kind == 1:
+            pool.append((rng.choice(_STRINGS) + str(rng.randrange(3)), 0))
+        else:
+            shallow = [item for item in pool if item[1] < 4]
+            picked = [rng.choice(shallow) for _ in range(rng.randrange(5))]
+            depth = 1 + max((d for _, d in picked), default=0)
+            values = [v for v, _ in picked]
+            if kind == 2:
+                value = values
+            elif kind == 3:
+                value = tuple(values)
+            else:
+                value = {rng.choice(_STRINGS) + str(i): v for i, v in enumerate(values)}
+            pool.append((value, depth))
+    return pool[-1][0]
+
+
+def test_report_writer_matches_json_dumps_on_random_values(capsys):
+    rng = fresh_rng(83)
+    values = [
+        [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[]], [{}]],
+        [[1, 2], [3]], [{"b": 1, "a": [None, True, False]}], (), ((),),
+        {"k": 10**40, "j": -(10**40)}, _STRINGS + ["\u2028", "\x7f"],
+        None, True, 0, "text",
+    ]
+    values += [_random_json(rng) for _ in range(400)]
+    values += [{"result": _random_json(rng, 6), "diagnostics": []} for _ in range(100)]
+    for value in values:
+        cli._print(value)
+        assert capsys.readouterr().out == json.dumps(value, indent=2, sort_keys=True) + "\n"

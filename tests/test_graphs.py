@@ -8,6 +8,7 @@ from lpatrace.errors import ParseError, PreconditionError
 from lpatrace.gis import approx_canonical
 from lpatrace.graphs import (
     Graph,
+    PathSeq,
     _least_rotation,
     _nontrivial_sccs,
     closed_paths_up_to,
@@ -452,3 +453,45 @@ def test_cycles_search_tracks_output_on_long_rings():
         assert time.perf_counter() - start < 1
     chorded = cycles(_ring(2000, chord=True))
     assert [len(c.edges) for c in chorded] == [1001, 2000]
+
+
+def _closed_classes_reference(g, max_len):
+    """One word per rotation class of nonvertex closed paths, by brute force."""
+    words = {
+        _least_rotation(p.edges)
+        for p in all_paths_up_to(g, max_len)
+        if p.edges and p.is_closed
+    }
+    return sorted(words, key=lambda w: (len(w), w))
+
+
+def test_cycle_lists_sort_edge_ids_as_strings():
+    """Both lists come in (length, word) order with ids compared as strings
+    (e10 before e2), whatever the declaration order, on K4, K5 and a rose
+    of 12 parallel petals; each entry is a closed PathSeq at its first
+    edge's source."""
+    petals = [f"e{i}" for i in range(12)]
+    corpus = {
+        "K4": _complete_digraph(4),
+        "K5": _complete_digraph(5),
+        "rose12": Graph(["v"], [(e, "v", "v") for e in petals]),
+        "numbered_K4": Graph(
+            [f"v{i}" for i in range(4)],
+            [(f"e{k}", f"v{i}", f"v{j}") for k, (i, j) in enumerate(
+                (i, j) for i in range(4) for j in range(4) if i != j
+            )],
+        ),
+    }
+    for name, g in corpus.items():
+        for max_len, got in ((None, cycles(g)), (2, closed_paths_up_to(g, 2)),
+                             (4, closed_paths_up_to(g, 4))):
+            want = cycles_reference(g) if max_len is None else _closed_classes_reference(g, max_len)
+            assert [p.edges for p in got] == want, (name, max_len)
+            assert all(type(p) is PathSeq for p in got), name
+            assert all(p.src == p.dst == g.edge_src[p.edges[0]] for p in got), name
+    assert len(cycles(corpus["K5"])) == 84
+    rose = [p.edges for p in cycles(corpus["rose12"])]
+    assert rose[:4] == [("e0",), ("e1",), ("e10",), ("e11",)]
+    assert [p.edges for p in closed_paths_up_to(corpus["rose12"], 2)][12:15] == [
+        ("e0", "e0"), ("e0", "e1"), ("e0", "e10"),
+    ]

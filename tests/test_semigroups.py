@@ -590,6 +590,21 @@ def test_sim_witness_chain_rejects_indices_out_of_range():
     assert sim_witness_chain(mu2, 4, 4) == []
 
 
+def test_sim_witness_chain_rejects_indices_that_are_not_integers():
+    mu2 = matrix_units_semigroup(2)
+    for g, h in ((1.5, 1), (1, 1.5), ("1", 1), (1, "1"), (None, 1), (1.0, 1.0)):
+        bad = h if isinstance(g, int) else g
+        with pytest.raises(ValueError, match=rf"^element index {re.escape(repr(bad))} is not an integer$"):
+            sim_witness_chain(mu2, g, h)
+
+    class One:  # any object with __index__ is read as that integer
+        def __index__(self):
+            return 1
+
+    assert sim_witness_chain(mu2, One(), 4) == sim_witness_chain(mu2, 1, 4) is not None
+    assert sim_witness_chain(mu2, True, 1) == []
+
+
 def test_sg_trace_eval_examples():
     c2 = SEMIGROUPS["c2"]
     x = sg_element(c2, {1: fe(2), 2: fe(3)})  # 2e + 3g
