@@ -20,6 +20,7 @@ import re as _re
 import sys as _sys
 from fractions import Fraction
 from math import gcd
+from operator import index as _index
 
 from .errors import ParseError, PreconditionError
 
@@ -372,16 +373,17 @@ class LaurentPoly(SparseTerms):
 
 
 def laurent(field: str, coeffs) -> LaurentPoly:
-    """Build a Laurent polynomial from an {exponent: FieldElem} mapping."""
-    terms = {}
+    """Build a Laurent polynomial from an {exponent: FieldElem} mapping or
+    (exponent, coefficient) pairs, summing a repeated exponent's values;
+    exponents are read with `operator.index` (a float is a TypeError)."""
+    pairs = []
     for exp, c in coeffs.items() if isinstance(coeffs, dict) else coeffs:
         if not isinstance(c, FieldElem):
             c = fe(c, 0, field)
         if c.field != field:
             raise ValueError(f"coefficient field {c.field} != {field}")
-        if c:
-            terms[int(exp)] = c
-    return LaurentPoly(field, terms)
+        pairs.append((_index(exp), c))
+    return LaurentPoly(field, add_terms({}, pairs))
 
 
 def laurent_one(field=Q) -> LaurentPoly:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import namedtuple
-from functools import partial
 from operator import eq, index, itemgetter
 
 from .errors import ParseError, PreconditionError, content_lines
@@ -32,9 +31,9 @@ class FiniteSemigroup:
     """A validated Cayley table with an absorbing zero element.
 
     Immutable.  Equality and hashing read (table, zero, labels); `_sim`
-    is the `sim_classes` cache and `_flat` the table packed row by row
-    into `bytes` (up to 256 elements), both written once, and both left
-    out of equality, hashing and pickling.
+    is the `sim_classes` cache and `_flat` the entries row after row (see
+    `_packed`), both written once, and both left out of equality, hashing
+    and pickling.
     """
 
     __slots__ = ("table", "zero", "labels", "_sim", "_flat")
@@ -79,73 +78,80 @@ class FiniteSemigroup:
         return f"FiniteSemigroup(size={self.size}, zero={self.zero})"
 
 
-def _packed(G: FiniteSemigroup) -> bytes:
-    """The table of G (at most 256 elements) as n*n bytes, row after row."""
-    if G._flat is None:  # G was built directly or unpickled
-        object.__setattr__(G, "_flat", bytes(itertools.chain.from_iterable(G.table)))
+def _packed(G: FiniteSemigroup):
+    """The entries of G row after row: `bytes` up to 256 elements, else a
+    tuple, whose `index` compares the stored ints where `array.index`
+    would box each entry."""
+    if G._flat is None:  # G was built directly, unpickled, or is large
+        flat = itertools.chain.from_iterable(G.table)
+        object.__setattr__(G, "_flat", bytes(flat) if G.size <= 256 else tuple(flat))
     return G._flat
 
 
-def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
-    """Validate a Cayley table: squareness, associativity, absorbing zero.
+def _element_index(idx, n: int, name: str = "element index {}") -> int:
+    """idx read with `operator.index` (a bool reads as 0 or 1), in 0..n-1.
 
-    Each row is read once by a C constructor: up to 256 elements into
-    `bytes`, which checks that every entry is an integer in 0..255, and
-    above that into `array('H')`, which checks 0..65535, so the range
-    check is one `max` per row.  A row that the constructor rejects
-    (strings, floats, a negative entry, ...) is read with int() instead,
-    so the rows and the errors are the same either way.  Up to 256
-    elements the rows, joined for the range check, stay on the semigroup
-    as its packed table, and Light's test composes the packed rows in C.
+    Raises ValueError for an index that `operator.index` refuses (a float,
+    a string, None) and for one out of range, naming it by `name`, whose
+    `{}`, if it has one, shows the index.
     """
-    table = tuple(table)
-    n = len(table)
-    pack = bytes if n <= 256 else partial(array, "H")
-    rows = [_read_row(row, pack) for row in table]
+    try:
+        i = index(idx)
+    except TypeError:
+        raise ValueError(f"{name.format(repr(idx))} is not an integer") from None
+    if not 0 <= i < n:
+        raise ValueError(f"{name.format(i)} out of range")
+    return i
+
+
+def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
+    """Validate a Cayley table: squareness, entries, associativity, zero.
+
+    Entries and the zero index are integers: anything `operator.index`
+    reads, a bool as 0 or 1.  A float, a string or a `Fraction` entry is a
+    ValueError, never truncated.  After the squareness check each row is
+    read once by a C constructor that checks its entries: up to 256
+    elements into `bytes` (0..255), whose rows, joined for the range check,
+    stay on the semigroup as its packed table and let Light's test compose
+    rows in C; above that into `array('H')` (0..65535), so the range check
+    is one `max` per row.
+    """
+    rows = tuple(map(tuple, table))  # any iterables, never read as buffers
+    n = len(rows)
     if n == 0:
         raise ValueError("empty table")
     if any(len(row) != n for row in rows):
         raise ValueError("table is not square")
     flat = None
-    if n <= 256:
-        try:  # a row read with int() may still hold -1 or 256
+    try:
+        if n <= 256:
             rows = tuple(map(bytes, rows))
             flat = b"".join(rows)
             in_range = not flat.translate(None, bytes(range(n)))
-        except ValueError:
-            in_range = False
-    else:  # an array('H') row holds no negative entry; an int() row may
-        in_range = all(
-            max(row) < n and (type(row) is array or min(row) >= 0) for row in rows
-        )
-        rows = tuple(map(tuple, rows))
+        else:
+            rows = [array("H", row) for row in rows]
+            in_range = all(max(row) < n for row in rows)
+            rows = tuple(map(tuple, rows))
+    except TypeError:
+        raise ValueError("table entries must be integers") from None
+    except (ValueError, OverflowError):  # below 0, or past the width
+        in_range = False
     if not in_range:
         raise ValueError("table entry out of range")
-    if not 0 <= zero_index < n:
-        raise ValueError("zero index out of range")
+    z = _element_index(zero_index, n, "zero index")
     witness = _associativity_witness(rows)
     if witness is not None:
         a, b, c = witness
         raise ValueError(f"table not associative: ({a}*{b})*{c} != {a}*({b}*{c})")
-    z = zero_index
     if any(x != z for x in rows[z]) or any(row[z] != z for row in rows):
         raise ValueError(f"element {z} is not absorbing")
     if labels is not None:
         labels = tuple(labels)
         if len(labels) != n or len(set(labels)) != n:
             raise ValueError("labels must be unique and cover all elements")
-    G = FiniteSemigroup(tuple(map(tuple, rows)), zero_index, labels)
+    G = FiniteSemigroup(tuple(map(tuple, rows)), z, labels)
     object.__setattr__(G, "_flat", flat)
     return G
-
-
-def _read_row(row, pack):
-    """A row packed by `pack` if it takes every entry, else as int()s."""
-    row = tuple(row)  # read once, and never as a buffer (an array's bytes)
-    try:
-        return pack(row)
-    except (TypeError, ValueError, OverflowError):
-        return tuple(map(int, row))
 
 
 def _associativity_witness(rows):
@@ -159,10 +165,11 @@ def _associativity_witness(rows):
     Rows are `bytes` up to 256 elements: the products x*(g*y) for every y
     are then row g translated through row x, padded to the 256-byte table
     that `bytes.translate` reads, all in C, and the compare with row x*g
-    is a memcmp.  Larger tables have tuple rows.  For each g, the rows x*g
-    and the columns g*y are first compared whole, transposed by zip, so
-    only a g that fails is checked row by row, an itemgetter over row g
-    picking the products out of row x, to name the triple.
+    is a memcmp.  Larger tables have tuple rows, as `bytes.translate` maps
+    256 values only.  For each g, the rows x*g and the columns g*y are
+    first compared whole, transposed by zip, so only a g that fails is
+    checked row by row, an itemgetter over row g picking the products out
+    of row x, to name the triple.
     """
     n = len(rows)
     # generators in index order; each new one grows the closure under
@@ -288,22 +295,23 @@ def matrix_units_semigroup(n: int) -> FiniteSemigroup:
 
 def matrix_unit_index(n: int, i: int, j: int) -> int:
     """Element index of e_ij (1-based i, j) in matrix_units_semigroup(n)."""
+    i, j = index(i), index(j)
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("matrix unit index out of range")
     return 1 + (i - 1) * n + (j - 1)
 
 
 def group_with_zero(group_table, labels=None) -> FiniteSemigroup:
-    """Adjoin an absorbing zero (index 0) to a group's Cayley table."""
-    rows = [list(int(x) for x in row) for row in group_table]
+    """Adjoin an absorbing zero (index 0) to a group's Cayley table.
+
+    Entries are element indices, read as in `sim_witness_chain`.
+    """
+    rows = tuple(map(tuple, group_table))
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("group table must be square and nonempty")
-    size = n + 1
-    table = [[0] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            table[i + 1][j + 1] = rows[i][j] + 1
+    table = [[0] * (n + 1)]
+    table += ([0] + [_element_index(x, n) + 1 for x in row] for row in rows)
     if labels is not None:
         labels = ("0",) + tuple(labels)
     G = build_semigroup(table, 0, labels)
@@ -386,7 +394,8 @@ def sim_classes(G: FiniteSemigroup) -> SimPartition:
     and column are slices of the packed table (the column a strided one)
     and the labels a `bytes.translate` table, so the skip test is two
     translates and a memcmp; larger tables compare tuple rows and columns
-    through itemgetters.  Merging only coarsens the partition, so a pair
+    through itemgetters (two bytes per entry in `array('H')` slices ran
+    slower than the tuples).  Merging only coarsens the partition, so a pair
     merged once stays merged and one pass is enough.  The partition is a
     pure function of the table, so it is computed once and kept on the
     semigroup instance.
@@ -436,35 +445,22 @@ def sim_witness_chain(G: FiniteSemigroup, g: int, h: int):
 
     Returns the empty list when g == h, a list of (a, b) pairs when a chain
     exists, and None when g and h are inequivalent.  The breadth-first
-    search expands u by scanning the table in row-major order for each ab
-    equal to u (`bytes.index` on the packed table up to 256 elements,
-    `list.index` on the flattened rows above), so a step from ab to ba is
-    witnessed by the first such (a, b), and each element's steps are tried
-    in that order.  It stops when h gets its parent, which is never
+    search expands u by scanning the packed table (`_packed`) with its
+    `index` for each ab equal to u, so a step from ab to ba is witnessed by
+    the first such (a, b) in row-major order, and each element's steps are
+    tried in that order.  It stops when h gets its parent, which is never
     overwritten.  Each index is read with `operator.index`, so a bool
     reads as 0 or 1; raises ValueError for an index that it refuses (a
     float, a string, None) and for one outside 0..n-1.
     """
-    indices = []
-    for idx in (g, h):
-        try:
-            idx = index(idx)
-        except TypeError:
-            raise ValueError(f"element index {idx!r} is not an integer") from None
-        if not 0 <= idx < G.size:
-            raise ValueError(f"element index {idx} out of range")
-        indices.append(idx)
-    g, h = indices
+    g, h = (_element_index(x, G.size) for x in (g, h))
     if g == h:
         return []
     part = sim_classes(G)
     if part.class_of[g] != part.class_of[h]:
         return None
     rows, n = G.table, G.size
-    if n <= 256:
-        find = _packed(G).index
-    else:
-        find = list(itertools.chain.from_iterable(rows)).index
+    find = _packed(G).index
     parent = {g: None}
     queue = [g]  # read in order while it grows: breadth first
     for u in queue:
@@ -528,9 +524,7 @@ FREE_ZERO = FreeVector(None, {})
 def sg_element(G: FiniteSemigroup, mapping, field=Q) -> FreeVector:
     pairs = []
     for idx, c in mapping.items():
-        idx = int(idx)
-        if not 0 <= idx < G.size:
-            raise ValueError(f"element index {idx} out of range")
+        idx = _element_index(idx, G.size)
         if not isinstance(c, FieldElem):
             c = fe(c, 0, field)
         if idx != G.zero:

@@ -169,6 +169,11 @@ def test_laurent_strips_zero_coefficients():
     p = laurent(Q, {0: fe_zero(Q), 2: fe(1)})
     assert p.coeffs == ((2, fe_one(Q)),)
     assert not laurent(Q, {5: fe_zero(Q)})
+    # repeated exponents are summed; exponents are integers
+    assert not laurent(Q, [(1, 1), (1, -1)])
+    assert laurent(Q, [(1, 1), (1, 2)]).coeffs == ((1, fe(3)),)
+    with pytest.raises(TypeError):
+        laurent(Q, {1.5: 1})
 
 
 def test_scalar_parse_and_format():

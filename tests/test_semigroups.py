@@ -64,9 +64,10 @@ def test_build_semigroup_examples():
         build_semigroup([[0, 1], [1, 1]], 0)
     with pytest.raises(ValueError, match="square"):
         build_semigroup([[0, 0]], 0)
-    # library callers may pass any int-convertible entries
-    G = build_semigroup([["0", 0.0], [0, "1"]], 0)
-    assert G.table == ((0, 0), (0, 1))
+    # entries are integers: a string or a float is refused, never truncated
+    with pytest.raises(ValueError, match="^table entries must be integers$"):
+        build_semigroup([["0", 0.0], [0, "1"]], 0)
+    G = build_semigroup([[0, 0], [0, 1]], 0)
     # immutable, and the sim_classes cache is not part of its value
     for name in ("table", "zero", "labels", "_sim"):
         with pytest.raises(AttributeError):
@@ -203,12 +204,12 @@ def test_late_violation_in_a_257_element_table_names_the_reference_triple():
 
 
 @pytest.mark.parametrize("n", [6, 255, 256, 257])
-def test_build_semigroup_coerces_entries_alike_on_both_paths(n):
-    """Entries that int() accepts give the table of their int() values, and
-    a rejected table raises the type and text that int() and the shape
-    checks give, in the same order, whether its rows are read into bytes
-    (n <= 256) or array('H') (n = 257): entries either constructor
-    rejects (strings, floats, -1, 65536) are read with int()."""
+def test_build_semigroup_rejects_non_integer_entries_alike_at_both_widths(n):
+    """Whether the rows are read into bytes (n <= 256) or array('H')
+    (n = 257), a bool or an int subclass is a plain int in the table, a
+    string, float, Fraction or None is "table entries must be integers"
+    (never truncated), -1, n and 65536 are out of range, and a table that
+    is not square says so before any entry is read."""
     base = _right_zero_table(n)
     k = min(7, n - 1)
 
@@ -217,39 +218,47 @@ def test_build_semigroup_coerces_entries_alike_on_both_paths(n):
         rows[row][col] = value
         return rows
 
+    class Int(int):
+        pass
+
     for rows in (
-        with_entry(1, 3, "3"),
-        with_entry(1, 3, 3.0),
-        with_entry(2, 3, Fraction(7, 2)),
         with_entry(1, 1, True),
-        with_entry(1, 1, Fraction(3, 2)),
-        with_entry(n - 1, n - 1, str(n - 1)),
-        with_entry(1, k, str(k)),
-        with_entry(1, k, float(k)),
         with_entry(n - 1, 1, True),
+        with_entry(1, 3, Int(3)),
+        with_entry(n - 1, k, Int(k)),
         [tuple(r) for r in base],
         [base[0], array("q", base[1])] + base[2:],  # bytes() would read its buffer
         [base[0], iter(base[1])] + base[2:],
     ):
-        assert build_semigroup(rows, 0).table == tuple(map(tuple, base))
+        table = build_semigroup(rows, 0).table
+        assert table == tuple(map(tuple, base))
+        assert {type(x) for row in table for x in row} == {int}
+    not_integers = (ValueError, "table entries must be integers")
     out_of_range = (ValueError, "table entry out of range")
     not_square = (ValueError, "table is not square")
     cases = [
-        (with_entry(2, 4, "x"), outcome(int, "x")),
-        (with_entry(2, 4, None), outcome(int, None)),
-        (with_entry(2, 4, "-1"), out_of_range),
+        (with_entry(1, 3, "3"), not_integers),
+        (with_entry(1, 3, 3.0), not_integers),
+        (with_entry(2, 3, Fraction(7, 2)), not_integers),
+        (with_entry(1, 1, Fraction(3, 2)), not_integers),
+        (with_entry(1, 1, Fraction(1)), not_integers),
+        (with_entry(1, 1, 1.9), not_integers),
+        (with_entry(n - 1, n - 1, str(n - 1)), not_integers),
+        (with_entry(1, k, float(k)), not_integers),
+        (with_entry(2, 4, "x"), not_integers),
+        (with_entry(2, 4, None), not_integers),
+        (with_entry(n - 1, n - 1, "-1"), not_integers),
         (with_entry(2, 4, -1), out_of_range),
         (with_entry(2, 4, n), out_of_range),
         (with_entry(n - 1, 0, 10 ** 30), out_of_range),
         (with_entry(2, 4, 65535), out_of_range),
         (with_entry(2, 4, 65536), out_of_range),
         (with_entry(n - 1, n - 1, -1), out_of_range),
-        (with_entry(n - 1, n - 1, "-1"), out_of_range),
-        (with_entry(1, k, "7.0"), outcome(int, "7.0")),
         ([base[0], 7] + base[2:], outcome(iter, 7)),
         ([base[0], base[1] + [0]] + with_entry(2, 4, n)[2:], not_square),
         ([base[0], base[1][:-1]] + with_entry(2, 4, -1)[2:], not_square),
-        ([base[0], base[1][:-1]] + with_entry(2, 4, "x")[2:], outcome(int, "x")),
+        ([base[0], base[1][:-1]] + with_entry(2, 4, "x")[2:], not_square),
+        ([base[0], base[1][:-1]] + with_entry(2, 4, 1.5)[2:], not_square),
     ]
     if n <= 256:
         cases.append((with_entry(1, 1, 256), out_of_range))
@@ -268,6 +277,8 @@ def test_matrix_units_examples():
     assert mu2.mul(e21, e12) == e22
     assert mu2.mul(e12, e12) == mu2.zero
     assert matrix_units_semigroup(3).size == 10
+    with pytest.raises(TypeError):  # not read as element 2
+        matrix_unit_index(2, 1.0, 2)
 
 
 def test_group_with_zero_examples():
@@ -458,21 +469,24 @@ def _packed_corpus(rng):
 
 
 def test_packed_sim_classes_and_chains_match_the_references():
-    """sim_classes and sim_witness_chain on the packed table (n <= 256) and
-    on tuple rows (n = 257) equal the references, for a semigroup that
-    build_semigroup packed, one built directly, and its pickled and deep
-    copies; the packed table is written once, and equality, hashing and
-    pickling do not see it."""
+    """sim_classes and sim_witness_chain on the packed table (bytes for
+    n <= 256, a tuple for n = 257) equal the references, for a semigroup
+    that build_semigroup packed, one built directly, and its pickled and
+    deep copies; the packed table is written once (by build_semigroup up
+    to 256 elements, by the first chain that searches above), and
+    equality, hashing and pickling do not see it."""
     rng = fresh_rng(21)
-    lengths = set()
+    lengths, searched_tuples = set(), 0
     for rows, associative in _packed_corpus(rng):
         n = len(rows)
         table = tuple(map(tuple, rows))
-        packed = bytes(itertools.chain.from_iterable(table)) if n <= 256 else None
+        packed = tuple(itertools.chain.from_iterable(table))
+        if n <= 256:
+            packed = bytes(packed)
         variants = [FiniteSemigroup(table, 0)]
         if associative:
             built = build_semigroup(rows, 0)
-            assert built._flat == packed, n
+            assert built._flat == (packed if n <= 256 else None), n
             variants += [pickle.loads(pickle.dumps(built)), copy.deepcopy(built)]
         assert all(G._flat is None for G in variants), n
         if associative:
@@ -484,16 +498,19 @@ def test_packed_sim_classes_and_chains_match_the_references():
         chains = [sim_witness_chain_reference(variants[0], *pair) for pair in pairs]
         lengths.update(None if c is None else min(len(c), 2) for c in chains)
         bare = FiniteSemigroup(table, 0)
+        searched = any(chains)  # a nonempty chain comes from a search
+        searched_tuples += n > 256 and searched
         for G in variants:
             assert sim_classes(G).classes == classes, n
             assert [sim_witness_chain(G, *pair) for pair in pairs] == chains, n
-            assert G._flat == packed, n
+            assert G._flat == (packed if n <= 256 or searched else None), n
             with pytest.raises(AttributeError):
                 G._flat = None
             # the packed table is a cache, not part of the value
             assert G == bare and hash(G) == hash(bare), n
             assert pickle.dumps(G) == pickle.dumps(bare), n
     assert lengths == {None, 0, 1, 2}
+    assert searched_tuples > 0
 
 
 def test_is_central_map_examples():
@@ -588,6 +605,15 @@ def test_sim_witness_chain_rejects_indices_out_of_range():
         with pytest.raises(ValueError, match=rf"^element index {bad} out of range$"):
             sim_witness_chain(mu2, g, h)
     assert sim_witness_chain(mu2, 4, 4) == []
+    for bad in (-1, 5):
+        with pytest.raises(ValueError, match=rf"^element index {bad} out of range$"):
+            sg_element(mu2, {bad: 1})
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match=rf"^element index {bad} out of range$"):
+            group_with_zero([[0, 1], [1, bad]])
+    for bad in (-1, 2, 10 ** 30):
+        with pytest.raises(ValueError, match="^zero index out of range$"):
+            build_semigroup([[0, 0], [0, 1]], bad)
 
 
 def test_sim_witness_chain_rejects_indices_that_are_not_integers():
@@ -603,6 +629,20 @@ def test_sim_witness_chain_rejects_indices_that_are_not_integers():
 
     assert sim_witness_chain(mu2, One(), 4) == sim_witness_chain(mu2, 1, 4) is not None
     assert sim_witness_chain(mu2, True, 1) == []
+    # sg_element keys, the zero index and group_with_zero entries alike
+    c2 = group_with_zero([[0, 1], [1, 0]])
+    for bad in (1.5, 1.0, "1", None, Fraction(1)):
+        text = rf"^element index {re.escape(repr(bad))} is not an integer$"
+        with pytest.raises(ValueError, match=text):
+            sg_element(mu2, {bad: 1})
+        with pytest.raises(ValueError, match=text):
+            group_with_zero([[0, 1], [1, bad]])
+        with pytest.raises(ValueError, match="^zero index is not an integer$"):
+            build_semigroup([[0, 0], [0, 1]], bad)
+    assert sg_element(mu2, {One(): 2, True: 3}) == sg_element(mu2, {1: 5})
+    assert group_with_zero([[False, One()], [True, 0]]) == c2
+    G = build_semigroup([[0, 1], [1, 1]], One())
+    assert G.zero == 1 and type(G.zero) is int
 
 
 def test_sg_trace_eval_examples():
