@@ -2,7 +2,7 @@
 
 Rows are sparse: a mapping {column: value} over integer columns, in which
 zero values are ignored.  A system of k unit vectors therefore costs O(k)
-operations, not k^2.  `nullspace` takes dense rows and converts them.
+operations, not k^2.  Both `rank` and `nullspace` read rows in this format.
 """
 
 from __future__ import annotations
@@ -53,12 +53,12 @@ def rank(rows, field) -> int:
 def nullspace(rows, ncols: int, field):
     """Basis of the solution space of (rows) * x = 0, as dense vectors.
 
-    Rows are dense, of length ncols, and may be empty, in which case the
-    basis is the standard one.  The basis is read off the reduced
-    row-echelon form, one vector per free column.
+    Rows are sparse, as for `rank`, over columns 0..ncols-1; with no rows
+    the basis is the standard one.  The basis is read off the reduced
+    row-echelon form, one vector of length ncols per free column.
     """
     zero, one = fe_zero(field), fe_one(field)
-    mat, pivots = _row_reduce((dict(enumerate(r)) for r in rows), field)
+    mat, pivots = _row_reduce(rows, field)
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):

@@ -131,12 +131,18 @@ def validate_trace_spec(g: Graph, spec: TraceSpec) -> SpecValidation:
     bad = []
     for v in regular_vertices(g):
         lhs = values.get(v, zero)
-        rhs = zero
-        for eid in g.out_edges[v]:
-            rhs = rhs + values.get(g.edge_dst[eid], zero)
+        rhs = _out_range_sum(g, values, v, zero)
         if lhs != rhs:
             bad.append((v, lhs, rhs))
     return SpecValidation(not bad, tuple(bad))
+
+
+def _out_range_sum(g: Graph, values: dict, v: str, zero: FieldElem) -> FieldElem:
+    """Right side of v's constraint: values[r(e)] summed over e leaving v."""
+    total = zero
+    for eid in g.out_edges[v]:
+        total = total + values.get(g.edge_dst[eid], zero)
+    return total
 
 
 class VertexSolutionSpace(namedtuple("VertexSolutionSpace", "field vertices basis")):
@@ -159,15 +165,11 @@ def vertex_trace_space(g: Graph, field=Q) -> VertexSolutionSpace:
     """Exact solution space of the vertex constraints over the field."""
     verts = g.vertices
     index = {v: i for i, v in enumerate(verts)}
-    zero, one = fe_zero(field), fe_one(field)
-    rows = []
-    for v in regular_vertices(g):
-        row = [zero] * len(verts)
-        row[index[v]] = row[index[v]] + one
-        for eid in g.out_edges[v]:
-            w = index[g.edge_dst[eid]]
-            row[w] = row[w] - one
-        rows.append(row)
+    one, minus_one = fe_one(field), fe(-1, 0, field)
+    # a loop cancels v's own entry, and parallel edges add up
+    rows = [add_terms({index[v]: one}, (
+        (index[g.edge_dst[eid]], minus_one) for eid in g.out_edges[v]
+    )) for v in regular_vertices(g)]
     basis = nullspace(rows, len(verts), field)
     return VertexSolutionSpace(field, verts, tuple(tuple(vec) for vec in basis))
 
@@ -311,10 +313,7 @@ def positivity_screen(g: Graph, spec: TraceSpec):
                         f"t({v}) < t({w}) although {w} is reachable from {v}",
                     ))
     for v in regular_vertices(g):
-        total = zero
-        for eid in g.out_edges[v]:
-            total = total + t[g.edge_dst[eid]]
-        if not _dominates(t[v], total):
+        if not _dominates(t[v], _out_range_sum(g, t, v, zero)):
             violations.append(ScreenViolation(
                 3, (v,),
                 f"t({v}) is less than the sum over the ranges of its "

@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 import pytest
 
-from lpatrace import graphs
+from lpatrace import graphs, traces
 from lpatrace.errors import ParseError, PreconditionError
 from lpatrace.gis import MonPair, VertexClass, classify_eq
 from lpatrace.graphs import (
@@ -122,6 +122,22 @@ def scc_passes(monkeypatch):
     return passes
 
 
+@pytest.fixture
+def nullspace_cells(monkeypatch):
+    """The stored entries of each system that `traces` hands to `nullspace`,
+    one total per call, appended as they run."""
+    solve = traces.nullspace
+    cells = []
+
+    def counted(rows, ncols, field):
+        rows = list(rows)
+        cells.append(sum(map(len, rows)))
+        return solve(rows, ncols, field)
+
+    monkeypatch.setattr(traces, "nullspace", counted)
+    return cells
+
+
 def _reach(g, v):
     """Every vertex reachable from v by a path of length at least one."""
     seen, todo = set(), [v]
@@ -183,6 +199,37 @@ def small_graphs(max_vertices=3, max_edges=4):
                 first = chosen[-1] if chosen else 0
                 stack += [chosen + (p,) for p in reversed(range(first, len(pairs)))]
     return tuple(out)
+
+
+def vertex_constraint_rows_reference(g):
+    """The vertex constraints as dense rows of Fractions over g.vertices:
+    at each regular vertex v, delta(v) - sum of delta(r(e)) over e leaving v."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    rows = []
+    for v in regular_vertices(g):
+        row = [Fraction(0)] * len(index)
+        row[index[v]] += 1
+        for e in g.out_edges[v]:
+            row[index[g.edge_dst[e]]] -= 1
+        rows.append(row)
+    return rows
+
+
+def fraction_rank(rows):
+    """Rank of dense rows of Fractions by Gaussian elimination, with no use
+    of `lpatrace.linalg`."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def cycles_reference(g):

@@ -202,6 +202,17 @@ def test_long_cycle_is_not_cut_by_cycle_limit(tmp_path, capsys):
     assert block["size"] == n
 
 
+def test_analyze_long_cycle_solves_sparse_vertex_constraints(tmp_path, capsys):
+    # 2000 constraints of two entries each: a dense system would hold 4 * 10^6
+    n = 2000
+    lines = [f"v a{i}" for i in range(n)]
+    lines += [f"e e{i} a{i} a{(i + 1) % n}" for i in range(n)]
+    path = _write(tmp_path, "ring.graph", "\n".join(lines))
+    code, out, _ = _run(capsys, "analyze", path)
+    assert code == 0
+    assert json.loads(out)["result"]["vertex_trace_space_dim"] == 1
+
+
 def _double_edge_chain_text(n):
     # a0 => a1 => ... => an: 2^(n+1) - 1 paths into an, holding
     # (n - 1) 2^(n+1) + 2 edge ids

@@ -30,21 +30,28 @@ def test_rank_small():
 
 
 def test_nullspace_solves_the_system():
-    rows = [_row(1, -1, 0), _row(0, 1, -1)]
+    rows = _sparse([_row(1, -1, 0), _row(0, 1, -1)])
     basis = nullspace(rows, 3, Q)
     assert len(basis) == 1
     vec = basis[0]
     for row in rows:
         total = fe_zero(Q)
-        for a, x in zip(row, vec):
-            total = total + a * x
+        for col, a in row.items():
+            total = total + a * vec[col]
         assert not total
     assert vec[0] == vec[1] == vec[2] != fe_zero(Q)
+    # an empty row and a row of explicit zeros constrain nothing, and the
+    # rows are read, not reduced in place
+    padded = rows + [{}, {2: fe(0), 0: fe(0)}]
+    assert nullspace(padded, 3, Q) == basis
+    assert padded[-1] == {2: fe(0), 0: fe(0)}
+    assert rows == _sparse([_row(1, -1, 0), _row(0, 1, -1)])
 
 
 def test_nullspace_empty_system():
     basis = nullspace([], 2, Q)
     assert len(basis) == 2
+    assert nullspace([{}], 2, Q) == nullspace([{1: fe(0)}], 2, Q) == basis
 
 
 @pytest.mark.parametrize("field", [Q, QI])
@@ -63,7 +70,7 @@ def test_rank_nullity_and_nullspace_solutions(rng, field):
                 rows[-1] = list(rows[0])
             if trial % 4 == 0:
                 rows.insert(rng.randrange(nrows), [zero] * ncols)
-        basis = nullspace(rows, ncols, field)
+        basis = nullspace(_sparse(rows), ncols, field)
         assert rank(_sparse(rows), field) + len(basis) == ncols, (trial, nrows, ncols)
         for vec in basis:
             for row in rows:

@@ -47,6 +47,7 @@ from conftest import (
     NO_EXIT_NAMES,
     SEMIGROUPS,
     fe_i,
+    fraction_rank,
     fresh_rng,
     outcome,
     positivity_screen_reference,
@@ -54,7 +55,9 @@ from conftest import (
     random_nonzero_element,
     random_raw_terms,
     random_validated_spec,
+    small_graphs,
     trace_eval_reference,
+    vertex_constraint_rows_reference,
 )
 
 
@@ -101,6 +104,38 @@ def test_vertex_trace_space_examples():
     assert assignment["a"] == assignment["b"]
     # a disjoint union has one dimension per component here
     assert vertex_trace_space(GRAPHS["disjoint"], Q).dimension == 2
+
+
+@pytest.mark.parametrize("field", [Q, QI])
+def test_vertex_trace_space_on_every_small_graph(field):
+    # the vertex values of the traces on L(E) are the solutions of
+    # delta(v) = sum of delta(r(e)) over e leaving v, at each regular v: the
+    # basis solves every constraint, is independent, and has V - rank vectors
+    for g in small_graphs():
+        space = vertex_trace_space(g, field)
+        rows = vertex_constraint_rows_reference(g)
+        # the system is rational, so its echelon basis is too; rational
+        # vectors are independent over Q(i) exactly when they are over Q
+        assert all(x.field == field and x.im == 0
+                   for vec in space.basis for x in vec), g
+        basis = [[x.re for x in vec] for vec in space.basis]
+        assert all(len(vec) == len(g.vertices) for vec in basis), g
+        for vec in basis:
+            for row in rows:
+                assert sum(a * x for a, x in zip(row, vec)) == 0, (g, vec)
+        assert fraction_rank(basis) == space.dimension, g
+        assert space.dimension == len(g.vertices) - fraction_rank(rows), g
+
+
+def test_vertex_trace_space_hands_over_sparse_rows(nullspace_cells):
+    # one entry per out-edge and one for v itself: at most V + E cells,
+    # where dense rows would hand over V^2
+    n = 2000
+    g = Graph([f"a{i}" for i in range(n)],
+              [(f"e{i}", f"a{i}", f"a{(i + 1) % n}") for i in range(n)])
+    assert vertex_trace_space(g, Q).dimension == 1
+    (cells,) = nullspace_cells
+    assert cells <= len(g.vertices) + len(g.edge_src)
 
 
 def test_trace_eval_one_loop_example():
