@@ -16,15 +16,13 @@ def _subtract_multiple(row: dict, factor, pivot_row: dict):
     add_terms(row, ((col, neg * y) for col, y in pivot_row.items()))
 
 
-def _row_reduce(rows, field):
-    """Reduced row-echelon form: (reduced rows, pivot columns), by column.
+def _forward(rows) -> dict:
+    """Forward elimination: {pivot column: pivot row}, by column.
 
     Each row is reduced against the pivots found so far, smallest column
-    first, until its smallest column is a new pivot; every pivot row then
-    holds only columns at or after its pivot.  Back-substitution from the
-    largest pivot down leaves each pivot column in its own row alone.
+    first, until its smallest column is a new pivot, kept as it was found;
+    every pivot row then holds only columns at or after its pivot.
     """
-    one = fe_one(field)
     pivots = {}
     for row in rows:
         row = {col: x for col, x in row.items() if x}
@@ -32,10 +30,24 @@ def _row_reduce(rows, field):
             col = min(row)
             pivot_row = pivots.get(col)
             if pivot_row is None:
-                inv = one / row[col]
-                pivots[col] = {c: x * inv for c, x in row.items()}
+                pivots[col] = row
                 break
-            _subtract_multiple(row, row[col], pivot_row)
+            _subtract_multiple(row, row[col] / pivot_row[col], pivot_row)
+    return pivots
+
+
+def _row_reduce(rows, field):
+    """Reduced row-echelon form: (reduced rows, pivot columns), by column.
+
+    Forward elimination, then each pivot row scaled to 1 at its pivot;
+    back-substitution from the largest pivot down then leaves each pivot
+    column in its own row alone.
+    """
+    one = fe_one(field)
+    pivots = _forward(rows)
+    for col, row in pivots.items():
+        inv = one / row[col]
+        pivots[col] = {c: x * inv for c, x in row.items()}
     order = sorted(pivots)
     for col in reversed(order):
         row = pivots[col]
@@ -46,8 +58,10 @@ def _row_reduce(rows, field):
 
 
 def rank(rows, field) -> int:
-    """Rank of a matrix given as sparse rows {column: value}."""
-    return len(_row_reduce(rows, field)[1])
+    """Rank of a matrix given as sparse rows {column: value}: the number of
+    pivots that forward elimination finds, with no pivot scaled and no
+    back-substitution."""
+    return len(_forward(rows))
 
 
 def nullspace(rows, ncols: int, field):

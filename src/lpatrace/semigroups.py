@@ -9,7 +9,6 @@ classes, and the associated decision procedures.
 from __future__ import annotations
 
 import itertools
-from array import array
 from collections import namedtuple
 from operator import eq, index, itemgetter
 
@@ -110,11 +109,16 @@ def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
     Entries and the zero index are integers: anything `operator.index`
     reads, a bool as 0 or 1.  A float, a string or a `Fraction` entry is a
     ValueError, never truncated.  After the squareness check each row is
-    read once by a C constructor that checks its entries: up to 256
-    elements into `bytes` (0..255), whose rows, joined for the range check,
+    read once by C code that checks its entries.  Up to 256 elements a row
+    is read into `bytes` (0..255); the rows, joined for the range check,
     stay on the semigroup as its packed table and let Light's test compose
-    rows in C; above that into `array('H')` (0..65535), so the range check
-    is one `max` per row.
+    rows in C.  Above that one itemgetter per row picks its entries out of
+    `range(n)` followed by n Nones: an entry past that tuple raises at
+    once, and one that it maps to None (n..2n-1 and -n..-1) or, counting
+    from the end, to another element (-2n..-n-1) leaves the mapped table
+    unequal to the given one, so the range check is one table compare.
+    Whether the zero is absorbing is known before Light's test, which then
+    need not check it.
     """
     rows = tuple(map(tuple, table))  # any iterables, never read as buffers
     n = len(rows)
@@ -129,21 +133,26 @@ def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
             flat = b"".join(rows)
             in_range = not flat.translate(None, bytes(range(n)))
         else:
-            rows = [array("H", row) for row in rows]
-            in_range = all(max(row) < n for row in rows)
-            rows = tuple(map(tuple, rows))
+            padded = tuple(range(n)) + (None,) * n
+            mapped = tuple(itemgetter(*row)(padded) for row in rows)
+            # an __index__ object that is not an int is equal after index()
+            in_range = mapped == rows or mapped == tuple(
+                tuple(map(index, row)) for row in rows
+            )
+            rows = mapped
     except TypeError:
         raise ValueError("table entries must be integers") from None
-    except (ValueError, OverflowError):  # below 0, or past the width
+    except (ValueError, IndexError):  # bytes below 0 or past 255; past the padding
         in_range = False
     if not in_range:
         raise ValueError("table entry out of range")
     z = _element_index(zero_index, n, "zero index")
-    witness = _associativity_witness(rows)
+    absorbing = rows[z].count(z) == n and all(row[z] == z for row in rows)
+    witness = _associativity_witness(rows, flat, z if absorbing else None)
     if witness is not None:
         a, b, c = witness
         raise ValueError(f"table not associative: ({a}*{b})*{c} != {a}*({b}*{c})")
-    if any(x != z for x in rows[z]) or any(row[z] != z for row in rows):
+    if not absorbing:
         raise ValueError(f"element {z} is not absorbing")
     if labels is not None:
         labels = tuple(labels)
@@ -154,55 +163,105 @@ def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
     return G
 
 
-def _associativity_witness(rows):
+def _right_closure(rows, gens, reached: set, frontier: set) -> None:
+    """One frontier pass: add `frontier` to `reached`, then every product of
+    a new element on the right by `gens`, until nothing new appears."""
+    right = itemgetter(*gens, gens[0])  # two indices at least: a tuple
+    while frontier:
+        reached |= frontier
+        products = map(right, map(rows.__getitem__, frontier))
+        frontier = set(itertools.chain.from_iterable(products)) - reached
+
+
+def _light_generators(rows, first, order) -> list:
+    """Generators of the table: all of `first`, closed in one frontier
+    pass, then each element of `order` that those before it do not reach.
+
+    `reached`, the subsemigroup the generators so far generate, is kept
+    closed under right products by them: a new generator x brings in y*x
+    for each y reached, and x itself.
+    """
+    n = len(rows)
+    gens, reached = list(first), set()
+    if gens:
+        _right_closure(rows, gens, reached, set(gens))
+    for x in order:
+        if len(reached) == n:
+            break
+        if x not in reached:
+            gens.append(x)
+            frontier = set(map(itemgetter(x), map(rows.__getitem__, reached)))
+            frontier.add(x)
+            _right_closure(rows, gens, reached, frontier - reached)
+    return gens
+
+
+def _associativity_witness(rows, flat, zero):
     """A triple (a, b, c) with (a*b)*c != a*(b*c), or None: Light's test.
 
     The g with (x*g)*y == x*(g*y) for all x, y are closed under the product,
-    even in a non-associative table, so g need only range over a set whose
-    right products reach every element.  Both sides depend on x only
-    through its row, so one x per distinct row is checked.
+    even in a non-associative table, so g need only range over a set of
+    generators.  Both sides depend on x only through its row, so one x per
+    distinct row is checked.  `zero`, if not None, is an absorbing element,
+    which passes for every x and y, so it is not checked.
 
-    Rows are `bytes` up to 256 elements: the products x*(g*y) for every y
-    are then row g translated through row x, padded to the 256-byte table
-    that `bytes.translate` reads, all in C, and the compare with row x*g
-    is a memcmp.  Larger tables have tuple rows, as `bytes.translate` maps
-    256 values only.  For each g, the rows x*g and the columns g*y are
-    first compared whole, transposed by zip, so only a g that fails is
+    Up to 256 elements the generators start from the indecomposable
+    elements (those not in S*S, so in every generating set), the bytes of
+    `range(n)` that `flat`, the rows joined, never holds, found by one
+    `bytes.translate`; the rest follow in index order.  Above 256 elements
+    they are taken in decreasing order of row image, estimated on every
+    eighth entry of the row, which reaches the whole table in fewer
+    generators.  A table that fails is searched again with its generators
+    in index order, so the triple named is the first one in that order,
+    whichever generator found the failure.
+    """
+    n = len(rows)
+    first_with_row = {}
+    for x, row in enumerate(rows):
+        first_with_row.setdefault(row, x)
+    cols = None
+    if n <= 256:  # translate reads a 256-byte table: pad each row to one
+        pad = bytes(256 - n)
+        first_with_row = {row + pad: x for row, x in first_with_row.items()}
+        first = bytes(range(n)).translate(None, flat)
+        order = range(n)
+    else:  # cols[a] = (x*a for each first x with its row)
+        cols = tuple(zip(*map(rows.__getitem__, first_with_row.values())))
+        first = ()
+        order = sorted(range(n), key=lambda x: len(set(rows[x][::8])), reverse=True)
+    gens = _light_generators(rows, first, order)
+    if zero in gens:
+        gens.remove(zero)
+    if _first_failure(rows, gens, first_with_row, cols) is None:
+        return None
+    gens = _light_generators(rows, (), range(n))
+    return _first_failure(rows, gens, first_with_row, cols)
+
+
+def _first_failure(rows, gens, first_with_row, cols):
+    """The first (x, g, c) with (x*g)*c != x*(g*c), g in `gens` in order,
+    x over the first element with each row, or None.
+
+    Up to 256 elements the keys of `first_with_row` are the rows padded to
+    the 256-byte table that `bytes.translate` reads: the products x*(g*y)
+    for every y are row g translated through row x, all in C, and the
+    compare with row x*g is a memcmp.  Larger tables have tuple rows, as
+    `bytes.translate` maps 256 values only, and `cols`, their columns at
+    the first x with each row: for each g the rows x*g and the columns g*y
+    are first compared whole, transposed by zip, so only a g that fails is
     checked row by row, an itemgetter over row g picking the products out
     of row x, to name the triple.
     """
     n = len(rows)
-    # generators in index order; each new one grows the closure under
-    # right products by frontier sets, read from the rows in C
-    gens, reached = [], set()
-    for x in range(n):
-        if x not in reached:
-            gens.append(x)
-            right = itemgetter(*gens, x)  # row y -> (y*h for h in gens, y*x)
-            frontier = set(map(itemgetter(x), map(rows.__getitem__, reached)))
-            frontier.add(x)
-            frontier -= reached
-            while frontier:
-                reached |= frontier
-                products = map(right, map(rows.__getitem__, frontier))
-                frontier = set(itertools.chain.from_iterable(products)) - reached
-    first_with_row = {}
-    for x, row in enumerate(rows):
-        first_with_row.setdefault(row, x)
-    if n <= 256:  # translate reads a 256-byte table: pad each row to one
-        pad = bytes(256 - n)
-        first_with_row = {row + pad: x for row, x in first_with_row.items()}
-    else:  # cols[a] = (x*a for each first x with its row)
-        cols = tuple(zip(*map(rows.__getitem__, first_with_row.values())))
     for g in gens:
         g_row = rows[g]
-        if n > 256 and (
+        if cols is not None and (
             tuple(zip(*map(rows.__getitem__, cols[g])))
             == tuple(map(cols.__getitem__, g_row))
         ):
             continue  # ((x*g)*y for x) == (x*(g*y) for x), for every y
         # (padded) row x -> (x*(g*y) for each y)
-        times_g_row = g_row.translate if n <= 256 else itemgetter(*g_row)
+        times_g_row = g_row.translate if cols is None else itemgetter(*g_row)
         for row, x in first_with_row.items():
             left = rows[row[g]]
             if left != times_g_row(row):
@@ -604,17 +663,16 @@ def sg_trace_eval(G: FiniteSemigroup, delta: CentralMap, x: FreeVector):
 
 
 def minimal_trace(G: FiniteSemigroup, field=Q) -> CentralMap:
-    """The canonical minimal trace: unit vector at the class of g, 0 on [0]."""
+    """The canonical minimal trace: unit vector at the class of g, 0 on [0].
+
+    One vector per class, shared by its members: the values are those
+    vectors read off `class_of`.
+    """
     part = sim_classes(G)
     one = fe_one(field)
-    values = []
-    for idx in range(G.size):
-        cid = part.class_of[idx]
-        if cid == part.zero_class_id:
-            values.append(FREE_ZERO)
-        else:
-            values.append(FreeVector.make({cid: one}))
-    return CentralMap(tuple(values), field)
+    vectors = [FreeVector(None, {cid: one}) for cid in range(len(part.classes))]
+    vectors[part.zero_class_id] = FREE_ZERO
+    return CentralMap(tuple(map(vectors.__getitem__, part.class_of)), field)
 
 
 def in_commutator_span(G: FiniteSemigroup, x: FreeVector) -> bool:

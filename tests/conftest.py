@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 import pytest
 
-from lpatrace import graphs, traces
+from lpatrace import graphs, semigroups, traces
 from lpatrace.errors import ParseError, PreconditionError
 from lpatrace.gis import MonPair, VertexClass, classify_eq
 from lpatrace.graphs import (
@@ -48,6 +48,8 @@ from lpatrace.scalars import (
     require_positive_definite,
 )
 from lpatrace.semigroups import (
+    FREE_ZERO,
+    FreeVector,
     build_semigroup,
     central_map,
     endo_semigroup,
@@ -136,6 +138,27 @@ def nullspace_cells(monkeypatch):
 
     monkeypatch.setattr(traces, "nullspace", counted)
     return cells
+
+
+@pytest.fixture
+def light_work(monkeypatch):
+    """The work of Light's test in `semigroups`, appended as it runs:
+    ("pass", generators) for each frontier pass of the generator closure,
+    ("check", generators) for each list of generators checked."""
+    close, check = semigroups._right_closure, semigroups._first_failure
+    work = []
+
+    def counted_close(rows, gens, reached, frontier):
+        work.append(("pass", tuple(gens)))
+        return close(rows, gens, reached, frontier)
+
+    def counted_check(rows, gens, first_with_row, cols):
+        work.append(("check", tuple(gens)))
+        return check(rows, gens, first_with_row, cols)
+
+    monkeypatch.setattr(semigroups, "_right_closure", counted_close)
+    monkeypatch.setattr(semigroups, "_first_failure", counted_check)
+    return work
 
 
 def _reach(g, v):
@@ -507,6 +530,21 @@ def sim_classes_reference(G):
             seen |= component
             classes.append(tuple(sorted(component)))
     return tuple(classes)
+
+
+def minimal_trace_reference(G, field=Q):
+    """The minimal trace's value at each element, one element at a time:
+    the unit vector at the index of its class among
+    `sim_classes_reference`'s classes, or zero on the class of zero."""
+    classes = sim_classes_reference(G)
+    values = []
+    for g in range(G.size):
+        cid = next(i for i, cls in enumerate(classes) if g in cls)
+        if G.zero in classes[cid]:
+            values.append(FREE_ZERO)
+        else:
+            values.append(FreeVector.make({cid: fe_one(field)}))
+    return tuple(values)
 
 
 def sim_witness_chain_reference(G, g, h):

@@ -10,7 +10,7 @@ from lpatrace.semigroups import (
     sim_classes,
 )
 
-from conftest import SEMIGROUPS, SpanBasis, random_scalar
+from conftest import SEMIGROUPS, SpanBasis, fraction_rank, fresh_rng, random_scalar
 
 
 def _row(*vals):
@@ -102,6 +102,49 @@ def test_sparse_rank_matches_span_basis(rng, field):
         for row in rows:
             sb.add(row)
         assert rank(rows, field) == sb.dim, (trial, rows)
+
+
+def _realified(rows, ncols, field):
+    """Dense Fraction rows of the Q-linear map that sparse rows over the
+    field define, a + bi as the block [[a, -b], [b, a]]: its rank over Q is
+    twice the rank over the field."""
+    out = []
+    for row in rows:
+        entries = [row.get(col, fe_zero(field)) for col in range(ncols)]
+        out.append([part for x in entries for part in (x.re, -x.im)])
+        out.append([part for x in entries for part in (x.im, x.re)])
+    return out
+
+
+@pytest.mark.parametrize("field", [Q, QI])
+def test_rank_matches_fraction_rank(field):
+    """`rank`, forward elimination with no pivot scaled, equals a Fraction
+    elimination that uses no `lpatrace.linalg`, on seeded sparse rows with
+    zero values, empty rows and dependent rows."""
+    rng = fresh_rng(27)
+    ranks = set()
+    for trial in range(150):
+        ncols = rng.randint(1, 6)
+        rows = []
+        for _ in range(rng.randint(0, 7)):
+            kind = rng.random()
+            if len(rows) > 1 and kind < 0.25:  # a combination of two rows
+                a, b = rng.sample(rows, 2)
+                c = random_scalar(rng, field)
+                row = dict(a)
+                for col, x in b.items():
+                    row[col] = row.get(col, fe_zero(field)) + c * x
+                rows.append(row)
+            elif kind < 0.35:
+                rows.append({})
+            else:  # random_scalar may draw zero values, kept in the row
+                cols = rng.sample(range(ncols), rng.randint(1, ncols))
+                rows.append({col: random_scalar(rng, field) for col in cols})
+        twice = fraction_rank(_realified(rows, ncols, field))
+        want = twice // 2
+        assert twice % 2 == 0 and rank(rows, field) == want, (trial, rows)
+        ranks.add(min(want, 3))
+    assert ranks == {0, 1, 2, 3}
 
 
 def test_span_basis_membership():

@@ -42,6 +42,7 @@ from conftest import (
     endo_map_index,
     fresh_rng,
     is_central_map_reference,
+    minimal_trace_reference,
     outcome,
     random_central_map,
     random_scalar,
@@ -203,13 +204,101 @@ def test_late_violation_in_a_257_element_table_names_the_reference_triple():
     assert outcome(build_semigroup, rows, 0) == (ValueError, text)
 
 
+def test_light_test_on_every_three_element_table():
+    """All 3^9 tables on three elements, with a zero adjoined as element 0:
+    build_semigroup accepts exactly the 113 associative ones (OEIS A023814),
+    and names the reference's triple, the first in index order, on every
+    other one, though its first pass picks generators in another order."""
+    associative = {
+        tuple((0,) + tuple(x + 1 for x in row) for row in rows)
+        for rows in small_semigroup_tables(3)
+    }
+    accepted = set()
+    for cells in itertools.product(range(1, 4), repeat=9):
+        inner = (cells[0:3], cells[3:6], cells[6:9])
+        rows = ((0, 0, 0, 0),) + tuple((0,) + row for row in inner)
+        expected = associativity_witness_reference(rows)
+        kind, message = outcome(build_semigroup, rows, 0)
+        if expected is None:
+            assert kind == "ok", (rows, message)
+            accepted.add(rows[1:])
+        else:
+            a, b, c = expected
+            text = f"table not associative: ({a}*{b})*{c} != {a}*({b}*{c})"
+            assert (kind, message) == (ValueError, text), rows
+    assert len(accepted) == 113
+    assert accepted == associative
+
+
+def test_light_test_counts_generators_and_frontier_passes(light_work):
+    """On endo4 relabeled at random, Light's test checks at most 5
+    generators, where index order mostly takes 6-13: generators follow
+    their row image, and the absorbing zero, always one of them, is not
+    checked.  A
+    null table closes its 127 indecomposables in one frontier pass, where
+    index order takes one pass per element."""
+    rng = fresh_rng(26)
+    endo4 = endo4_semigroup()
+    for _ in range(8):
+        light_work.clear()
+        G = _relabeled(endo4, rng)
+        checks = [gens for kind, gens in light_work if kind == "check"]
+        assert len(checks) == 1 and len(checks[0]) <= 5, light_work
+        assert G.zero not in checks[0]
+    light_work.clear()
+    build_semigroup(_null_table(128), 0)
+    indecomposables = tuple(range(1, 128))
+    assert light_work == [("pass", indecomposables), ("check", indecomposables)]
+
+
+@pytest.mark.parametrize("n", [6, 256, 257])
+def test_negative_and_index_entries_read_alike_at_both_widths(n):
+    """Entries from -2n-1 to -n-1, which a tuple index would count from
+    the end, are out of range at every width; an object with __index__ is
+    read as its integer.  Reading stops at once at an entry below 0 or past
+    255 for bytes rows, and below -2n or past 2n-1 for wider ones; any
+    other entry out of range is judged after every entry is read, so a
+    non-integer entry written after it is named instead."""
+    base = _right_zero_table(n)
+
+    class Index:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    def with_entries(*cells):
+        rows = [list(r) for r in base]
+        for row, col, value in cells:
+            rows[row][col] = value
+        return rows
+
+    out_of_range = (ValueError, "table entry out of range")
+    not_integers = (ValueError, "table entries must be integers")
+    for value in (-n - 1, -2 * n, -2 * n - 1, -n, -65536):
+        assert outcome(build_semigroup, with_entries((2, 4, value)), 0) == out_of_range
+    indexed = with_entries((1, 3, Index(3)), (n - 1, n - 1, Index(n - 1)))
+    assert build_semigroup(indexed, 0).table == tuple(map(tuple, base))
+    assert outcome(build_semigroup, with_entries((1, 3, Index(n))), 0) == out_of_range
+    # a non-integer after an entry n: the entry n is judged after every
+    # entry is read, except for bytes rows at n = 256, where n is past 255
+    later = with_entries((1, 3, n), (2, 4, "x"))
+    assert outcome(build_semigroup, later, 0) == (out_of_range if n == 256 else not_integers)
+    # after an entry 600 reading stops at once: past 255 for bytes rows,
+    # past 2n - 1 = 513 for n = 257
+    past = with_entries((1, 3, 600), (2, 4, "x"))
+    assert outcome(build_semigroup, past, 0) == out_of_range
+
+
 @pytest.mark.parametrize("n", [6, 255, 256, 257])
 def test_build_semigroup_rejects_non_integer_entries_alike_at_both_widths(n):
-    """Whether the rows are read into bytes (n <= 256) or array('H')
-    (n = 257), a bool or an int subclass is a plain int in the table, a
-    string, float, Fraction or None is "table entries must be integers"
-    (never truncated), -1, n and 65536 are out of range, and a table that
-    is not square says so before any entry is read."""
+    """Whether the rows are read into bytes (n <= 256) or picked out of a
+    padded range by an itemgetter (n = 257), a bool or an int subclass is
+    a plain int in the table, a string, float, Fraction or None is "table
+    entries must be integers" (never truncated), -1, n and 65536 are out
+    of range, and a table that is not square says so before any entry is
+    read."""
     base = _right_zero_table(n)
     k = min(7, n - 1)
 
@@ -596,6 +685,40 @@ def test_is_central_map_on_every_small_semigroup():
             assert is_central_map(G, table) == want, (G.table, table)
             outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def test_spans_minimal_traces_and_chains_on_every_small_semigroup():
+    """On every semigroup of order at most 4 with a zero adjoined:
+    - the commutator span is the kernel of the minimal trace:
+      `in_commutator_span` agrees with the elimination oracle on every unit
+      vector, and the span's dimension is the number of nonzero elements
+      less the number of nonzero classes;
+    - `minimal_trace` equals the per-element reference and is minimal;
+    - `sim_witness_chain(g, h)` returns a chain, which replays, exactly
+      when g and h lie in one class of `sim_classes`, which is the
+      reference's partition."""
+    one = fe_one(Q)
+    chains = 0
+    for G in small_semigroups_with_zero():
+        part = sim_classes(G)
+        assert part.classes == sim_classes_reference(G), G.table
+        oracle = commutator_span_oracle(G)
+        nonzero = G.nonzero_elements()
+        for g in nonzero:
+            unit = sg_element(G, {g: one})
+            assert in_commutator_span(G, unit) == oracle.contains({g: one}), (G.table, g)
+        assert oracle.dim == len(nonzero) - len(part.nonzero_class_ids), G.table
+        delta = minimal_trace(G)
+        assert delta.values == minimal_trace_reference(G), G.table
+        assert is_minimal_sg_trace(G, delta), G.table
+        for g, h in itertools.product(range(G.size), repeat=2):
+            chain = sim_witness_chain(G, g, h)
+            same = part.class_of[g] == part.class_of[h]
+            assert (chain is not None) == same, (G.table, g, h)
+            if same:
+                assert _chain_is_valid(G, g, h, chain), (G.table, g, h, chain)
+                chains += bool(chain)
+    assert chains > 0
 
 
 def test_sim_witness_chain_rejects_indices_out_of_range():
