@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re as _re
 from collections import namedtuple
+from itertools import chain
 
 from .errors import ParseError, PreconditionError, content_lines
 
@@ -18,51 +19,61 @@ _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 _ID_RE = _re.compile(_ID)
 
 
+def _checked(declarations):
+    """Yield each declaration, a vertex (id,) or an edge (id, src, dst), once
+    it is checked against those before it: the id matches `_ID` and is new,
+    and an edge's endpoints are vertices declared earlier."""
+    declared = {}  # id -> whether it names a vertex
+    for decl in declarations:
+        name = decl[0]
+        if not _ID_RE.fullmatch(name):
+            raise ValueError(f"bad id {name!r}")
+        if name in declared:
+            raise ValueError(f"duplicate id {name!r}")
+        for v in decl[1:]:
+            if not declared.get(v):
+                raise ValueError(f"undeclared vertex {v!r}")
+        declared[name] = len(decl) == 1
+        yield decl
+
+
 class Graph:
     """A finite directed graph; immutable after construction.
 
     `edges` is an iterable of (edge id, source vertex, range vertex), read
     once.  Ids must be unique across vertices and edges together, which
-    keeps the element-expression grammar unambiguous.
+    keeps the element-expression grammar unambiguous; `_checked` raises
+    `ValueError` with the texts of `parse_graph`, without line numbers.
 
     The private `_sccs` is None until `_nontrivial_sccs` fills it on first
     use; it never changes what a public attribute holds.
     """
 
     def __init__(self, vertices, edges):
-        self.vertices = tuple(vertices)
-        edges = tuple(edges)
-        self.edges = tuple(e[0] for e in edges)
-        self._sccs = None
+        edges = ((eid, src, dst) for eid, src, dst in edges)
+        self._build(_checked(chain(((v,) for v in vertices), edges)))
+
+    def _build(self, declarations):
+        """Fill the tables from `_checked` declarations, in their order."""
+        out_edges = {}
+        in_edges = {}
         self.edge_src = {}
         self.edge_dst = {}
-        seen = set()
-        for v in self.vertices:
-            if not _ID_RE.fullmatch(v):
-                raise ValueError(f"bad vertex id {v!r}")
-            if v in seen:
-                raise ValueError(f"duplicate id {v!r}")
-            seen.add(v)
-        vset = set(self.vertices)
-        for eid, src, dst in edges:
-            if not _ID_RE.fullmatch(eid):
-                raise ValueError(f"bad edge id {eid!r}")
-            if eid in seen:
-                raise ValueError(f"duplicate id {eid!r}")
-            seen.add(eid)
-            if src not in vset:
-                raise ValueError(f"edge {eid!r}: undeclared source {src!r}")
-            if dst not in vset:
-                raise ValueError(f"edge {eid!r}: undeclared range {dst!r}")
-            self.edge_src[eid] = src
-            self.edge_dst[eid] = dst
-        self.out_edges = {v: [] for v in self.vertices}
-        self.in_edges = {v: [] for v in self.vertices}
-        for eid in self.edges:
-            self.out_edges[self.edge_src[eid]].append(eid)
-            self.in_edges[self.edge_dst[eid]].append(eid)
-        self.out_edges = {v: tuple(es) for v, es in self.out_edges.items()}
-        self.in_edges = {v: tuple(es) for v, es in self.in_edges.items()}
+        for decl in declarations:
+            if len(decl) == 1:
+                out_edges[decl[0]] = []
+                in_edges[decl[0]] = []
+            else:
+                eid, src, dst = decl
+                self.edge_src[eid] = src
+                self.edge_dst[eid] = dst
+                out_edges[src].append(eid)
+                in_edges[dst].append(eid)
+        self.vertices = tuple(out_edges)
+        self.edges = tuple(self.edge_src)
+        self.out_edges = {v: tuple(es) for v, es in out_edges.items()}
+        self.in_edges = {v: tuple(es) for v, es in in_edges.items()}
+        self._sccs = None
 
     def is_vertex(self, name: str) -> bool:
         return name in self.out_edges
@@ -185,42 +196,32 @@ def parse_graph(text: str) -> Graph:
     """Parse the line-based graph format.
 
     `v <id>` declares a vertex, `e <id> <src> <dst>` an edge, and `#` starts
-    a comment (`errors.content_lines`).  Declaration order is preserved.
+    a comment (`errors.content_lines`).  Declaration order is preserved, and
+    an edge's endpoints must be declared on earlier lines.
     """
-    vertices = []
-    edges = []
-    seen = set()
-    declared = set()
-    for lineno, line in content_lines(text):
-        parts = line.split()
-        if parts[0] == "v":
-            if len(parts) != 2:
-                raise ParseError("expected `v <id>`", lineno)
-            (vid,) = parts[1:]
-            if not _ID_RE.fullmatch(vid):
-                raise ParseError(f"bad id {vid!r}", lineno)
-            if vid in seen:
-                raise ParseError(f"duplicate id {vid!r}", lineno)
-            seen.add(vid)
-            declared.add(vid)
-            vertices.append(vid)
-        elif parts[0] == "e":
-            if len(parts) != 4:
-                raise ParseError("expected `e <id> <src> <dst>`", lineno)
-            eid, src, dst = parts[1:]
-            if not _ID_RE.fullmatch(eid):
-                raise ParseError(f"bad id {eid!r}", lineno)
-            if eid in seen:
-                raise ParseError(f"duplicate id {eid!r}", lineno)
-            if src not in declared:
-                raise ParseError(f"undeclared vertex {src!r}", lineno)
-            if dst not in declared:
-                raise ParseError(f"undeclared vertex {dst!r}", lineno)
-            seen.add(eid)
-            edges.append((eid, src, dst))
-        else:
-            raise ParseError(f"unknown declaration {parts[0]!r}", lineno)
-    return Graph(vertices, edges)
+    lineno = None
+
+    def declarations():
+        nonlocal lineno
+        for lineno, line in content_lines(text):
+            kind, *decl = line.split()
+            if kind == "v":
+                if len(decl) != 1:
+                    raise ValueError("expected `v <id>`")
+            elif kind == "e":
+                if len(decl) != 3:
+                    raise ValueError("expected `e <id> <src> <dst>`")
+            else:
+                raise ValueError(f"unknown declaration {kind!r}")
+            yield decl
+
+    g = Graph.__new__(Graph)
+    try:
+        # read lazily, so a fault belongs to the line read last
+        g._build(_checked(declarations()))
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -101,11 +101,17 @@ def trace_spec(g: Graph, field=Q, involution=IDENTITY, vertex_values=None,
     for kind, table in ((CycleWord, cycle_values), (CycleWordStar, cycle_star_values)):
         for word, c in (table or {}).items():
             key = kind(_least_word(g, tuple(word)))
-            c = coerce(c)
-            if values.setdefault(key, c) != c:
-                raise ValueError(
-                    f"conflicting values for rotation class {'/'.join(key.edges)}"
-                )
+            _put_once(values, key, coerce(c), f"rotation class {'/'.join(key.edges)}")
+    return _nonzero_spec(field, involution, values)
+
+
+def _put_once(values, key, value, name):
+    """Set values[key], unless it already holds another value."""
+    if values.setdefault(key, value) != value:
+        raise ValueError(f"conflicting values for {name}")
+
+
+def _nonzero_spec(field, involution, values) -> TraceSpec:
     return TraceSpec(field, involution, {k: c for k, c in values.items() if c})
 
 
@@ -449,23 +455,14 @@ def parse_trace_spec(text: str, g: Graph) -> TraceSpec:
         try:
             value = parse_scalar(val, field)
             star_value = parse_scalar(star, field) if star is not None else None
-        except ParseError as exc:
-            raise ParseError(str(exc), lineno) from None
-        if kind == "vertex":
-            _put_once(values, VertexClass(key), value, f"vertex {key!r}", lineno)
-        else:
-            try:
-                word = _least_word(g, tuple(key.split("/")))
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
+            if kind == "vertex":
+                _put_once(values, VertexClass(key), value, f"vertex {key!r}")
+                continue
+            word = _least_word(g, tuple(key.split("/")))
             name = f"rotation class {'/'.join(word)}"
-            _put_once(values, CycleWord(word), value, name, lineno)
+            _put_once(values, CycleWord(word), value, name)
             if star_value is not None:
-                _put_once(values, CycleWordStar(word), star_value,
-                          f"starred {name}", lineno)
-    return TraceSpec(field, involution, {k: c for k, c in values.items() if c})
-
-
-def _put_once(table, key, value, name, lineno):
-    if table.setdefault(key, value) != value:
-        raise ParseError(f"conflicting values for {name}", lineno)
+                _put_once(values, CycleWordStar(word), star_value, f"starred {name}")
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+    return _nonzero_spec(field, involution, values)

@@ -141,6 +141,22 @@ def nullspace_cells(monkeypatch):
 
 
 @pytest.fixture
+def id_matches(monkeypatch):
+    """The strings `graphs` matches against its id pattern, appended as they
+    run."""
+    pattern = graphs._ID_RE
+    matched = []
+
+    class Counted:
+        def fullmatch(self, s):
+            matched.append(s)
+            return pattern.fullmatch(s)
+
+    monkeypatch.setattr(graphs, "_ID_RE", Counted())
+    return matched
+
+
+@pytest.fixture
 def light_work(monkeypatch):
     """The work of Light's test in `semigroups`, appended as it runs:
     ("pass", generators) for each frontier pass of the generator closure,

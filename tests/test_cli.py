@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import time
 
 from lpatrace import cli, graphs
@@ -633,3 +634,147 @@ def test_report_writer_matches_json_dumps_on_random_values(capsys):
     for value in values:
         cli._print(value)
         assert capsys.readouterr().out == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The error contract of graph and spec files, over seeded faulty texts
+# ---------------------------------------------------------------------------
+
+_VERTEX_IDS = ("a", "b", "c", "u", "w")
+_EDGE_IDS = ("e", "f", "g", "h", "k")
+_ODD_IDS = ("1a", "a-b", "é", "a.b", "٣", "_", "A_1", "z")
+
+# closed edge words of the corpus graphs, one per rotation class
+_CLOSED_WORDS = {
+    "one_loop": ("e", "e/e"),
+    "two_cycle": ("e1/e2", "e1/e2/e1/e2"),
+    "rose2": ("e", "f", "e/f", "e/e/f"),
+    "tail_loop": ("e", "e/e"),
+    "loop_exit": ("e",),
+    "disjoint": ("e",),
+    "mixed": ("e1/e2",),
+}
+_SPEC_SCALARS = ("0", "0", "1", "1", "2", "-1/3", "1/2", "1i", "2-3i")
+
+
+def _spec_scalar(rng):
+    return rng.choice(("1/0", "x", "٣")) if rng.random() < 0.03 else rng.choice(_SPEC_SCALARS)
+
+
+def _faulty_graph_text(rng):
+    """A graph of 1-3 vertices and 0-4 edges with 0-2 faults: an odd id, an
+    id declared twice, a line moved before the vertices it names, a wrong
+    number of words, or an unknown declaration."""
+    vertices = rng.sample(_VERTEX_IDS, rng.randint(1, 3))
+    lines = [["v", v] for v in vertices]
+    for eid in rng.sample(_EDGE_IDS, rng.randint(0, 4)):
+        lines.append(["e", eid, rng.choice(vertices), rng.choice(vertices)])
+    for _ in range(rng.choice((0, 1, 1, 2, 2))):
+        fault = rng.randrange(5)
+        line = rng.choice(lines)
+        if fault == 0:
+            line[rng.randrange(1, len(line))] = rng.choice(_ODD_IDS)
+        elif fault == 1:
+            twin = ["v", line[1]] if rng.random() < 0.5 else ["e", line[1], vertices[0], vertices[0]]
+            lines.insert(rng.randint(0, len(lines)), twin)
+        elif fault == 2:
+            lines.insert(0, lines.pop(rng.randrange(len(lines))))
+        elif fault == 3:
+            if len(line) > 2 and rng.random() < 0.5:
+                line.pop()
+            else:
+                line.append(rng.choice(vertices))
+        else:
+            line[0] = rng.choice(("x", "V", "vertex", "edge"))
+    text = [" ".join(line) for line in lines]
+    if rng.random() < 0.2:
+        text.insert(rng.randint(0, len(text)), rng.choice(("", "# note", "  ")))
+    return "\n".join(text) + rng.choice(("", "\n"))
+
+
+def _rotated(rng, word):
+    word = word.split("/")
+    k = rng.randrange(len(word))
+    return "/".join(word[k:] + word[:k])
+
+
+def _spec_word(rng, name, edges):
+    """A rotation of a closed word of the graph, or 1-3 edge ids that may not
+    compose, close up or exist."""
+    closed = _CLOSED_WORDS.get(name)
+    if closed and rng.random() < 0.7:
+        return _rotated(rng, rng.choice(closed))
+    return "/".join(rng.choice(edges + ["zz"]) for _ in range(rng.randint(1, 3)))
+
+
+def _faulty_spec_text(rng, name):
+    """A spec for the named corpus graph: values on vertices and on rotated
+    closed words, with repeats (rotated, or with another value), bad
+    scalars, unknown vertices and edges, and lines of the wrong shape."""
+    declared = [line.split() for line in GRAPH_TEXTS[name].splitlines()]
+    vertices = [d[1] for d in declared if d[0] == "v"]
+    edges = [d[1] for d in declared if d[0] == "e"]
+    lines = []
+    if rng.random() < 0.7:
+        lines.append(f"field {rng.choice(('Q', 'Qi', 'Qi', 'Qi', 'Qi', 'R'))}")
+    if rng.random() < 0.3:
+        involution = rng.choice(("identity", "conjugation", "conjugation", "conj"))
+        lines.append(f"involution {involution}")
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.randrange(9)
+        if kind <= 1:
+            v = rng.choice(vertices + ["zz"] if rng.random() < 0.2 else vertices)
+            lines.append(f"vertex {v} {_spec_scalar(rng)}")
+        elif kind <= 4 and edges:
+            star = f" {_spec_scalar(rng)}" if rng.random() < 0.5 else ""
+            word = _spec_word(rng, name, edges)
+            lines.append(f"cycle {word} {_spec_scalar(rng)}{star}")
+        elif kind <= 7 and lines:
+            words = rng.choice(lines).split()
+            if words[0] in ("vertex", "cycle") and len(words) > 2:
+                if words[0] == "cycle":
+                    words[1] = _rotated(rng, words[1])
+                if rng.random() < 0.5:
+                    words[rng.randrange(2, len(words))] = _spec_scalar(rng)
+            lines.append(" ".join(words))
+        else:
+            lines.append(rng.choice(("vertex a", "cycle", "cycle e 1 2 3", "edge e 1")))
+    return "\n".join(lines) + "\n"
+
+
+# sha256 over [argv, exit code, stdout, stderr] of each run, in order;
+# recorded before graph and spec checks each moved to one place
+CONTRACT_DIGESTS = {
+    "analyze": "eeaff90cf5c41cf0b1c3987f6bcc40f8daff4fdac66f824cb27a8f08e7b0bf50",
+    "eval cohn": "bfb3b7c1e47134139c15a214c60e5ddb03ec37443eee225ed5f9442720e90caa",
+}
+
+
+def test_graph_and_spec_file_errors_match_recorded_digests(tmp_path, capsys, monkeypatch):
+    # a fixed seed, not LPA_SEED: the digests pin these exact texts
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(2027)
+    digests = {}
+    codes = set()
+    for family in CONTRACT_DIGESTS:
+        h = hashlib.sha256()
+        for _ in range(1500):
+            if family == "analyze":
+                with open("g.graph", "w", encoding="utf-8") as f:
+                    f.write(_faulty_graph_text(rng))
+                argv = ["analyze", "g.graph"]
+            else:
+                name = rng.choice(sorted(GRAPH_TEXTS))
+                with open("g.graph", "w", encoding="utf-8") as f:
+                    f.write(GRAPH_TEXTS[name])
+                with open("s.spec", "w", encoding="utf-8") as f:
+                    f.write(_faulty_spec_text(rng, name))
+                argv = ["eval", "g.graph", _golden_expr(GRAPH_TEXTS[name]),
+                        "--spec", "s.spec", "--mode", "cohn"]
+            code, out, err = _run(capsys, *argv)
+            assert "Traceback" not in err
+            codes.add((family, code))
+            h.update(json.dumps([argv, code, out, err]).encode())
+        digests[family] = h.hexdigest()
+    assert codes == {(family, code) for family in CONTRACT_DIGESTS for code in (0, 2)}
+    assert digests == CONTRACT_DIGESTS

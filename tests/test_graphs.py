@@ -54,13 +54,31 @@ def test_parse_graph_examples():
 
 def test_graph_ids_are_whole_strings():
     # a `$` anchor would also match before a final newline
-    with pytest.raises(ValueError, match=re.escape(r"bad vertex id 'v\n'")):
+    # `Graph` raises the texts of `parse_graph`, without a line number
+    with pytest.raises(ValueError, match=re.escape(r"bad id 'v\n'")):
         Graph(["v\n"], [("e", "v\n", "v\n")])
-    with pytest.raises(ValueError, match=re.escape(r"bad edge id 'e\n'")):
+    with pytest.raises(ValueError, match=re.escape(r"bad id 'e\n'")):
         Graph(["v"], [("e\n", "v", "v")])
-    with pytest.raises(ValueError, match="bad vertex id"):
+    with pytest.raises(ValueError, match="bad id"):
         Graph(["v\n\n"], [])
+    with pytest.raises(ValueError, match=re.escape("undeclared vertex 'w'")):
+        Graph(["v"], [("e", "v", "w")])
     assert Graph(["v_1"], [("_e", "v_1", "v_1")]).edges == ("_e",)
+
+
+def test_graph_edges_are_triples():
+    for edge in [("e",), ("e", "a"), ("e", "a", "a", "a")]:
+        with pytest.raises(ValueError):
+            Graph(["a"], [edge])
+
+
+def test_parse_graph_matches_each_id_once(id_matches):
+    n = 2000
+    text = "\n".join([f"v a{i}" for i in range(n)]
+                     + [f"e e{i} a{i} a{(i + 1) % n}" for i in range(n)])
+    g = parse_graph(text)
+    assert len(g.vertices) == len(g.edges) == n
+    assert id_matches == [f"a{i}" for i in range(n)] + [f"e{i}" for i in range(n)]
 
 
 def test_small_graphs_are_every_multigraph():
