@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: `analyze`, `classes`, `eval`, `decompose` on graph files, and
-`sg` on Cayley-table files.  Every command prints one deterministic JSON
-report.  Exit codes: 0 success, 2 malformed input, 3 failed mathematical
-precondition.
+`sg` on Cayley-table files.  Each `cmd_*` returns its inputs and its
+result, and `main` prints them as one deterministic JSON report with the
+keys `command`, `inputs`, `result` and `diagnostics`.  Exit codes: 0
+success, 2 malformed input, 3 failed mathematical precondition.
 """
 
 from __future__ import annotations
@@ -43,27 +44,18 @@ from .traces import (
 )
 
 
-def _read(path: str) -> str:
+def _file(path: str) -> tuple:
+    """The text of the file at `path` and its `inputs` entry: the path as
+    given and the sha256 of the text."""
     try:
         with open(path, encoding="utf-8") as f:
-            return f.read()
+            text = f.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise ParseError(f"cannot read {path}: not UTF-8 text") from None
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _report(command: str, inputs: dict, result: dict, diagnostics=()) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "diagnostics": list(diagnostics),
-    }
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return text, {"path": path, "sha256": digest}
 
 
 # exact types, so that a subclass of one is laid out frame by frame
@@ -122,10 +114,10 @@ def _print(report: dict) -> None:
     print("".join(chunks))
 
 
-def cmd_analyze(args) -> int:
-    text = _read(args.graph)
+def cmd_analyze(args) -> tuple:
+    text, graph = _file(args.graph)
     g = parse_graph(text)
-    result = {
+    return {"graph": graph}, {
         "no_exit": is_no_exit(g),
         "tame": infinite_paths_tame(g),
         "sinks": list(sinks(g)),
@@ -137,77 +129,51 @@ def cmd_analyze(args) -> int:
             "Qi,conjugation": bool(faithful_trace_exists(g, QI, CONJUGATION)),
         },
     }
-    _print(_report(
-        "analyze",
-        {"graph": {"path": args.graph, "sha256": _digest(text)}},
-        result,
-    ))
-    return 0
 
 
-def cmd_classes(args) -> int:
+def cmd_classes(args) -> tuple:
     try:
         (max_len,) = natural_numbers([args.max_len])
     except ValueError as exc:
         raise ParseError(f"--max-len {exc}, got {args.max_len[:20]!r}") from None
-    text = _read(args.graph)
+    text, graph = _file(args.graph)
     g = parse_graph(text)
     words = sorted(p.edges for p in closed_paths_up_to(g, max_len))
     joined = ["/".join(w) for w in words]
-    result = {
+    return {"graph": graph}, {
         "vertex_classes": list(g.vertices),
         "cycle_classes": joined,
         "cycle_star_classes": joined,
         "max_len": max_len,
     }
-    _print(_report(
-        "classes",
-        {"graph": {"path": args.graph, "sha256": _digest(text)}},
-        result,
-    ))
-    return 0
 
 
-def cmd_eval(args) -> int:
-    graph_text = _read(args.graph)
-    spec_text = _read(args.spec)
+def cmd_eval(args) -> tuple:
+    # both files are read before either is parsed
+    graph_text, graph = _file(args.graph)
+    spec_text, spec_file = _file(args.spec)
     g = parse_graph(graph_text)
     spec = parse_trace_spec(spec_text, g)
     mode = LEAVITT if args.mode == "leavitt" else COHN
     algebra = PathAlgebra(g, spec.field, spec.involution, mode)
     element = parse_element(args.expr, algebra)
     value = trace_eval(g, spec, element)
-    _print(_report(
-        "eval",
-        {
-            "graph": {"path": args.graph, "sha256": _digest(graph_text)},
-            "spec": {"path": args.spec, "sha256": _digest(spec_text)},
-        },
-        {
-            "expr": args.expr,
-            "mode": args.mode,
-            "field": spec.field,
-            "involution": spec.involution,
-            "value": format_scalar(value),
-        },
-    ))
-    return 0
+    return {"graph": graph, "spec": spec_file}, {
+        "expr": args.expr,
+        "mode": args.mode,
+        "field": spec.field,
+        "involution": spec.involution,
+        "value": format_scalar(value),
+    }
 
 
-def cmd_decompose(args) -> int:
-    text = _read(args.graph)
-    g = parse_graph(text)
-    dec = decompose(g)
-    _print(_report(
-        "decompose",
-        {"graph": {"path": args.graph, "sha256": _digest(text)}},
-        decomposition_report(dec),
-    ))
-    return 0
+def cmd_decompose(args) -> tuple:
+    text, graph = _file(args.graph)
+    return {"graph": graph}, decomposition_report(decompose(parse_graph(text)))
 
 
-def cmd_sg(args) -> int:
-    text = _read(args.cayley)
+def cmd_sg(args) -> tuple:
+    text, cayley = _file(args.cayley)
     G = parse_cayley(text)
     part = sim_classes(G)
     classes = [[G.label(i) for i in cls] for cls in part.classes]
@@ -234,12 +200,7 @@ def cmd_sg(args) -> int:
         }
     else:
         result = {"admits_normalized_minimal": admits_normalized_minimal(G)}
-    _print(_report(
-        f"sg {args.action}",
-        {"cayley": {"path": args.cayley, "sha256": _digest(text)}},
-        result,
-    ))
-    return 0
+    return {"cayley": cayley}, result
 
 
 @functools.cache  # built by the first `main` call, then reused
@@ -283,9 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        inputs, result = args.func(args)
+        command = f"sg {args.action}" if args.command == "sg" else args.command
+        _print({
+            "command": command, "inputs": inputs, "result": result, "diagnostics": [],
+        })
         sys.stdout.flush()  # so a closed pipe raises here, not at exit
-        return code
+        return 0
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

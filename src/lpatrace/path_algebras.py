@@ -41,10 +41,10 @@ from .scalars import (
     Q,
     SparseTerms,
     _SCALAR,
+    _coerce,
     _scalar_value,
     add_terms,
     check_involution,
-    fe,
     fe_one,
     field_star,
     format_scalar,
@@ -87,11 +87,7 @@ class PathAlgebra:
     # -- element constructors ------------------------------------------------
 
     def scalar(self, c) -> FieldElem:
-        if isinstance(c, FieldElem):
-            if c.field != self.field:
-                raise ValueError(f"scalar field {c.field} != {self.field}")
-            return c
-        return fe(c, 0, self.field)
+        return _coerce(c, self.field)
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, {})
@@ -128,11 +124,8 @@ class PathAlgebra:
         return MonPair(vp, vp)
 
     def _check_path(self, p: PathSeq) -> None:
-        if p.is_vertex:
-            if not self.graph.is_vertex(p.src):
-                raise ValueError(f"unknown vertex {p.src!r}")
-            return
-        rebuilt = edge_path(self.graph, p.edges)
+        g = self.graph
+        rebuilt = vertex_path(g, p.src) if p.is_vertex else edge_path(g, p.edges)
         if rebuilt != p:
             raise ValueError(f"path {format_path(p)} is not a path of this graph")
 

@@ -194,6 +194,16 @@ def fe(re, im=0, field=Q) -> FieldElem:
     return FieldElem(re, im, field)
 
 
+def _coerce(c, field: str) -> FieldElem:
+    """`c` as an element of `field`: an int or Fraction is converted, and a
+    FieldElem must already belong to `field`."""
+    if isinstance(c, FieldElem):
+        if c.field != field:
+            raise ValueError(f"scalar field {c.field} != {field}")
+        return c
+    return FieldElem(c, 0, field)
+
+
 def fe_zero(field=Q) -> FieldElem:
     return FieldElem(0, 0, field)
 
@@ -378,10 +388,7 @@ def laurent(field: str, coeffs) -> LaurentPoly:
     exponents are read with `operator.index` (a float is a TypeError)."""
     pairs = []
     for exp, c in coeffs.items() if isinstance(coeffs, dict) else coeffs:
-        if not isinstance(c, FieldElem):
-            c = fe(c, 0, field)
-        if c.field != field:
-            raise ValueError(f"coefficient field {c.field} != {field}")
+        c = _coerce(c, field)
         pairs.append((_index(exp), c))
     return LaurentPoly(field, add_terms({}, pairs))
 

@@ -15,11 +15,10 @@ from operator import eq, index, itemgetter
 from .errors import ParseError, PreconditionError, content_lines
 from .linalg import rank
 from .scalars import (
-    FieldElem,
     Q,
     SparseTerms,
+    _coerce,
     add_terms,
-    fe,
     fe_one,
     fe_zero,
     natural_numbers,
@@ -584,8 +583,7 @@ def sg_element(G: FiniteSemigroup, mapping, field=Q) -> FreeVector:
     pairs = []
     for idx, c in mapping.items():
         idx = _element_index(idx, G.size)
-        if not isinstance(c, FieldElem):
-            c = fe(c, 0, field)
+        c = _coerce(c, field)
         if idx != G.zero:
             pairs.append((idx, c))
     return FreeVector(None, add_terms({}, pairs))

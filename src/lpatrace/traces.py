@@ -41,6 +41,7 @@ from .scalars import (
     IDENTITY,
     Q,
     QI,
+    _coerce,
     add_terms,
     check_involution,
     fe,
@@ -90,18 +91,16 @@ def trace_spec(g: Graph, field=Q, involution=IDENTITY, vertex_values=None,
     """Build a spec, canonicalizing closed-word keys and dropping zeros."""
     check_involution(field, involution)
 
-    def coerce(c):
-        return c if isinstance(c, FieldElem) else fe(c, 0, field)
-
     values = {}
     for v, c in (vertex_values or {}).items():
         if not g.is_vertex(v):
             raise ValueError(f"unknown vertex {v!r}")
-        values[VertexClass(v)] = coerce(c)
+        values[VertexClass(v)] = _coerce(c, field)
     for kind, table in ((CycleWord, cycle_values), (CycleWordStar, cycle_star_values)):
         for word, c in (table or {}).items():
             key = kind(_least_word(g, tuple(word)))
-            _put_once(values, key, coerce(c), f"rotation class {'/'.join(key.edges)}")
+            name = f"rotation class {'/'.join(key.edges)}"
+            _put_once(values, key, _coerce(c, field), name)
     return _nonzero_spec(field, involution, values)
 
 

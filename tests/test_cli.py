@@ -338,6 +338,14 @@ def test_bad_values_files_and_labels_exit_2(tmp_path, capsys):
     assert code == 0 and json.loads(out)["result"]["value"] == "1"
 
 
+def test_eval_reads_both_files_before_parsing_either(tmp_path, capsys):
+    graph = _write(tmp_path, "bad.graph", "e f a b\n")
+    spec = str(tmp_path / "missing.spec")
+    code, out, err = _run(capsys, "eval", graph, "v", "--spec", spec)
+    assert (code, out) == (2, "")
+    assert err == f"input error: cannot read {spec}: No such file or directory\n"
+
+
 def test_eval_input_error_takes_precedence_over_invalid_spec(tmp_path, capsys):
     graph = _write(tmp_path, "rose.graph", GRAPH_TEXTS["rose2"])
     spec = _write(tmp_path, "rose.spec", "field Q\nvertex v 1\n")
@@ -434,11 +442,14 @@ def test_main_runs_the_command_bound_at_call_time(tmp_path, capsys, monkeypatch)
 
     def stand_in(args):
         seen.append(args.graph)
-        return 0
+        return {}, {}
 
     monkeypatch.setattr(cli, "cmd_analyze", stand_in)
     code, out, _ = _run(capsys, "analyze", path)
-    assert code == 0 and out == "" and seen == [path]
+    assert code == 0 and seen == [path]
+    assert json.loads(out) == {
+        "command": "analyze", "inputs": {}, "result": {}, "diagnostics": [],
+    }
 
 
 # Valid Leavitt specs for every corpus graph; in Cohn mode any spec is valid.

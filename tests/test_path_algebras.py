@@ -640,6 +640,22 @@ def test_partial_special_edges_keep_the_default_elsewhere():
     assert default.from_terms({aa: 1}) == parse_element("u - b.b'", default)
 
 
+def test_vertex_paths_are_checked_like_edge_paths():
+    # on v -> w, (v, w, ()) names no path: it is neither vertex v nor vertex w
+    g = parse_graph("v v\nv w\ne e v w")
+    A = PathAlgebra(g, Q, IDENTITY, LEAVITT)
+    w = vertex_path(g, "w")
+    for bad in (PathSeq("v", "w", ()), PathSeq("w", "v", ())):
+        text = f"path {format_path(bad)} is not a path of this graph"
+        with pytest.raises(ValueError, match=re.escape(text)):
+            A.monomial(bad, w)
+        with pytest.raises(ValueError, match=re.escape(text)):
+            A.from_terms({MonPair(bad, bad): 1})
+    with pytest.raises(ValueError, match="unknown vertex 'u'"):
+        A.monomial(PathSeq("u", "u", ()), w)
+    assert A.monomial(w, w) == A.vertex("w")
+
+
 def test_from_terms_rejects_foreign_paths():
     g = GRAPHS["line2"]
     other = GRAPHS["tree"]

@@ -27,13 +27,20 @@ from lpatrace.scalars import (
     laurent_star,
     parse_scalar,
 )
-from lpatrace.semigroups import endo_semigroup, minimal_trace, sim_classes
+from lpatrace.semigroups import (
+    endo_semigroup,
+    matrix_units_semigroup,
+    minimal_trace,
+    sg_element,
+    sim_classes,
+)
 from lpatrace.structure import decompose, phi
 from lpatrace.traces import (
     faithful_trace_exists,
     is_minimal_cohn,
     parse_trace_spec,
     positivity_screen,
+    trace_spec,
     validate_trace_spec,
     vertex_trace_space,
 )
@@ -307,6 +314,29 @@ def test_field_elem_errors():
     ):
         with pytest.raises(TypeError):
             op(x, 1.5)
+
+
+def test_every_coefficient_argument_follows_one_field_rule():
+    # an int or Fraction is converted; a FieldElem must already lie in the field
+    g = parse_graph("v v\ne e v v")
+    G = matrix_units_semigroup(1)  # 0 is the zero, 1 the unit e_11
+    callers = {
+        "laurent": lambda c, field: laurent(field, {0: c}).coeff(0),
+        "PathAlgebra.scalar": lambda c, field: PathAlgebra(g, field).scalar(c),
+        "trace_spec": lambda c, field: trace_spec(g, field, vertex_values={"v": c})
+        .values[VertexClass("v")],
+        "sg_element": lambda c, field: sg_element(G, {1: c}, field).terms[1],
+    }
+    for name, coerce in callers.items():
+        assert coerce(Fraction(1, 2), Q) == fe(Fraction(1, 2)), name
+        assert coerce(2, QI) == fe(2, 0, QI), name
+        assert coerce(fe(1, 1, QI), QI) == fe(1, 1, QI), name
+        with pytest.raises(ValueError, match=r"^scalar field Qi != Q$"):
+            coerce(fe(1, 1, QI), Q)
+        with pytest.raises(ValueError, match=r"^scalar field Q != Qi$"):
+            coerce(fe(1), QI)
+        with pytest.raises(TypeError):
+            coerce(0.5, Q)
 
 
 def test_pickle_and_deepcopy_round_trips():
