@@ -1,6 +1,8 @@
 """Exact traces on contracted semigroup rings, Cohn path algebras, and
 Leavitt path algebras of finite graphs."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import ParseError, PreconditionError
 from .scalars import (
     CONJUGATION,
@@ -103,4 +105,8 @@ from .structure import (
     pull_back_trace,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that the imports above bind
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -57,7 +57,7 @@ def _row_reduce(rows, field):
     return [pivots[col] for col in order], order
 
 
-def rank(rows, field) -> int:
+def rank(rows) -> int:
     """Rank of a matrix given as sparse rows {column: value}: the number of
     pivots that forward elimination finds, with no pivot scaled and no
     back-substitution."""

@@ -393,10 +393,6 @@ def laurent(field: str, coeffs) -> LaurentPoly:
     return LaurentPoly(field, add_terms({}, pairs))
 
 
-def laurent_one(field=Q) -> LaurentPoly:
-    return laurent(field, {0: fe_one(field)})
-
-
 def laurent_star(p: LaurentPoly, involution: str) -> LaurentPoly:
     """(sum a_k x^k)^* = sum a_k^* x^(-k)."""
     return LaurentPoly(

@@ -569,9 +569,6 @@ class FreeVector(SparseTerms):
     def items(self):
         return self.terms.items()
 
-    def as_dict(self):
-        return dict(self.terms)
-
     def __repr__(self):
         return "FreeVector(" + ", ".join(f"{k!r}: {v!r}" for k, v in self.items()) + ")"
 
@@ -598,10 +595,6 @@ def sg_mul(G: FiniteSemigroup, x: FreeVector, y: FreeVector) -> FreeVector:
         if (prod := table[a][b]) != zero
     )
     return FreeVector(None, add_terms({}, products))
-
-
-def sg_commutator(G: FiniteSemigroup, x: FreeVector, y: FreeVector) -> FreeVector:
-    return sg_mul(G, x, y) - sg_mul(G, y, x)
 
 
 class CentralMap(namedtuple("CentralMap", "values field")):
@@ -700,7 +693,7 @@ def is_minimal_sg_trace(G: FiniteSemigroup, delta: CentralMap) -> bool:
         ]
     else:
         rows = [{0: v} for v in values]
-    return rank(rows, delta.field) == len(reps)
+    return rank(rows) == len(reps)
 
 
 def admits_normalized_minimal(G: FiniteSemigroup) -> bool:

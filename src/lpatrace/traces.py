@@ -247,7 +247,7 @@ def is_minimal_cohn(g: Graph, spec: TraceSpec, classes=None) -> MinimalityVerdic
         classes = tuple(classes)
         relative = True
     rows = [{0: spec.class_value(cls)} for cls in classes]
-    minimal = _rank(rows, spec.field) == len(classes)
+    minimal = _rank(rows) == len(classes)
     return MinimalityVerdict(minimal, classes, relative)
 
 

@@ -43,7 +43,7 @@ from lpatrace.scalars import (
     format_scalar,
     is_nonnegative,
     is_positive_nonzero,
-    laurent_one,
+    laurent,
     parse_scalar,
     require_positive_definite,
 )
@@ -56,6 +56,7 @@ from lpatrace.semigroups import (
     group_with_zero,
     matrix_units_semigroup,
     sg_element,
+    sg_mul,
     sim_classes,
 )
 from lpatrace.structure import CycleBlock, MatrixImage, SinkBlock
@@ -339,6 +340,15 @@ def symmetric_group_table(k):
     ]
 
 
+def cayley_text(rows):
+    """A Cayley-table file for `rows`, with element 0 as the zero."""
+    return f"n {len(rows)} zero 0\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+def sg_commutator(G, x, y):
+    return sg_mul(G, x, y) - sg_mul(G, y, x)
+
+
 def _right_zero_with_zero():
     # nonzero part is the two-element right-zero semigroup: xy = y
     return build_semigroup([[0, 0, 0], [0, 1, 2], [0, 1, 2]], 0)
@@ -438,6 +448,10 @@ def endo_map_index(n, images):
 def fe_i():
     """The imaginary unit of Q(i)."""
     return FieldElem(0, 1, QI)
+
+
+def laurent_one(field=Q):
+    return laurent(field, {0: fe_one(field)})
 
 
 def random_scalar(rng, field=Q, nonzero=False):

@@ -7,7 +7,7 @@ import time
 from lpatrace import cli, graphs
 from lpatrace.cli import main
 
-from conftest import GRAPH_TEXTS, fresh_rng
+from conftest import GRAPH_TEXTS, cayley_text, fresh_rng
 
 
 def _write(tmp_path, name, text):
@@ -65,12 +65,12 @@ def test_eval_one_loop_example(tmp_path, capsys):
         tmp_path, "loop.spec",
         "field Qi\ninvolution conjugation\nvertex v 1\ncycle e 1i 1i\n",
     )
-    code, out, _ = _run(
-        capsys, "eval", graph, "v + e + e' + v", "--spec", spec,
-        "--mode", "leavitt",
-    )
-    assert code == 0
-    assert json.loads(out)["result"]["value"] == "2+2i"
+    # e.e' is v by the Cuntz-Krieger relation at v; spaces between tokens
+    # do not change the value
+    cases = {"v + e + e' + v": "2+2i", "3/4*e.e'": "3/4", " 3/4 * e . e ' ": "3/4"}
+    for expr, value in cases.items():
+        code, out, _ = _run(capsys, "eval", graph, expr, "--spec", spec, "--mode", "leavitt")
+        assert code == 0 and json.loads(out)["result"]["value"] == value, expr
 
 
 def test_eval_commutator_is_zero(tmp_path, capsys):
@@ -255,24 +255,38 @@ def test_decompose_past_limit_of_all_blocks_exits_3(tmp_path, capsys):
 
 
 def test_sg_commands(tmp_path, capsys):
-    rows = ["0 0 0", "0 1 2", "0 2 1"]
-    text = "n 3 zero 0\n" + "\n".join(rows) + "\nlabel 1 e\nlabel 2 g\n"
-    cayley = _write(tmp_path, "c2.cayley", text)
+    def right_zero(n):  # x*y = y on the nonzero elements
+        return cayley_text([[0] * n] + [list(range(n))] * (n - 1))
 
-    code, out, _ = _run(capsys, "sg", cayley, "classes")
-    assert code == 0
-    result = json.loads(out)["result"]
-    assert result["classes"] == [["0"], ["e"], ["g"]]
-    assert result["nonzero_class_count"] == 2
-
-    code, out, _ = _run(capsys, "sg", cayley, "minimal")
-    result = json.loads(out)["result"]
-    assert result["is_minimal"] is True
-    assert result["delta"]["0"] is None
-
-    code, out, _ = _run(capsys, "sg", cayley, "normalized")
-    result = json.loads(out)["result"]
-    assert result["admits_normalized_minimal"] is False
+    texts = {
+        "c2": "n 3 zero 0\n0 0 0\n0 1 2\n0 2 1\nlabel 1 e\nlabel 2 g\n",
+        "mu2": cayley_text(
+            [[0, 0, 0, 0, 0], [0, 1, 2, 0, 0], [0, 0, 0, 1, 2], [0, 3, 4, 0, 0], [0, 0, 0, 3, 4]]),
+        "null257": cayley_text([[0] * 257] * 257),
+        "right_zero256": right_zero(256),  # a packed bytes table
+        "right_zero257": right_zero(257),  # tuple rows and columns
+    }
+    # (table, action, items of the result)
+    cases = [
+        ("c2", "classes", {"classes": [["0"], ["e"], ["g"]], "nonzero_class_count": 2}),
+        ("c2", "minimal", {"is_minimal": True, "delta": {"0": None, "e": 1, "g": 2}}),
+        ("c2", "normalized", {"admits_normalized_minimal": False}),
+        ("mu2", "classes", {"classes": [["0", "2", "3"], ["1", "4"]]}),
+        ("mu2", "minimal", {"is_minimal": True}),
+        ("mu2", "normalized", {"admits_normalized_minimal": True}),
+        ("null257", "classes", {"nonzero_class_count": 256}),
+    ]
+    for n in (256, 257):
+        one_class = [["0"], [str(i) for i in range(1, n)]]
+        cases += [
+            (f"right_zero{n}", "classes", {"classes": one_class, "nonzero_class_count": 1}),
+            (f"right_zero{n}", "minimal", {"classes": one_class, "is_minimal": True}),
+        ]
+    paths = {name: _write(tmp_path, f"{name}.cayley", text) for name, text in texts.items()}
+    for name, action, items in cases:
+        code, out, _ = _run(capsys, "sg", paths[name], action)
+        result = json.loads(out)["result"]
+        assert code == 0 and {k: result[k] for k in items} == items, (name, action)
 
 
 def test_input_errors_exit_2(tmp_path, capsys):
@@ -306,31 +320,40 @@ def test_bad_values_files_and_labels_exit_2(tmp_path, capsys):
     cayley = "n 2 zero 0\n0 0\n0 1\n"
     binary = tmp_path / "binary.graph"
     binary.write_bytes(b"v v\ne e v v\xff\n")
+    # name: (a part of stderr, argv)
     cases = {
-        "conflicting cycle": ("eval", rose, "e/f", "--mode", "cohn", "--spec",
-                              _write(tmp_path, "c.spec", "cycle e/f 1\ncycle f/e 2\n")),
-        "conflicting star": ("eval", rose, "e/f", "--mode", "cohn", "--spec",
-                             _write(tmp_path, "s.spec", "cycle e/f 1 1\ncycle f/e 1 2\n")),
-        "conflicting vertex": ("eval", rose, "v", "--mode", "cohn", "--spec",
-                               _write(tmp_path, "v.spec", "vertex v 1\nvertex v 2\n")),
-        "zero denominator in expression": ("eval", rose, "1/0", "--spec", plain),
-        "zero denominator in spec": ("eval", rose, "v", "--spec",
-                                     _write(tmp_path, "z.spec", "vertex v 1/0\n")),
-        "non-UTF-8 file": ("analyze", str(binary)),
-        "label out of range": ("sg", _write(tmp_path, "r.cayley", cayley + "label 5 x\n"),
-                               "classes"),
-        "label given twice": ("sg", _write(tmp_path, "d.cayley",
-                                           cayley + "label 1 x\nlabel 1 y\n"), "classes"),
+        "conflicting cycle": ("line 2: conflicting values", (
+            "eval", rose, "e/f", "--mode", "cohn", "--spec",
+            _write(tmp_path, "c.spec", "cycle e/f 1\ncycle f/e 2\n"))),
+        "conflicting star": ("line 2: conflicting values", (
+            "eval", rose, "e/f", "--mode", "cohn", "--spec",
+            _write(tmp_path, "s.spec", "cycle e/f 1 1\ncycle f/e 1 2\n"))),
+        "conflicting vertex": ("line 2: conflicting values", (
+            "eval", rose, "v", "--mode", "cohn", "--spec",
+            _write(tmp_path, "v.spec", "vertex v 1\nvertex v 2\n"))),
+        "zero denominator in expression": ("zero denominator", (
+            "eval", rose, "1/0", "--spec", plain)),
+        "zero denominator in spec": ("zero denominator", (
+            "eval", rose, "v", "--spec", _write(tmp_path, "z.spec", "vertex v 1/0\n"))),
+        "two ids with no sign between": ("expected + or - before 'e'", (
+            "eval", rose, "e e", "--spec", plain)),
+        "imaginary scalar over Q": ("imaginary scalar '1-2i' not allowed over Q", (
+            "eval", rose, "1-2i*v", "--spec", plain)),
+        "edge before its vertices": ("line 1: undeclared vertex 'a'", (
+            "analyze", _write(tmp_path, "forward.graph", "e f a b\nv a\nv b\n"))),
+        "vertex declared twice": ("line 2: duplicate id 'a'", (
+            "analyze", _write(tmp_path, "twice.graph", "v a\nv a\n"))),
+        "non-UTF-8 file": ("not UTF-8 text", ("analyze", str(binary))),
+        "label out of range": ("line 4: label index 5 out of range", (
+            "sg", _write(tmp_path, "r.cayley", cayley + "label 5 x\n"), "classes")),
+        "label given twice": ("line 5", (
+            "sg", _write(tmp_path, "d.cayley", cayley + "label 1 x\nlabel 1 y\n"), "classes")),
     }
-    for name, argv in cases.items():
+    for name, (text, argv) in cases.items():
         code, out, err = _run(capsys, *argv)
         assert code == 2 and out == "", name
-        assert err.startswith("input error:") and "Traceback" not in err, name
-    for name in ("conflicting cycle", "conflicting star", "conflicting vertex"):
-        _, _, err = _run(capsys, *cases[name])
-        assert "line 2: conflicting values" in err, name
-    _, _, err = _run(capsys, *cases["label given twice"])
-    assert "line 5" in err
+        assert err.startswith("input error:") and text in err, name
+        assert "Traceback" not in err, name
     # repeating a value is not a conflict
     same = _write(tmp_path, "same.spec",
                   "cycle e/f 1 2\ncycle f/e 1 2\nvertex v 0\nvertex v 0\n")
@@ -597,7 +620,10 @@ def test_report_bytes_are_json_dumps_with_indent_2_and_sorted_keys(
             assert out == "", key
             continue
         printed += 1
-        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", key
+        report = json.loads(out)
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n", key
+        assert sorted(report) == ["command", "diagnostics", "inputs", "result"], key
+        assert report["diagnostics"] == [], key
         assert all(type(k) is str for k in _dict_keys(reports[-1])), key
     assert printed == len(reports) == len(cases) - 2  # two decompose cases exit 3
     assert len(json.loads(out)["result"]["cycles"]) == 84  # K5's simple cycles

@@ -1,8 +1,10 @@
 """`lpa` keeps its exit-code contract on every input: 0, 2 or 3.
 
 A seeded fuzz runs `cli.main` in process on mutated graph, spec, Cayley
-and expression text for all five subcommands.  Fixed cases pin inputs that
-were misread or exited 1, and a child process checks a closed stdout pipe.
+and expression text for all five subcommands.  Fixed cases pin the exit
+code and a part of stderr of inputs that were misread or exited 1, and of
+Cayley tables on both sides of the 256-element layout switch; a child
+process checks a closed stdout pipe.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 import lpatrace
 from lpatrace.cli import main
 
-from conftest import GRAPH_TEXTS, fresh_rng
+from conftest import GRAPH_TEXTS, cayley_text, fresh_rng
 
 # Each is inserted into, or put in place of part of, a valid input.
 NASTY = (
@@ -151,7 +153,18 @@ def test_fixed_regressions(tmp_path, capsys):
         "long_entry.cayley": "n 2 zero 0\n0 0\n0 " + "1" * 5000 + "\n",
         "u.graph": "v u\n",
         "u.spec": "vertex u " + "9" * 3000 + "\n",
+        "nonassoc.cayley": "n 3 zero 0\n0 0 0\n0 2 0\n0 1 0\n",
+        # Light's test names the triple in index order, not the first
+        # failing generator's
+        "reorder.cayley": "n 4 zero 0\n0 0 0 0\n0 1 1 1\n0 1 1 1\n0 3 1 1\n",
     }
+    # null tables but for one entry: 256 elements are read into bytes, 257
+    # into tuple rows
+    for n in (256, 257):
+        files[f"bad{n}.cayley"] = cayley_text(
+            [[n - 2 if (i, j) == (n - 2, n - 1) else 0 for j in range(n)] for i in range(n)])
+    files["range257.cayley"] = cayley_text(
+        [[257 if (i, j) == (5, 7) else 0 for j in range(257)] for i in range(257)])
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
 
@@ -182,6 +195,13 @@ def test_fixed_regressions(tmp_path, capsys):
             2, sg("long_entry.cayley"),
             f"line 3: table entries must have at most "
             f"{sys.get_int_max_str_digits()} digits"),
+        "non-associative table": (2, sg("nonassoc.cayley"), "not associative"),
+        "non-associative table of 256 elements": (2, sg("bad256.cayley"), "not associative"),
+        "non-associative table of 257 elements": (2, sg("bad257.cayley"), "not associative"),
+        "triple named in index order": (
+            2, sg("reorder.cayley"), "input error: table not associative: (3*1)*2 != 3*(1*2)\n"),
+        "entry 257 in a 257-element table": (
+            2, sg("range257.cayley"), "table entry out of range"),
     }
     for name, (want, argv, text) in cases.items():
         code, out, err = _run(capsys, argv)

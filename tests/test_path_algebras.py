@@ -39,6 +39,7 @@ from conftest import (
     random_scalar_text,
     randomized_normalize,
     reference_parse_element,
+    small_graphs,
 )
 
 
@@ -297,6 +298,32 @@ def test_equality_verdicts_match_under_different_special_edges():
             verdict_a = A.from_terms(x_raw) == A.from_terms(y_raw)
             verdict_b = B.from_terms(x_raw) == B.from_terms(y_raw)
             assert verdict_a == verdict_b
+
+
+def test_acyclic_leavitt_basis_has_the_matrix_block_dimension():
+    # For acyclic E, L(E) is the sum over sinks w of M_n(w)(K), n(w) the
+    # number of paths ending at w (Abrams, Aranda Pino and Siles Molina,
+    # J. Pure Appl. Algebra 209, 2007): the monomials pq* with r(p) = r(q)
+    # left alone by the rewrite rule must number the sum of n(w)^2, for
+    # any choice of special edges.
+    rng = fresh_rng(36)
+    checked = 0
+    for g in small_graphs():
+        paths = all_paths_up_to(g, len(g.vertices))
+        if any(p.edges and p.src == p.dst for p in paths):
+            continue  # a cycle has a simple closed path of length <= |V|
+        sinks = [v for v in g.vertices if not g.out_edges[v]]
+        want = sum(sum(p.dst == w for p in paths) ** 2 for w in sinks)
+        seeded = {v: rng.choice(es) for v, es in g.out_edges.items() if es}
+        for special_edges in (None, seeded):
+            A = PathAlgebra(g, Q, IDENTITY, LEAVITT, special_edges=special_edges)
+            basis = sum(
+                A.redex_edge(MonPair(p, q)) is None
+                for p in paths for q in paths if p.dst == q.dst
+            )
+            assert basis == want, (g.vertices, g.edges, special_edges)
+        checked += 1
+    assert checked == 131
 
 
 def test_quotient_is_a_homomorphism():

@@ -23,7 +23,6 @@ from lpatrace.scalars import (
     is_positive_nonzero,
     laurent,
     laurent_a0,
-    laurent_one,
     laurent_star,
     parse_scalar,
 )
@@ -48,6 +47,7 @@ from lpatrace.traces import (
 from conftest import (
     fe_i,
     fresh_rng,
+    laurent_one,
     outcome,
     random_scalar,
     random_scalar_text,

@@ -10,7 +10,8 @@ top-level function and class must be used somewhere in `src` or `tests`
 besides its own definition and its re-export from `lpatrace/__init__.py`;
 otherwise it is dead code.  Importing the `lpa` front end loads neither
 `dataclasses` (with `inspect`) nor `pathlib`, which would add to the
-start-up time of every `lpa` process.
+start-up time of every `lpa` process.  `from lpatrace import *` binds
+every public name of the package and none of its submodules.
 """
 
 from __future__ import annotations
@@ -19,8 +20,11 @@ import ast
 import os
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
+
+import lpatrace
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lpatrace"
@@ -138,6 +142,15 @@ def test_every_top_level_definition_is_used():
         f"{module}:{name}" for (module, name) in definitions if not uses[name]
     )
     assert unused == [], f"top-level definitions nothing uses: {unused}"
+
+
+def test_star_import_binds_every_public_name_and_no_module():
+    public = {
+        name: getattr(lpatrace, name) for name in dir(lpatrace) if not name.startswith("_")
+    }
+    modules = sorted(n for n, v in public.items() if isinstance(v, types.ModuleType))
+    assert "graphs" in modules and not set(modules) & set(lpatrace.__all__)
+    assert sorted(lpatrace.__all__) == sorted(public.keys() - set(modules))
 
 
 def test_only_the_sparse_core_and_scalars_define_addition():

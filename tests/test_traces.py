@@ -228,7 +228,7 @@ def test_minimal_trace_cohn_examples():
     C = PathAlgebra(line, Q, IDENTITY, COHN)
     v = C.vertex("a")
     vec = minimal_trace_cohn(line, v)
-    assert vec.as_dict() == {VertexClass("a"): fe_one(Q)}
+    assert vec.terms == {VertexClass("a"): fe_one(Q)}
 
     # ff* - b = [f, f*] is a commutator: ff* falls in the class of its
     # range vertex, so the minimal trace kills the difference
@@ -238,7 +238,7 @@ def test_minimal_trace_cohn_examples():
     # whereas a - b straddles two vertex classes and is not in the span
     y = C.vertex("a") - C.vertex("b")
     vec = minimal_trace_cohn(line, y)
-    assert vec.as_dict() == {VertexClass("a"): fe_one(Q), VertexClass("b"): fe(-1)}
+    assert vec.terms == {VertexClass("a"): fe_one(Q), VertexClass("b"): fe(-1)}
 
     rng = fresh_rng(40)
     for name in ("line3", "tree", "one_loop", "rose2"):
