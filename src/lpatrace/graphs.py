@@ -379,11 +379,13 @@ def _closed_paths(g: Graph, words: list) -> list:
     """The closed paths of nonempty closed edge words, in (length, word)
     order: `path_sort_key`'s order, since a closed word fixes its base.
     Sorts `words` in place, by word and then stably by length, both in C.
+    Each path is built by `tuple.__new__`, not namedtuple's Python-level
+    `__new__`.
     """
     words.sort()
     words.sort(key=len)
-    src = g.edge_src
-    return [PathSeq(src[w[0]], src[w[0]], w) for w in words]
+    src, new = g.edge_src, tuple.__new__
+    return [new(PathSeq, (src[w[0]], src[w[0]], w)) for w in words]
 
 
 def _circuits(g: Graph, start, out):

@@ -29,15 +29,18 @@ class FiniteSemigroup:
     """A validated Cayley table with an absorbing zero element.
 
     Immutable.  Equality and hashing read (table, zero, labels); `_sim`
-    is the `sim_classes` cache and `_flat` the entries row after row (see
-    `_packed`), both written once, and both left out of equality, hashing
+    is the `sim_classes` cache, `_flat` the entries row after row (see
+    `_packed`) and `_gens` the nonzero generators that Light's test checked
+    in `build_semigroup`, which `sim_classes` reads; None on a semigroup
+    built directly, unpickled or copied, whose table was never checked.
+    All three are written once, and all are left out of equality, hashing
     and pickling.
     """
 
-    __slots__ = ("table", "zero", "labels", "_sim", "_flat")
+    __slots__ = ("table", "zero", "labels", "_sim", "_flat", "_gens")
 
     def __init__(self, table: tuple, zero: int, labels: tuple | None = None):
-        for name, value in zip(self.__slots__, (table, zero, labels, None, None)):
+        for name, value in zip(self.__slots__, (table, zero, labels, None, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -117,7 +120,7 @@ def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
     from the end, to another element (-2n..-n-1) leaves the mapped table
     unequal to the given one, so the range check is one table compare.
     Whether the zero is absorbing is known before Light's test, which then
-    need not check it.
+    need not check it; the generators it checked are kept as `_gens`.
     """
     rows = tuple(map(tuple, table))  # any iterables, never read as buffers
     n = len(rows)
@@ -147,7 +150,7 @@ def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
         raise ValueError("table entry out of range")
     z = _element_index(zero_index, n, "zero index")
     absorbing = rows[z].count(z) == n and all(row[z] == z for row in rows)
-    witness = _associativity_witness(rows, flat, z if absorbing else None)
+    witness, gens = _associativity_witness(rows, flat, z if absorbing else None)
     if witness is not None:
         a, b, c = witness
         raise ValueError(f"table not associative: ({a}*{b})*{c} != {a}*({b}*{c})")
@@ -159,22 +162,30 @@ def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
             raise ValueError("labels must be unique and cover all elements")
     G = FiniteSemigroup(tuple(map(tuple, rows)), z, labels)
     object.__setattr__(G, "_flat", flat)
+    object.__setattr__(G, "_gens", tuple(gens))
     return G
 
 
-def _right_closure(rows, gens, reached: set, frontier: set) -> None:
+def _right_closure(rows, rep, gens, reached: set, frontier: set) -> None:
     """One frontier pass: add `frontier` to `reached`, then every product of
-    a new element on the right by `gens`, until nothing new appears."""
+    a new element on the right by `gens`, until nothing new appears.
+
+    The products of y depend only on its row, so they are read from row
+    rep[y], the first with that row: each distinct row once per pass, found
+    without hashing the rows again.
+    """
     right = itemgetter(*gens, gens[0])  # two indices at least: a tuple
     while frontier:
         reached |= frontier
-        products = map(right, map(rows.__getitem__, frontier))
+        distinct = set(map(rep.__getitem__, frontier))
+        products = map(right, map(rows.__getitem__, distinct))
         frontier = set(itertools.chain.from_iterable(products)) - reached
 
 
-def _light_generators(rows, first, order) -> list:
+def _light_generators(rows, rep, first, order) -> list:
     """Generators of the table: all of `first`, closed in one frontier
     pass, then each element of `order` that those before it do not reach.
+    `rep` is as in `_right_closure`.
 
     `reached`, the subsemigroup the generators so far generate, is kept
     closed under right products by them: a new generator x brings in y*x
@@ -183,7 +194,7 @@ def _light_generators(rows, first, order) -> list:
     n = len(rows)
     gens, reached = list(first), set()
     if gens:
-        _right_closure(rows, gens, reached, set(gens))
+        _right_closure(rows, rep, gens, reached, set(gens))
     for x in order:
         if len(reached) == n:
             break
@@ -191,12 +202,14 @@ def _light_generators(rows, first, order) -> list:
             gens.append(x)
             frontier = set(map(itemgetter(x), map(rows.__getitem__, reached)))
             frontier.add(x)
-            _right_closure(rows, gens, reached, frontier - reached)
+            _right_closure(rows, rep, gens, reached, frontier - reached)
     return gens
 
 
 def _associativity_witness(rows, flat, zero):
-    """A triple (a, b, c) with (a*b)*c != a*(b*c), or None: Light's test.
+    """Light's test: (None, gens) for an associative table, gens the
+    generators it checked, `zero` left out; else ((a, b, c), None) with
+    (a*b)*c != a*(b*c).
 
     The g with (x*g)*y == x*(g*y) for all x, y are closed under the product,
     even in a non-associative table, so g need only range over a set of
@@ -215,9 +228,9 @@ def _associativity_witness(rows, flat, zero):
     whichever generator found the failure.
     """
     n = len(rows)
-    first_with_row = {}
+    first_with_row, rep = {}, []  # rep[x]: the first element with x's row
     for x, row in enumerate(rows):
-        first_with_row.setdefault(row, x)
+        rep.append(first_with_row.setdefault(row, x))
     cols = None
     if n <= 256:  # translate reads a 256-byte table: pad each row to one
         pad = bytes(256 - n)
@@ -228,13 +241,13 @@ def _associativity_witness(rows, flat, zero):
         cols = tuple(zip(*map(rows.__getitem__, first_with_row.values())))
         first = ()
         order = sorted(range(n), key=lambda x: len(set(rows[x][::8])), reverse=True)
-    gens = _light_generators(rows, first, order)
+    gens = _light_generators(rows, rep, first, order)
     if zero in gens:
         gens.remove(zero)
     if _first_failure(rows, gens, first_with_row, cols) is None:
-        return None
-    gens = _light_generators(rows, (), range(n))
-    return _first_failure(rows, gens, first_with_row, cols)
+        return None, gens
+    gens = _light_generators(rows, rep, (), range(n))
+    return _first_failure(rows, gens, first_with_row, cols), None
 
 
 def _first_failure(rows, gens, first_with_row, cols):
@@ -444,7 +457,15 @@ class SimPartition(namedtuple("SimPartition", "class_of classes zero_class_id"))
 
 
 def sim_classes(G: FiniteSemigroup) -> SimPartition:
-    """One pass over the rows, merging the classes of ab and ba.
+    """One pass over the rows of generators, merging the classes of ab and ba.
+
+    By the identity [xy, z] = [x, yz] + [y, zx], on an associative table ~
+    is generated by the pairs (xb, bx) with x in any generating set X: for
+    a = x*a', ab = x(a'b) ~ (a'b)x = a'(bx) ~ (bx)a' = ba, the last step by
+    induction on the length of a as a word in X.  So the pass reads row a
+    and column a only for a in `G._gens`, Light's generators, in
+    O(|X|*n); a semigroup that `build_semigroup` did not make (`_gens` is
+    None) reads every row, as its table was never checked.
 
     label[x] is the least member of x's class.  Row a and column a give
     every pair (ab, ba) for this a; a row whose pairs already share their
@@ -461,14 +482,18 @@ def sim_classes(G: FiniteSemigroup) -> SimPartition:
     if G._sim is not None:
         return G._sim
     rows, n = G.table, G.size
+    gens = range(n) if G._gens is None else G._gens
     packed = n <= 256
     if packed:
         flat = _packed(G)
         label = bytearray(range(256))  # a translate table
-        pairs = ((flat[a * n:a * n + n], flat[a::n]) for a in range(n))
+        pairs = ((flat[a * n:a * n + n], flat[a::n]) for a in gens)
     else:
         label = list(range(n))
-        pairs = zip(rows, zip(*rows))  # col[b] = b*a
+        # columns of the generators, transposed in C; the repeated index
+        # keeps itemgetter's result a tuple, and zip drops its column
+        cols = zip(*map(itemgetter(*gens, gens[0]), rows))
+        pairs = zip(map(rows.__getitem__, gens), cols)
     members = [[x] for x in range(n)]
     for row, col in pairs:
         if row == col or (

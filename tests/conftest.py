@@ -165,9 +165,9 @@ def light_work(monkeypatch):
     close, check = semigroups._right_closure, semigroups._first_failure
     work = []
 
-    def counted_close(rows, gens, reached, frontier):
+    def counted_close(rows, rep, gens, reached, frontier):
         work.append(("pass", tuple(gens)))
-        return close(rows, gens, reached, frontier)
+        return close(rows, rep, gens, reached, frontier)
 
     def counted_check(rows, gens, first_with_row, cols):
         work.append(("check", tuple(gens)))
@@ -409,16 +409,18 @@ def small_semigroup_tables(n):
     return tuple(out)
 
 
-@functools.cache
-def small_semigroups_with_zero(max_order=4):
-    """Each labelled semigroup of order 1..max_order with a zero adjoined
-    as element 0: 3614 semigroups with the default."""
-    out = []
+def small_tables_with_zero(max_order=4):
+    """The table of each labelled semigroup of order 1..max_order with a
+    zero adjoined as element 0, as a list of rows: 3614 with the default."""
     for n in range(1, max_order + 1):
         for rows in small_semigroup_tables(n):
-            table = [[0] * (n + 1)] + [[0] + [x + 1 for x in row] for row in rows]
-            out.append(build_semigroup(table, 0))
-    return tuple(out)
+            yield [[0] * (n + 1)] + [[0] + [x + 1 for x in row] for row in rows]
+
+
+@functools.cache
+def small_semigroups_with_zero(max_order=4):
+    """`small_tables_with_zero` as semigroups: 3614 with the default."""
+    return tuple(build_semigroup(table, 0) for table in small_tables_with_zero(max_order))
 
 
 @functools.cache

@@ -7,7 +7,7 @@ import time
 from lpatrace import cli, graphs
 from lpatrace.cli import main
 
-from conftest import GRAPH_TEXTS, cayley_text, fresh_rng
+from conftest import GRAPH_TEXTS, cayley_text, fresh_rng, small_tables_with_zero
 
 
 def _write(tmp_path, name, text):
@@ -815,3 +815,33 @@ def test_graph_and_spec_file_errors_match_recorded_digests(tmp_path, capsys, mon
         digests[family] = h.hexdigest()
     assert codes == {(family, code) for family in CONTRACT_DIGESTS for code in (0, 2)}
     assert digests == CONTRACT_DIGESTS
+
+
+# sha256 over [argv, exit code, stdout, stderr] of each run, in order, on
+# every semigroup of order at most 4 with a zero adjoined; recorded before
+# `sim_classes` read only the rows of Light's generators
+SG_CONTRACT_DIGESTS = {
+    "sg classes": "9dde51e1cb080c197f0c8c3c0e66d0be77692c40b3005d791d7ae17dc8d1e02e",
+    "sg minimal": "0d84ef12053c338bd48dcdb08f414d59e9e8af8179c251cdeab4983ae1537510",
+}
+
+
+def test_sg_reports_on_every_small_semigroup_match_recorded_digests(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    hashes = {command: hashlib.sha256() for command in SG_CONTRACT_DIGESTS}
+    # one file, rewritten in place for each table
+    with open("s.cayley", "w", encoding="utf-8") as cayley:
+        for table in small_tables_with_zero():
+            cayley.seek(0)
+            cayley.truncate()
+            cayley.write(cayley_text(table))
+            cayley.flush()
+            for command, h in hashes.items():
+                argv = ["sg", "s.cayley", command.split()[1]]
+                code, out, err = _run(capsys, *argv)
+                assert code == 0 and not err, (table, err)
+                h.update(json.dumps([argv, code, out, err]).encode())
+    digests = {command: h.hexdigest() for command, h in hashes.items()}
+    assert digests == SG_CONTRACT_DIGESTS

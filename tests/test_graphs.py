@@ -427,14 +427,21 @@ def test_cycles_match_brute_force():
 def test_cycles_on_every_small_graph():
     """Single-cycle SCCs are walked and the rest searched; on every graph
     with at most 3 vertices and 4 edges, and on each with its edge ids in
-    reverse declaration order, both give the brute-force list."""
+    reverse declaration order, both give the brute-force list, as does
+    `closed_paths_up_to` up to length 4; every entry of either list is a
+    PathSeq, closed at its first edge's source."""
     for g in small_graphs():
         n = len(g.edges)
         for renamed in (g, Graph(g.vertices, [
             (f"e{n - 1 - i}", g.edge_src[e], g.edge_dst[e])
             for i, e in enumerate(g.edges)
         ])):
-            assert [c.edges for c in cycles(renamed)] == cycles_reference(renamed)
+            got, closed = cycles(renamed), closed_paths_up_to(renamed, 4)
+            assert [c.edges for c in got] == cycles_reference(renamed)
+            assert [p.edges for p in closed] == _closed_classes_reference(renamed, 4)
+            for p in got + closed:
+                assert type(p) is PathSeq
+                assert p.src == p.dst == renamed.edge_src[p.edges[0]]
 
 
 def test_cycles_limit_skips_single_cycle_sccs(monkeypatch):

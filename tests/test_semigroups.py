@@ -70,7 +70,7 @@ def test_build_semigroup_examples():
         build_semigroup([["0", 0.0], [0, "1"]], 0)
     G = build_semigroup([[0, 0], [0, 1]], 0)
     # immutable, and the sim_classes cache is not part of its value
-    for name in ("table", "zero", "labels", "_sim"):
+    for name in ("table", "zero", "labels", "_sim", "_gens"):
         with pytest.raises(AttributeError):
             setattr(G, name, None)
         with pytest.raises(AttributeError):
@@ -562,8 +562,12 @@ def test_packed_sim_classes_and_chains_match_the_references():
     n <= 256, a tuple for n = 257) equal the references, for a semigroup
     that build_semigroup packed, one built directly, and its pickled and
     deep copies; the packed table is written once (by build_semigroup up
-    to 256 elements, by the first chain that searches above), and
-    equality, hashing and pickling do not see it."""
+    to 256 elements, by the first chain that searches above).  `_gens`,
+    the generators whose rows sim_classes reads, is written once by
+    build_semigroup, generates every nonzero element and leaves the zero
+    out; it is None on the other variants, which read every row, so bare
+    non-associative tables match too.  Equality, hashing and pickling see
+    neither cache."""
     rng = fresh_rng(21)
     lengths, searched_tuples = set(), 0
     for rows, associative in _packed_corpus(rng):
@@ -576,8 +580,11 @@ def test_packed_sim_classes_and_chains_match_the_references():
         if associative:
             built = build_semigroup(rows, 0)
             assert built._flat == (packed if n <= 256 else None), n
+            gens = built._gens
+            assert type(gens) is tuple and 0 not in gens, n
+            assert _generated(built, gens) | {0} == set(range(n)), n
             variants += [pickle.loads(pickle.dumps(built)), copy.deepcopy(built)]
-        assert all(G._flat is None for G in variants), n
+        assert all(G._flat is None and G._gens is None for G in variants), n
         if associative:
             variants.append(built)
         classes = sim_classes_reference(variants[0])
@@ -593,13 +600,76 @@ def test_packed_sim_classes_and_chains_match_the_references():
             assert sim_classes(G).classes == classes, n
             assert [sim_witness_chain(G, *pair) for pair in pairs] == chains, n
             assert G._flat == (packed if n <= 256 or searched else None), n
-            with pytest.raises(AttributeError):
-                G._flat = None
-            # the packed table is a cache, not part of the value
+            assert G._gens is (gens if G is built else None), n
+            for name in ("_flat", "_gens"):
+                with pytest.raises(AttributeError):
+                    setattr(G, name, None)
+            # the packed table and the generators are caches, not the value
             assert G == bare and hash(G) == hash(bare), n
             assert pickle.dumps(G) == pickle.dumps(bare), n
     assert lengths == {None, 0, 1, 2}
     assert searched_tuples > 0
+
+
+def _generated(G, gens):
+    """The subsemigroup that `gens` generate, by closing them under right
+    products by `gens`."""
+    reached, frontier = set(gens), set(gens)
+    while frontier:
+        frontier = {G.mul(y, x) for y in frontier for x in gens} - reached
+        reached |= frontier
+    return reached
+
+
+def _random_generators(G, rng):
+    """Nonzero elements in a seeded random order, each kept when those
+    kept before it do not generate it: a generating set without the zero."""
+    order = G.nonzero_elements()
+    rng.shuffle(order)
+    gens, reached = [], set()
+    for x in order:
+        if x not in reached:
+            gens.append(x)
+            reached = _generated(G, gens)
+    return tuple(gens)
+
+
+def _with_gens(G, gens):
+    """A fresh copy of G whose `sim_classes` reads the rows of `gens`."""
+    bare = FiniteSemigroup(G.table, G.zero)
+    object.__setattr__(bare, "_gens", gens)
+    return bare
+
+
+def test_sim_classes_from_any_generating_set():
+    """~ is generated by the pairs (xb, bx) with x in a generating set, so
+    the rows of Light's generators, of every nonzero element and of a
+    seeded random generating set give the reference's partition: on every
+    semigroup of order at most 4 with a zero adjoined and on endo4 under 8
+    seeded relabellings."""
+    rng = fresh_rng(30)
+    endo4 = endo4_semigroup()
+    corpus = [*small_semigroups_with_zero(), *(_relabeled(endo4, rng) for _ in range(8))]
+    for G in corpus:
+        classes = sim_classes_reference(G)
+        for gens in (G._gens, tuple(G.nonzero_elements()), _random_generators(G, rng)):
+            assert sim_classes(_with_gens(G, gens)).classes == classes, (G.table, gens)
+
+
+def test_sim_classes_reads_the_rows_of_light_generators():
+    """A built relabelling of endo4 keeps at most 5 generators; a copy
+    whose `_gens` does not generate the semigroup gets a strictly finer
+    partition, so the rows read are the generators' rows."""
+    rng = fresh_rng(31)
+    endo4 = endo4_semigroup()
+    for _ in range(4):
+        G = _relabeled(endo4, rng)
+        assert 1 <= len(G._gens) <= 5 and G.zero not in G._gens
+        coarse = sim_classes(G).class_of
+        fine = sim_classes(_with_gens(G, G._gens[:1])).class_of
+        assert len(set(fine)) > len(set(coarse))
+        # every class of `fine` lies in one class of `coarse`
+        assert len(set(zip(fine, coarse))) == len(set(fine))
 
 
 def test_is_central_map_examples():
