@@ -9,7 +9,7 @@ declaration order for vertices/edges, then (length, edge ids) for paths.
 from __future__ import annotations
 
 import re as _re
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from itertools import chain
 
 from .errors import ParseError, PreconditionError, content_lines
@@ -46,7 +46,8 @@ class Graph:
     `ValueError` with the texts of `parse_graph`, without line numbers.
 
     The private `_sccs` is None until `_nontrivial_sccs` fills it on first
-    use; it never changes what a public attribute holds.
+    use, and `_exit` None until `cycle_with_exit_witness` keeps its answer
+    there, as a 1-tuple; neither changes what a public attribute holds.
     """
 
     def __init__(self, vertices, edges):
@@ -74,6 +75,7 @@ class Graph:
         self.out_edges = {v: tuple(es) for v, es in out_edges.items()}
         self.in_edges = {v: tuple(es) for v, es in in_edges.items()}
         self._sccs = None
+        self._exit = None
 
     def is_vertex(self, name: str) -> bool:
         return name in self.out_edges
@@ -312,13 +314,6 @@ def _with_internal_edges(g: Graph, comps, edges) -> tuple:
     return tuple((comp, tuple(es)) for comp, es in zip(comps, internal) if es)
 
 
-def _out_lists(g: Graph, vertices, edges) -> dict:
-    out = {v: [] for v in vertices}
-    for e in edges:
-        out[g.edge_src[e]].append(e)
-    return out
-
-
 def _work_limit_error(what: str, g: Graph, limit: int) -> PreconditionError:
     """The error for an enumeration whose results pass `limit` edge ids."""
     return PreconditionError(
@@ -327,9 +322,9 @@ def _work_limit_error(what: str, g: Graph, limit: int) -> PreconditionError:
     )
 
 
-# Most edge ids, summed over the cycles that Johnson's search lists, that
-# one `cycles` call may return.  The loopless complete digraph K8 has
-# 109,592, K9 986,400.
+# Most edge ids, summed over the cycles of every nontrivial SCC that is not
+# itself one cycle, that one `cycles` call may return.  The loopless
+# complete digraph K8 has 109,592, K9 986,400.
 CYCLE_WORK_LIMIT = 500_000
 
 
@@ -339,40 +334,64 @@ def cycles(g: Graph):
     before `e2`), whatever their declaration order.
 
     A nontrivial SCC with as many internal edges as vertices is one cycle,
-    walked along each vertex's one internal out-edge in O(V + E); every SCC
-    of a no-exit graph is one.  The others go to Johnson's algorithm (SIAM
-    J. Comput. 4(1), 1975): search from the SCC's least vertex, then drop it
-    and split the rest into SCCs again.  Every search lists at least one
-    cycle in O(V + E) steps per cycle, so the time is O((V + E)(C + 1)) for
-    C cycles.  Raises `PreconditionError` once the searched cycles hold more
-    than `CYCLE_WORK_LIMIT` edge ids in total.
+    walked from its least edge in O(V + E); every SCC of a no-exit graph is
+    one.  The others go to Johnson's algorithm (SIAM J. Comput. 4(1), 1975),
+    one search per internal edge e in string order: CIRCUIT from the source
+    of e, with e as the first edge, over the edges not yet dropped, after
+    which e is dropped.  So e is the least edge of every cycle the search
+    lists: each comes in its least rotation, and the depth-first order over
+    ascending out-edges is word order.  A search that lists nothing splits
+    the edges left into SCCs once, and each nontrivial one is taken up in
+    turn; its first search lists a cycle through its least edge, so failed
+    searches are no more than the others, and the time stays
+    O((V + E)(C + 1)) for C cycles.  Raises `PreconditionError` once the
+    cycles of the SCCs that are not one cycle, self-loops and cycles left
+    alone by a split included, hold more than `CYCLE_WORK_LIMIT` edge ids
+    in total; the sum does not depend on the order of the search.
     """
-    order = {v: i for i, v in enumerate(g.vertices)}
     words = []
     size = 0
-    pending = list(_nontrivial_sccs(g))
+    for comp, internal in _nontrivial_sccs(g):
+        counted = len(internal) != len(comp)
+        for word in _simple_cycles(g, comp, internal):
+            if counted:
+                size += len(word)
+                if size > CYCLE_WORK_LIMIT:
+                    raise _work_limit_error("simple cycles", g, CYCLE_WORK_LIMIT)
+            words.append(word)
+    return _closed_paths(g, words)
+
+
+def _simple_cycles(g: Graph, comp, internal):
+    """Every simple cycle of one nontrivial SCC, as its edge word from its
+    least edge: the walks, searches and splits of `cycles`."""
+    src, dst = g.edge_src, g.edge_dst
+    pending = [(comp, internal)]
     while pending:
         comp, internal = pending.pop()
-        succ = _out_lists(g, comp, internal)
         if len(internal) == len(comp):
-            word = [internal[0]]
-            while len(word) < len(internal):
-                word += succ[g.edge_dst[word[-1]]]
-            words.append(_least_rotation(tuple(word)))
+            step = {src[e]: e for e in internal}
+            word = [min(internal)]
+            for _ in range(len(internal) - 1):
+                word.append(step[dst[word[-1]]])
+            yield tuple(word)
             continue
-        start = min(comp, key=order.__getitem__)
-        for word in _circuits(g, start, succ):
-            size += len(word)
-            if size > CYCLE_WORK_LIMIT:
-                raise _work_limit_error("simple cycles", g, CYCLE_WORK_LIMIT)
-            # distinct ids: the least one starts the least rotation
-            k = word.index(min(word))
-            words.append(tuple(word[k:] + word[:k]))
-        rest = sorted(comp - {start}, key=order.__getitem__)
-        kept = [e for e in internal if start not in (g.edge_src[e], g.edge_dst[e])]
-        sub = _tarjan(rest, _out_lists(g, rest, kept), g.edge_dst)
-        pending += _with_internal_edges(g, sub, kept)
-    return _closed_paths(g, words)
+        letters = sorted(internal)
+        out = {v: [] for v in comp}
+        for e in reversed(letters):
+            out[src[e]].append(e)  # descending: the least edge left is last
+        for i, e in enumerate(letters):
+            found = False
+            for word in _circuits(g, e, out):
+                found = True
+                yield word
+            out[src[e]].pop()
+            if not found:
+                rest = letters[i + 1:]
+                heads = dict.fromkeys(src[f] for f in rest)
+                sub = _tarjan(heads, out, dst)
+                pending += _with_internal_edges(g, sub, rest)
+                break
 
 
 def _closed_paths(g: Graph, words: list) -> list:
@@ -388,37 +407,42 @@ def _closed_paths(g: Graph, words: list) -> list:
     return [new(PathSeq, (src[w[0]], src[w[0]], w)) for w in words]
 
 
-def _circuits(g: Graph, start, out):
-    """Johnson's CIRCUIT, iterative: every simple cycle through `start` in
-    the strongly connected subgraph with out-edge lists `out`, as an
-    edge-id list leaving `start`.
+def _circuits(g: Graph, first, out):
+    """Johnson's CIRCUIT, iterative: every simple cycle that leaves the
+    source of edge `first` by `first`, over the out-edge lists `out`, held
+    in descending order and read ascending, as an edge-id tuple.
 
-    A vertex stays blocked while every path from it back to `start` meets
-    the current trail; `blocked_by[w]` lists the vertices to unblock with w.
+    A vertex stays blocked while every path from it back to the source
+    meets the current trail; `blocked_by[w]` lists the vertices to unblock
+    with w.
     """
     dst = g.edge_dst
-    trail = []  # edges from `start` to the vertex of the top frame
-    frames = [(start, iter(out[start]))]
+    start, v = g.edge_src[first], dst[first]
+    if v == start:
+        yield (first,)
+        return
+    trail = [first]  # edges from `start` to the vertex of the top frame
+    frames = [(v, reversed(out[v]))]
     closed = [False]  # whether a cycle was found below each frame
-    blocked = {start}
-    blocked_by = {v: set() for v in out}
+    blocked = {start, v}
+    blocked_by = defaultdict(set)
     while frames:
         v, remaining = frames[-1]
         for eid in remaining:
             w = dst[eid]
-            if w == start:
-                yield trail + [eid]
-                closed[-1] = True
-            elif w not in blocked:
+            if w in blocked:
+                if w == start:
+                    yield (*trail, eid)
+                    closed[-1] = True
+            else:
                 trail.append(eid)
-                frames.append((w, iter(out[w])))
+                frames.append((w, reversed(out[w])))
                 closed.append(False)
                 blocked.add(w)
                 break
         else:
             frames.pop()
-            if trail:
-                trail.pop()
+            trail.pop()
             if closed.pop():
                 if closed:
                     closed[-1] = True
@@ -427,8 +451,7 @@ def _circuits(g: Graph, start, out):
                     u = unblock.pop()
                     if u in blocked:
                         blocked.remove(u)
-                        unblock.extend(blocked_by[u])
-                        blocked_by[u].clear()
+                        unblock.extend(blocked_by.pop(u, ()))
             else:
                 for eid in out[v]:
                     blocked_by[dst[eid]].add(v)
@@ -442,10 +465,19 @@ def is_no_exit(g: Graph) -> bool:
 def cycle_with_exit_witness(g: Graph):
     """A (cycle, exit edge) pair witnessing failure of no-exit, or None.
 
-    The first vertex of a nontrivial SCC with two or more out-edges lies on
-    a cycle with an exit there; a breadth-first search inside the SCC back
-    to the vertex finds a simple one (a tree path closed by one edge) in
-    O(V + E).
+    `_exit_witness` finds it on the first call, which keeps it on `g` for
+    every later one.
+    """
+    if g._exit is None:
+        g._exit = (_exit_witness(g),)
+    return g._exit[0]
+
+
+def _exit_witness(g: Graph):
+    """The first vertex of a nontrivial SCC with two or more out-edges lies
+    on a cycle with an exit there; a breadth-first search inside the SCC
+    back to the vertex finds a simple one (a tree path closed by one edge)
+    in O(V + E).
     """
     comp_of = {v: comp for comp, _ in _nontrivial_sccs(g) for v in comp}
     bases = [v for v in g.vertices if v in comp_of and len(g.out_edges[v]) > 1]

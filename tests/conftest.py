@@ -99,6 +99,15 @@ GRAPH_TEXTS = {
 
 GRAPHS = {name: parse_graph(text) for name, text in GRAPH_TEXTS.items()}
 
+
+def two_cycle_chain_text(n, forward="f", back="b"):
+    """A chain of n 2-cycles: vertices v0 .. vn, and for each link i the
+    edges `<forward>i` from vi to v(i+1) and `<back>i` back."""
+    lines = [f"v v{i}" for i in range(n + 1)]
+    for i in range(n):
+        lines += [f"e {forward}{i} v{i} v{i + 1}", f"e {back}{i} v{i + 1} v{i}"]
+    return "\n".join(lines)
+
 # six graphs for the inverse-semigroup law corpus
 GIS_CORPUS = ["line2", "line3", "tree", "one_loop", "two_cycle", "rose2"]
 
@@ -123,6 +132,52 @@ def scc_passes(monkeypatch):
 
     monkeypatch.setattr(graphs, "strongly_connected_components", counted)
     return passes
+
+
+@pytest.fixture
+def exit_searches(monkeypatch):
+    """The graphs of exit-witness searches, appended as they run."""
+    search = graphs._exit_witness
+    searched = []
+
+    def counted(g):
+        searched.append(g)
+        return search(g)
+
+    monkeypatch.setattr(graphs, "_exit_witness", counted)
+    return searched
+
+
+@pytest.fixture
+def cycle_search_work(monkeypatch):
+    """What `graphs.cycles` does besides listing, appended as it runs:
+    "tarjan", the vertices handed to each `_tarjan` pass; "searches", the
+    cycles that each `_circuits` search listed; "components", the number of
+    nontrivial components that each `_with_internal_edges` call kept."""
+    tarjan, circuits = graphs._tarjan, graphs._circuits
+    with_edges = graphs._with_internal_edges
+    work = {"tarjan": [], "searches": [], "components": []}
+
+    def counted_tarjan(vertices, out_edges, edge_dst):
+        vertices = list(vertices)
+        work["tarjan"].append(len(vertices))
+        return tarjan(vertices, out_edges, edge_dst)
+
+    def counted_circuits(*args):
+        work["searches"].append(0)
+        for word in circuits(*args):
+            work["searches"][-1] += 1
+            yield word
+
+    def counted_with_edges(*args):
+        kept = with_edges(*args)
+        work["components"].append(len(kept))
+        return kept
+
+    monkeypatch.setattr(graphs, "_tarjan", counted_tarjan)
+    monkeypatch.setattr(graphs, "_circuits", counted_circuits)
+    monkeypatch.setattr(graphs, "_with_internal_edges", counted_with_edges)
+    return work
 
 
 @pytest.fixture

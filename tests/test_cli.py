@@ -7,7 +7,13 @@ import time
 from lpatrace import cli, graphs
 from lpatrace.cli import main
 
-from conftest import GRAPH_TEXTS, cayley_text, fresh_rng, small_tables_with_zero
+from conftest import (
+    GRAPH_TEXTS,
+    cayley_text,
+    fresh_rng,
+    small_tables_with_zero,
+    two_cycle_chain_text,
+)
 
 
 def _write(tmp_path, name, text):
@@ -434,6 +440,30 @@ def test_each_command_runs_at_most_one_scc_pass(tmp_path, capsys, scc_passes):
             scc_passes.clear()
             code, _, _ = _run(capsys, *argv)
             assert code in (0, 3) and len(scc_passes) == want, (name, argv[0])
+
+
+def test_analyze_lists_a_chain_of_1000_two_cycles(tmp_path, capsys):
+    # one strongly connected component; with either edge of a link sorting
+    # first, every cycle is a link
+    for forward, back in ("fb", "bf"):
+        path = _write(tmp_path, "chain.graph", two_cycle_chain_text(1000, forward, back))
+        code, out, _ = _run(capsys, "analyze", path)
+        cycles = json.loads(out)["result"]["cycles"]
+        assert code == 0 and len(cycles) == 1000, forward
+        assert all(c.count("/") == 1 for c in cycles), forward
+
+
+def test_analyze_and_decompose_search_for_an_exit_witness_once(
+    tmp_path, capsys, exit_searches
+):
+    # `analyze` asks three times (no-exit, and a faithful trace over Q and
+    # over Qi), `decompose` once; the graph keeps the answer
+    for name in ("loop_exit", "mixed", "rose2", "two_cycle"):
+        path = _write(tmp_path, f"{name}.graph", GRAPH_TEXTS[name])
+        for command in ("analyze", "decompose"):
+            exit_searches.clear()
+            code, _, _ = _run(capsys, command, path)
+            assert code in (0, 3) and len(exit_searches) == 1, (name, command)
 
 
 def test_single_cycle_sccs_are_outside_the_cycle_limit(tmp_path, capsys, monkeypatch):

@@ -36,6 +36,7 @@ from conftest import (
     is_tame_reference,
     path_concat,
     small_graphs,
+    two_cycle_chain_text,
 )
 
 
@@ -228,6 +229,14 @@ def test_cycles_limit_counts_edge_ids_of_cycles_listed(monkeypatch):
         "simple cycles of a graph with 2 vertices and 3 edges hold more than "
         "2 edge ids"
     )):
+        cycles(g)
+    # p/q is searched; q's search lists nothing, and the split leaves r/s
+    # as one cycle, which counts too: 4 edge ids
+    g = parse_graph("v a\nv b\nv c\ne p a b\ne q b a\ne r b c\ne s c b")
+    monkeypatch.setattr(graphs, "CYCLE_WORK_LIMIT", 4)
+    assert [c.edges for c in cycles(g)] == [("p", "q"), ("r", "s")]
+    monkeypatch.setattr(graphs, "CYCLE_WORK_LIMIT", 3)
+    with pytest.raises(PreconditionError, match="simple cycles of a graph"):
         cycles(g)
 
 
@@ -478,6 +487,35 @@ def test_cycles_search_tracks_output_on_long_rings():
         assert time.perf_counter() - start < 1
     chorded = cycles(_ring(2000, chord=True))
     assert [len(c.edges) for c in chorded] == [1001, 2000]
+
+
+def test_cycle_search_splits_only_after_a_search_lists_nothing(cycle_search_work):
+    """Counted, not timed.  On a chain of 1,000 2-cycles whose back edges
+    sort first, on one of 300 whose forward edges do (each of its searches
+    walks to the end of the chain, so it is kept short), and on a chorded
+    2000-cycle, the vertices that re-splits hand to `_tarjan` number at most
+    V + E; a split after every dropped vertex hands about n^2 / 2 on a
+    chain.  There and on K5 and every small graph, the searches number at
+    most the cycles plus the nontrivial components, those of the graph and
+    those of re-splits, and no more of them list nothing than list a cycle."""
+    long_ones = [
+        parse_graph(two_cycle_chain_text(1000)),
+        parse_graph(two_cycle_chain_text(300, forward="b", back="f")),
+        _ring(2000, chord=True),
+    ]
+    for g in [*long_ones, _complete_digraph(5), *small_graphs()]:
+        components = len(_nontrivial_sccs(g))
+        for counts in cycle_search_work.values():
+            counts.clear()
+        found = cycles(g)
+        components += sum(cycle_search_work["components"])
+        searches = cycle_search_work["searches"]
+        failed = searches.count(0)
+        assert len(searches) <= len(found) + components
+        assert failed <= len(searches) - failed
+        if g in long_ones:
+            assert sum(cycle_search_work["tarjan"]) <= len(g.vertices) + len(g.edges)
+    assert [len(c) for c in cycles(long_ones[0])] == [2] * 1000
 
 
 def _closed_classes_reference(g, max_len):
