@@ -512,11 +512,6 @@ def infinite_paths_tame(g: Graph) -> bool:
     return all(len(internal) == len(comp) for comp, internal in _nontrivial_sccs(g))
 
 
-def _contains_word(edges: tuple, word: tuple) -> bool:
-    n = len(word)
-    return any(edges[i: i + n] == word for i in range(len(edges) - n + 1))
-
-
 # Most edge ids, summed over the paths built, that one `paths_into` call, or
 # one `structure.decompose` over all its blocks, may return.  A chain of n
 # double edges holds (n - 1) 2^(n+1) + 2 into its end: 917,506 at n = 15,
@@ -554,7 +549,8 @@ def paths_into(g: Graph, v: str, forbid_full_cycle: PathSeq | None = None):
         out.append(p)
         for eid in g.in_edges[p.src]:
             q = PathSeq(g.edge_src[eid], v, (eid,) + p.edges)
-            if word is not None and _contains_word(q.edges, word):
+            # p holds no copy of the word, so a copy in q is its prefix
+            if word is not None and q.edges[:len(word)] == word:
                 continue
             if len(q.edges) > bound:
                 raise PreconditionError(

@@ -473,8 +473,7 @@ def sim_classes(G: FiniteSemigroup) -> SimPartition:
     and column are slices of the packed table (the column a strided one)
     and the labels a `bytes.translate` table, so the skip test is two
     translates and a memcmp; larger tables compare tuple rows and columns
-    through itemgetters (two bytes per entry in `array('H')` slices ran
-    slower than the tuples).  Merging only coarsens the partition, so a pair
+    through itemgetters.  Merging only coarsens the partition, so a pair
     merged once stays merged and one pass is enough.  The partition is a
     pure function of the table, so it is computed once and kept on the
     semigroup instance.

@@ -37,8 +37,10 @@ from .linalg import nullspace, rank as _rank
 from .path_algebras import COHN, LEAVITT, AlgebraElement
 from .scalars import (
     CONJUGATION,
+    FIELDS,
     FieldElem,
     IDENTITY,
+    INVOLUTIONS,
     Q,
     QI,
     _coerce,
@@ -416,52 +418,44 @@ def parse_trace_spec(text: str, g: Graph) -> TraceSpec:
 
     `field Q|Qi`, `involution identity|conjugation`, `vertex <id> <scalar>`,
     `cycle <edge-path> <scalar> [<star-scalar>]`; `#` starts a comment.
+    A `field` or `involution` line holds for the whole file, wherever it
+    stands: the last well-formed one wins.  Every line is then checked once,
+    in order, so the first faulty line is the one reported.
     """
-    field = Q
-    involution = IDENTITY
-    pending = []
-    for lineno, line in content_lines(text):
-        parts = line.split()
-        kind = parts[0]
-        if kind == "field":
-            if len(parts) != 2 or parts[1] not in (Q, QI):
-                raise ParseError("expected `field Q|Qi`", lineno)
-            field = parts[1]
-        elif kind == "involution":
-            if len(parts) != 2 or parts[1] not in (IDENTITY, CONJUGATION):
-                raise ParseError(
-                    "expected `involution identity|conjugation`", lineno
-                )
-            involution = parts[1]
-        elif kind == "vertex":
-            if len(parts) != 3:
-                raise ParseError("expected `vertex <id> <scalar>`", lineno)
-            if not g.is_vertex(parts[1]):
-                raise ParseError(f"unknown vertex {parts[1]!r}", lineno)
-            pending.append(("vertex", parts[1], parts[2], None, lineno))
-        elif kind == "cycle":
-            if len(parts) not in (3, 4):
-                raise ParseError(
-                    "expected `cycle <edge-path> <scalar> [<star-scalar>]`",
-                    lineno,
-                )
-            star = parts[3] if len(parts) == 4 else None
-            pending.append(("cycle", parts[1], parts[2], star, lineno))
-        else:
-            raise ParseError(f"unknown declaration {kind!r}", lineno)
+    settings = {"field": FIELDS, "involution": INVOLUTIONS}
+    chosen = {"field": Q, "involution": IDENTITY}
+    lines = [(lineno, line.split()) for lineno, line in content_lines(text)]
+    for _, parts in lines:
+        if len(parts) == 2 and parts[1] in settings.get(parts[0], ()):
+            chosen[parts[0]] = parts[1]
+    field = chosen["field"]
     values = {}
-    for kind, key, val, star, lineno in pending:
+    for lineno, (kind, *args) in lines:
         try:
-            value = parse_scalar(val, field)
-            star_value = parse_scalar(star, field) if star is not None else None
-            if kind == "vertex":
-                _put_once(values, VertexClass(key), value, f"vertex {key!r}")
-                continue
-            word = _least_word(g, tuple(key.split("/")))
-            name = f"rotation class {'/'.join(word)}"
-            _put_once(values, CycleWord(word), value, name)
-            if star_value is not None:
-                _put_once(values, CycleWordStar(word), star_value, f"starred {name}")
+            if kind in settings:
+                if len(args) != 1 or args[0] not in settings[kind]:
+                    raise ValueError(f"expected `{kind} {'|'.join(settings[kind])}`")
+            elif kind == "vertex":
+                if len(args) != 2:
+                    raise ValueError("expected `vertex <id> <scalar>`")
+                v, val = args
+                if not g.is_vertex(v):
+                    raise ValueError(f"unknown vertex {v!r}")
+                value = parse_scalar(val, field)
+                _put_once(values, VertexClass(v), value, f"vertex {v!r}")
+            elif kind == "cycle":
+                if len(args) not in (2, 3):
+                    raise ValueError(
+                        "expected `cycle <edge-path> <scalar> [<star-scalar>]`"
+                    )
+                value, *star = (parse_scalar(x, field) for x in args[1:])
+                word = _least_word(g, tuple(args[0].split("/")))
+                name = f"rotation class {'/'.join(word)}"
+                _put_once(values, CycleWord(word), value, name)
+                for star_value in star:
+                    _put_once(values, CycleWordStar(word), star_value, f"starred {name}")
+            else:
+                raise ValueError(f"unknown declaration {kind!r}")
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
-    return _nonzero_spec(field, involution, values)
+    return _nonzero_spec(field, chosen["involution"], values)

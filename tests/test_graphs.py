@@ -251,12 +251,45 @@ def test_paths_into_endpoints_and_filter():
         for c in cycles(g):
             word = c.edges
             for p in paths_into(g, c.src, c):
-                assert p.dst == c.src
-                n = len(word)
-                assert not any(
-                    p.edges[i: i + n] == word
-                    for i in range(len(p.edges) - n + 1)
-                )
+                assert p.dst == c.src and not _holds(p.edges, word)
+
+
+def test_paths_into_with_forbidden_cycle_is_complete():
+    # in a no-exit graph a path into a cycle's base that avoids the cycle's
+    # word runs down an acyclic tail, then less than once round the cycle,
+    # so every such path is shorter than V + |word| edges
+    def check(g, c):
+        cap = len(g.vertices) + len(c.edges)
+        want = [
+            p for p in all_paths_up_to(g, cap)
+            if p.dst == c.src and not _holds(p.edges, c.edges)
+        ]
+        assert all(len(p) < cap for p in want)
+        assert paths_into(g, c.src, c) == want
+
+    checked = 0
+    for g in small_graphs():
+        if is_no_exit_reference(g):
+            checked += 1
+            for word in cycles_reference(g):
+                check(g, edge_path(g, word))
+    assert checked == 274
+    # a 5-cycle c0 => ... => c4 => c0, entered at c2 by t0 => ... => t29 => c2
+    g = parse_graph(
+        "".join(f"v c{i}\n" for i in range(5))
+        + "".join(f"v t{i}\n" for i in range(30))
+        + "".join(f"e x{i} c{i} c{(i + 1) % 5}\n" for i in range(5))
+        + "".join(f"e y{i} t{i} t{i + 1}\n" for i in range(29))
+        + "e y29 t29 c2"
+    )
+    (c,) = cycles(g)
+    assert c.src == "c0"
+    check(g, c)
+
+
+def _holds(edges, word):
+    n = len(word)
+    return any(edges[i: i + n] == word for i in range(len(edges) - n + 1))
 
 
 def test_path_building_and_concat():

@@ -550,6 +550,9 @@ def test_parse_trace_spec_file():
     assert spec.class_value(VertexClass("v")) == fe_one(QI)
     assert spec.class_value(CycleWord(("e",))) == fe_i()
     assert spec.class_value(CycleWordStar(("e",))) == fe_i()
+    # a setting line holds for the whole file, wherever it stands
+    late = parse_trace_spec("vertex v 1i\nfield Qi\n", loop)
+    assert late.field == QI and late.class_value(VertexClass("v")) == fe_i()
 
     two = GRAPHS["two_cycle"]
     rotated = parse_trace_spec("cycle e2/e1 3\n", two)
@@ -562,3 +565,15 @@ def test_parse_trace_spec_file():
         parse_trace_spec("field R\n", loop)
     with pytest.raises(ParseError):
         parse_trace_spec("vertex v 1+2i\n", loop)  # imaginary over Q
+
+
+@pytest.mark.parametrize("text, message", [
+    ("cycle zz 1\nvertex q 1\n", "line 1: unknown edge 'zz'"),
+    ("vertex v 1/0\nedge e 1\n", "line 1: zero denominator in scalar '1/0'"),
+    # a malformed setting line sets nothing, so the field stays Q
+    ("vertex v 1i\nfield R\n", "line 1: imaginary scalar '1i' not allowed over Q"),
+])
+def test_parse_trace_spec_names_the_first_faulty_line(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_trace_spec(text, GRAPHS["one_loop"])
+    assert str(info.value) == message and info.value.line == 1
