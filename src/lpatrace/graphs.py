@@ -48,6 +48,7 @@ class Graph:
     The private `_sccs` is None until `_nontrivial_sccs` fills it on first
     use, and `_exit` None until `cycle_with_exit_witness` keeps its answer
     there, as a 1-tuple; neither changes what a public attribute holds.
+    So a deep copy is the graph itself.
     """
 
     def __init__(self, vertices, edges):
@@ -76,6 +77,9 @@ class Graph:
         self.in_edges = {v: tuple(es) for v, es in in_edges.items()}
         self._sccs = None
         self._exit = None
+
+    def __deepcopy__(self, memo):
+        return self
 
     def is_vertex(self, name: str) -> bool:
         return name in self.out_edges

@@ -63,7 +63,8 @@ class PathAlgebra:
 
     Elements are tied to the context that made them; operations between
     elements of different contexts are rejected.  A regular vertex's special
-    out-edge is its least one, unless `special_edges` names another.
+    out-edge is its least one, unless `special_edges` names another.  The
+    context is fixed once built, so a deep copy is the context itself.
     """
 
     def __init__(self, graph: Graph, field=Q, involution=IDENTITY,
@@ -80,6 +81,9 @@ class PathAlgebra:
             if not graph.is_edge(e) or graph.edge_src[e] != v:
                 raise ValueError(f"special edge {e!r} does not leave {v!r}")
             self.special_edges[v] = e
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __repr__(self):
         return f"PathAlgebra({self.mode}, {self.field}, {self.involution})"

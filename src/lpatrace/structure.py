@@ -6,11 +6,11 @@ one matrix algebra over Laurent polynomials per cycle (indexed by the paths
 into the cycle's base vertex that avoid the full cycle word).
 
 The isomorphism sends p_j p_l* to the matrix unit E_jl of its sink block
-and r_j c^k r_l* to x^k E_jl of its cycle block.  Arbitrary monomials are
-resolved into these basis monomials by pushing their common range forward:
-a monomial ending at an off-cycle regular vertex expands over that vertex's
-outgoing edges, one ending on a cycle rolls forward to the base and then
-strips full copies of the cycle word into the exponent.
+and r_j c^k r_l* to x^k E_jl of its cycle block.  These basis paths give
+every vertex v as the sum of P P* over the basis paths P that start at v,
+so an arbitrary monomial p q* is the sum of (p P)(q P)* over the basis
+paths P starting at its range; in a cycle block each side then sheds its
+trailing copies of the cycle word into the exponent.
 """
 
 from __future__ import annotations
@@ -64,25 +64,30 @@ class CycleBlock(namedtuple("CycleBlock", "cycle paths")):
 
 
 class Decomposition:
-    """Block data for a no-exit graph, with the monomial resolution cache."""
+    """Block data for a no-exit graph, with the monomial expansion cache.
+
+    `_basis_from[v]` holds a (block, cycle word, basis path) triple for each
+    basis path starting at v, the word empty in a sink block: a sink holds
+    only itself, a cycle vertex only its roll to the base.  Graph, blocks
+    and tables are fixed once built, so a deep copy is the object itself.
+    """
 
     def __init__(self, g: Graph, sink_blocks, cycle_blocks):
         self.graph = g
         self.sink_blocks = tuple(sink_blocks)
         self.cycle_blocks = tuple(cycle_blocks)
         self.blocks = self.sink_blocks + self.cycle_blocks
-        self._index = [
-            {p: i for i, p in enumerate(block.paths)} for block in self.blocks
-        ]
-        self._sink_block_of = {
-            b.sink: i for i, b in enumerate(self.sink_blocks)
-        }
-        offset = len(self.sink_blocks)
-        self._cycle_block_of = {}
-        for i, block in enumerate(self.cycle_blocks):
-            for eid in block.cycle.edges:
-                self._cycle_block_of[g.edge_src[eid]] = offset + i
+        self._index = []
+        self._basis_from = {v: [] for v in g.vertices}
+        for b, block in enumerate(self.blocks):
+            word = block.cycle.edges if self.is_cycle_block(b) else ()
+            self._index.append({p: i for i, p in enumerate(block.paths)})
+            for p in block.paths:
+                self._basis_from[p.src].append((b, word, p))
         self._expand_cache = {}
+
+    def __deepcopy__(self, memo):
+        return self
 
     def is_cycle_block(self, b: int) -> bool:
         return b >= len(self.sink_blocks)
@@ -90,62 +95,32 @@ class Decomposition:
     def block_sizes(self):
         return tuple(block.size for block in self.blocks)
 
-    # -- monomial resolution -------------------------------------------------
-
     def expand_monomial(self, mon: MonPair):
         """Resolve p q* into basis monomials: a tuple of (block, j, l, k).
 
-        Every monomial met on the way is cached.  The expansion over the
-        out-edges of off-cycle regular vertices is walked with an explicit
-        stack, children before parents, so a long path to a sink or cycle
-        cannot exhaust the interpreter's recursion limit.
+        The range of p and q is the sum of P P* over the basis paths P
+        starting there, so p q* is the sum of (p P)(q P)*, each side less
+        its trailing cycle words, which make up k.  Only the monomials
+        asked for are cached.
         """
-        cache = self._expand_cache
-        cached = cache.get(mon)
-        if cached is not None:
-            return cached
-        g = self.graph
-        stack = [(mon, None)]  # (monomial, its children once expanded)
-        while stack:
-            top, children = stack.pop()
-            if children is not None:
-                cache[top] = tuple(t for child in children for t in cache[child])
-                continue
-            if top in cache:
-                continue
-            p, q = top.p, top.q
-            w = p.dst
-            if w in self._sink_block_of:
-                b = self._sink_block_of[w]
+        out = self._expand_cache.get(mon)
+        if out is None:
+            p, q = mon
+            out = []
+            for b, word, path in self._basis_from[p.dst]:
+                pe, a = _strip_cycle(p.edges + path.edges, word)
+                qe, c = _strip_cycle(q.edges + path.edges, word)
+                # a plain (src, dst, edges) tuple finds its PathSeq key
                 idx = self._index[b]
-                cache[top] = ((b, idx[p], idx[q], 0),)
-            elif w in self._cycle_block_of:
-                b = self._cycle_block_of[w]
-                cycle = self.blocks[b].cycle
-                base, word = cycle.src, cycle.edges
-                while p.dst != base:
-                    (eid,) = g.out_edges[p.dst]
-                    p = PathSeq(p.src, g.edge_dst[eid], p.edges + (eid,))
-                    q = PathSeq(q.src, g.edge_dst[eid], q.edges + (eid,))
-                p, a = _strip_cycle(p, word, base)
-                q, bcount = _strip_cycle(q, word, base)
-                idx = self._index[b]
-                if p not in idx or q not in idx:
+                j = idx.get((p.src, path.dst, pe))
+                l = idx.get((q.src, path.dst, qe))
+                if j is None or l is None:
                     raise PreconditionError(
-                        f"monomial {top!r} not expressible in the block families"
+                        f"monomial {mon!r} not expressible in the block families"
                     )
-                cache[top] = ((b, idx[p], idx[q], a - bcount),)
-            else:
-                children = [
-                    MonPair(
-                        PathSeq(p.src, g.edge_dst[eid], p.edges + (eid,)),
-                        PathSeq(q.src, g.edge_dst[eid], q.edges + (eid,)),
-                    )
-                    for eid in g.out_edges[w]
-                ]
-                stack.append((top, children))
-                stack.extend((child, None) for child in children)
-        return cache[mon]
+                out.append((b, j, l, a - c))
+            out = self._expand_cache[mon] = tuple(out)
+        return out
 
     def __repr__(self):
         sizes = ", ".join(
@@ -157,16 +132,16 @@ class Decomposition:
         return f"Decomposition({', '.join(s for s in (sizes, csizes) if s)})"
 
 
-def _strip_cycle(p: PathSeq, word: tuple, base: str):
-    """Remove trailing full copies of the cycle word; returns (path, count)."""
+def _strip_cycle(edges: tuple, word: tuple):
+    """Remove trailing full copies of the cycle word, none for the empty
+    word; returns (edges, count).  When everything goes, the path was a
+    pure cycle power, so it starts at the base."""
     count = 0
-    edges = p.edges
     n = len(word)
-    while len(edges) >= n and edges[-n:] == word:
+    while n and edges[-n:] == word:
         edges = edges[:-n]
         count += 1
-    # when everything was stripped, p was a pure cycle power, so p.src == base
-    return PathSeq(p.src, base, edges), count
+    return edges, count
 
 
 def decompose(g: Graph) -> Decomposition:

@@ -376,14 +376,10 @@ def build_faithful_trace(g: Graph, field=QI, involution=CONJUGATION) -> TraceSpe
     `decompose` raises `PreconditionError` when a cycle has an exit.
     """
     require_positive_definite(field, involution)
-    dec = decompose(g)
-    counts = {v: 0 for v in g.vertices}
-    for block in dec.blocks:
-        for p in block.paths:
-            counts[p.src] += 1
+    basis_from = decompose(g)._basis_from
     return trace_spec(
         g, field, involution,
-        vertex_values={v: fe(c, 0, field) for v, c in counts.items()},
+        vertex_values={v: fe(len(ps), 0, field) for v, ps in basis_from.items()},
     )
 
 

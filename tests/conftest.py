@@ -368,6 +368,36 @@ def sim_equivalent(g, a, b):
     return classify_eq(g, a) == classify_eq(g, b)
 
 
+def expand_monomial_reference(g, blocks, mon):
+    """The (block, j, l, k) units of p q* by the Leavitt relation
+    p q* = sum over e leaving r(p) of (p e)(q e)*, applied until each
+    monomial ends at a sink or a cycle base, then k trailing cycle words
+    taken off each side; sorted.  `blocks` is `dec.blocks`, read as data."""
+    ends = {}  # sink or cycle base: (block, cycle word)
+    for b, block in enumerate(blocks):
+        if isinstance(block, SinkBlock):
+            ends[block.sink] = b, ()
+        else:
+            ends[block.cycle.src] = b, block.cycle.edges
+    out, todo = [], [(mon.p.dst, mon.p.edges, mon.q.edges)]
+    while todo:
+        w, p, q = todo.pop()
+        if w not in ends:  # regular, and on a cycle one edge leaves
+            todo += [(g.edge_dst[e], p + (e,), q + (e,)) for e in g.out_edges[w]]
+            continue
+        b, word = ends[w]
+        unit = []
+        for src, edges in ((mon.p.src, p), (mon.q.src, q)):
+            k = 0
+            while word and edges[-len(word):] == word:
+                edges, k = edges[:-len(word)], k + 1
+            # a plain (src, dst, edges) tuple equals its PathSeq
+            unit.append((blocks[b].paths.index((src, w, edges)), k))
+        (j, kp), (l, kq) = unit
+        out.append((b, j, l, kp - kq))
+    return tuple(sorted(out))
+
+
 def matrix_identity(dec, field):
     """The identity of phi's target: 1 or the Laurent 1 on each diagonal."""
     terms = {}

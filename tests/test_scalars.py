@@ -39,6 +39,7 @@ from lpatrace.traces import (
     is_minimal_cohn,
     parse_trace_spec,
     positivity_screen,
+    trace_eval,
     trace_spec,
     validate_trace_spec,
     vertex_trace_space,
@@ -345,7 +346,9 @@ def test_pickle_and_deepcopy_round_trips():
     x = parse_element("1/2+3i*e/f.e' - f'", PathAlgebra(g, QI, CONJUGATION))
     h = parse_graph("v a\nv b\nv v\ne f a b\ne e v v")
     leavitt = PathAlgebra(h, QI, CONJUGATION, LEAVITT)
-    image = phi(decompose(h), parse_element("2*f - a + e/e + v", leavitt))
+    dec = decompose(h)
+    y = parse_element("2*f - a + e/e + v", leavitt)
+    image = phi(dec, y)
     values = [
         fe(Fraction(-3, 4)),
         fe(Fraction(1, 2), -5, QI),
@@ -369,17 +372,28 @@ def test_pickle_and_deepcopy_round_trips():
     for v in values:
         for copied in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
             assert type(copied) is type(v)
-            if v is x:  # the algebra is copied too, and algebras compare by identity
+            if v is x:  # a pickle copies the algebra, which compares by identity
                 assert copied.terms == x.terms
                 assert format_element(copied) == format_element(x)
                 for mon in copied.terms:
                     assert type(mon) is MonPair
                     assert type(mon.p) is type(mon.q) is type(path)
-            elif v is image:  # so are the decomposition and its graph
+            elif v is image:  # and the decomposition and its graph
                 assert copied.blocks == image.blocks
                 assert repr(copied) == repr(image)
             else:
                 assert copied == v and hash(copied) == hash(v)
+    # graphs, algebras and decompositions are fixed once built, so a deep
+    # copy keeps them and combines with the original; a pickle does not
+    for context in (g, h, x.algebra, leavitt, dec):
+        assert copy.deepcopy(context) is context
+    assert x + copy.deepcopy(x) == x + x
+    assert phi(dec, copy.deepcopy(y)) == image
+    valid = parse_trace_spec("field Qi\ncycle e/f 2 1-1i\n", g)
+    assert trace_eval(copy.deepcopy(g), valid, x) == trace_eval(g, valid, x)
+    assert image + copy.deepcopy(image) == image + image
+    with pytest.raises(ValueError, match="^elements belong to different algebras$"):
+        x + pickle.loads(pickle.dumps(x))
 
 
 def test_parse_scalar_matches_the_fraction_reference():

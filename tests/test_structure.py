@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from lpatrace import graphs, structure
 from lpatrace.errors import PreconditionError
+from lpatrace.gis import MonPair
 from lpatrace.graphs import (
     Graph,
     cycle_with_exit_witness,
@@ -40,6 +42,7 @@ from conftest import (
     all_paths_up_to,
     cycle_rep,
     decompose_reference,
+    expand_monomial_reference,
     fresh_rng,
     matrix_identity,
     outcome,
@@ -346,8 +349,6 @@ def test_phi_maps_one_to_block_identity():
 
 
 def _canonical_monomials_up_to(g, algebra, max_total_len):
-    from lpatrace.gis import MonPair
-
     paths = all_paths_up_to(g, max_total_len)
     by_dst = {}
     for p in paths:
@@ -416,19 +417,58 @@ def test_pull_back_trace_examples():
         pull_back_trace(dl, QI, IDENTITY)
 
 
-def test_long_line_expands_without_exhausting_recursion():
-    # a0 -> a1 -> ... -> a1199: the monomial a0 expands through 1199 edges
-    n = 1200
+def _line(n):
+    """a0 -> a1 -> ... -> a(n-1)."""
     lines = [f"v a{i}" for i in range(n)]
     lines += [f"e e{i} a{i} a{i + 1}" for i in range(n - 1)]
-    g = parse_graph("\n".join(lines))
+    return parse_graph("\n".join(lines))
+
+
+def test_long_line_expands_without_exhausting_recursion():
+    # the monomial a0 expands through 1199 edges
+    n = 1200
+    g = _line(n)
     A = PathAlgebra(g, Q, IDENTITY, LEAVITT)
     dec = decompose(g)
     j = dec.blocks[0].paths.index(edge_path(g, [f"e{i}" for i in range(n - 1)]))
     assert phi(dec, A.vertex("a0")).blocks == ({(j, j): fe_one(Q)},)
+    assert phi(dec, A.one()) == matrix_identity(dec, Q)
     # a fresh decomposition, so the trace meets an empty expansion cache
     t = pull_back_trace(decompose(g), Q, IDENTITY)
     assert t(A.vertex("a0")) == fe(1)
+
+
+def test_expansion_caches_only_the_monomials_asked_for():
+    # each vertex of a line expands to its one path into the sink, and no
+    # monomial met on the way is kept
+    for n in (1, 2, 30, 300):
+        g = _line(n)
+        dec = decompose(g)
+        assert phi(dec, PathAlgebra(g, Q, IDENTITY, LEAVITT).one())
+        assert len(dec._expand_cache) == n
+
+
+def test_expand_monomial_matches_the_leavitt_relation_reference():
+    """On every no-exit graph with at most 3 vertices and 4 edges, in both
+    edge-declaration orders, each monomial with paths of length <= 3
+    expands to the units that the Leavitt relation gives, as a multiset."""
+    checked = 0
+    for g in small_graphs():
+        if not is_no_exit(g):
+            continue
+        edges = [(e, g.edge_src[e], g.edge_dst[e]) for e in g.edges]
+        renamed = [(f"e{len(edges) - 1 - i}", s, d) for i, (_, s, d) in enumerate(edges)]
+        for h in (g, Graph(g.vertices, renamed)):
+            dec = decompose(h)
+            by_dst = {}
+            for p in all_paths_up_to(h, 3):
+                by_dst.setdefault(p.dst, []).append(p)
+            for group in by_dst.values():
+                for mon in itertools.starmap(MonPair, itertools.product(group, repeat=2)):
+                    assert tuple(sorted(dec.expand_monomial(mon))) == \
+                        expand_monomial_reference(h, dec.blocks, mon), (edges, mon)
+                    checked += 1
+    assert checked == 2 * 15716
 
 
 def test_pull_back_trace_of_identity_is_total_block_size():
