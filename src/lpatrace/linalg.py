@@ -10,12 +10,6 @@ from __future__ import annotations
 from .scalars import add_terms, fe_one, fe_zero
 
 
-def _subtract_multiple(row: dict, factor, pivot_row: dict):
-    """row -= factor * pivot_row, in place, dropping entries that vanish."""
-    neg = -factor
-    add_terms(row, ((col, neg * y) for col, y in pivot_row.items()))
-
-
 def _forward(rows) -> dict:
     """Forward elimination: {pivot column: pivot row}, by column.
 
@@ -32,29 +26,9 @@ def _forward(rows) -> dict:
             if pivot_row is None:
                 pivots[col] = row
                 break
-            _subtract_multiple(row, row[col] / pivot_row[col], pivot_row)
+            neg = -(row[col] / pivot_row[col])
+            add_terms(row, ((c, neg * y) for c, y in pivot_row.items()))
     return pivots
-
-
-def _row_reduce(rows, field):
-    """Reduced row-echelon form: (reduced rows, pivot columns), by column.
-
-    Forward elimination, then each pivot row scaled to 1 at its pivot;
-    back-substitution from the largest pivot down then leaves each pivot
-    column in its own row alone.
-    """
-    one = fe_one(field)
-    pivots = _forward(rows)
-    for col, row in pivots.items():
-        inv = one / row[col]
-        pivots[col] = {c: x * inv for c, x in row.items()}
-    order = sorted(pivots)
-    for col in reversed(order):
-        row = pivots[col]
-        # later pivot rows are already reduced, so they bring in no pivots
-        for c in [c for c in row if c != col and c in pivots]:
-            _subtract_multiple(row, row[c], pivots[c])
-    return [pivots[col] for col in order], order
 
 
 def rank(rows) -> int:
@@ -68,20 +42,28 @@ def nullspace(rows, ncols: int, field):
     """Basis of the solution space of (rows) * x = 0, as dense vectors.
 
     Rows are sparse, as for `rank`, over columns 0..ncols-1; with no rows
-    the basis is the standard one.  The basis is read off the reduced
-    row-echelon form, one vector of length ncols per free column.
+    the basis is the standard one.  After forward elimination, one pass from
+    the last column down writes each column in the free columns: a free
+    column is itself, and a pivot column is minus its pivot row's later
+    columns over its pivot.  The vector of a free column reads its
+    coefficient in every column, so it is 1 there and 0 at the other free
+    columns, the basis of the reduced echelon form, in free-column order.
     """
     zero, one = fe_zero(field), fe_one(field)
-    mat, pivots = _row_reduce(rows, field)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        vec = [zero] * ncols
-        vec[fc] = one
-        for row, pcol in zip(mat, pivots):
-            if fc in row:
-                vec[pcol] = -row[fc]
-        basis.append(vec)
-    return basis
+    pivots = _forward(rows)
+    basis = {fc: [zero] * ncols for fc in range(ncols) if fc not in pivots}
+    written = {}  # column -> {free column: coefficient}
+    for col in reversed(range(ncols)):
+        row = pivots.get(col)
+        if row is None:
+            terms = {col: one}
+        else:
+            terms, inv = {}, -(one / row[col])
+            for c, x in row.items():
+                if c != col:
+                    k = x * inv
+                    add_terms(terms, ((fc, k * y) for fc, y in written[c].items()))
+        written[col] = terms
+        for fc, y in terms.items():
+            basis[fc][col] = y
+    return list(basis.values())

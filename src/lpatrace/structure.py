@@ -102,12 +102,18 @@ class Decomposition:
         starting there, so p q* is the sum of (p P)(q P)*, each side less
         its trailing cycle words, which make up k.  Only the monomials
         asked for are cached.
+
+        Raises `PreconditionError` when p q* is not expressible in the
+        block families: p or q is not a path of the decomposed graph, or
+        their range is not one of its vertices.
         """
         out = self._expand_cache.get(mon)
         if out is None:
             p, q = mon
             out = []
-            for b, word, path in self._basis_from[p.dst]:
+            # every vertex starts a basis path; a range outside the graph
+            # starts none, so it leaves `out` empty
+            for b, word, path in self._basis_from.get(p.dst, ()):
                 pe, a = _strip_cycle(p.edges + path.edges, word)
                 qe, c = _strip_cycle(q.edges + path.edges, word)
                 # a plain (src, dst, edges) tuple finds its PathSeq key
@@ -115,10 +121,13 @@ class Decomposition:
                 j = idx.get((p.src, path.dst, pe))
                 l = idx.get((q.src, path.dst, qe))
                 if j is None or l is None:
-                    raise PreconditionError(
-                        f"monomial {mon!r} not expressible in the block families"
-                    )
+                    out = ()
+                    break
                 out.append((b, j, l, a - c))
+            if not out:
+                raise PreconditionError(
+                    f"monomial {mon!r} not expressible in the block families"
+                )
             out = self._expand_cache[mon] = tuple(out)
         return out
 

@@ -4,6 +4,8 @@ import math
 import random
 import time
 
+import pytest
+
 from lpatrace import cli, graphs
 from lpatrace.cli import main
 
@@ -77,6 +79,21 @@ def test_eval_one_loop_example(tmp_path, capsys):
     for expr, value in cases.items():
         code, out, _ = _run(capsys, "eval", graph, expr, "--spec", spec, "--mode", "leavitt")
         assert code == 0 and json.loads(out)["result"]["value"] == value, expr
+
+
+def test_eval_expression_with_a_leading_minus(tmp_path, capsys):
+    """argparse reads `-e` as an option, so the expression is missing and
+    `lpa` exits 2 with nothing on stdout; after `--` it is the expression."""
+    graph = _write(tmp_path, "loop.graph", GRAPH_TEXTS["one_loop"])
+    spec = _write(tmp_path, "loop.spec", "field Q\nvertex v 0\ncycle e 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", graph, "-e", "--spec", spec])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "the following arguments are required: expr" in err
+    assert "Traceback" not in err
+    code, out, _ = _run(capsys, "eval", graph, "--spec", spec, "--", "-e")
+    assert code == 0 and json.loads(out)["result"]["value"] == "-1"
 
 
 def test_eval_commutator_is_zero(tmp_path, capsys):

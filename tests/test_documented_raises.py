@@ -3,7 +3,7 @@ and full message text."""
 
 import pytest
 
-from lpatrace.errors import ParseError
+from lpatrace.errors import ParseError, PreconditionError
 from lpatrace.gis import MonPair
 from lpatrace.graphs import edge_path, parse_graph, paths_into, vertex_path
 from lpatrace.path_algebras import COHN, LEAVITT, PathAlgebra
@@ -24,6 +24,7 @@ from conftest import GRAPH_TEXTS, GRAPHS, outcome
 LINE = GRAPHS["line2"]
 DEC = decompose(LINE)
 LEAVITT_Q = PathAlgebra(LINE, Q, IDENTITY, LEAVITT)
+OTHER = parse_graph("v z\nv b\nv q\ne zz z b")
 
 CASES = [
     ("phi-different_graph",
@@ -32,6 +33,12 @@ CASES = [
     ("phi-not_Leavitt_mode",
      lambda: phi(DEC, PathAlgebra(LINE, Q, IDENTITY, COHN).one()),
      ValueError, "phi expects Leavitt-mode elements"),
+    ("expand_monomial-path_not_in_the_graph",
+     lambda: DEC.expand_monomial(MonPair(edge_path(OTHER, ["zz"]), vertex_path(LINE, "b"))),
+     PreconditionError, "monomial MonPair(zz.b') not expressible in the block families"),
+    ("expand_monomial-range_not_a_vertex",
+     lambda: DEC.expand_monomial(MonPair(vertex_path(OTHER, "q"), vertex_path(OTHER, "q"))),
+     PreconditionError, "monomial MonPair(q.q') not expressible in the block families"),
     ("phi_inverse_unit-block_out_of_range",
      lambda: phi_inverse_unit(DEC, LEAVITT_Q, 1, 0, 0),
      ValueError, "block index 1 out of range"),

@@ -10,7 +10,15 @@ from lpatrace.semigroups import (
     sim_classes,
 )
 
-from conftest import SEMIGROUPS, SpanBasis, fraction_rank, fresh_rng, random_scalar
+from conftest import (
+    SEMIGROUPS,
+    SpanBasis,
+    fraction_rank,
+    fresh_rng,
+    random_scalar,
+    small_graphs,
+    vertex_constraint_rows_reference,
+)
 
 
 def _row(*vals):
@@ -54,8 +62,8 @@ def test_nullspace_empty_system():
     assert nullspace([{}], 2, Q) == nullspace([{1: fe(0)}], 2, Q) == basis
 
 
-@pytest.mark.parametrize("field", [Q, QI])
-def test_rank_nullity_and_nullspace_solutions(rng, field):
+def _seeded_matrices(rng, field):
+    """(trial, dense rows, ncols) for 60 seeded matrices of several shapes."""
     zero = fe_zero(field)
     shapes = [(1, 1), (2, 5), (5, 2), (4, 4), (3, 7), (7, 3), (6, 6)]
     for trial in range(60):
@@ -70,8 +78,15 @@ def test_rank_nullity_and_nullspace_solutions(rng, field):
                 rows[-1] = list(rows[0])
             if trial % 4 == 0:
                 rows.insert(rng.randrange(nrows), [zero] * ncols)
+        yield trial, rows, ncols
+
+
+@pytest.mark.parametrize("field", [Q, QI])
+def test_rank_nullity_and_nullspace_solutions(rng, field):
+    zero = fe_zero(field)
+    for trial, rows, ncols in _seeded_matrices(rng, field):
         basis = nullspace(_sparse(rows), ncols, field)
-        assert rank(_sparse(rows)) + len(basis) == ncols, (trial, nrows, ncols)
+        assert rank(_sparse(rows)) + len(basis) == ncols, (trial, len(rows), ncols)
         for vec in basis:
             for row in rows:
                 total = zero
@@ -145,6 +160,40 @@ def test_rank_matches_fraction_rank(field):
         assert twice % 2 == 0 and rank(rows) == want, (trial, rows)
         ranks.add(min(want, 3))
     assert ranks == {0, 1, 2, 3}
+
+
+def _free_columns(rows, ncols, field):
+    """The free columns of sparse rows by a Fraction elimination that uses
+    no `lpatrace.linalg`: column c is free when columns 0..c have the rank
+    of columns 0..c-1 (each field column is two columns once realified)."""
+    real = _realified(rows, ncols, field)
+    ranks = [fraction_rank([r[:2 * c] for r in real]) for c in range(ncols + 1)]
+    return [c for c in range(ncols) if ranks[c + 1] == ranks[c]]
+
+
+def _assert_reduced(basis, free, field, what):
+    """Basis vector i is 1 at the i-th free column and 0 at the others, so
+    the vectors come in increasing free-column order."""
+    assert len(basis) == len(free), what
+    for i, vec in enumerate(basis):
+        assert [vec[c] for c in free] == [fe(int(c == free[i]), 0, field) for c in free], what
+
+
+@pytest.mark.parametrize("field", [Q, QI])
+def test_nullspace_is_the_reduced_basis(rng, field):
+    """`nullspace` returns the one basis that the reduced echelon form
+    gives, on the seeded matrices above and on the vertex constraints of
+    every small graph, with free columns from a Fraction reference."""
+    for trial, rows, ncols in _seeded_matrices(rng, field):
+        rows = _sparse(rows)
+        _assert_reduced(nullspace(rows, ncols, field),
+                        _free_columns(rows, ncols, field), field, trial)
+    for g in small_graphs():
+        rows = [{c: fe(x, 0, field) for c, x in enumerate(row)}
+                for row in vertex_constraint_rows_reference(g)]
+        ncols = len(g.vertices)
+        _assert_reduced(nullspace(rows, ncols, field),
+                        _free_columns(rows, ncols, field), field, g)
 
 
 def test_span_basis_membership():
