@@ -9,7 +9,7 @@ declaration order for vertices/edges, then (length, edge ids) for paths.
 from __future__ import annotations
 
 import re as _re
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from itertools import chain
 
 from .errors import ParseError, PreconditionError, content_lines
@@ -380,22 +380,41 @@ def _simple_cycles(g: Graph, comp, internal):
                 word.append(step[dst[word[-1]]])
             yield tuple(word)
             continue
-        letters = sorted(internal)
-        out = {v: [] for v in comp}
-        for e in reversed(letters):
-            out[src[e]].append(e)  # descending: the least edge left is last
+        letters, local, out = _component_table(g, comp, internal)
+        blocked = [False] * len(local)
         for i, e in enumerate(letters):
+            start = local[src[e]]
             found = False
-            for word in _circuits(g, e, out):
+            for word in _circuits(e, start, local[dst[e]], out, blocked):
                 found = True
                 yield word
-            out[src[e]].pop()
+            out[start].pop()
             if not found:
                 rest = letters[i + 1:]
                 heads = dict.fromkeys(src[f] for f in rest)
-                sub = _tarjan(heads, out, dst)
+                left = {v: [] for v in local}
+                for f in reversed(rest):
+                    left[src[f]].append(f)
+                sub = _tarjan(heads, left, dst)
                 pending += _with_internal_edges(g, sub, rest)
                 break
+
+
+def _component_table(g: Graph, comp, internal):
+    """The table that `cycles` and `closed_paths_up_to` walk one nontrivial
+    SCC by: its internal edges sorted as strings, a local number for each
+    vertex of `comp` (in its iteration order), and for each local number
+    the (edge, local range) pairs leaving it, in descending string order so
+    that the least edge is last.  The local numbers only index the lists;
+    every order comes from the edge ids.
+    """
+    letters = sorted(internal)
+    local = dict(zip(comp, range(len(comp))))
+    out = [[] for _ in local]
+    src, dst = g.edge_src, g.edge_dst
+    for e in reversed(letters):
+        out[local[src[e]]].append((e, local[dst[e]]))
+    return letters, local, out
 
 
 def _closed_paths(g: Graph, words: list) -> list:
@@ -411,30 +430,33 @@ def _closed_paths(g: Graph, words: list) -> list:
     return [new(PathSeq, (src[w[0]], src[w[0]], w)) for w in words]
 
 
-def _circuits(g: Graph, first, out):
-    """Johnson's CIRCUIT, iterative: every simple cycle that leaves the
-    source of edge `first` by `first`, over the out-edge lists `out`, held
-    in descending order and read ascending, as an edge-id tuple.
+def _circuits(first, start, v, out, blocked):
+    """Johnson's CIRCUIT, iterative: every simple cycle that leaves local
+    vertex `start` by edge `first` to local vertex `v`, over the (edge,
+    range) lists `out` of `_component_table`, held in descending order and
+    read ascending, as an edge-id tuple.
 
     A vertex stays blocked while every path from it back to the source
     meets the current trail; `blocked_by[w]` lists the vertices to unblock
-    with w.
+    with w.  `blocked` holds a bool per local vertex, all False on entry
+    and again on exit: a frame that closes a cycle unblocks its vertex, and
+    the search ends by clearing the source and the vertices of the frames
+    that closed none.  So a search costs nothing per vertex it never
+    reaches.
     """
-    dst = g.edge_dst
-    start, v = g.edge_src[first], dst[first]
     if v == start:
         yield (first,)
         return
     trail = [first]  # edges from `start` to the vertex of the top frame
     frames = [(v, reversed(out[v]))]
     closed = [False]  # whether a cycle was found below each frame
-    blocked = {start, v}
-    blocked_by = defaultdict(set)
+    stuck = [start]  # vertices that may still be blocked when the search ends
+    blocked[start] = blocked[v] = True
+    blocked_by = {}
     while frames:
         v, remaining = frames[-1]
-        for eid in remaining:
-            w = dst[eid]
-            if w in blocked:
+        for eid, w in remaining:
+            if blocked[w]:
                 if w == start:
                     yield (*trail, eid)
                     closed[-1] = True
@@ -442,7 +464,7 @@ def _circuits(g: Graph, first, out):
                 trail.append(eid)
                 frames.append((w, reversed(out[w])))
                 closed.append(False)
-                blocked.add(w)
+                blocked[w] = True
                 break
         else:
             frames.pop()
@@ -450,15 +472,23 @@ def _circuits(g: Graph, first, out):
             if closed.pop():
                 if closed:
                     closed[-1] = True
-                unblock = [v]
-                while unblock:
-                    u = unblock.pop()
-                    if u in blocked:
-                        blocked.remove(u)
-                        unblock.extend(blocked_by.pop(u, ()))
+                blocked[v] = False
+                if v in blocked_by:  # most frames that close unblock no other
+                    unblock = [*blocked_by.pop(v)]
+                    while unblock:
+                        u = unblock.pop()
+                        if blocked[u]:
+                            blocked[u] = False
+                            unblock += blocked_by.pop(u, ())
             else:
-                for eid in out[v]:
-                    blocked_by[dst[eid]].add(v)
+                stuck.append(v)
+                for _, w in out[v]:
+                    if w in blocked_by:
+                        blocked_by[w].add(v)
+                    else:
+                        blocked_by[w] = {v}
+    for u in stuck:
+        blocked[u] = False
 
 
 def is_no_exit(g: Graph) -> bool:
@@ -573,9 +603,10 @@ def paths_into(g: Graph, v: str, forbid_full_cycle: PathSeq | None = None):
 # Closed-path classes
 # ---------------------------------------------------------------------------
 
-# Most edge ids, summed over every prefix word built, that one
-# `closed_paths_up_to` call may spend; each prefix is a fresh tuple, so the
-# sum is its time and memory.
+# Most edge ids, summed over every prefix word that the walk of one
+# `closed_paths_up_to` call reaches, built or not, that the call may spend;
+# each prefix below the last level is a fresh tuple, so the sum bounds its
+# time and memory.
 CLOSED_PATH_WORK_LIMIT = 10**7
 
 
@@ -587,10 +618,13 @@ def closed_paths_up_to(g: Graph, max_len: int):
 
     The words are the necklaces of the Fredricksen-Kessler-Maiorana
     prenecklace tree, walked once per nontrivial SCC over its internal edges
-    in string order: a letter extends a prefix only if it composes with the
-    prefix's last edge, and a prefix of length t and period p is a necklace
-    iff p divides t.  Raises `PreconditionError` once the prefix words built
-    hold more than `CLOSED_PATH_WORK_LIMIT` edge ids in total.
+    in string order (`_component_table`): a letter extends a prefix only if
+    it composes with the prefix's last edge, and a prefix of length t and
+    period p is a necklace iff p divides t.  A prefix of length max_len - 1
+    builds only its children that close at the word's start.  Every prefix
+    the walk reaches is charged its length, built or not, and the call
+    raises `PreconditionError` once the charges pass
+    `CLOSED_PATH_WORK_LIMIT` edge ids.
     """
     if max_len < 1:
         return []
@@ -598,32 +632,40 @@ def closed_paths_up_to(g: Graph, max_len: int):
     words = []
     work = 0
     for comp, internal in _nontrivial_sccs(g):
-        letters = sorted(internal)
-        # descending, so the stack pops children in increasing order
-        outs = {v: [] for v in comp}
-        for e in reversed(letters):
-            outs[src[e]].append(e)
-        stack = [((e,), 1) for e in reversed(letters)]
-        while stack:
-            word, period = stack.pop()
-            t = len(word)
-            work += t
-            if work > CLOSED_PATH_WORK_LIMIT:
-                raise PreconditionError(
-                    f"closed paths up to length {max_len} need more than "
-                    f"{CLOSED_PATH_WORK_LIMIT} edge ids of enumeration; "
-                    "lower --max-len"
-                )
-            if t % period == 0 and dst[word[-1]] == src[word[0]]:
-                words.append(word)
-            if t == max_len:
-                continue
-            floor = word[t - period]
-            for e in outs[dst[word[-1]]]:
-                if e > floor:
-                    stack.append((word + (e,), t + 1))
-                elif e == floor:
-                    stack.append((word + (e,), period))
-                else:
-                    break
+        letters, local, out = _component_table(g, comp, internal)
+        for first in letters:
+            home = local[src[first]]
+            # (prefix, its period, its local range); children are pushed in
+            # descending order, so the stack pops them in increasing order
+            stack = [((first,), 1, local[dst[first]])]
+            while stack:
+                word, period, v = stack.pop()
+                t = len(word)
+                work += t
+                if t % period == 0 and v == home:
+                    words.append(word)
+                floor = word[t - period]
+                if t + 1 == max_len:
+                    # the last level: each child is charged as if built,
+                    # and only the necklaces that close are
+                    for e, w in out[v]:
+                        if e < floor:
+                            break
+                        work += max_len
+                        if w == home and (e > floor or max_len % period == 0):
+                            words.append(word + (e,))
+                elif t < max_len:
+                    for e, w in out[v]:
+                        if e > floor:
+                            stack.append((word + (e,), t + 1, w))
+                        elif e == floor:
+                            stack.append((word + (e,), period, w))
+                        else:
+                            break
+                if work > CLOSED_PATH_WORK_LIMIT:
+                    raise PreconditionError(
+                        f"closed paths up to length {max_len} need more than "
+                        f"{CLOSED_PATH_WORK_LIMIT} edge ids of enumeration; "
+                        "lower --max-len"
+                    )
     return _closed_paths(g, words)

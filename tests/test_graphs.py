@@ -1,3 +1,4 @@
+import itertools
 import re
 import time
 
@@ -238,6 +239,33 @@ def test_cycles_limit_counts_edge_ids_of_cycles_listed(monkeypatch):
     monkeypatch.setattr(graphs, "CYCLE_WORK_LIMIT", 3)
     with pytest.raises(PreconditionError, match="simple cycles of a graph"):
         cycles(g)
+
+
+def test_closed_paths_limit_counts_every_prefix_reached(monkeypatch):
+    """Every prefix the necklace walk reaches is charged its length, built
+    or not: at each threshold the call returns the brute-force classes, and
+    one below it raises."""
+    rose3 = parse_graph("v v\ne a v v\ne b v v\ne c v v")
+    three = parse_graph(
+        "v a\nv b\nv c\ne p a b\ne q b a\ne r b c\ne s c b\ne t c c\ne u a a"
+    )
+    cases = [
+        (_complete_digraph(4), 5, 1492),
+        (_complete_digraph(5), 5, 6750),
+        (rose3, 4, 185),
+        (three, 3, 50),
+        (three, 6, 508),
+    ]
+    for g, max_len, limit in cases:
+        monkeypatch.setattr(graphs, "CLOSED_PATH_WORK_LIMIT", limit)
+        got = closed_paths_up_to(g, max_len)
+        assert [p.edges for p in got] == _closed_classes_reference(g, max_len)
+        monkeypatch.setattr(graphs, "CLOSED_PATH_WORK_LIMIT", limit - 1)
+        with pytest.raises(PreconditionError, match=re.escape(
+            f"closed paths up to length {max_len} need more than {limit - 1} "
+            "edge ids of enumeration; lower --max-len"
+        )):
+            closed_paths_up_to(g, max_len)
 
 
 def test_paths_into_endpoints_and_filter():
@@ -591,3 +619,71 @@ def test_cycle_lists_sort_edge_ids_as_strings():
     assert [p.edges for p in closed_paths_up_to(corpus["rose12"], 2)][12:15] == [
         ("e0", "e0"), ("e0", "e1"), ("e0", "e10"),
     ]
+
+
+def _relabelled(g, rng):
+    """g with its vertices renamed and declared, and its edges declared, in
+    a seeded order; the names sort otherwise than they are declared, and the
+    edge ids stay, so every edge word does too."""
+    order = list(g.vertices)
+    rng.shuffle(order)
+    ranks = list(range(len(order)))
+    while len(ranks) > 1 and ranks == sorted(ranks, key=str):
+        rng.shuffle(ranks)
+    name = {v: f"x{r}" for v, r in zip(order, ranks)}
+    edges = [(e, name[g.edge_src[e]], name[g.edge_dst[e]]) for e in g.edges]
+    rng.shuffle(edges)
+    return Graph([name[v] for v in order], edges)
+
+
+def _complete_digraph_cycles(n):
+    """The edge words of the simple cycles of `_complete_digraph(n)`, one per
+    cyclic order of each set of two or more vertices, sorted as
+    `cycles_reference` sorts them; far cheaper than it on K6."""
+    words = []
+    for k in range(2, n + 1):
+        for first, *rest in itertools.combinations(range(n), k):
+            for order in itertools.permutations(rest):
+                walk = (first, *order, first)
+                words.append(_least_rotation(tuple(
+                    f"e{i}_{j}" for i, j in zip(walk, walk[1:])
+                )))
+    return sorted(words, key=lambda w: (len(w), w))
+
+
+def test_local_vertex_numbers_leave_no_trace():
+    """Both walks number a component's vertices in its frozenset's
+    iteration order, which follows the names and the hash seed.  On seeded
+    relabellings of K4-K6, of a graph with two nontrivial SCCs and of a
+    chain of 2-cycles in both namings, `cycles` and `closed_paths_up_to(g,
+    5)` still give the brute-force lists; K6's simple cycles come from
+    `_complete_digraph_cycles`, checked here against `cycles_reference` on
+    K4 and K5."""
+    rng = fresh_rng(71)
+    corpus = {
+        "K4": _complete_digraph(4),
+        "K5": _complete_digraph(5),
+        "K6": _complete_digraph(6),
+        "two_sccs": parse_graph(
+            "v a\nv b\nv c\nv d\nv e\ne p a b\ne q b a\ne l a a\ne j b c\n"
+            "e r c d\ne s d e\ne t e c\ne u d c"
+        ),
+        "chain_back_first": parse_graph(two_cycle_chain_text(4)),
+        "chain_forward_first": parse_graph(
+            two_cycle_chain_text(4, forward="b", back="f")
+        ),
+    }
+    for n in (4, 5):
+        assert _complete_digraph_cycles(n) == cycles_reference(corpus[f"K{n}"])
+    for name, base in corpus.items():
+        if name == "K6":
+            want_cycles = _complete_digraph_cycles(6)
+        else:
+            want_cycles = cycles_reference(base)
+        want_classes = _closed_classes_reference(base, 5)
+        for _ in range(3):
+            g = _relabelled(base, rng)
+            assert [c.edges for c in cycles(g)] == want_cycles, name
+            got = closed_paths_up_to(g, 5)
+            assert [p.edges for p in got] == want_classes, name
+            assert all(p.src == g.edge_src[p.edges[0]] for p in got), name
