@@ -20,7 +20,6 @@ from .graphs import (
     Graph,
     PathSeq,
     format_path,
-    is_path_prefix,
     _least_rotation,
     _least_rotation_path,
 )
@@ -148,10 +147,12 @@ def classify_eq(g: Graph, a):
     if a is GIS_ZERO:
         return ZERO_CLASS
     p, q = a.p, a.q
-    if p == q:
-        return VertexClass(p.dst)
-    if is_path_prefix(q, p):
-        return CycleWord(_least_rotation(p.edges[len(q.edges):]))
-    if is_path_prefix(p, q):
-        return CycleWordStar(_least_rotation(q.edges[len(p.edges):]))
-    return ZERO_CLASS
+    if p.src != q.src:  # neither path is a prefix of the other
+        return ZERO_CLASS
+    pe, qe = p.edges, q.edges
+    n, m = len(pe), len(qe)
+    if n > m:
+        return CycleWord(_least_rotation(pe[m:])) if pe[:m] == qe else ZERO_CLASS
+    if n < m:
+        return CycleWordStar(_least_rotation(qe[n:])) if qe[:n] == pe else ZERO_CLASS
+    return VertexClass(p.dst) if pe == qe else ZERO_CLASS

@@ -18,6 +18,9 @@ from .errors import ParseError, PreconditionError, content_lines
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 _ID_RE = _re.compile(_ID)
 
+# Most path texts that one graph's `_paths` memo keeps.
+_PATHS_CAP = 1024
+
 
 def _checked(declarations):
     """Yield each declaration, a vertex (id,) or an edge (id, src, dst), once
@@ -47,8 +50,11 @@ class Graph:
 
     The private `_sccs` is None until `_nontrivial_sccs` fills it on first
     use, and `_exit` None until `cycle_with_exit_witness` keeps its answer
-    there, as a 1-tuple; neither changes what a public attribute holds.
-    So a deep copy is the graph itself.
+    there, as a 1-tuple.  `_paths` maps each element-expression path text
+    that resolved, such as `"e/f"` or `"e / f"`, to its `PathSeq`; parsing
+    adds texts until it holds `_PATHS_CAP` (1,024) of them, then stops.
+    None of the three changes what a public attribute holds.  So a deep
+    copy is the graph itself.
     """
 
     def __init__(self, vertices, edges):
@@ -77,6 +83,7 @@ class Graph:
         self.in_edges = {v: tuple(es) for v, es in in_edges.items()}
         self._sccs = None
         self._exit = None
+        self._paths = {}
 
     def __deepcopy__(self, memo):
         return self
@@ -142,11 +149,6 @@ def path_sort_key(p: PathSeq):
 
 def format_path(p: PathSeq) -> str:
     return p.src if p.is_vertex else "/".join(p.edges)
-
-
-def is_path_prefix(a: PathSeq, b: PathSeq) -> bool:
-    """Whether a is an initial segment of b (vertices prefix any path at them)."""
-    return a.src == b.src and a.edges == b.edges[: len(a.edges)]
 
 
 def _least_rotation(word: tuple) -> tuple:

@@ -17,6 +17,17 @@ siblings, so it terminates; the quotient structure makes the normal form
 independent of rewrite order, which the test suite checks by randomizing
 redex order and by comparing verdicts under two different special-edge
 choices.
+
+Two closure facts spare canonical elements most of the rewriting:
+
+- A product (p q*)(r s*) of canonical monomials is canonical unless q = r.
+  Proof: if r = q t with t nonempty, (p t) s* ends in the final edges of r
+  and s, so it is a redex exactly when r s* is; q = r t is symmetric.
+- The star q p* of a canonical p q* is canonical.  Proof: the redex test
+  reads the final edges of p and q alike.
+
+So a product rewrites only the products of its pairs with q = r, and a
+star rewrites nothing.
 """
 
 from __future__ import annotations
@@ -25,11 +36,12 @@ import re as _re
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
-from .gis import GIS_ZERO, MonPair, gis_mul
+from .gis import GIS_ZERO, MonPair, gis_mul, gis_star
 from .graphs import (
     Graph,
     PathSeq,
     _ID,
+    _PATHS_CAP,
     edge_path,
     format_path,
     path_sort_key,
@@ -193,11 +205,23 @@ class PathAlgebra:
 
     def normalize_terms(self, raw):
         """Rewrite a raw {MonPair: FieldElem} support to canonical form."""
+        return self._canonical_terms(raw, raw)
+
+    def _canonical_terms(self, raw, suspects):
+        """The canonical form of `raw` when only its keys in `suspects` can
+        be redexes: those expand by `_nf`, the others are added as they are.
+        One walk of `raw`, in insertion order, drops zeros as it goes."""
         out = {}
         for mon, c in raw.items():
-            if c:
+            if not c:
+                continue
+            if mon in suspects:
                 nf = self._nf(mon).items()
                 add_terms(out, ((m, c if k == 1 else -c) for m, k in nf))
+            elif mon in out:  # an earlier expansion reached it
+                add_terms(out, ((mon, c),))
+            else:
+                out[mon] = c
         return out
 
 
@@ -217,8 +241,11 @@ class AlgebraElement(SparseTerms):
             return self.scale(self.algebra.scalar(other))
         self._check(other)
         alg = self.algebra
+        leavitt = alg.mode == LEAVITT
         raw = {}
+        meets = set()  # products of pairs with q = r: the only possible redexes
         for m1, c1 in self.terms.items():
+            q = m1.q
             for m2, c2 in other.terms.items():
                 prod = gis_mul(m1, m2)
                 if prod is GIS_ZERO:
@@ -227,9 +254,11 @@ class AlgebraElement(SparseTerms):
                     raise PreconditionError(
                         f"product monomial exceeds degree cap {DEGREE_CAP}"
                     )
+                if leavitt and m2.p == q:
+                    meets.add(prod)
                 c = c1 * c2
                 raw[prod] = raw[prod] + c if prod in raw else c
-        return alg._make(raw)
+        return AlgebraElement(alg, alg._canonical_terms(raw, meets))
 
     __rmul__ = __mul__  # scalars are central
 
@@ -241,12 +270,11 @@ class AlgebraElement(SparseTerms):
 
 
 def alg_star(x: AlgebraElement) -> AlgebraElement:
-    """(sum a p q*)^* = sum a^* q p*."""
+    """(sum a p q*)^* = sum a^* q p*, canonical as its terms stand."""
     alg = x.algebra
-    raw = {}
-    for m, c in x.terms.items():
-        raw[MonPair(m.q, m.p)] = field_star(c, alg.involution)
-    return alg._make(raw)
+    inv = alg.involution
+    return AlgebraElement(
+        alg, {gis_star(m): field_star(c, inv) for m, c in x.terms.items()})
 
 
 def alg_commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -286,6 +314,17 @@ def _token(text: str, pos: int):
 
 
 def _path(g: Graph, text: str) -> PathSeq:
+    """The path of `id[/id]...` text, read once per graph: `g._paths` keeps
+    each text that resolved, while it holds fewer than `_PATHS_CAP`."""
+    p = g._paths.get(text)
+    if p is None:
+        p = _read_path(g, text)
+        if len(g._paths) < _PATHS_CAP:
+            g._paths[text] = p
+    return p
+
+
+def _read_path(g: Graph, text: str) -> PathSeq:
     """The path of `id[/id]...` text: one vertex id or composable edge ids."""
     ids = "".join(text.split()).split("/")
     if len(ids) == 1 and ids[0] in g.out_edges:

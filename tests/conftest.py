@@ -19,7 +19,16 @@ import pytest
 
 from lpatrace import graphs, semigroups, traces
 from lpatrace.errors import ParseError, PreconditionError
-from lpatrace.gis import MonPair, VertexClass, classify_eq
+from lpatrace.gis import (
+    GIS_ZERO,
+    ZERO_CLASS,
+    CycleWord,
+    CycleWordStar,
+    MonPair,
+    VertexClass,
+    classify_eq,
+    gis_mul,
+)
 from lpatrace.graphs import (
     Graph,
     PathSeq,
@@ -32,7 +41,7 @@ from lpatrace.graphs import (
     sinks,
     vertex_path,
 )
-from lpatrace.path_algebras import LEAVITT, AlgebraElement, PathAlgebra
+from lpatrace.path_algebras import DEGREE_CAP, LEAVITT, AlgebraElement, PathAlgebra
 from lpatrace.scalars import (
     QI,
     FieldElem,
@@ -40,6 +49,7 @@ from lpatrace.scalars import (
     add_terms,
     fe_one,
     fe_zero,
+    field_star,
     format_scalar,
     is_nonnegative,
     is_positive_nonzero,
@@ -366,6 +376,25 @@ def path_concat(a, b):
 def sim_equivalent(g, a, b):
     """Whether two GIS elements fall in the same ~ class."""
     return classify_eq(g, a) == classify_eq(g, b)
+
+
+def classify_eq_reference(g, a):
+    """The class of a GIS element by the four cases of `classify_eq`'s
+    definition: p = q, p = q t, q = p t (t nonempty), or none of these.
+    The remainder t is found by trying every split of the longer path, and
+    a cycle word is the least of all its rotations."""
+    if a is GIS_ZERO:
+        return ZERO_CLASS
+    p, q = a
+    if p == q:
+        return VertexClass(p.dst)
+    for long, short, kind in ((p, q, CycleWord), (q, p, CycleWordStar)):
+        for k in range(len(long.edges)):
+            head, t = long.edges[:k], long.edges[k:]
+            mid = g.edge_src[t[0]]
+            if PathSeq(long.src, mid, head) == short:
+                return kind(min(t[i:] + t[:i] for i in range(len(t))))
+    return ZERO_CLASS
 
 
 def expand_monomial_reference(g, blocks, mon):
@@ -853,6 +882,34 @@ def positivity_screen_reference(g: Graph, spec: TraceSpec):
                 f"strictly positive (faithfulness candidacy)",
             ))
     return violations
+
+
+def mul_reference(x, y):
+    """x * y with every product monomial normalized: no term is taken as
+    canonical without a rewrite."""
+    alg = x.algebra
+    raw = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            prod = gis_mul(m1, m2)
+            if prod is GIS_ZERO:
+                continue
+            if len(prod.p.edges) + len(prod.q.edges) > DEGREE_CAP:
+                raise PreconditionError(
+                    f"product monomial exceeds degree cap {DEGREE_CAP}"
+                )
+            c = c1 * c2
+            raw[prod] = raw[prod] + c if prod in raw else c
+    return alg._make(raw)
+
+
+def alg_star_reference(x):
+    """x* with every starred monomial normalized."""
+    alg = x.algebra
+    raw = {}
+    for m, c in x.terms.items():
+        raw[MonPair(m.q, m.p)] = field_star(c, alg.involution)
+    return alg._make(raw)
 
 
 def randomized_normalize(A, raw, rng):

@@ -6,6 +6,7 @@ from lpatrace.gis import (
     CycleWordStar,
     MonPair,
     VertexClass,
+    ZERO_CLASS,
     ZeroClass,
     approx_canonical,
     classify_eq,
@@ -18,6 +19,7 @@ from conftest import (
     GIS_CORPUS,
     GRAPHS,
     all_paths_up_to,
+    classify_eq_reference,
     fresh_rng,
     path_concat,
     random_monpair,
@@ -140,6 +142,26 @@ def test_classify_eq_examples():
     assert len(ids) == 3 and ids[CycleWordStar(("e",))] == 3
     assert repr(list(ids)) == "[[e], [e], [e*]]" and repr(ZeroClass()) == "[0]"
     assert ZeroClass()
+
+
+def test_classify_eq_matches_the_four_case_definition():
+    # every monomial with paths of length <= 3, against the four cases of
+    # the docstring; the reference finds a remainder by trying every split
+    kinds = set()
+    for name in GIS_CORPUS:
+        g = GRAPHS[name]
+        paths = all_paths_up_to(g, 3)
+        for x in [MonPair(p, q) for p in paths for q in paths if p.dst == q.dst]:
+            got, want = classify_eq(g, x), classify_eq_reference(g, x)
+            assert got == want and type(got) is type(want), (name, x)
+            kinds.add(type(got))
+    assert kinds == {VertexClass, CycleWord, CycleWordStar, ZeroClass}
+    # a vertex path against a path into it from another source: the paths
+    # end alike but start apart, so neither is a prefix of the other
+    line = GRAPHS["line3"]
+    c, fg = vertex_path(line, "c"), edge_path(line, ["f", "g"])
+    for x in (MonPair(c, fg), MonPair(fg, c)):
+        assert classify_eq(line, x) is ZERO_CLASS == classify_eq_reference(line, x)
 
 
 def test_classify_eq_incomparable_is_zero_class():

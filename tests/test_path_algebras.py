@@ -1,11 +1,22 @@
+import copy
+import pickle
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from lpatrace import path_algebras
 from lpatrace.errors import ParseError, PreconditionError
-from lpatrace.gis import MonPair
-from lpatrace.graphs import PathSeq, edge_path, format_path, parse_graph, vertex_path
+from lpatrace.gis import GIS_ZERO, MonPair, gis_mul
+from lpatrace.graphs import (
+    _PATHS_CAP,
+    PathSeq,
+    edge_path,
+    format_path,
+    parse_graph,
+    vertex_path,
+)
 from lpatrace.path_algebras import (
     COHN,
     LEAVITT,
@@ -28,14 +39,19 @@ from lpatrace.scalars import (
 
 from conftest import (
     GIS_CORPUS,
+    GRAPH_TEXTS,
     GRAPHS,
     all_paths_up_to,
+    alg_star_reference,
     fe_i,
     fresh_rng,
+    mul_reference,
     outcome,
     random_element,
     random_monpair,
+    random_path_into,
     random_raw_terms,
+    random_scalar,
     random_scalar_text,
     randomized_normalize,
     reference_parse_element,
@@ -269,6 +285,145 @@ def test_rewrite_step_invariant_and_one_step_per_chain_level(monkeypatch):
                 assert first == (shorter, 1), (name, redex)
                 assert all(k == -1 and A.redex_edge(s) is None
                            for s, k in rest), (name, redex)
+
+
+def _meeting_operands(A, rng):
+    """Seeded canonical x and y where x holds p q* and y holds q s*, with p
+    and s extended along one special edge f: their product p s* is the
+    redex (p0 f)(s0 f)* unless the rewrite of x or y moved those terms."""
+    g = A.graph
+    f = rng.choice(sorted(A.special_edges.values()))
+    u, w = g.edge_src[f], g.edge_dst[f]
+    p, s = (random_path_into(g, rng, u) for _ in range(2))
+    p, s = (PathSeq(t.src, w, t.edges + (f,)) for t in (p, s))
+    q = random_path_into(g, rng, w)
+    x_raw = random_raw_terms(g, rng, A.field, n_terms=3, max_len=3)
+    y_raw = random_raw_terms(g, rng, A.field, n_terms=3, max_len=3)
+    x_raw[MonPair(p, q)] = random_scalar(rng, A.field, nonzero=True)
+    y_raw[MonPair(q, s)] = random_scalar(rng, A.field, nonzero=True)
+    return A.from_terms(x_raw), A.from_terms(y_raw)
+
+
+def _redex_meets(A, x, y):
+    """The products of pairs of terms of x and y with q = r that are redexes."""
+    return {prod for m1, m2 in product(x.terms, y.terms)
+            if m1.q == m2.p and A.redex_edge(prod := gis_mul(m1, m2)) is not None}
+
+
+@pytest.mark.parametrize("field,involution", [(Q, IDENTITY), (QI, CONJUGATION)])
+@pytest.mark.parametrize("mode", [COHN, LEAVITT])
+def test_products_and_stars_match_the_normalize_every_term_reference(
+        mode, field, involution):
+    # terms with their order, on all ten graphs, under the least special
+    # edges and under the greatest
+    rng = fresh_rng(41)
+    redexes = 0
+    for name, g in GRAPHS.items():
+        greatest = {v: max(es) for v, es in g.out_edges.items() if es}
+        for special in (None, greatest):
+            A = PathAlgebra(g, field, involution, mode, special_edges=special)
+            pairs = [_meeting_operands(A, rng) for _ in range(30)]
+            if name == "rose2":  # e e* = v - f f*, whose f f* the product v f f* cancels
+                pairs.append((parse_element("e + v", A), parse_element("e' + f.f'", A)))
+            for x, y in pairs:
+                for a, b in ((x, y), (y, x)):
+                    z, want = a * b, mul_reference(a, b)
+                    assert list(z.terms.items()) == list(want.terms.items()), (name, a, b)
+                    redexes += len(_redex_meets(A, a, b))
+                    star = alg_star(z)
+                    want = alg_star_reference(z)
+                    assert list(star.terms.items()) == list(want.terms.items()), (name, z)
+    assert redexes >= 500, redexes
+
+
+def test_products_stars_and_parses_skip_what_the_canonical_form_settles(monkeypatch):
+    # clock-free counts: a product expands by `_nf` only its distinct
+    # nonzero products of pairs with q = r, with as many rewrite steps as
+    # the reference that expands every product; a star expands nothing;
+    # a second parse of one text resolves no path text again
+    rng = fresh_rng(42)
+    nfs, steps, reads = [], [], []
+    expanded = read = 0
+    real_read = path_algebras._read_path
+    monkeypatch.setattr(path_algebras, "_read_path",
+                        lambda g, t: reads.append(t) or real_read(g, t))
+    for name, text in GRAPH_TEXTS.items():
+        g = parse_graph(text)  # a graph of its own, whose path memo starts empty
+        A = PathAlgebra(g, Q, IDENTITY, LEAVITT)
+        real_nf, real_step = A._nf, A.rewrite_step
+        monkeypatch.setattr(A, "_nf", lambda m, nf=real_nf: nfs.append(m) or nf(m))
+        monkeypatch.setattr(A, "rewrite_step",
+                            lambda m, step=real_step: steps.append(m) or step(m))
+        for _ in range(20):
+            x, y = _meeting_operands(A, rng)
+            raw, meets = {}, set()
+            for m1, m2 in product(x.terms, y.terms):
+                prod = gis_mul(m1, m2)
+                if prod is not GIS_ZERO:
+                    raw[prod] = raw.get(prod, A.scalar(0)) + x.terms[m1] * y.terms[m2]
+                    if m1.q == m2.p:
+                        meets.add(prod)
+            nfs.clear()
+            steps.clear()
+            z = x * y
+            assert sorted(nfs) == sorted(m for m in meets if raw[m]), name
+            expanded += len(nfs)
+            n_steps = len(steps)
+            steps.clear()
+            assert mul_reference(x, y) == z and len(steps) == n_steps, name
+            nfs.clear()
+            alg_star(x)
+            alg_star(z)
+            assert not nfs, name
+            expression = _random_expression(A, rng)[0]
+            reads.clear()
+            known = set(g._paths)
+            first = parse_element(expression, A)
+            assert len(reads) == len(set(reads)), (name, expression)
+            assert set(reads) == set(g._paths) - known, (name, expression)
+            read += len(reads)
+            reads.clear()
+            second = parse_element(expression, A)
+            assert not reads and list(second.terms.items()) == list(first.terms.items())
+    assert expanded >= 200 and read >= 50, (expanded, read)
+
+
+def test_path_memo_keeps_only_resolved_texts_up_to_its_cap():
+    g = parse_graph(GRAPH_TEXTS["tree"])
+    A = PathAlgebra(g, Q, IDENTITY, LEAVITT)
+    parse_element("f + 2*a + g'", A)
+    held = dict(g._paths)
+    assert held == {"f": edge_path(g, ["f"]), "a": vertex_path(g, "a"),
+                    "g": edge_path(g, ["g"])}
+    for text, message in (("unknown_id", "unknown edge 'unknown_id' in path"),
+                          ("a + f/g", "edges 'f' and 'g' do not compose"),
+                          ("f/g.b'", "edges 'f' and 'g' do not compose")):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                parse_element(text, A)
+            errors.append(str(info.value))
+        assert errors == [message] * 2 and g._paths == held, text
+    # spaces around `/` make another text for the same path
+    rose = parse_graph(GRAPH_TEXTS["rose2"])
+    B = PathAlgebra(rose, Q, IDENTITY, LEAVITT)
+    assert parse_element("e / f", B) == parse_element("e/f", B) == B.path(["e", "f"])
+    assert rose._paths["e / f"] == rose._paths["e/f"]
+    # more distinct texts than the cap: the memo stops at the cap
+    words = [w for n in range(1, 12) for w in product("ef", repeat=n)]
+    words = words[:_PATHS_CAP + 100]
+    for _ in range(2):
+        for w in words:
+            assert parse_element("/".join(w), B) == B.path(w)
+    assert len(rose._paths) == _PATHS_CAP
+    # a pickled graph carries its memo and parses to the same elements
+    copied = pickle.loads(pickle.dumps(rose))
+    assert copied._paths == rose._paths
+    C = PathAlgebra(copied, Q, IDENTITY, LEAVITT)
+    for text in ("e / f", "v + e.f/e'", "2*f/f/e'", "/".join(words[-1])):
+        want = parse_element(text, B)
+        assert list(parse_element(text, C).terms.items()) == list(want.terms.items())
+    assert copy.deepcopy(rose) is rose
 
 
 def test_equality_verdicts_match_under_different_special_edges():
