@@ -22,30 +22,12 @@ _ID_RE = _re.compile(_ID)
 _PATHS_CAP = 1024
 
 
-def _checked(declarations):
-    """Yield each declaration, a vertex (id,) or an edge (id, src, dst), once
-    it is checked against those before it: the id matches `_ID` and is new,
-    and an edge's endpoints are vertices declared earlier."""
-    declared = {}  # id -> whether it names a vertex
-    for decl in declarations:
-        name = decl[0]
-        if not _ID_RE.fullmatch(name):
-            raise ValueError(f"bad id {name!r}")
-        if name in declared:
-            raise ValueError(f"duplicate id {name!r}")
-        for v in decl[1:]:
-            if not declared.get(v):
-                raise ValueError(f"undeclared vertex {v!r}")
-        declared[name] = len(decl) == 1
-        yield decl
-
-
 class Graph:
     """A finite directed graph; immutable after construction.
 
     `edges` is an iterable of (edge id, source vertex, range vertex), read
     once.  Ids must be unique across vertices and edges together, which
-    keeps the element-expression grammar unambiguous; `_checked` raises
+    keeps the element-expression grammar unambiguous; `_build` raises
     `ValueError` with the texts of `parse_graph`, without line numbers.
 
     The private `_sccs` is None until `_nontrivial_sccs` fills it on first
@@ -59,26 +41,38 @@ class Graph:
 
     def __init__(self, vertices, edges):
         edges = ((eid, src, dst) for eid, src, dst in edges)
-        self._build(_checked(chain(((v,) for v in vertices), edges)))
+        self._build(chain(((v,) for v in vertices), edges))
 
     def _build(self, declarations):
-        """Fill the tables from `_checked` declarations, in their order."""
+        """Fill the tables from declarations, a vertex (id,) or an edge (id,
+        src, dst), in their order, each checked against the tables so far:
+        its id matches `_ID` and is in neither `out_edges` nor `edge_src`,
+        and each endpoint is a key of `out_edges`, so an edge id there reads
+        as an undeclared vertex."""
         out_edges = {}
         in_edges = {}
-        self.edge_src = {}
-        self.edge_dst = {}
+        self.edge_src = edge_src = {}
+        self.edge_dst = edge_dst = {}
         for decl in declarations:
+            name = decl[0]
+            if not _ID_RE.fullmatch(name):
+                raise ValueError(f"bad id {name!r}")
+            if name in out_edges or name in edge_src:
+                raise ValueError(f"duplicate id {name!r}")
             if len(decl) == 1:
-                out_edges[decl[0]] = []
-                in_edges[decl[0]] = []
-            else:
-                eid, src, dst = decl
-                self.edge_src[eid] = src
-                self.edge_dst[eid] = dst
-                out_edges[src].append(eid)
-                in_edges[dst].append(eid)
+                out_edges[name] = []
+                in_edges[name] = []
+                continue
+            _, src, dst = decl
+            for v in (src, dst):
+                if v not in out_edges:
+                    raise ValueError(f"undeclared vertex {v!r}")
+            edge_src[name] = src
+            edge_dst[name] = dst
+            out_edges[src].append(name)
+            in_edges[dst].append(name)
         self.vertices = tuple(out_edges)
-        self.edges = tuple(self.edge_src)
+        self.edges = tuple(edge_src)
         self.out_edges = {v: tuple(es) for v, es in out_edges.items()}
         self.in_edges = {v: tuple(es) for v, es in in_edges.items()}
         self._sccs = None
@@ -226,7 +220,7 @@ def parse_graph(text: str) -> Graph:
     g = Graph.__new__(Graph)
     try:
         # read lazily, so a fault belongs to the line read last
-        g._build(_checked(declarations()))
+        g._build(declarations())
     except ValueError as exc:
         raise ParseError(str(exc), lineno) from None
     return g
@@ -251,51 +245,54 @@ def strongly_connected_components(g: Graph):
 
 
 def _tarjan(vertices, out_edges, edge_dst):
+    """Tarjan's pass (SIAM J. Comput. 1(2), 1972), iterative: the SCCs
+    reached from `vertices` over `out_edges`, in reverse topological order.
+
+    `index` numbers the vertices as the walk reaches them, so the next
+    number is `len(index)`, and `stack` holds the reached vertices whose
+    component is not yet emitted, in that order: a component is the slice
+    from its root to the end.  An edge to w lowers v's lowlink to w's,
+    never below the index of their component's root, so the roots are
+    Tarjan's.  Invariant: an emitted vertex takes the lowlink `done` =
+    `len(out_edges)`, above every index the pass hands out, since each
+    vertex reached is a key of `out_edges` (`vertices` may hold fewer); so
+    no later min picks it, and a lowlink below `done` marks a vertex on
+    the stack.
+    """
     index = {}
     lowlink = {}
-    on_stack = set()
     stack = []
-    counter = [0]
     components = []
-
+    done = len(out_edges)
     for root in vertices:
         if root in index:
             continue
-        work = [(root, iter(out_edges[root]))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
+        index[root] = lowlink[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
+        work = [(root, iter(out_edges[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for eid in it:
                 w = edge_dst[eid]
                 if w not in index:
-                    index[w] = lowlink[w] = counter[0]
-                    counter[0] += 1
+                    index[w] = lowlink[w] = len(index)
                     stack.append(w)
-                    on_stack.add(w)
                     work.append((w, iter(out_edges[w])))
-                    advanced = True
                     break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
+                if lowlink[w] < lowlink[v]:
+                    lowlink[v] = lowlink[w]
+            else:
+                work.pop()
+                if work and lowlink[v] < lowlink[work[-1][0]]:
+                    lowlink[work[-1][0]] = lowlink[v]
+                if lowlink[v] == index[v]:
+                    i = len(stack) - 1
+                    while stack[i] != v:
+                        i -= 1
+                    for w in stack[i:]:
+                        lowlink[w] = done
+                    components.append(frozenset(stack[i:]))
+                    del stack[i:]
     return components
 
 
@@ -422,7 +419,8 @@ def _component_table(g: Graph, comp, internal):
 def _closed_paths(g: Graph, words: list) -> list:
     """The closed paths of nonempty closed edge words, in (length, word)
     order: `path_sort_key`'s order, since a closed word fixes its base.
-    Sorts `words` in place, by word and then stably by length, both in C.
+    Sorts `words` in place, by word and then stably by length, both in C,
+    which beats one sort keyed on (length, word), whose key runs in Python.
     Each path is built by `tuple.__new__`, not namedtuple's Python-level
     `__new__`.
     """

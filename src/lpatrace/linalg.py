@@ -42,15 +42,18 @@ def nullspace(rows, ncols: int, field):
     """Basis of the solution space of (rows) * x = 0, as dense vectors.
 
     Rows are sparse, as for `rank`, over columns 0..ncols-1; with no rows
-    the basis is the standard one.  After forward elimination, one pass from
-    the last column down writes each column in the free columns: a free
-    column is itself, and a pivot column is minus its pivot row's later
-    columns over its pivot.  The vector of a free column reads its
+    the basis is the standard one, and with a pivot in every column it is
+    empty, returned at once.  Otherwise, after forward elimination, one
+    pass from the last column down writes each column in the free columns:
+    a free column is itself, and a pivot column is minus its pivot row's
+    later columns over its pivot.  The vector of a free column reads its
     coefficient in every column, so it is 1 there and 0 at the other free
     columns, the basis of the reduced echelon form, in free-column order.
     """
     zero, one = fe_zero(field), fe_one(field)
     pivots = _forward(rows)
+    if len(pivots) == ncols:
+        return []
     basis = {fc: [zero] * ncols for fc in range(ncols) if fc not in pivots}
     written = {}  # column -> {free column: coefficient}
     for col in reversed(range(ncols)):

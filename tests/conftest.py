@@ -207,6 +207,21 @@ def nullspace_cells(monkeypatch):
 
 
 @pytest.fixture
+def field_divisions(monkeypatch):
+    """The (dividend, divisor) pair of each `FieldElem` division, appended
+    as they run."""
+    divide = FieldElem.__truediv__
+    divisions = []
+
+    def counted(self, other):
+        divisions.append((self, other))
+        return divide(self, other)
+
+    monkeypatch.setattr(FieldElem, "__truediv__", counted)
+    return divisions
+
+
+@pytest.fixture
 def id_matches(monkeypatch):
     """The strings `graphs` matches against its id pattern, appended as they
     run."""

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 import time
@@ -29,6 +30,7 @@ from lpatrace.graphs import (
 
 from conftest import (
     GRAPHS,
+    _reach,
     all_paths_up_to,
     cycle_rep,
     cycles_reference,
@@ -687,3 +689,149 @@ def test_local_vertex_numbers_leave_no_trace():
             got = closed_paths_up_to(g, 5)
             assert [p.edges for p in got] == want_classes, name
             assert all(p.src == g.edge_src[p.edges[0]] for p in got), name
+
+
+# Each declaration fault as an ordered list of declarations, a vertex (id,)
+# or an edge (id, src, dst), with the message and line that `parse_graph`
+# gives for their text; recorded while a separate checker, with its own map
+# of declared ids, read the declarations ahead of the tables.
+DECLARATION_FAULTS = {
+    "bad vertex id": ([("1a",)], "bad id '1a'", 1),
+    "bad edge id": ([("a",), ("e-1", "a", "a")], "bad id 'e-1'", 2),
+    "bad edge id with undeclared endpoints": (
+        [("a",), ("é", "x", "y")], "bad id 'é'", 2),
+    "duplicate vertex id": ([("a",), ("b",), ("a",)], "duplicate id 'a'", 3),
+    "duplicate edge id": (
+        [("a",), ("b",), ("f", "a", "b"), ("f", "b", "a")], "duplicate id 'f'", 4),
+    "edge id redeclared as a vertex": (
+        [("a",), ("f", "a", "a"), ("f",)], "duplicate id 'f'", 3),
+    "vertex id redeclared as an edge": (
+        [("a",), ("b",), ("a", "a", "b")], "duplicate id 'a'", 3),
+    "source names an edge": (
+        [("a",), ("f", "a", "a"), ("g", "f", "a")], "undeclared vertex 'f'", 3),
+    "range names an edge": (
+        [("a",), ("f", "a", "a"), ("g", "a", "f")], "undeclared vertex 'f'", 3),
+    "edge names itself": ([("a",), ("f", "a", "f")], "undeclared vertex 'f'", 2),
+    "source declared later": (
+        [("f", "a", "b"), ("a",), ("b",)], "undeclared vertex 'a'", 1),
+    "range declared later": (
+        [("a",), ("f", "a", "b"), ("b",)], "undeclared vertex 'b'", 2),
+    "bad endpoint": ([("a",), ("f", "a", "1x")], "undeclared vertex '1x'", 2),
+    "both endpoints undeclared": (
+        [("a",), ("f", "x", "y")], "undeclared vertex 'x'", 2),
+}
+
+
+def test_declaration_faults_read_the_same_from_graph_and_text():
+    """`parse_graph` names the first faulty line, checking the id's
+    grammar, then that it is new, then the source and the range; `Graph`
+    raises the same text wherever it can take the declarations in their
+    order, that is, with every vertex before every edge."""
+    for name, (decls, message, line) in DECLARATION_FAULTS.items():
+        text = "\n".join(("v " if len(d) == 1 else "e ") + " ".join(d) for d in decls)
+        with pytest.raises(ParseError) as info:
+            parse_graph(text)
+        assert (str(info.value), info.value.line) == (f"line {line}: {message}", line), name
+        vertices = [d[0] for d in decls if len(d) == 1]
+        edges = [d for d in decls if len(d) == 3]
+        if decls == [(v,) for v in vertices] + edges:
+            with pytest.raises(ValueError) as info:
+                Graph(vertices, edges)
+            assert str(info.value) == message, name
+    # ids that no text can hold
+    for vertices, edges, message in [
+        (["a", ""], [], "bad id ''"),
+        (["a"], [("f", "a", "a\n")], r"undeclared vertex 'a\n'"),
+        (["a"], [("f", "a", "a"), ("f\n", "a", "a")], r"bad id 'f\n'"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            Graph(vertices, edges)
+        assert str(info.value) == message
+
+
+def _scc_oracle(g):
+    """The SCCs of g as a set of frozensets, by mutual reachability and no
+    `lpatrace` code: a pivot's component is what a breadth-first search from
+    it and one towards it both reach inside the part at hand, and the rest
+    of the part splits into what only the first reached, what only the
+    second reached and the others, which no component crosses (the
+    forward-backward split of Fleischer, Hendrickson and Pinar, 2000).  A
+    pivot from the middle of its part keeps a line to O(V log V) steps."""
+    succ = {v: [] for v in g.vertices}
+    pred = {v: [] for v in g.vertices}
+    for e in g.edges:
+        succ[g.edge_src[e]].append(g.edge_dst[e])
+        pred[g.edge_dst[e]].append(g.edge_src[e])
+
+    def reached(pivot, step, part):
+        seen = {pivot}
+        queue = [pivot]
+        for u in queue:
+            for w in step[u]:
+                if w in part and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        return seen
+
+    comps = set()
+    parts = [list(g.vertices)]
+    while parts:
+        part = parts.pop()
+        if not part:
+            continue
+        inside = set(part)
+        pivot = part[len(part) // 2]
+        ahead, behind = reached(pivot, succ, inside), reached(pivot, pred, inside)
+        comps.add(frozenset(ahead & behind))
+        parts += [
+            [v for v in part if v in ahead and v not in behind],
+            [v for v in part if v in behind and v not in ahead],
+            [v for v in part if v not in ahead and v not in behind],
+        ]
+    return comps
+
+
+# sha256 of the component lists, each component sorted, on the graphs of
+# the next test in its order; recorded while Tarjan's pass kept an on-stack
+# set and a counter cell
+SCC_LISTS_DIGEST = "7046ced01dfa1c10b082d8bd9c2870d4a2ff7e5078eb82a7b96d6e944f441f04"
+
+
+def test_sccs_match_mutual_reachability_in_reverse_topological_order():
+    """On every small graph as declared and with its edge ids reversed, a
+    5,000-vertex line, a 3,000-ring with a chord and the 1,000-link chain
+    of 2-cycles in both namings: the components are the oracle's, each edge
+    between two of them leaves one listed later than the one it enters, and
+    the lists are the ones recorded in `SCC_LISTS_DIGEST`.  A pass from the
+    first vertex alone, which reaches vertices numbered past the one root
+    it was handed, as a re-split in `cycles` does, lists the components
+    that vertex reaches, in the same order."""
+    corpus = []
+    for g in small_graphs():
+        n = len(g.edges)
+        corpus += [g, Graph(g.vertices, [
+            (f"e{n - 1 - i}", g.edge_src[e], g.edge_dst[e])
+            for i, e in enumerate(g.edges)
+        ])]
+    n = 5000
+    corpus += [
+        Graph([f"v{i}" for i in range(n)],
+              [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)]),
+        _ring(3000, chord=True),
+        parse_graph(two_cycle_chain_text(1000)),
+        parse_graph(two_cycle_chain_text(1000, forward="b", back="f")),
+    ]
+    digest = hashlib.sha256()
+    for g in corpus:
+        comps = strongly_connected_components(g)
+        assert all(type(c) is frozenset for c in comps), g
+        assert len(set(comps)) == len(comps) and set(comps) == _scc_oracle(g), g
+        place = {v: i for i, comp in enumerate(comps) for v in comp}
+        assert all(place[g.edge_src[e]] >= place[g.edge_dst[e]] for e in g.edges), g
+        digest.update(repr([sorted(c) for c in comps]).encode())
+        first = g.vertices[0]
+        reach = _reach(g, first) | {first}
+        assert graphs._tarjan([first], g.out_edges, g.edge_dst) == [
+            c for c in comps if c <= reach
+        ], g
+    assert digest.hexdigest() == SCC_LISTS_DIGEST

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from lpatrace import traces
 from lpatrace.errors import ParseError, PreconditionError
 from lpatrace.gis import ZERO_CLASS, CycleWord, CycleWordStar, MonPair, VertexClass
 from lpatrace.graphs import Graph, edge_path, parse_graph, vertex_path
+from lpatrace.linalg import rank
 from lpatrace.path_algebras import (
     COHN,
     LEAVITT,
@@ -136,6 +138,31 @@ def test_vertex_trace_space_hands_over_sparse_rows(nullspace_cells):
     assert vertex_trace_space(g, Q).dimension == 1
     (cells,) = nullspace_cells
     assert cells <= len(g.vertices) + len(g.edge_src)
+
+
+def test_full_rank_vertex_systems_divide_only_in_elimination(
+        monkeypatch, field_divisions):
+    # the loopless complete digraph K6 puts a pivot in every column, so its
+    # trace space is 0 and `nullspace` skips the substitution pass, whose
+    # one division per pivot column would follow forward elimination's
+    n = 6
+    vs = [f"v{i}" for i in range(n)]
+    g = Graph(vs, [(f"e{i}_{j}", vs[i], vs[j])
+                   for i in range(n) for j in range(n) if i != j])
+    handed = []
+    solve = traces.nullspace
+
+    def kept(rows, ncols, field):
+        handed.append(rows)
+        return solve(rows, ncols, field)
+
+    monkeypatch.setattr(traces, "nullspace", kept)
+    assert vertex_trace_space(g, Q).dimension == 0
+    solved = len(field_divisions)
+    field_divisions.clear()
+    # `rank` is forward elimination alone, on the same rows
+    assert rank(handed[0]) == n
+    assert solved == len(field_divisions) > 0
 
 
 def test_trace_eval_one_loop_example():
