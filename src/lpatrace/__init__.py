@@ -75,7 +75,6 @@ from .path_algebras import (
     LEAVITT,
     AlgebraElement,
     PathAlgebra,
-    alg_commutator,
     alg_star,
     parse_element,
     transfer,

@@ -564,8 +564,7 @@ def paths_into(g: Graph, v: str, forbid_full_cycle: PathSeq | None = None):
     hold more than `PATHS_INTO_WORK_LIMIT` edge ids in total, so a cyclic
     territory ends in one of the two.
     """
-    if not g.is_vertex(v):
-        raise ValueError(f"unknown vertex {v!r}")
+    start = vertex_path(g, v)
     word = None
     bound = len(g.vertices) + 1
     if forbid_full_cycle is not None:
@@ -577,7 +576,7 @@ def paths_into(g: Graph, v: str, forbid_full_cycle: PathSeq | None = None):
         bound += len(word)
     out = []
     size = 0
-    frontier = [vertex_path(g, v)]
+    frontier = [start]
     while frontier:
         p = frontier.pop()
         out.append(p)

@@ -277,10 +277,6 @@ def alg_star(x: AlgebraElement) -> AlgebraElement:
         alg, {gis_star(m): field_star(c, inv) for m, c in x.terms.items()})
 
 
-def alg_commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x * y - y * x
-
-
 def transfer(x: AlgebraElement, target: PathAlgebra) -> AlgebraElement:
     """Reinterpret an element's raw support in another algebra (same graph)."""
     if target.graph is not x.algebra.graph:
@@ -315,7 +311,9 @@ def _token(text: str, pos: int):
 
 def _path(g: Graph, text: str) -> PathSeq:
     """The path of `id[/id]...` text, read once per graph: `g._paths` keeps
-    each text that resolved, while it holds fewer than `_PATHS_CAP`."""
+    each text that resolved, while it holds fewer than `_PATHS_CAP`.  The
+    memo serves almost every lookup, so a miss can afford `_read_path`'s
+    one path check, `edge_path`."""
     p = g._paths.get(text)
     if p is None:
         p = _read_path(g, text)
@@ -329,17 +327,13 @@ def _read_path(g: Graph, text: str) -> PathSeq:
     ids = "".join(text.split()).split("/")
     if len(ids) == 1 and ids[0] in g.out_edges:
         return PathSeq(ids[0], ids[0], ())
+    for eid in ids:
+        if eid not in g.edge_src:
+            raise ParseError(f"unknown edge {eid!r} in path")
     try:
-        srcs = list(map(g.edge_src.__getitem__, ids))
-    except KeyError as exc:
-        raise ParseError(f"unknown edge {exc.args[0]!r} in path") from None
-    dsts = list(map(g.edge_dst.__getitem__, ids))
-    if srcs[1:] != dsts[:-1]:
-        try:
-            edge_path(g, ids)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-    return PathSeq(srcs[0], dsts[-1], tuple(ids))
+        return edge_path(g, ids)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _path_ends(text: str, pos: int) -> None:

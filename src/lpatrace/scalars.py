@@ -42,7 +42,21 @@ def _ratio(x) -> tuple:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-class FieldElem:
+class _Frozen:
+    """Base of the immutable values: setting or deleting an attribute
+    raises.  Constructors fill the slots through their descriptors or
+    `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class FieldElem(_Frozen):
     """An element of Q or Q(i), exact and immutable.
 
     Construct from real and imaginary parts (ints or Fractions) and a field
@@ -75,12 +89,6 @@ class FieldElem:
     @property
     def field(self) -> str:
         return self._v[3]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElem is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("FieldElem is immutable")
 
     def __reduce__(self):
         return _make, self._v
@@ -279,7 +287,7 @@ def add_terms(acc: dict, pairs) -> dict:
     return acc
 
 
-class SparseTerms:
+class SparseTerms(_Frozen):
     """A finitely supported combination: `terms` is a dict without zeros.
 
     The value lives over a context that both operands of `+` and `-` must
@@ -296,12 +304,6 @@ class SparseTerms:
     def __init__(self, context, terms: dict):
         _set_context(self, context)
         _set_terms(self, terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         return type(self), (self._context, self.terms)

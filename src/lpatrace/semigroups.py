@@ -17,6 +17,7 @@ from .linalg import rank
 from .scalars import (
     Q,
     SparseTerms,
+    _Frozen,
     _coerce,
     add_terms,
     fe_one,
@@ -25,7 +26,7 @@ from .scalars import (
 )
 
 
-class FiniteSemigroup:
+class FiniteSemigroup(_Frozen):
     """A validated Cayley table with an absorbing zero element.
 
     Immutable.  Equality and hashing read (table, zero, labels); `_sim`
@@ -42,12 +43,6 @@ class FiniteSemigroup:
     def __init__(self, table: tuple, zero: int, labels: tuple | None = None):
         for name, value in zip(self.__slots__, (table, zero, labels, None, None, None)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteSemigroup is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("FiniteSemigroup is immutable")
 
     def __reduce__(self):
         return FiniteSemigroup, (self.table, self.zero, self.labels)
@@ -578,23 +573,13 @@ class FreeVector(SparseTerms):
 
     Its context is None.  Elements of the contracted semigroup ring are
     FreeVectors on the nonzero element indices; values of a minimal trace
-    are FreeVectors on the nonzero classes.  Build one with `make`.
+    are FreeVectors on the nonzero classes.
     """
 
     __slots__ = ()
 
-    @classmethod
-    def make(cls, mapping) -> "FreeVector":
-        return cls(None, {k: v for k, v in mapping.items() if v})
-
-    def get(self, key, default=None):
-        return self.terms.get(key, default)
-
-    def items(self):
-        return self.terms.items()
-
     def __repr__(self):
-        return "FreeVector(" + ", ".join(f"{k!r}: {v!r}" for k, v in self.items()) + ")"
+        return "FreeVector(" + ", ".join(f"{k!r}: {v!r}" for k, v in self.terms.items()) + ")"
 
 
 FREE_ZERO = FreeVector(None, {})
@@ -614,8 +599,8 @@ def sg_mul(G: FiniteSemigroup, x: FreeVector, y: FreeVector) -> FreeVector:
     table, zero = G.table, G.zero
     products = (
         (prod, ca * cb)
-        for a, ca in x.items()
-        for b, cb in y.items()
+        for a, ca in x.terms.items()
+        for b, cb in y.terms.items()
         if (prod := table[a][b]) != zero
     )
     return FreeVector(None, add_terms({}, products))
@@ -666,13 +651,13 @@ def sg_trace_eval(G: FiniteSemigroup, delta: CentralMap, x: FreeVector):
     """sum of a_g * delta(g); FieldElem- or FreeVector-valued with delta."""
     if delta.is_vector_valued:
         acc = {}
-        for idx, c in x.items():
+        for idx, c in x.terms.items():
             v = delta.values[idx]
             if v:
-                add_terms(acc, ((k, c * w) for k, w in v.items()))
+                add_terms(acc, ((k, c * w) for k, w in v.terms.items()))
         return FreeVector(None, acc)
     acc = fe_zero(delta.field)
-    for idx, c in x.items():
+    for idx, c in x.terms.items():
         acc = acc + c * delta.values[idx]
     return acc
 
@@ -697,7 +682,7 @@ def in_commutator_span(G: FiniteSemigroup, x: FreeVector) -> bool:
     when its coefficients sum to zero on every nonzero class.
     """
     part = sim_classes(G)
-    sums = add_terms({}, ((part.class_of[idx], c) for idx, c in x.items()))
+    sums = add_terms({}, ((part.class_of[idx], c) for idx, c in x.terms.items()))
     sums.pop(part.zero_class_id, None)
     return not sums
 
@@ -712,7 +697,7 @@ def is_minimal_sg_trace(G: FiniteSemigroup, delta: CentralMap) -> bool:
     if any(isinstance(v, FreeVector) for v in values):
         column = {}  # FreeVector keys need not be ordered: number them
         rows = [
-            {column.setdefault(k, len(column)): c for k, c in v.items()}
+            {column.setdefault(k, len(column)): c for k, c in v.terms.items()}
             for v in values
         ]
     else:

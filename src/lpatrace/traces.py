@@ -278,12 +278,6 @@ def _reachable(g: Graph, start: str) -> set:
     return seen
 
 
-def _dominates(x: FieldElem, y: FieldElem) -> bool:
-    """Whether x - y is a nonnegative rational."""
-    diff = x - y
-    return diff.im == 0 and diff.re >= 0
-
-
 def positivity_screen(g: Graph, spec: TraceSpec):
     """Necessary conditions for positivity (1-3) and faithfulness (4).
 
@@ -293,13 +287,14 @@ def positivity_screen(g: Graph, spec: TraceSpec):
     The screen is necessary but not sufficient: it ignores cycle-class
     values entirely.
     """
-    require_positive_definite(spec.field, spec.involution)
+    inv = spec.involution
+    require_positive_definite(spec.field, inv)
     zero = fe_zero(spec.field)
     values = {c.v: x for c, x in spec.values.items() if type(c) is VertexClass}
     t = {v: values.get(v, zero) for v in g.vertices}
     violations = []
     for v in g.vertices:
-        if not is_nonnegative(t[v], spec.involution):
+        if not is_nonnegative(t[v], inv):
             violations.append(ScreenViolation(
                 1, (v,),
                 f"t({v}) = {format_scalar(t[v])} is not a "
@@ -309,25 +304,25 @@ def positivity_screen(g: Graph, spec: TraceSpec):
     # reachable pair exactly when it holds on every edge: only a failing
     # edge sends the screen through the O(V^2) pair walk
     if not all(
-        _dominates(t[src], t[g.edge_dst[eid]]) for eid, src in g.edge_src.items()
+        is_nonnegative(t[src] - t[g.edge_dst[eid]], inv) for eid, src in g.edge_src.items()
     ):
         position = {v: i for i, v in enumerate(g.vertices)}
         for v in g.vertices:
             for w in sorted(_reachable(g, v), key=position.__getitem__):
-                if not _dominates(t[v], t[w]):  # w == v passes: t(v) - t(v) = 0
+                if not is_nonnegative(t[v] - t[w], inv):  # w == v passes: t(v) - t(v) = 0
                     violations.append(ScreenViolation(
                         2, (v, w),
                         f"t({v}) < t({w}) although {w} is reachable from {v}",
                     ))
     for v in regular_vertices(g):
-        if not _dominates(t[v], _out_range_sum(g, t, v, zero)):
+        if not is_nonnegative(t[v] - _out_range_sum(g, t, v, zero), inv):
             violations.append(ScreenViolation(
                 3, (v,),
                 f"t({v}) is less than the sum over the ranges of its "
                 f"outgoing edges",
             ))
     for v in g.vertices:
-        if not is_positive_nonzero(t[v], spec.involution):
+        if not is_positive_nonzero(t[v], inv):
             violations.append(ScreenViolation(
                 4, (v,),
                 f"t({v}) = {format_scalar(t[v])} is not "

@@ -613,6 +613,40 @@ def all_paths_up_to(g, max_len):
     return out
 
 
+def gis_table(g):
+    """The graph inverse semigroup G(E) of an acyclic graph as a Cayley
+    table: (elements, table), where elements[0] is GIS_ZERO and the pairs
+    p q* with r(p) = r(q) follow in `path_sort_key` order of p, then of q.
+    The product works on vertex-edge words (v0, e1, v1, ..., en, vn) and
+    shares no code with `gis_mul`: for (p q*)(r s*), r = q t gives
+    (p t) s*, q = r t gives p (s t)*, and every other pair gives 0."""
+    paths = all_paths_up_to(g, len(g.vertices))
+    if paths and len(paths[-1]) == len(g.vertices):  # a path repeats a vertex
+        raise ValueError("gis_table needs an acyclic graph")
+    word = {}
+    for p in paths:
+        w = [p.src]
+        for eid in p.edges:
+            w += [eid, g.edge_dst[eid]]
+        word[p] = tuple(w)
+    pairs = [(p, q) for p in paths for q in paths if p.dst == q.dst]
+    keys = [None] + [(word[p], word[q]) for p, q in pairs]
+    index = {key: i for i, key in enumerate(keys)}
+
+    def product(a, b):
+        (p, q), (r, s) = a, b
+        if r[:len(q)] == q:
+            return p + r[len(q):], s
+        if q[:len(r)] == r:
+            return p, s + q[len(r):]
+        return None
+
+    table = [(0,) * len(keys)] + [
+        (0,) + tuple(index[product(a, b)] for b in keys[1:]) for a in keys[1:]
+    ]
+    return (GIS_ZERO, *(MonPair(p, q) for p, q in pairs)), tuple(table)
+
+
 def random_path(g, rng, max_len=3):
     p = vertex_path(g, rng.choice(g.vertices))
     for _ in range(rng.randrange(max_len + 1)):
@@ -704,7 +738,7 @@ def minimal_trace_reference(G, field=Q):
         if G.zero in classes[cid]:
             values.append(FREE_ZERO)
         else:
-            values.append(FreeVector.make({cid: fe_one(field)}))
+            values.append(FreeVector(None, {cid: fe_one(field)}))
     return tuple(values)
 
 

@@ -13,6 +13,7 @@ from conftest import (
     GRAPH_TEXTS,
     cayley_text,
     fresh_rng,
+    small_graphs,
     small_tables_with_zero,
     two_cycle_chain_text,
 )
@@ -864,6 +865,46 @@ def test_graph_and_spec_file_errors_match_recorded_digests(tmp_path, capsys, mon
         digests[family] = h.hexdigest()
     assert codes == {(family, code) for family in CONTRACT_DIGESTS for code in (0, 2)}
     assert digests == CONTRACT_DIGESTS
+
+
+# sha256 over [argv, exit code, stdout, stderr] of each run, in order, on
+# every small graph as declared and then with its edge ids reversed;
+# recorded before `edge_path` became the one check of a path's edges
+GRAPH_CONTRACT_DIGESTS = {
+    "analyze": "928fef1cf1c9c674f32361dbb3fbe468b23e569de13179e343f5dba3400f436d",
+    "classes --max-len 4": "cf7b50b4204b2160ab46a279e29fcf4a4e5739433148705429cb88bd94e7d5ee",
+    "decompose": "68fb7cd466b0284d967bea54eca4193590380cdb93b10b307868787881d71ef5",
+}
+
+
+def _graph_text(g, edge_ids):
+    lines = [f"v {v}" for v in g.vertices]
+    lines += [f"e {eid} {g.edge_src[e]} {g.edge_dst[e]}" for eid, e in zip(edge_ids, g.edges)]
+    return "\n".join(lines) + "\n"
+
+
+def test_graph_reports_on_every_small_graph_match_recorded_digests(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    hashes = {command: hashlib.sha256() for command in GRAPH_CONTRACT_DIGESTS}
+    # one file, rewritten in place for each graph
+    with open("g.graph", "w", encoding="utf-8") as graph:
+        for g in small_graphs():
+            n = len(g.edges)
+            for edge_ids in (g.edges, [f"e{n - 1 - i}" for i in range(n)]):
+                graph.seek(0)
+                graph.truncate()
+                graph.write(_graph_text(g, edge_ids))
+                graph.flush()
+                for command, h in hashes.items():
+                    name, *options = command.split()
+                    argv = [name, "g.graph", *options]
+                    code, out, err = _run(capsys, *argv)
+                    assert code in (0, 3) and "Traceback" not in err, (argv, err)
+                    h.update(json.dumps([argv, code, out, err]).encode())
+    digests = {command: h.hexdigest() for command, h in hashes.items()}
+    assert digests == GRAPH_CONTRACT_DIGESTS
 
 
 # sha256 over [argv, exit code, stdout, stderr] of each run, in order, on

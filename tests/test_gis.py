@@ -13,7 +13,21 @@ from lpatrace.gis import (
     gis_mul,
     gis_star,
 )
-from lpatrace.graphs import PathSeq, edge_path, vertex_path
+from lpatrace.graphs import Graph, PathSeq, edge_path, vertex_path
+from lpatrace.path_algebras import COHN, PathAlgebra
+from lpatrace.scalars import IDENTITY, Q
+from lpatrace.semigroups import (
+    FreeVector,
+    build_semigroup,
+    in_commutator_span,
+    is_minimal_sg_trace,
+    minimal_trace,
+    sg_element,
+    sg_mul,
+    sim_classes,
+    sim_witness_chain,
+)
+from lpatrace.traces import minimal_trace_cohn
 
 from conftest import (
     GIS_CORPUS,
@@ -21,10 +35,14 @@ from conftest import (
     all_paths_up_to,
     classify_eq_reference,
     fresh_rng,
+    gis_table,
     path_concat,
     random_monpair,
     random_path,
+    random_scalar,
+    random_sg_element,
     sim_equivalent,
+    small_graphs,
 )
 
 
@@ -238,3 +256,80 @@ def test_classify_is_central_random():
         for _ in range(500):
             a, b = random_monpair(g, rng), random_monpair(g, rng)
             assert classify_eq(g, gis_mul(a, b)) == classify_eq(g, gis_mul(b, a))
+
+
+def _check_gis_semigroup(g, rng, samples):
+    """G(E) of the acyclic graph g, built by `gis_table` and read by the
+    semigroup code: `build_semigroup` accepts it, `sim_classes` is
+    `classify_eq`'s partition, the independent product is `gis_mul`'s, the
+    minimal trace is minimal, and on `samples` seeded draws each `sg_mul`,
+    `in_commutator_span` and `sim_witness_chain` answer agrees with the
+    Cohn algebra or with `gis_mul`.  Returns (G, span answers seen)."""
+    elements, table = gis_table(g)
+    G = build_semigroup(table, 0)
+    n = G.size
+    index = {m: i for i, m in enumerate(elements)}
+    by_class = {}
+    for i, m in enumerate(elements):
+        by_class.setdefault(classify_eq(g, m), []).append(i)
+    assert sim_classes(G).classes == tuple(map(tuple, by_class.values())), g
+    for a, row in zip(elements, table):
+        assert [gis_mul(a, b) for b in elements] == [elements[k] for k in row], g
+    assert is_minimal_sg_trace(G, minimal_trace(G)), g
+
+    C = PathAlgebra(g, Q, IDENTITY, COHN)
+
+    def in_cohn(x):
+        return C.from_terms({elements[i]: c for i, c in x.terms.items()})
+
+    spans = set()
+    for k in range(samples):
+        x, y = random_sg_element(G, rng), random_sg_element(G, rng)
+        product = in_cohn(x) * in_cohn(y)
+        assert sg_mul(G, x, y) == FreeVector(
+            None, {index[m]: c for m, c in product.terms.items()}), g
+        if k % 2:
+            x = FreeVector(None, {})
+            for _ in range(rng.randint(1, 3)):
+                u, v = rng.randrange(n), rng.randrange(n)
+                c = random_scalar(rng, nonzero=True)
+                x = x + sg_element(G, {table[u][v]: c}) - sg_element(G, {table[v][u]: c})
+        span = in_commutator_span(G, x)
+        assert span == (not minimal_trace_cohn(g, in_cohn(x))), g
+        assert span or not k % 2, g
+        spans.add(span)
+        start = rng.randrange(n)
+        end = rng.choice(by_class[classify_eq(g, elements[start])])
+        here = elements[start]
+        for u, v in sim_witness_chain(G, start, end):
+            assert gis_mul(elements[u], elements[v]) == here, g
+            here = gis_mul(elements[v], elements[u])
+        assert here == elements[end], g
+    return G, spans
+
+
+def test_gis_of_acyclic_small_graphs_through_the_semigroup_code():
+    """Every acyclic small graph: 131 of them, 3,284 nonzero elements."""
+    rng = fresh_rng(28)
+    sizes, spans = [], set()
+    for g in small_graphs():
+        # acyclic: no path has as many edges as g has vertices
+        if len(all_paths_up_to(g, len(g.vertices))[-1]) < len(g.vertices):
+            G, seen = _check_gis_semigroup(g, rng, 10)
+            sizes.append(G.size - 1)
+            spans |= seen
+    assert (len(sizes), sum(sizes), max(sizes)) == (131, 3284, 59)
+    assert spans == {False, True}
+
+
+def test_gis_past_256_elements_through_the_semigroup_code():
+    """a => b => c => d, two edges each step: 1 + 9 + 49 + 225 pairs p q*
+    and zero, past the 256 elements that `build_semigroup` packs in bytes;
+    its nonzero classes are the four vertices."""
+    vertices = "abcd"
+    g = Graph(vertices, [
+        (f"{x}{k}", x, y) for x, y in zip(vertices, vertices[1:]) for k in (1, 2)
+    ])
+    G, _ = _check_gis_semigroup(g, fresh_rng(29), 20)
+    assert G.size == 285
+    assert len(sim_classes(G).nonzero_class_ids) == 4

@@ -212,13 +212,13 @@ def test_is_minimal_sg_trace_rejects_proportional_class_values():
     G = SEMIGROUPS["c3"]  # abelian: three nonzero classes
     part = sim_classes(G)
     first, second, third = part.nonzero_class_ids
-    base = FreeVector.make({"p": fe(1), "q": fe(2)})
+    base = FreeVector(None, {"p": fe(1), "q": fe(2)})
 
     def delta(second_value):
         per_class = {first: base, second: second_value,
-                     third: FreeVector.make({"r": fe(5)})}
+                     third: FreeVector(None, {"r": fe(5)})}
         return central_map(G, [per_class.get(cid, FREE_ZERO)
                                for cid in part.class_of])
 
-    assert is_minimal_sg_trace(G, delta(FreeVector.make({"q": fe(1)})))
+    assert is_minimal_sg_trace(G, delta(FreeVector(None, {"q": fe(1)})))
     assert not is_minimal_sg_trace(G, delta(base.scale(fe(-3))))

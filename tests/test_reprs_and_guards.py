@@ -9,7 +9,7 @@ import pytest
 
 from lpatrace.errors import PreconditionError
 from lpatrace.gis import GIS_ZERO, MonPair
-from lpatrace.graphs import edge_path, vertex_path
+from lpatrace.graphs import Graph, edge_path, vertex_path
 from lpatrace.path_algebras import PathAlgebra, format_element
 from lpatrace.scalars import Q, fe, format_scalar, laurent
 from lpatrace.semigroups import (
@@ -26,12 +26,21 @@ LINE = GRAPHS["line2"]
 POLY = laurent(Q, {1: fe(2)})
 VECTOR = FreeVector(None, {"p": fe(Fraction(1, 2)), "q": fe(-3)})
 MU2 = matrix_units_semigroup(2)
+ONE = fe(1)
 
 CASES = [
     ("SparseTerms.__setattr__", lambda: setattr(POLY, "terms", {}),
      (AttributeError, "LaurentPoly is immutable")),
     ("SparseTerms.__delattr__", lambda: delattr(VECTOR, "terms"),
      (AttributeError, "FreeVector is immutable")),
+    ("FieldElem.__setattr__", lambda: setattr(ONE, "_v", (2, 0, 1, Q)),
+     (AttributeError, "FieldElem is immutable")),
+    ("FieldElem.__delattr__", lambda: delattr(ONE, "_v"),
+     (AttributeError, "FieldElem is immutable")),
+    ("FiniteSemigroup.__setattr__", lambda: setattr(MU2, "zero", 1),
+     (AttributeError, "FiniteSemigroup is immutable")),
+    ("FiniteSemigroup.__delattr__", lambda: delattr(MU2, "table"),
+     (AttributeError, "FiniteSemigroup is immutable")),
     ("SparseTerms.__eq__-other_type", lambda: POLY.__eq__(VECTOR),
      ("ok", NotImplemented)),
     ("FiniteSemigroup.__eq__-other_type", lambda: MU2.__eq__(MU2.table),
@@ -53,6 +62,12 @@ CASES = [
      ("ok", "GIS_ZERO")),
     ("repr-Decomposition", lambda: repr(decompose(GRAPHS["mixed"])),
      ("ok", "Decomposition(M_2(K), M_2(K), M_2(K[x,x^-1]))")),
+    ("repr-Decomposition_sinks_only", lambda: repr(decompose(Graph(["a", "b"], []))),
+     ("ok", "Decomposition(M_1(K), M_1(K))")),
+    ("repr-Decomposition_one_loop", lambda: repr(decompose(GRAPHS["one_loop"])),
+     ("ok", "Decomposition(M_1(K[x,x^-1]))")),
+    ("repr-Decomposition_empty", lambda: repr(decompose(Graph([], []))),
+     ("ok", "Decomposition()")),
     ("repr-LaurentPoly_zero", lambda: repr(laurent(Q, {})),
      ("ok", "LaurentPoly(0)")),
     ("repr-FreeVector", lambda: repr(VECTOR),
