@@ -18,8 +18,9 @@ from .errors import ParseError, PreconditionError, content_lines
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 _ID_RE = _re.compile(_ID)
 
-# Most path texts that one graph's `_paths` memo keeps.
-_PATHS_CAP = 1024
+# Most entries that one per-context memo keeps: a graph's `_paths`, and a
+# `PathAlgebra`'s `_expansions` and `_scalars`.
+_MEMO_CAP = 1024
 
 
 class Graph:
@@ -34,7 +35,7 @@ class Graph:
     use, and `_exit` None until `cycle_with_exit_witness` keeps its answer
     there, as a 1-tuple.  `_paths` maps each element-expression path text
     that resolved, such as `"e/f"` or `"e / f"`, to its `PathSeq`; parsing
-    adds texts until it holds `_PATHS_CAP` (1,024) of them, then stops.
+    adds texts until it holds `_MEMO_CAP` (1,024) of them, then stops.
     None of the three changes what a public attribute holds.  So a deep
     copy is the graph itself.
     """

@@ -41,7 +41,7 @@ from .graphs import (
     Graph,
     PathSeq,
     _ID,
-    _PATHS_CAP,
+    _MEMO_CAP,
     edge_path,
     format_path,
     path_sort_key,
@@ -75,8 +75,16 @@ class PathAlgebra:
 
     Elements are tied to the context that made them; operations between
     elements of different contexts are rejected.  A regular vertex's special
-    out-edge is its least one, unless `special_edges` names another.  The
-    context is fixed once built, so a deep copy is the context itself.
+    out-edge is its least one, unless `special_edges` names another.
+
+    Two private memos spare a warm context repeated work.  `_expansions`
+    maps a monomial that `_canonical_terms` expanded to its canonical
+    expansion, a tuple of (MonPair, 1 or -1) pairs; `_scalars` maps a
+    (sign, scalar text) pair that `parse_element` read to its signed
+    FieldElem.  Each stores only on a miss, while it holds fewer than
+    `_MEMO_CAP` (1,024) entries, and never a scalar that failed.  Neither
+    changes what a public attribute holds, so the context is fixed once
+    built, and a deep copy is the context itself; a pickle carries both.
     """
 
     def __init__(self, graph: Graph, field=Q, involution=IDENTITY,
@@ -93,6 +101,8 @@ class PathAlgebra:
             if not graph.is_edge(e) or graph.edge_src[e] != v:
                 raise ValueError(f"special edge {e!r} does not leave {v!r}")
             self.special_edges[v] = e
+        self._expansions = {}
+        self._scalars = {}
 
     def __deepcopy__(self, memo):
         return self
@@ -209,14 +219,20 @@ class PathAlgebra:
 
     def _canonical_terms(self, raw, suspects):
         """The canonical form of `raw` when only its keys in `suspects` can
-        be redexes: those expand by `_nf`, the others are added as they are.
-        One walk of `raw`, in insertion order, drops zeros as it goes."""
+        be redexes: those expand by `_nf`, read from `_expansions` once it
+        holds them, and the others are added as they are.  One walk of
+        `raw`, in insertion order, drops zeros as it goes."""
         out = {}
+        expansions = self._expansions
         for mon, c in raw.items():
             if not c:
                 continue
             if mon in suspects:
-                nf = self._nf(mon).items()
+                nf = expansions.get(mon)
+                if nf is None:
+                    nf = tuple(self._nf(mon).items())
+                    if len(expansions) < _MEMO_CAP:
+                        expansions[mon] = nf
                 add_terms(out, ((m, c if k == 1 else -c) for m, k in nf))
             elif mon in out:  # an earlier expansion reached it
                 add_terms(out, ((mon, c),))
@@ -311,13 +327,13 @@ def _token(text: str, pos: int):
 
 def _path(g: Graph, text: str) -> PathSeq:
     """The path of `id[/id]...` text, read once per graph: `g._paths` keeps
-    each text that resolved, while it holds fewer than `_PATHS_CAP`.  The
+    each text that resolved, while it holds fewer than `_MEMO_CAP`.  The
     memo serves almost every lookup, so a miss can afford `_read_path`'s
     one path check, `edge_path`."""
     p = g._paths.get(text)
     if p is None:
         p = _read_path(g, text)
-        if len(g._paths) < _PATHS_CAP:
+        if len(g._paths) < _MEMO_CAP:
             g._paths[text] = p
     return p
 
@@ -348,14 +364,15 @@ def parse_element(text: str, algebra: PathAlgebra) -> AlgebraElement:
     `p.q'` is the monomial p q*, `q'` alone is r(q) q*, a bare path is the
     path itself, and a bare scalar is that multiple of the identity.  Each
     term is one match of `_TERM_RE`; where the match stops short, the next
-    token names the error, and the checks run in reading order.
+    token names the error, and the checks run in reading order.  A signed
+    scalar text is converted once per context and kept in `_scalars`.
     """
     bad = _BAD_CHAR_RE.search(text)
     if bad:
         raise ParseError(f"unexpected character {bad.group()!r} in expression")
     if not text or text.isspace():
         raise ParseError("empty expression")
-    g, one = algebra.graph, fe_one(algebra.field)
+    g, one, scalars = algebra.graph, fe_one(algebra.field), algebra._scalars
     raw = {}  # {MonPair: FieldElem}, the terms read so far
     pos = 0
     while pos < len(text):
@@ -363,8 +380,15 @@ def parse_element(text: str, algebra: PathAlgebra) -> AlgebraElement:
         sign, scalar, *parts, star, p, dot, q, prime = m.groups()
         if pos and not sign:  # after the first term, a sign starts each one
             raise ParseError(f"expected + or - before {_token(text, pos)!r}")
-        c = _scalar_value(*parts, algebra.field, scalar, scalar) if scalar else one
-        c = -c if sign == "-" else c
+        if scalar:
+            c = scalars.get((sign, scalar))
+            if c is None:
+                c = _scalar_value(*parts, algebra.field, scalar, scalar)
+                c = -c if sign == "-" else c
+                if len(scalars) < _MEMO_CAP:
+                    scalars[(sign, scalar)] = c
+        else:
+            c = -one if sign == "-" else one
         pos = m.end()
         if scalar and not star:  # a bare scalar means that multiple of the identity
             if p:

@@ -949,7 +949,7 @@ def mul_reference(x, y):
                 )
             c = c1 * c2
             raw[prod] = raw[prod] + c if prod in raw else c
-    return alg._make(raw)
+    return fresh_make(alg, raw)
 
 
 def alg_star_reference(x):
@@ -958,7 +958,16 @@ def alg_star_reference(x):
     raw = {}
     for m, c in x.terms.items():
         raw[MonPair(m.q, m.p)] = field_star(c, alg.involution)
-    return alg._make(raw)
+    return fresh_make(alg, raw)
+
+
+def fresh_make(alg, raw):
+    """`alg._make(raw)` computed on a fresh context of the same graph,
+    field, involution, mode and special edges: its `_expansions` memo
+    starts empty, so a reference never reads the entries it checks."""
+    fresh = PathAlgebra(alg.graph, alg.field, alg.involution, alg.mode,
+                        alg.special_edges)
+    return AlgebraElement(alg, fresh._make(raw).terms)
 
 
 def randomized_normalize(A, raw, rng):
@@ -1188,7 +1197,7 @@ def reference_parse_element(text: str, algebra: PathAlgebra) -> AlgebraElement:
             else:  # a bare scalar means that multiple of the identity
                 add_terms(raw, ((algebra._vertex_mon(v), coeff) for v in g.vertices))
         if not tokens:
-            return algebra._make(raw)
+            return fresh_make(algebra, raw)
         kind, val = tokens.pop()
         if kind != "op" or val not in "+-":
             raise ParseError(f"expected + or - before {val!r}")

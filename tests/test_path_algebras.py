@@ -10,7 +10,7 @@ from lpatrace import path_algebras
 from lpatrace.errors import ParseError, PreconditionError
 from lpatrace.gis import GIS_ZERO, MonPair, gis_mul
 from lpatrace.graphs import (
-    _PATHS_CAP,
+    _MEMO_CAP,
     PathSeq,
     edge_path,
     format_path,
@@ -335,24 +335,42 @@ def test_products_and_stars_match_the_normalize_every_term_reference(
     assert redexes >= 500, redexes
 
 
+def _chains(log, context):
+    """{monomial: rewrite steps} of each `_nf` call that `context` made, in
+    call order, from a log of (context, "nf" or "step", monomial) records."""
+    chains, start = {}, None
+    for ctx, kind, mon in log:
+        if ctx is not context:
+            continue
+        if kind == "nf":
+            assert mon not in chains, mon  # at most one expansion each
+            chains[start := mon] = 0
+        else:
+            chains[start] += 1
+    return chains
+
+
 def test_products_stars_and_parses_skip_what_the_canonical_form_settles(monkeypatch):
     # clock-free counts: a product expands by `_nf` only its distinct
-    # nonzero products of pairs with q = r, with as many rewrite steps as
-    # the reference that expands every product; a star expands nothing;
-    # a second parse of one text resolves no path text again
+    # nonzero products of pairs with q = r that its context's memo does not
+    # hold yet, each with as many rewrite steps as the reference, built on
+    # a fresh context, takes for it; the reference expands every nonzero
+    # product; a star expands nothing; a second parse of one text resolves
+    # no path text again
     rng = fresh_rng(42)
-    nfs, steps, reads = [], [], []
-    expanded = read = 0
+    log, reads = [], []
+    expanded = held = read = 0
     real_read = path_algebras._read_path
+    real_nf, real_step = PathAlgebra._nf, PathAlgebra.rewrite_step
     monkeypatch.setattr(path_algebras, "_read_path",
                         lambda g, t: reads.append(t) or real_read(g, t))
+    monkeypatch.setattr(PathAlgebra, "_nf", lambda self, m: log.append(
+        (self, "nf", m)) or real_nf(self, m))
+    monkeypatch.setattr(PathAlgebra, "rewrite_step", lambda self, m: log.append(
+        (self, "step", m)) or real_step(self, m))
     for name, text in GRAPH_TEXTS.items():
         g = parse_graph(text)  # a graph of its own, whose path memo starts empty
         A = PathAlgebra(g, Q, IDENTITY, LEAVITT)
-        real_nf, real_step = A._nf, A.rewrite_step
-        monkeypatch.setattr(A, "_nf", lambda m, nf=real_nf: nfs.append(m) or nf(m))
-        monkeypatch.setattr(A, "rewrite_step",
-                            lambda m, step=real_step: steps.append(m) or step(m))
         for _ in range(20):
             x, y = _meeting_operands(A, rng)
             raw, meets = {}, set()
@@ -362,18 +380,25 @@ def test_products_stars_and_parses_skip_what_the_canonical_form_settles(monkeypa
                     raw[prod] = raw.get(prod, A.scalar(0)) + x.terms[m1] * y.terms[m2]
                     if m1.q == m2.p:
                         meets.add(prod)
-            nfs.clear()
-            steps.clear()
+            known = set(A._expansions)
+            log.clear()
             z = x * y
-            assert sorted(nfs) == sorted(m for m in meets if raw[m]), name
-            expanded += len(nfs)
-            n_steps = len(steps)
-            steps.clear()
-            assert mul_reference(x, y) == z and len(steps) == n_steps, name
-            nfs.clear()
+            mine = _chains(log, A)
+            assert sorted(mine) == sorted(m for m in meets if raw[m] and m not in known), name
+            assert len(log) == len(mine) + sum(mine.values()), name
+            expanded += len(mine)
+            held += len({m for m in meets if raw[m]} & known)
+            log.clear()
+            assert mul_reference(x, y) == z, name
+            contexts = {entry[0] for entry in log}  # the reference's own, if any
+            assert A not in contexts and len(contexts) <= 1, name
+            theirs = _chains(log, *contexts) if contexts else {}
+            assert sorted(theirs) == sorted(m for m in raw if raw[m]), name
+            assert mine == {m: theirs[m] for m in mine}, name
+            log.clear()
             alg_star(x)
             alg_star(z)
-            assert not nfs, name
+            assert not log, name
             expression = _random_expression(A, rng)[0]
             reads.clear()
             known = set(g._paths)
@@ -384,7 +409,9 @@ def test_products_stars_and_parses_skip_what_the_canonical_form_settles(monkeypa
             reads.clear()
             second = parse_element(expression, A)
             assert not reads and list(second.terms.items()) == list(first.terms.items())
-    assert expanded >= 200 and read >= 50, (expanded, read)
+    # nonzero meets, expanded on a miss or read from the memo
+    assert expanded + held >= 200 and min(expanded, held) >= 50, (expanded, held)
+    assert read >= 50, read
 
 
 def test_path_memo_keeps_only_resolved_texts_up_to_its_cap():
@@ -410,11 +437,11 @@ def test_path_memo_keeps_only_resolved_texts_up_to_its_cap():
     assert rose._paths["e / f"] == rose._paths["e/f"]
     # more distinct texts than the cap: the memo stops at the cap
     words = [w for n in range(1, 12) for w in product("ef", repeat=n)]
-    words = words[:_PATHS_CAP + 100]
+    words = words[:_MEMO_CAP + 100]
     for _ in range(2):
         for w in words:
             assert parse_element("/".join(w), B) == B.path(w)
-    assert len(rose._paths) == _PATHS_CAP
+    assert len(rose._paths) == _MEMO_CAP
     # a pickled graph carries its memo and parses to the same elements
     copied = pickle.loads(pickle.dumps(rose))
     assert copied._paths == rose._paths
@@ -423,6 +450,78 @@ def test_path_memo_keeps_only_resolved_texts_up_to_its_cap():
         want = parse_element(text, B)
         assert list(parse_element(text, C).terms.items()) == list(want.terms.items())
     assert copy.deepcopy(rose) is rose
+
+
+def test_expansion_and_scalar_memos_replay_fresh_results_up_to_their_cap(monkeypatch):
+    # clock-free: on a context warmed by seeded operands, parses and
+    # products equal a fresh context's, term order included; run again,
+    # they call neither `_nf` nor `_scalar_value`; each memo stops at the
+    # cap; a scalar that fails is never kept and fails the same way again
+    rng = fresh_rng(44)
+    nfs, values = [], []
+    real_nf, real_value = PathAlgebra._nf, path_algebras._scalar_value
+    monkeypatch.setattr(PathAlgebra, "_nf",
+                        lambda self, m: nfs.append(m) or real_nf(self, m))
+    monkeypatch.setattr(path_algebras, "_scalar_value",
+                        lambda *groups: values.append(groups) or real_value(*groups))
+
+    def run(texts, context):
+        out = []
+        for s, t in texts:
+            A = context()
+            x, y = parse_element(s, A), parse_element(t, A)
+            out += [list(z.terms.items()) for z in (x, y, x * y, y * x)]
+        return out
+
+    expanded = settled = converted = 0
+    for name, g in GRAPHS.items():
+        for field, involution in ((Q, IDENTITY), (QI, CONJUGATION)):
+            A = PathAlgebra(g, field, involution, LEAVITT)
+            texts = []
+            for _ in range(4):
+                x, y = _meeting_operands(A, rng)  # from_terms warms `_expansions`
+                texts.append((format_element(x), format_element(y)))
+                texts.append((_random_expression(A, rng)[0],
+                               _random_expression(A, rng)[0]))
+            nfs.clear()
+            values.clear()
+            warm = run(texts, lambda: A)
+            expanded += len(nfs)
+            converted += len(values)
+            nfs.clear()
+            fresh = run(texts, lambda: PathAlgebra(g, field, involution, LEAVITT))
+            assert warm == fresh, (name, field)
+            settled += len(nfs)
+            nfs.clear()
+            values.clear()
+            assert run(texts, lambda: A) == warm and not nfs and not values, name
+    # expansions on the warm context's first run, and on fresh contexts
+    assert expanded >= 50 and settled >= 600 and converted >= 400, (
+        expanded, settled, converted)
+    # more distinct monomials and scalar texts than the cap
+    rose = GRAPHS["rose2"]
+    A = PathAlgebra(rose, Q, IDENTITY, LEAVITT)
+    paths = all_paths_up_to(rose, 5)
+    texts = [f"{k}*{format_path(p)}.{format_path(q)}'"
+             for k, (p, q) in enumerate(product(paths, repeat=2), 1)][:_MEMO_CAP + 100]
+    for _ in range(2):
+        for text in texts:
+            want = reference_parse_element(text, A)
+            assert list(parse_element(text, A).terms.items()) == list(want.terms.items())
+    assert len(A._expansions) == len(A._scalars) == _MEMO_CAP
+    # failing scalars
+    B = PathAlgebra(rose, Q, IDENTITY, LEAVITT)
+    parse_element("3/4*v - 2*e", B)
+    held = dict(B._scalars)
+    for text, message in (("1/0*v", "zero denominator in scalar '1/0'"),
+                          ("2i*v", "imaginary scalar '2i' not allowed over Q"),
+                          ("9" * 5000 + "*v", "has an integer of more than")):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ParseError, match=re.escape(message)) as info:
+                parse_element(text, B)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] and B._scalars == held, text[:20]
 
 
 def test_equality_verdicts_match_under_different_special_edges():

@@ -1,6 +1,7 @@
 import copy
 import pickle
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -394,6 +395,24 @@ def test_pickle_and_deepcopy_round_trips():
     assert image + copy.deepcopy(image) == image + image
     with pytest.raises(ValueError, match="^elements belong to different algebras$"):
         x + pickle.loads(pickle.dumps(x))
+    # a warm context: its pickle carries the expansion and scalar memos, and
+    # parses and multiplies as the original does, term order included
+    texts = ("2*f - a + e/e + v", "e/e.e' - 1/2+1i*e' + 3", "e.e/e' + e/e'")
+    elements = [parse_element(t, leavitt) for t in texts]
+    for a in elements:
+        for b in elements:
+            a * b
+    assert leavitt._expansions and leavitt._scalars
+    warm = pickle.loads(pickle.dumps(leavitt))
+    assert warm._expansions == leavitt._expansions
+    assert warm._scalars == leavitt._scalars
+    assert warm.special_edges == leavitt.special_edges
+    copies = [parse_element(t, warm) for t in texts]
+    for a, a2 in zip(elements, copies):
+        assert list(a2.terms.items()) == list(a.terms.items())
+    for (a, a2), (b, b2) in product(zip(elements, copies), repeat=2):
+        assert list((a2 * b2).terms.items()) == list((a * b).terms.items())
+    assert copy.deepcopy(leavitt) is leavitt
 
 
 def test_parse_scalar_matches_the_fraction_reference():

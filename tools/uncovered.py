@@ -10,9 +10,11 @@ It runs `pytest.main` on `tests/` in this process with a line hook
 ran, with their text.  Docstrings, `def` and `class` headers and imports are
 left out.  Code run only in a child process (`subprocess` tests) is not
 seen.  The report is printed whatever the tests' outcome: tracing slows the
-suite several times over, so its wall-clock bounds may fail.  This is a
-survey tool, not a test and not a CI gate; it uses only the standard
-library and pytest.
+suite several times over, so its wall-clock bounds may fail.  Each module's
+text is read before the run; if any module differs after it, its line
+numbers would not match what ran, so the tool names the changed files,
+prints no lines and exits 1.  This is a survey tool, not a test and not a
+CI gate; it uses only the standard library and pytest.
 """
 
 from __future__ import annotations
@@ -83,16 +85,22 @@ def trace_tests(pytest_args):
     return hits, status
 
 
-def report(hits) -> list[str]:
+def read_sources() -> dict:
+    """{path: text} of each module of the package."""
+    sources = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            path = os.path.join(PACKAGE, name)
+            with open(path, encoding="utf-8") as f:
+                sources[path] = f.read()
+    return sources
+
+
+def report(hits, sources) -> list[str]:
     """One block per module with lines never run: its path, then each line
     number and text."""
     out = []
-    for name in sorted(os.listdir(PACKAGE)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(PACKAGE, name)
-        with open(path, encoding="utf-8") as f:
-            source = f.read()
+    for path, source in sources.items():
         ran = hits.get(path, set())
         missed = sorted(first for first, span in statement_spans(source).items()
                         if ran.isdisjoint(span))
@@ -104,8 +112,17 @@ def report(hits) -> list[str]:
 
 
 def main(argv=None) -> int:
+    sources = read_sources()
     hits, status = trace_tests(sys.argv[1:] if argv is None else argv)
-    lines = report(hits)
+    after = read_sources()
+    changed = sorted(os.path.relpath(path, ROOT) for path in sources.keys() | after.keys()
+                     if sources.get(path) != after.get(path))
+    if changed:
+        print(f"\npytest exit status {int(status)}; modules changed during the run, "
+              "so no line numbers are printed:")
+        print("\n".join(f"  {path}" for path in changed))
+        return 1
+    lines = report(hits, sources)
     print(f"\npytest exit status {int(status)}; statement lines never run:")
     print("\n".join(lines) if lines else "  none")
     return 0
