@@ -138,8 +138,9 @@ def cmd_classes(args) -> tuple:
         raise ParseError(f"--max-len {exc}, got {args.max_len[:20]!r}") from None
     text, graph = _file(args.graph)
     g = parse_graph(text)
-    words = sorted(p.edges for p in closed_paths_up_to(g, max_len))
-    joined = ["/".join(w) for w in words]
+    # every id character, [A-Za-z0-9_], sorts above "/", so the joined
+    # texts sort as the edge words do
+    joined = sorted(["/".join(p.edges) for p in closed_paths_up_to(g, max_len)])
     return {"graph": graph}, {
         "vertex_classes": list(g.vertices),
         "cycle_classes": joined,

@@ -169,13 +169,17 @@ class VertexSolutionSpace(namedtuple("VertexSolutionSpace", "field vertices basi
 
 
 def vertex_trace_space(g: Graph, field=Q) -> VertexSolutionSpace:
-    """Exact solution space of the vertex constraints over the field."""
+    """Exact solution space of the vertex constraints over the field.
+
+    The constraint rows are integral whatever the field: 1 at v and -1 at
+    r(e) for each edge e leaving v, so `nullspace` eliminates them in ints
+    and reaches the field only for the basis.
+    """
     verts = g.vertices
     index = {v: i for i, v in enumerate(verts)}
-    one, minus_one = fe_one(field), fe(-1, 0, field)
     # a loop cancels v's own entry, and parallel edges add up
-    rows = [add_terms({index[v]: one}, (
-        (index[g.edge_dst[eid]], minus_one) for eid in g.out_edges[v]
+    rows = [add_terms({index[v]: 1}, (
+        (index[g.edge_dst[eid]], -1) for eid in g.out_edges[v]
     )) for v in regular_vertices(g)]
     basis = nullspace(rows, len(verts), field)
     return VertexSolutionSpace(field, verts, tuple(tuple(vec) for vec in basis))

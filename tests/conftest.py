@@ -6,6 +6,7 @@ Set LPA_SEED to change the sampling seed for every randomized property test.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import os
 import random
@@ -118,6 +119,47 @@ def two_cycle_chain_text(n, forward="f", back="b"):
         lines += [f"e {forward}{i} v{i} v{i + 1}", f"e {back}{i} v{i + 1} v{i}"]
     return "\n".join(lines)
 
+
+def complete_digraph(n):
+    """K_n: vertices v0 .. v(n-1) and an edge between each ordered pair of
+    distinct vertices, no loops."""
+    vs = [f"v{i}" for i in range(n)]
+    return Graph(vs, [(f"e{i}_{j}", vs[i], vs[j])
+                      for i in range(n) for j in range(n) if i != j])
+
+
+def rose(k):
+    """One vertex with k loops."""
+    return Graph(["v"], [(f"e{i}", "v", "v") for i in range(k)])
+
+
+def comb(n):
+    """A line a0 -> a1 -> ... of n vertices, each with its own sink s_i."""
+    return Graph([f"a{i}" for i in range(n)] + [f"s{i}" for i in range(n)],
+                 [(f"t{i}", f"a{i}", f"s{i}") for i in range(n)]
+                 + [(f"l{i}", f"a{i}", f"a{i + 1}") for i in range(n - 1)])
+
+
+def ring(n, chord=False):
+    """A cycle v0 -> v1 -> ... -> v(n-1) -> v0, with a chord from v(n//2)
+    back to v0 if asked."""
+    vs = [f"v{i}" for i in range(n)]
+    edges = [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)]
+    if chord:
+        edges.append(("c", vs[n // 2], vs[0]))
+    return Graph(vs, edges)
+
+
+def disjoint_union(*parts):
+    """The disjoint union, the ids of part i prefixed with `g<i>_`."""
+    vertices, edges = [], []
+    for i, g in enumerate(parts):
+        vertices += [f"g{i}_{v}" for v in g.vertices]
+        edges += [(f"g{i}_{e}", f"g{i}_{g.edge_src[e]}", f"g{i}_{g.edge_dst[e]}")
+                  for e in g.edges]
+    return Graph(vertices, edges)
+
+
 # six graphs for the inverse-semigroup law corpus
 GIS_CORPUS = ["line2", "line3", "tree", "one_loop", "two_cycle", "rose2"]
 
@@ -207,18 +249,18 @@ def nullspace_cells(monkeypatch):
 
 
 @pytest.fixture
-def field_divisions(monkeypatch):
-    """The (dividend, divisor) pair of each `FieldElem` division, appended
-    as they run."""
-    divide = FieldElem.__truediv__
-    divisions = []
+def field_ops(monkeypatch):
+    """The name of each `FieldElem` arithmetic operator call, appended as
+    they run."""
+    ops = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                 "__mul__", "__rmul__", "__truediv__"):
+        def counted(*args, name=name, op=getattr(FieldElem, name)):
+            ops.append(name)
+            return op(*args)
 
-    def counted(self, other):
-        divisions.append((self, other))
-        return divide(self, other)
-
-    monkeypatch.setattr(FieldElem, "__truediv__", counted)
-    return divisions
+        monkeypatch.setattr(FieldElem, name, counted)
+    return ops
 
 
 @pytest.fixture
@@ -287,6 +329,21 @@ def is_tame_reference(g):
     )
 
 
+def session_corpus(build):
+    """`functools.cache` for a corpus that lives for the rest of the session.
+    Once it is built, a collection clears what is already garbage and
+    `gc.freeze` moves everything left to the permanent generation, so later
+    full collections do not walk the corpus again."""
+    @functools.cache
+    @functools.wraps(build)
+    def built(*args):
+        corpus = build(*args)
+        gc.collect()
+        gc.freeze()
+        return corpus
+    return built
+
+
 def cycle_rep(g, edge_ids):
     """Validate a simple cycle; the closed path in its least rotation."""
     p = edge_path(g, edge_ids)
@@ -298,7 +355,7 @@ def cycle_rep(g, edge_ids):
     return graphs._least_rotation_path(g, p.edges)
 
 
-@functools.cache
+@session_corpus
 def small_graphs(max_vertices=3, max_edges=4):
     """Every graph on 1..max_vertices vertices with at most max_edges edges,
     loops and parallel edges allowed: one per multiset of (source, range)
@@ -501,7 +558,7 @@ SEMIGROUPS = MappingProxyType({
 })
 
 
-@functools.cache
+@session_corpus
 def small_semigroup_tables(n):
     """Every associative table on 0..n-1, the labelled semigroups of order
     n (1, 8, 113 and 3492 for n = 1..4, OEIS A023814), as tuples of rows:
@@ -546,13 +603,13 @@ def small_tables_with_zero(max_order=4):
             yield [[0] * (n + 1)] + [[0] + [x + 1 for x in row] for row in rows]
 
 
-@functools.cache
+@session_corpus
 def small_semigroups_with_zero(max_order=4):
     """`small_tables_with_zero` as semigroups: 3614 with the default."""
     return tuple(build_semigroup(table, 0) for table in small_tables_with_zero(max_order))
 
 
-@functools.cache
+@session_corpus
 def endo4_semigroup():
     """The maps of a 4-element set with an adjoined zero (257 elements),
     built once; tests that want it next to `SEMIGROUPS` name it explicitly."""

@@ -32,12 +32,14 @@ from conftest import (
     GRAPHS,
     _reach,
     all_paths_up_to,
+    complete_digraph,
     cycle_rep,
     cycles_reference,
     fresh_rng,
     is_no_exit_reference,
     is_tame_reference,
     path_concat,
+    ring,
     small_graphs,
     two_cycle_chain_text,
 )
@@ -252,8 +254,8 @@ def test_closed_paths_limit_counts_every_prefix_reached(monkeypatch):
         "v a\nv b\nv c\ne p a b\ne q b a\ne r b c\ne s c b\ne t c c\ne u a a"
     )
     cases = [
-        (_complete_digraph(4), 5, 1492),
-        (_complete_digraph(5), 5, 6750),
+        (complete_digraph(4), 5, 1492),
+        (complete_digraph(5), 5, 6750),
         (rose3, 4, 185),
         (three, 3, 50),
         (three, 6, 508),
@@ -354,16 +356,8 @@ def test_cycles_with_parallel_edges():
     assert exit_edge in ("e1", "e3")
 
 
-def _complete_digraph(n):
-    vs = [f"v{i}" for i in range(n)]
-    return Graph(
-        vs,
-        [(f"e{i}_{j}", vs[i], vs[j]) for i in range(n) for j in range(n) if i != j],
-    )
-
-
 def test_exit_witness_is_a_simple_cycle_with_an_exit():
-    k9 = _complete_digraph(9)
+    k9 = complete_digraph(9)
     start = time.perf_counter()
     cycle_with_exit_witness(k9)
     # finding it by listing all 125664 simple cycles of K9 takes about 2 s
@@ -532,23 +526,15 @@ def test_cycles_limit_skips_single_cycle_sccs(monkeypatch):
         cycles(g)
 
 
-def _ring(n, chord=False):
-    vs = [f"v{i}" for i in range(n)]
-    edges = [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)]
-    if chord:
-        edges.append(("c", vs[n // 2], vs[0]))
-    return Graph(vs, edges)
-
-
 def test_cycles_search_tracks_output_on_long_rings():
     # a DFS that only skips vertices before the start pushes trails of
     # (n - 1) n (n + 1) / 6 edge ids on one n-cycle declared in cycle order
     for n in (145, 2000):
         start = time.perf_counter()
-        (c,) = cycles(_ring(n))
+        (c,) = cycles(ring(n))
         assert len(c.edges) == n and c.src == "v0"
         assert time.perf_counter() - start < 1
-    chorded = cycles(_ring(2000, chord=True))
+    chorded = cycles(ring(2000, chord=True))
     assert [len(c.edges) for c in chorded] == [1001, 2000]
 
 
@@ -564,9 +550,9 @@ def test_cycle_search_splits_only_after_a_search_lists_nothing(cycle_search_work
     long_ones = [
         parse_graph(two_cycle_chain_text(1000)),
         parse_graph(two_cycle_chain_text(300, forward="b", back="f")),
-        _ring(2000, chord=True),
+        ring(2000, chord=True),
     ]
-    for g in [*long_ones, _complete_digraph(5), *small_graphs()]:
+    for g in [*long_ones, complete_digraph(5), *small_graphs()]:
         components = len(_nontrivial_sccs(g))
         for counts in cycle_search_work.values():
             counts.clear()
@@ -598,8 +584,8 @@ def test_cycle_lists_sort_edge_ids_as_strings():
     edge's source."""
     petals = [f"e{i}" for i in range(12)]
     corpus = {
-        "K4": _complete_digraph(4),
-        "K5": _complete_digraph(5),
+        "K4": complete_digraph(4),
+        "K5": complete_digraph(5),
         "rose12": Graph(["v"], [(e, "v", "v") for e in petals]),
         "numbered_K4": Graph(
             [f"v{i}" for i in range(4)],
@@ -639,7 +625,7 @@ def _relabelled(g, rng):
 
 
 def _complete_digraph_cycles(n):
-    """The edge words of the simple cycles of `_complete_digraph(n)`, one per
+    """The edge words of the simple cycles of `complete_digraph(n)`, one per
     cyclic order of each set of two or more vertices, sorted as
     `cycles_reference` sorts them; far cheaper than it on K6."""
     words = []
@@ -663,9 +649,9 @@ def test_local_vertex_numbers_leave_no_trace():
     K4 and K5."""
     rng = fresh_rng(71)
     corpus = {
-        "K4": _complete_digraph(4),
-        "K5": _complete_digraph(5),
-        "K6": _complete_digraph(6),
+        "K4": complete_digraph(4),
+        "K5": complete_digraph(5),
+        "K6": complete_digraph(6),
         "two_sccs": parse_graph(
             "v a\nv b\nv c\nv d\nv e\ne p a b\ne q b a\ne l a a\ne j b c\n"
             "e r c d\ne s d e\ne t e c\ne u d c"
@@ -817,7 +803,7 @@ def test_sccs_match_mutual_reachability_in_reverse_topological_order():
     corpus += [
         Graph([f"v{i}" for i in range(n)],
               [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)]),
-        _ring(3000, chord=True),
+        ring(3000, chord=True),
         parse_graph(two_cycle_chain_text(1000)),
         parse_graph(two_cycle_chain_text(1000, forward="b", back="f")),
     ]

@@ -1,5 +1,9 @@
+from fractions import Fraction
+from math import prod
+
 import pytest
 
+from lpatrace import linalg
 from lpatrace.linalg import nullspace, rank
 from lpatrace.scalars import QI, Q, fe, fe_one, fe_zero
 from lpatrace.semigroups import (
@@ -194,6 +198,51 @@ def test_nullspace_is_the_reduced_basis(rng, field):
         ncols = len(g.vertices)
         _assert_reduced(nullspace(rows, ncols, field),
                         _free_columns(rows, ncols, field), field, g)
+
+
+def _integer_systems(rng, shapes, values):
+    """Seeded dense integer systems as sparse rows, zeros kept: one of each
+    shape, and each shape again with dependent rows, a sum of two rows and
+    a multiple of one, in place of its last two."""
+    for nrows, ncols in shapes:
+        rows = [{c: rng.choice(values) for c in range(ncols)} for _ in range(nrows)]
+        yield rows
+        if nrows > 2:
+            a, b = rows[0], rows[1]
+            rows = rows[:-2] + [{c: a[c] + b[c] for c in a}, {c: 3 * a[c] for c in a}]
+            yield rows
+
+
+def test_integer_elimination_stays_within_hadamards_bound():
+    """Every stored entry of an integer forward elimination is an int of at
+    most Hadamard's bound for the system, the product of its nonzero rows'
+    lengths, which bounds every minor; the pivots are as many as the rank
+    of a Fraction elimination that uses no `lpatrace.linalg`."""
+    rng = fresh_rng(40)
+    shapes = [(20, 20)] * 6 + [(12, 25), (25, 12)]
+    for trial, rows in enumerate(_integer_systems(rng, shapes, range(-3, 4))):
+        squared = prod(n for n in (sum(x * x for x in r.values()) for r in rows) if n)
+        pivots = linalg._forward(rows)
+        for row in pivots.values():
+            assert all(type(x) is int and x * x <= squared for x in row.values()), trial
+        ncols = max(max(r) for r in rows) + 1
+        dense = [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows]
+        assert len(pivots) == fraction_rank(dense), trial
+
+
+@pytest.mark.parametrize("field", [Q, QI])
+def test_integer_rows_give_the_reduced_basis(field):
+    """Integer rows, eliminated fraction-free, give the basis that the same
+    rows as field elements give, the reduced echelon one with free columns
+    from a Fraction reference."""
+    rng = fresh_rng(41)
+    shapes = [(1, 3), (3, 3), (4, 6), (6, 4), (5, 9)] * 4
+    for trial, rows in enumerate(_integer_systems(rng, shapes, range(-4, 5))):
+        ncols = max(max(r) for r in rows) + 1
+        as_field = [{c: fe(x, 0, field) for c, x in r.items()} for r in rows]
+        basis = nullspace(rows, ncols, field)
+        assert basis == nullspace(as_field, ncols, field), trial
+        _assert_reduced(basis, _free_columns(as_field, ncols, field), field, trial)
 
 
 def test_span_basis_membership():

@@ -48,15 +48,21 @@ from conftest import (
     GRAPHS,
     NO_EXIT_NAMES,
     SEMIGROUPS,
+    comb,
+    complete_digraph,
+    disjoint_union,
     fe_i,
     fraction_rank,
     fresh_rng,
+    is_no_exit_reference,
     outcome,
     positivity_screen_reference,
     random_element,
     random_nonzero_element,
     random_raw_terms,
     random_validated_spec,
+    ring,
+    rose,
     small_graphs,
     trace_eval_reference,
     vertex_constraint_rows_reference,
@@ -129,6 +135,28 @@ def test_vertex_trace_space_on_every_small_graph(field):
         assert space.dimension == len(g.vertices) - fraction_rank(rows), g
 
 
+@pytest.mark.parametrize("field", [Q, QI])
+def test_vertex_trace_space_dimension_in_closed_form(field):
+    # delta(v) = sum of delta(r(e)) over e leaving v, solved by hand: on K_n
+    # every delta(v) is half the total, so all vanish unless n = 2; a rose
+    # of k loops has delta(v) = k delta(v); a comb's sinks are free and fix
+    # its line; a ring is constant, and its chord doubles that constant
+    expected = [(complete_digraph(n), int(n == 2)) for n in range(2, 10)]
+    expected += [(rose(k), int(k == 1)) for k in range(1, 6)]
+    expected += [(comb(n), n) for n in (1, 2, 3, 40, 300)]
+    expected += [(ring(3000, chord=True), 0)]
+    # a disjoint union adds up the dimensions of its parts
+    expected += [
+        (disjoint_union(complete_digraph(2), complete_digraph(5), rose(1),
+                        rose(3), comb(40), ring(30, chord=True)), 1 + 0 + 1 + 0 + 40 + 0),
+        (disjoint_union(rose(1), rose(1), complete_digraph(2)), 1 + 1 + 1),
+    ]
+    for g, dimension in expected:
+        space = vertex_trace_space(g, field)
+        assert space.dimension == dimension, (len(g.vertices), len(g.edges))
+        assert all(x.field == field for vec in space.basis for x in vec)
+
+
 def test_vertex_trace_space_hands_over_sparse_rows(nullspace_cells):
     # one entry per out-edge and one for v itself: at most V + E cells,
     # where dense rows would hand over V^2
@@ -140,15 +168,12 @@ def test_vertex_trace_space_hands_over_sparse_rows(nullspace_cells):
     assert cells <= len(g.vertices) + len(g.edge_src)
 
 
-def test_full_rank_vertex_systems_divide_only_in_elimination(
-        monkeypatch, field_divisions):
-    # the loopless complete digraph K6 puts a pivot in every column, so its
-    # trace space is 0 and `nullspace` skips the substitution pass, whose
-    # one division per pivot column would follow forward elimination's
-    n = 6
-    vs = [f"v{i}" for i in range(n)]
-    g = Graph(vs, [(f"e{i}_{j}", vs[i], vs[j])
-                   for i in range(n) for j in range(n) if i != j])
+def test_full_rank_vertex_systems_take_no_field_arithmetic(
+        monkeypatch, field_ops):
+    # the loopless complete digraphs K4-K9 put a pivot in every column, so
+    # their trace space is 0: their integer rows are eliminated in ints,
+    # and `nullspace` returns before the substitution pass, the one place
+    # that meets the field
     handed = []
     solve = traces.nullspace
 
@@ -157,12 +182,22 @@ def test_full_rank_vertex_systems_divide_only_in_elimination(
         return solve(rows, ncols, field)
 
     monkeypatch.setattr(traces, "nullspace", kept)
-    assert vertex_trace_space(g, Q).dimension == 0
-    solved = len(field_divisions)
-    field_divisions.clear()
-    # `rank` is forward elimination alone, on the same rows
-    assert rank(handed[0]) == n
-    assert solved == len(field_divisions) > 0
+    for n in range(4, 10):
+        g = complete_digraph(n)
+        for field in (Q, QI):
+            assert vertex_trace_space(g, field).dimension == 0, (n, field)
+        rows = handed[-1]
+        assert all(type(x) is int for row in rows for x in row.values()), n
+        # `rank` is forward elimination alone, on the same rows
+        assert rank(rows) == n
+    assert field_ops == []
+    # the counter sees a dimension-1 system's substitution pass, and the
+    # division steps of field rows
+    assert vertex_trace_space(GRAPHS["line2"], Q).dimension == 1
+    assert field_ops
+    field_ops.clear()
+    assert rank([{0: fe(1), 1: fe(2)}, {0: fe(3), 1: fe(4)}]) == 2
+    assert "__truediv__" in field_ops
 
 
 def test_trace_eval_one_loop_example():
@@ -532,6 +567,23 @@ def test_catalog_faithful_iff_no_exit():
         g = GRAPHS[name]
         for field, inv in ((Q, IDENTITY), (QI, CONJUGATION)):
             assert bool(faithful_trace_exists(g, field, inv)) == is_no_exit(g)
+
+
+def test_faithful_trace_exists_iff_no_exit_on_every_small_graph():
+    # criterion 8's theorem, a faithful trace exists iff no cycle has an
+    # exit, on all 790 small graphs against the brute-force no-exit test; a
+    # refusal names a simple cycle and an edge leaving it
+    for g in small_graphs():
+        no_exit = is_no_exit_reference(g)
+        for field, inv in ((Q, IDENTITY), (QI, CONJUGATION)):
+            verdict = faithful_trace_exists(g, field, inv)
+            assert bool(verdict) == no_exit, g
+            if not verdict:
+                cyc, exit_edge = verdict.witness_cycle, verdict.witness_exit
+                on_cycle = {g.edge_src[e] for e in cyc.edges}
+                assert cyc.is_closed and len(on_cycle) == len(cyc.edges), g
+                assert g.edge_src[exit_edge] in on_cycle, g
+                assert exit_edge not in cyc.edges, g
 
 
 def test_line_graph_identity_involution_counterexample():
