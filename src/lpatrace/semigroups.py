@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from operator import eq, index, itemgetter
+from operator import contains, eq, index, itemgetter
 
 from .errors import ParseError, PreconditionError, content_lines
 from .linalg import rank
@@ -30,10 +30,12 @@ class FiniteSemigroup(_Frozen):
     """A validated Cayley table with an absorbing zero element.
 
     Immutable.  Equality and hashing read (table, zero, labels); `_sim`
-    is the `sim_classes` cache, `_flat` the entries row after row (see
-    `_packed`) and `_gens` the nonzero generators that Light's test checked
-    in `build_semigroup`, which `sim_classes` reads; None on a semigroup
-    built directly, unpickled or copied, whose table was never checked.
+    is the `sim_classes` cache, `_flat` the entries row after row as
+    `bytes`, up to 256 elements (see `_packed`), and `_gens` the nonzero
+    generators that Light's test checked in `build_semigroup`, which
+    `sim_classes` reads; None on a semigroup built directly, unpickled or
+    copied, whose table was never checked, and `_flat` always None above
+    256 elements.
     All three are written once, and all are left out of equality, hashing
     and pickling.
     """
@@ -74,13 +76,10 @@ class FiniteSemigroup(_Frozen):
         return f"FiniteSemigroup(size={self.size}, zero={self.zero})"
 
 
-def _packed(G: FiniteSemigroup):
-    """The entries of G row after row: `bytes` up to 256 elements, else a
-    tuple, whose `index` compares the stored ints where `array.index`
-    would box each entry."""
-    if G._flat is None:  # G was built directly, unpickled, or is large
-        flat = itertools.chain.from_iterable(G.table)
-        object.__setattr__(G, "_flat", bytes(flat) if G.size <= 256 else tuple(flat))
+def _packed(G: FiniteSemigroup) -> bytes:
+    """The entries of G, of at most 256 elements, row after row."""
+    if G._flat is None:  # G was built directly, unpickled or copied
+        object.__setattr__(G, "_flat", bytes(itertools.chain.from_iterable(G.table)))
     return G._flat
 
 
@@ -100,6 +99,15 @@ def _element_index(idx, n: int, name: str = "element index {}") -> int:
     return i
 
 
+class _ParsedTable(namedtuple("_ParsedTable", "rows fallback")):
+    """A table as `parse_cayley` read it, for `build_semigroup`: `rows`,
+    one tuple of exact ints per row, all n long, and `fallback`, the rows
+    that `natural_numbers` read.  Every other entry was looked up among the
+    names of 0..n-1, so only those rows can hold an entry out of range."""
+
+    __slots__ = ()
+
+
 def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
     """Validate a Cayley table: squareness, entries, associativity, zero.
 
@@ -114,14 +122,22 @@ def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
     once, and one that it maps to None (n..2n-1 and -n..-1) or, counting
     from the end, to another element (-2n..-n-1) leaves the mapped table
     unequal to the given one, so the range check is one table compare.
+    The rows that `parse_cayley` read are square tuples of exact ints
+    already: they become the table as they are, and above 256 elements
+    only the rows read by its `natural_numbers` fallback are range-checked.
     Whether the zero is absorbing is known before Light's test, which then
     need not check it; the generators it checked are kept as `_gens`.
     """
-    rows = tuple(map(tuple, table))  # any iterables, never read as buffers
+    parsed = type(table) is _ParsedTable
+    if parsed:
+        table, fallback = table
+    else:
+        table = tuple(map(tuple, table))  # any iterables, never read as buffers
+    rows = table
     n = len(rows)
     if n == 0:
         raise ValueError("empty table")
-    if any(len(row) != n for row in rows):
+    if not parsed and any(len(row) != n for row in rows):
         raise ValueError("table is not square")
     flat = None
     try:
@@ -129,6 +145,8 @@ def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
             rows = tuple(map(bytes, rows))
             flat = b"".join(rows)
             in_range = not flat.translate(None, bytes(range(n)))
+        elif parsed:  # natural numbers: none is below 0
+            in_range = all(max(row) < n for row in fallback)
         else:
             padded = tuple(range(n)) + (None,) * n
             mapped = tuple(itemgetter(*row)(padded) for row in rows)
@@ -136,7 +154,7 @@ def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
             in_range = mapped == rows or mapped == tuple(
                 tuple(map(index, row)) for row in rows
             )
-            rows = mapped
+            table = rows = mapped
     except TypeError:
         raise ValueError("table entries must be integers") from None
     except (ValueError, IndexError):  # bytes below 0 or past 255; past the padding
@@ -155,7 +173,9 @@ def build_semigroup(table, zero_index: int, labels=None) -> FiniteSemigroup:
         labels = tuple(labels)
         if len(labels) != n or len(set(labels)) != n:
             raise ValueError("labels must be unique and cover all elements")
-    G = FiniteSemigroup(tuple(map(tuple, rows)), z, labels)
+    if flat is not None and not parsed:  # exact ints, not the given entries
+        table = tuple(map(tuple, rows))
+    G = FiniteSemigroup(table, z, labels)
     object.__setattr__(G, "_flat", flat)
     object.__setattr__(G, "_gens", tuple(gens))
     return G
@@ -282,6 +302,10 @@ def parse_cayley(text: str) -> FiniteSemigroup:
 
     First line `n <size> zero <index>`, then <size> rows of element indices,
     then optional `label <index> <name>` lines.  `#` starts a comment.
+    The rows read, tuples of exact ints, become the semigroup's table:
+    `build_semigroup` range-checks above 256 elements only the rows with a
+    word that is not an element's name, and reports a fault of the table
+    only after the label lines are read.
     """
     lines = content_lines(text)
     if not lines:
@@ -296,7 +320,7 @@ def parse_cayley(text: str) -> FiniteSemigroup:
         raise ParseError(f"size and zero index {exc}", lineno) from None
     if len(lines) < 1 + size:
         raise ParseError(f"expected {size} table rows", lineno)
-    table = []
+    table, fallback = [], []
     # entries written plainly are looked up; any other word (a leading
     # zero, a sign, an entry out of range) goes through natural_numbers
     names = {str(i): i for i in range(size)}
@@ -309,9 +333,10 @@ def parse_cayley(text: str) -> FiniteSemigroup:
                 row = (names[words[0]],)
         except KeyError:
             try:
-                row = natural_numbers(words)
+                row = tuple(natural_numbers(words))
             except ValueError as exc:
                 raise ParseError(f"table entries {exc}", lineno) from None
+            fallback.append(row)
         if len(row) != size:
             raise ParseError(f"expected {size} entries", lineno)
         table.append(row)
@@ -332,7 +357,7 @@ def parse_cayley(text: str) -> FiniteSemigroup:
     if label_map:
         labels = tuple(label_map.get(i, str(i)) for i in range(size))
     try:
-        return build_semigroup(table, zero, labels)
+        return build_semigroup(_ParsedTable(tuple(table), fallback), zero, labels)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -517,18 +542,38 @@ def sim_classes(G: FiniteSemigroup) -> SimPartition:
     return result
 
 
+def _factors(G: FiniteSemigroup, u: int):
+    """The pairs (a, b) with a*b == u, one at a time in row-major order:
+    by `bytes.find` on the packed table up to 256 elements, and above that
+    by `tuple.index` in each row that holds u, which C code picks out of
+    the table, never copied."""
+    n = G.size
+    if n <= 256:
+        flat, w = _packed(G), -1
+        while (w := flat.find(u, w + 1)) >= 0:
+            yield divmod(w, n)
+        return
+    rows = G.table
+    for a in itertools.compress(range(n), map(contains, rows, itertools.repeat(u))):
+        row, b = rows[a], -1
+        for _ in range(row.count(u)):
+            b = row.index(u, b + 1)
+            yield a, b
+
+
 def sim_witness_chain(G: FiniteSemigroup, g: int, h: int):
     """Shortest chain g = a1 b1, b1 a1 = a2 b2, ..., bn an = h, or None.
 
     Returns the empty list when g == h, a list of (a, b) pairs when a chain
     exists, and None when g and h are inequivalent.  The breadth-first
-    search expands u by scanning the packed table (`_packed`) with its
-    `index` for each ab equal to u, so a step from ab to ba is witnessed by
-    the first such (a, b) in row-major order, and each element's steps are
-    tried in that order.  It stops when h gets its parent, which is never
-    overwritten.  Each index is read with `operator.index`, so a bool
-    reads as 0 or 1; raises ValueError for an index that it refuses (a
-    float, a string, None) and for one outside 0..n-1.
+    search expands u by scanning the table for each ab equal to u
+    (`_factors`: the packed table up to 256 elements, the rows above), so a
+    step from ab to ba is witnessed by the first such (a, b) in row-major
+    order, and each element's steps are tried in that order.  It stops
+    when h gets its parent, which is never overwritten.  Each index is read
+    with `operator.index`, so a bool reads as 0 or 1; raises ValueError for
+    an index that it refuses (a float, a string, None) and for one outside
+    0..n-1.
     """
     g, h = (_element_index(x, G.size) for x in (g, h))
     if g == h:
@@ -536,22 +581,17 @@ def sim_witness_chain(G: FiniteSemigroup, g: int, h: int):
     part = sim_classes(G)
     if part.class_of[g] != part.class_of[h]:
         return None
-    rows, n = G.table, G.size
-    find = _packed(G).index
+    rows = G.table
     parent = {g: None}
     queue = [g]  # read in order while it grows: breadth first
     for u in queue:
-        w = -1
-        try:
-            while h not in parent:
-                w = find(u, w + 1)
-                a, b = divmod(w, n)
-                v = rows[b][a]
-                if v not in parent:
-                    parent[v] = (u, (a, b))
-                    queue.append(v)
-        except ValueError:  # no ab == u after position w
-            pass
+        for a, b in _factors(G, u):
+            v = rows[b][a]
+            if v not in parent:
+                parent[v] = (u, (a, b))
+                queue.append(v)
+                if v == h:
+                    break
         if h in parent:  # reached, since g ~ h
             break
     chain = []

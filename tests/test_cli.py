@@ -935,3 +935,62 @@ def test_sg_reports_on_every_small_semigroup_match_recorded_digests(
                 h.update(json.dumps([argv, code, out, err]).encode())
     digests = {command: h.hexdigest() for command, h in hashes.items()}
     assert digests == SG_CONTRACT_DIGESTS
+
+
+# sha256 over [argv, exit code, stdout, stderr] of `lpa sg FILE classes` on
+# each of `_faulty_cayley_texts`, in order; recorded before `parse_cayley`
+# handed its rows to `build_semigroup` as the table
+CAYLEY_FAULT_DIGEST = "9d69375bee33132f3e495ac22d7a5a6db9ab09e234300b4ccd7c8ebdeb949f1d"
+
+
+def _faulty_cayley_texts():
+    """Cayley texts at 10 and 257 elements, null and right-zero tables:
+    entries out of range written plainly (`300`, n) and through the
+    `natural_numbers` fallback (`0300`, 0n), an in-range fallback entry
+    (`007`), a sign and a letter, each in the first and in the last row;
+    short and long rows; an out-of-range row before a malformed or
+    conflicting label line, whose error wins; a non-associative table, a
+    zero that is not absorbing, a zero index out of range, and a valid
+    table with a fallback entry and a label."""
+    for n in (10, 257):
+        null = [["0"] * n for _ in range(n)]
+        # x*y = y on the nonzero elements
+        right_zero = [["0"] * n] + [[str(y) for y in range(n)] for _ in range(n - 1)]
+
+        def text(rows, zero=0, tail=()):
+            return "\n".join([f"n {n} zero {zero}", *map(" ".join, rows), *tail]) + "\n"
+
+        def with_word(base, row, col, word):
+            rows = [list(r) for r in base]
+            rows[row][col] = word
+            return rows
+
+        for base in (null, right_zero):
+            for row in (0, n - 1):
+                for word in ("300", "0300", str(n), "0" + str(n), "007", "-1", "x"):
+                    yield text(with_word(base, row, 7, word))
+                yield text(with_word(base, row, 7, "0 0"))  # a long row
+                yield text(with_word(base, row, 7, ""))  # a short row
+        for word in ("300", "0300"):
+            yield text(with_word(null, 3, 5, word), tail=["label 1 a", "label x b"])
+            yield text(with_word(null, 3, 5, word), tail=["label 1 a", "label 1 b"])
+        yield text(with_word(null, 1, 2, "1"))  # (1*2)*2 = 1 != 0 = 1*(2*2)
+        yield text(null, zero=1)  # 1 is not absorbing
+        yield text(null, zero=n)  # zero index out of range
+        yield text(with_word(right_zero, n - 1, n - 1, "0" + str(n - 1)), tail=["label 2 b"])
+
+
+def test_faulty_cayley_texts_match_recorded_digest(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    codes = set()
+    for text in _faulty_cayley_texts():
+        with open("s.cayley", "w", encoding="utf-8") as f:
+            f.write(text)
+        argv = ["sg", "s.cayley", "classes"]
+        code, out, err = _run(capsys, *argv)
+        assert "Traceback" not in err
+        codes.add(code)
+        h.update(json.dumps([argv, code, out, err]).encode())
+    assert codes == {0, 2}
+    assert h.hexdigest() == CAYLEY_FAULT_DIGEST

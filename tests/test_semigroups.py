@@ -3,6 +3,7 @@ import itertools
 import pickle
 import re
 from array import array
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -294,11 +295,11 @@ def test_negative_and_index_entries_read_alike_at_both_widths(n):
 @pytest.mark.parametrize("n", [6, 255, 256, 257])
 def test_build_semigroup_rejects_non_integer_entries_alike_at_both_widths(n):
     """Whether the rows are read into bytes (n <= 256) or picked out of a
-    padded range by an itemgetter (n = 257), a bool or an int subclass is
-    a plain int in the table, a string, float, Fraction or None is "table
-    entries must be integers" (never truncated), -1, n and 65536 are out
-    of range, and a table that is not square says so before any entry is
-    read."""
+    padded range by an itemgetter (n = 257), a bool, an int subclass or an
+    IntEnum member is a plain int in the table, a string, float, Fraction
+    or None is "table entries must be integers" (never truncated), -1, n
+    and 65536 are out of range, and a table that is not square says so
+    before any entry is read."""
     base = _right_zero_table(n)
     k = min(7, n - 1)
 
@@ -310,11 +311,14 @@ def test_build_semigroup_rejects_non_integer_entries_alike_at_both_widths(n):
     class Int(int):
         pass
 
+    Cell = IntEnum("Cell", [("ONE", 1), ("THREE", 3)])
     for rows in (
         with_entry(1, 1, True),
         with_entry(n - 1, 1, True),
         with_entry(1, 3, Int(3)),
         with_entry(n - 1, k, Int(k)),
+        with_entry(1, 3, Cell.THREE),
+        with_entry(n - 1, 1, Cell.ONE),
         [tuple(r) for r in base],
         [base[0], array("q", base[1])] + base[2:],  # bytes() would read its buffer
         [base[0], iter(base[1])] + base[2:],
@@ -559,27 +563,26 @@ def _packed_corpus(rng):
 
 def test_packed_sim_classes_and_chains_match_the_references():
     """sim_classes and sim_witness_chain on the packed table (bytes for
-    n <= 256, a tuple for n = 257) equal the references, for a semigroup
-    that build_semigroup packed, one built directly, and its pickled and
-    deep copies; the packed table is written once (by build_semigroup up
-    to 256 elements, by the first chain that searches above).  `_gens`,
+    n <= 256) and on the rows (n = 257) equal the references, for a
+    semigroup that build_semigroup packed, one built directly, and its
+    pickled and deep copies; the packed table is written once (by
+    build_semigroup, or by the first reader of a copy) and never above 256
+    elements, where a chain that searches scans the rows.  `_gens`,
     the generators whose rows sim_classes reads, is written once by
     build_semigroup, generates every nonzero element and leaves the zero
     out; it is None on the other variants, which read every row, so bare
     non-associative tables match too.  Equality, hashing and pickling see
     neither cache."""
     rng = fresh_rng(21)
-    lengths, searched_tuples = set(), 0
+    lengths, searched_rows = set(), 0
     for rows, associative in _packed_corpus(rng):
         n = len(rows)
         table = tuple(map(tuple, rows))
-        packed = tuple(itertools.chain.from_iterable(table))
-        if n <= 256:
-            packed = bytes(packed)
+        packed = bytes(itertools.chain.from_iterable(table)) if n <= 256 else None
         variants = [FiniteSemigroup(table, 0)]
         if associative:
             built = build_semigroup(rows, 0)
-            assert built._flat == (packed if n <= 256 else None), n
+            assert built._flat == packed, n
             gens = built._gens
             assert type(gens) is tuple and 0 not in gens, n
             assert _generated(built, gens) | {0} == set(range(n)), n
@@ -595,11 +598,11 @@ def test_packed_sim_classes_and_chains_match_the_references():
         lengths.update(None if c is None else min(len(c), 2) for c in chains)
         bare = FiniteSemigroup(table, 0)
         searched = any(chains)  # a nonempty chain comes from a search
-        searched_tuples += n > 256 and searched
+        searched_rows += n > 256 and searched
         for G in variants:
             assert sim_classes(G).classes == classes, n
             assert [sim_witness_chain(G, *pair) for pair in pairs] == chains, n
-            assert G._flat == (packed if n <= 256 or searched else None), n
+            assert G._flat == packed, n
             assert G._gens is (gens if G is built else None), n
             for name in ("_flat", "_gens"):
                 with pytest.raises(AttributeError):
@@ -608,7 +611,7 @@ def test_packed_sim_classes_and_chains_match_the_references():
             assert G == bare and hash(G) == hash(bare), n
             assert pickle.dumps(G) == pickle.dumps(bare), n
     assert lengths == {None, 0, 1, 2}
-    assert searched_tuples > 0
+    assert searched_rows > 0
 
 
 def _generated(G, gens):
@@ -995,6 +998,44 @@ def test_parse_cayley_round_trip():
         ("n 1 zero 0\n0 0\n", "line 2: expected 1 entries"),
     ]:
         assert outcome(parse_cayley, text) == (ParseError, message)
+
+
+def _written(G, rng):
+    """A Cayley text of G in which each row, with one chance in four, has
+    its entries written with leading zeros, so `parse_cayley` reads it
+    through its `natural_numbers` fallback; and the number of such rows."""
+    lines = [f"n {G.size} zero {G.zero}"]
+    forms = [rng.choice(("{:04d}", "{}", "{}", "{}")) for _ in G.table]
+    lines += (" ".join(map(form.format, row)) for form, row in zip(forms, G.table))
+    return "\n".join(lines) + "\n", forms.count("{:04d}")
+
+
+def test_parse_cayley_keeps_its_rows_as_the_table():
+    """parse_cayley(text) equals build_semigroup on the same rows, on every
+    small table with zero and on seeded relabellings of endo4, with rows
+    written plainly and through the fallback; every row of its table is a
+    tuple of exact ints.  On the 257-element tables, chains equal the
+    row-major reference, and the table is never copied into `_flat`."""
+    rng = fresh_rng(41)
+    built = [*small_semigroups_with_zero()]
+    built += [_relabeled(endo4_semigroup(), rng) for _ in range(2)]
+    fallback_rows = 0
+    for G in built:
+        text, padded = _written(G, rng)
+        fallback_rows += padded
+        parsed = parse_cayley(text)
+        assert parsed == G
+        assert all(type(row) is tuple for row in parsed.table)
+        assert {type(x) for row in parsed.table for x in row} == {int}
+        if G.size > 256:
+            part = sim_classes(parsed)
+            for _ in range(3):
+                a, b = rng.randrange(G.size), rng.randrange(G.size)
+                g, h = G.mul(a, b), rng.choice(part.classes[part.class_of[G.mul(b, a)]])
+                chain = sim_witness_chain(parsed, g, h)
+                assert chain == sim_witness_chain_reference(G, g, h), (g, h)
+            assert parsed._flat is None
+    assert len(built) == 3614 + 2 and fallback_rows > 1000
 
 
 def test_central_map_rejects_noncentral():
