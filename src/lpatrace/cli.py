@@ -74,11 +74,13 @@ def _print(report: dict) -> None:
 
     A nonempty dict or list whose values are all strings, numbers, booleans
     or None goes to the C encoder in one call, and only its brackets move
-    onto lines of their own; the other containers are opened frame by
-    frame, with no recursion.  Dict keys are strings.
+    onto lines of their own; its text is kept by (object id, depth) for the
+    call, so one list under two keys is encoded once.  The other containers
+    are opened frame by frame, with no recursion.  Dict keys are strings.
     """
     encode = _encoder(0)
     chunks = []
+    flat = {}  # (id, depth) of each flat container: its chunks
     frames = [(zip([""], [report]), "")]  # (head, value) pairs, closing text
     while frames:
         pairs, close = frames[-1]
@@ -91,12 +93,17 @@ def _print(report: dict) -> None:
             if not value:
                 chunks.append("{}" if is_dict else "[]")
                 continue
+            key = (id(value), len(frames))
+            if key in flat:
+                chunks += flat[key]
+                continue
             outer = "\n" + "  " * (len(frames) - 1)
             inner = outer + "  "
             values = value.values() if is_dict else value
             if _SCALAR_TYPES.issuperset(map(type, values)):
                 text = _encoder(len(frames))(value)
-                chunks += text[0], inner, text[1:-1], outer, text[-1]
+                flat[key] = text[0], inner, text[1:-1], outer, text[-1]
+                chunks += flat[key]
                 continue
             if is_dict:
                 keys = sorted(value)

@@ -42,7 +42,8 @@ class MonPair(namedtuple("MonPair", "p q")):
     """Normal form p q* of a nonzero graph-inverse-semigroup element.
 
     A named tuple of two `PathSeq`s with a common range, so hashing and
-    equality run in C; it is equal to the plain tuple (p, q).
+    equality run in C; it is equal to the plain tuple (p, q).  `_make` (and
+    `_replace` through it) builds through `__new__`, so it checks the range.
     """
 
     __slots__ = ()
@@ -51,6 +52,10 @@ class MonPair(namedtuple("MonPair", "p q")):
         if p.dst != q.dst:
             raise ValueError(f"ranges differ: {format_path(p)} vs {format_path(q)}")
         return _tuple_new(cls, (p, q))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __repr__(self):
         return f"MonPair({format_path(self.p)}.{format_path(self.q)}')"

@@ -98,10 +98,15 @@ class PathSeq(namedtuple("PathSeq", "src dst edges")):
 
     A named tuple, so hashing and equality run in C; it is equal to the
     plain tuple (src, dst, edges), so no dict should mix the two as keys.
-    `len` counts the edges.
+    `len` counts the edges, so `_make` (and `_replace` through it) builds
+    through `__new__` rather than check the length namedtuple's way.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __len__(self):
         return len(self.edges)
@@ -344,52 +349,72 @@ def cycles(g: Graph):
     of e, with e as the first edge, over the edges not yet dropped, after
     which e is dropped.  So e is the least edge of every cycle the search
     lists: each comes in its least rotation, and the depth-first order over
-    ascending out-edges is word order.  A search that lists nothing splits
+    ascending out-edges is word order.  An edge e into a vertex whose edges
+    are all dropped lies on no cycle left, so e is dropped unsearched: on
+    the complete digraph K_n, once v0's edges are searched every edge into
+    v0 goes so, and so on down, which takes one Tarjan pass and n(n - 1)/2
+    searches, none of them empty.  A search that does list nothing splits
     the edges left into SCCs once, and each nontrivial one is taken up in
     turn; its first search lists a cycle through its least edge, so failed
     searches are no more than the others, and the time stays
     O((V + E)(C + 1)) for C cycles.  Raises `PreconditionError` once the
     cycles of the SCCs that are not one cycle, self-loops and cycles left
     alone by a split included, hold more than `CYCLE_WORK_LIMIT` edge ids
-    in total; the sum does not depend on the order of the search.
+    in total; the sum does not depend on the order of the search, and each
+    cycle is charged as the search closes it, so the call stops there.
     """
     words = []
-    size = 0
+    budget = CYCLE_WORK_LIMIT
     for comp, internal in _nontrivial_sccs(g):
-        counted = len(internal) != len(comp)
-        for word in _simple_cycles(g, comp, internal):
-            if counted:
-                size += len(word)
-                if size > CYCLE_WORK_LIMIT:
-                    raise _work_limit_error("simple cycles", g, CYCLE_WORK_LIMIT)
-            words.append(word)
+        if len(internal) == len(comp):
+            words.append(_cycle_word(g, internal))
+            continue
+        budget = _simple_cycles(g, comp, internal, words, budget)
+        if budget < 0:
+            raise _work_limit_error("simple cycles", g, CYCLE_WORK_LIMIT)
     return _closed_paths(g, words)
 
 
-def _simple_cycles(g: Graph, comp, internal):
-    """Every simple cycle of one nontrivial SCC, as its edge word from its
-    least edge: the walks, searches and splits of `cycles`."""
+def _cycle_word(g: Graph, internal) -> tuple:
+    """The edge word, from its least edge, of a component that is one cycle
+    with edges `internal`."""
+    step = {g.edge_src[e]: e for e in internal}
+    word = [min(internal)]
+    for _ in range(len(internal) - 1):
+        word.append(step[g.edge_dst[word[-1]]])
+    return tuple(word)
+
+
+def _simple_cycles(g: Graph, comp, internal, words: list, budget: int) -> int:
+    """Append to `words` every simple cycle of one nontrivial SCC that is
+    not one cycle, as its edge word from its least edge: the searches, the
+    edges dropped unsearched, the splits and the walks of `cycles`.
+    Returns `budget` less the edge ids appended, or a negative number as
+    soon as they pass it, when it stops.
+    """
     src, dst = g.edge_src, g.edge_dst
     pending = [(comp, internal)]
     while pending:
         comp, internal = pending.pop()
-        if len(internal) == len(comp):
-            step = {src[e]: e for e in internal}
-            word = [min(internal)]
-            for _ in range(len(internal) - 1):
-                word.append(step[dst[word[-1]]])
-            yield tuple(word)
+        if len(internal) == len(comp):  # left alone by a split
+            words.append(_cycle_word(g, internal))
+            budget -= len(internal)
+            if budget < 0:
+                return budget
             continue
         letters, local, out = _component_table(g, comp, internal)
         blocked = [False] * len(local)
         for i, e in enumerate(letters):
-            start = local[src[e]]
-            found = False
-            for word in _circuits(e, start, local[dst[e]], out, blocked):
-                found = True
-                yield word
+            start, end = local[src[e]], local[dst[e]]
+            if not out[end]:  # every edge out of `end` is searched and dropped
+                out[start].pop()
+                continue
+            listed = len(words)
+            budget = _circuits(e, start, end, out, blocked, words, budget)
+            if budget < 0:
+                return budget
             out[start].pop()
-            if not found:
+            if len(words) == listed:
                 rest = letters[i + 1:]
                 heads = dict.fromkeys(src[f] for f in rest)
                 left = {v: [] for v in local}
@@ -398,6 +423,7 @@ def _simple_cycles(g: Graph, comp, internal):
                 sub = _tarjan(heads, left, dst)
                 pending += _with_internal_edges(g, sub, rest)
                 break
+    return budget
 
 
 def _component_table(g: Graph, comp, internal):
@@ -431,11 +457,13 @@ def _closed_paths(g: Graph, words: list) -> list:
     return [new(PathSeq, (src[w[0]], src[w[0]], w)) for w in words]
 
 
-def _circuits(first, start, v, out, blocked):
+def _circuits(first, start, v, out, blocked, words, budget):
     """Johnson's CIRCUIT, iterative: every simple cycle that leaves local
     vertex `start` by edge `first` to local vertex `v`, over the (edge,
     range) lists `out` of `_component_table`, held in descending order and
-    read ascending, as an edge-id tuple.
+    read ascending, each appended to `words` as an edge-id tuple.  Returns
+    `budget` less the edge ids appended, or a negative number as soon as
+    they pass it, when it stops at once, with vertices still blocked.
 
     A vertex stays blocked while every path from it back to the source
     meets the current trail; `blocked_by[w]` lists the vertices to unblock
@@ -446,8 +474,8 @@ def _circuits(first, start, v, out, blocked):
     reaches.
     """
     if v == start:
-        yield (first,)
-        return
+        words.append((first,))
+        return budget - 1
     trail = [first]  # edges from `start` to the vertex of the top frame
     frames = [(v, reversed(out[v]))]
     closed = [False]  # whether a cycle was found below each frame
@@ -459,7 +487,10 @@ def _circuits(first, start, v, out, blocked):
         for eid, w in remaining:
             if blocked[w]:
                 if w == start:
-                    yield (*trail, eid)
+                    words.append((*trail, eid))
+                    budget -= len(trail) + 1
+                    if budget < 0:
+                        return budget
                     closed[-1] = True
             else:
                 trail.append(eid)
@@ -490,6 +521,7 @@ def _circuits(first, start, v, out, blocked):
                         blocked_by[w] = {v}
     for u in stuck:
         blocked[u] = False
+    return budget
 
 
 def is_no_exit(g: Graph) -> bool:

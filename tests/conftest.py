@@ -215,11 +215,11 @@ def cycle_search_work(monkeypatch):
         work["tarjan"].append(len(vertices))
         return tarjan(vertices, out_edges, edge_dst)
 
-    def counted_circuits(*args):
-        work["searches"].append(0)
-        for word in circuits(*args):
-            work["searches"][-1] += 1
-            yield word
+    def counted_circuits(first, start, v, out, blocked, words, budget):
+        listed = len(words)
+        budget = circuits(first, start, v, out, blocked, words, budget)
+        work["searches"].append(len(words) - listed)
+        return budget
 
     def counted_with_edges(*args):
         kept = with_edges(*args)

@@ -721,6 +721,26 @@ def test_report_writer_matches_json_dumps_on_random_values(capsys):
         assert capsys.readouterr().out == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+def test_report_writer_encodes_a_shared_flat_list_once_per_depth(capsys, monkeypatch):
+    """`lpa classes` puts one list under two keys; the writer encodes it
+    once at each depth it meets it, and prints it at each place."""
+    encoded = []
+    encoder = cli._encoder
+
+    def counted(depth):
+        encode = encoder(depth)
+        return lambda value: (encoded.append(value), encode(value))[1]
+
+    monkeypatch.setattr(cli, "_encoder", counted)
+    shared = ["e/f", "e", 10**40]
+    report = {"a": shared, "b": shared, "c": {"d": shared, "e": shared},
+              "f": [shared, shared]}
+    cli._print(report)
+    assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    # a and b one level in, c's values and f's items two
+    assert sum(value is shared for value in encoded) == 2
+
+
 # ---------------------------------------------------------------------------
 # The error contract of graph and spec files, over seeded faulty texts
 # ---------------------------------------------------------------------------

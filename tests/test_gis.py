@@ -115,6 +115,33 @@ def test_mon_pair_requires_matching_ranges():
         MonPair(edge_path(g, ["f"]), edge_path(g, ["g"]))
 
 
+def test_make_and_replace_keep_each_type_and_its_check():
+    """`_make` and `_replace` build through `__new__`: a `PathSeq` of any
+    length comes back equal and of its type (namedtuple's own `_make`
+    checks `len`, which counts edges, and raised on all but 3-edge paths),
+    and a `MonPair` whose paths end apart raises as its constructor does."""
+    g = GRAPHS["line3"]
+    f, fg, g_ = edge_path(g, ["f"]), edge_path(g, ["f", "g"]), edge_path(g, ["g"])
+    a, c = vertex_path(g, "a"), vertex_path(g, "c")
+    for p in (a, f, fg):
+        made = PathSeq._make(p)
+        assert made == p and type(made) is PathSeq and len(made) == len(p.edges)
+    moved = fg._replace(src="b", edges=("g",))
+    assert moved == g_ and type(moved) is PathSeq and len(moved) == 1
+    assert a._replace() == a and len(f._replace(dst="b")) == 1
+    with pytest.raises(TypeError):
+        PathSeq._make(("a", "b"))
+    with pytest.raises(ValueError, match="unexpected field names"):
+        fg._replace(length=2)
+    m = MonPair._make((fg, g_))
+    assert m == MonPair(fg, g_) and type(m) is MonPair
+    assert m._replace(q=c) == MonPair(fg, c) and type(m._replace(p=g_)) is MonPair
+    with pytest.raises(ValueError, match="ranges differ: f vs a"):
+        MonPair._make((f, a))
+    with pytest.raises(ValueError, match="ranges differ: f/g vs a"):
+        m._replace(q=a)
+
+
 def test_gis_star_examples():
     assert gis_star(GIS_ZERO) is GIS_ZERO
     g = GRAPHS["line2"]

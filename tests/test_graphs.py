@@ -235,14 +235,47 @@ def test_cycles_limit_counts_edge_ids_of_cycles_listed(monkeypatch):
         "2 edge ids"
     )):
         cycles(g)
-    # p/q is searched; q's search lists nothing, and the split leaves r/s
-    # as one cycle, which counts too: 4 edge ids
+    # p's search lists p/q; q is dropped unsearched, since p was a's one
+    # edge, and r's search lists r/s, which counts too: 4 edge ids
     g = parse_graph("v a\nv b\nv c\ne p a b\ne q b a\ne r b c\ne s c b")
     monkeypatch.setattr(graphs, "CYCLE_WORK_LIMIT", 4)
     assert [c.edges for c in cycles(g)] == [("p", "q"), ("r", "s")]
     monkeypatch.setattr(graphs, "CYCLE_WORK_LIMIT", 3)
     with pytest.raises(PreconditionError, match="simple cycles of a graph"):
         cycles(g)
+
+
+def test_cycles_limit_counts_a_cycle_that_a_split_leaves_alone(
+    monkeypatch, cycle_search_work
+):
+    # p's search lists p/q and p/r/s; q is dropped unsearched, as a has no
+    # edge left; r's search lists nothing, and the split of s, t, u leaves
+    # t/u as one cycle, which counts too: 2 + 3 + 2 = 7 edge ids
+    g = parse_graph(
+        "v a\nv b\nv c\nv d\n"
+        "e p a b\ne q b a\ne r b c\ne s c a\ne t c d\ne u d c"
+    )
+    monkeypatch.setattr(graphs, "CYCLE_WORK_LIMIT", 7)
+    assert [c.edges for c in cycles(g)] == [("p", "q"), ("t", "u"), ("p", "r", "s")]
+    assert cycle_search_work == {"tarjan": [4, 2], "searches": [2, 0], "components": [1, 1]}
+    monkeypatch.setattr(graphs, "CYCLE_WORK_LIMIT", 6)
+    with pytest.raises(PreconditionError, match=re.escape(
+        "simple cycles of a graph with 4 vertices and 6 edges hold more than "
+        "6 edge ids"
+    )):
+        cycles(g)
+
+
+def test_cycles_limit_stops_the_search_where_the_sum_passes_it(
+    monkeypatch, cycle_search_work
+):
+    # each cycle is charged as it closes: K6's first search, from e0_1,
+    # stops at its fourth cycle (2 + 3 + 4 + 5 = 14 edge ids), where it
+    # would list all 65 cycles through e0_1
+    monkeypatch.setattr(graphs, "CYCLE_WORK_LIMIT", 10)
+    with pytest.raises(PreconditionError, match="more than 10 edge ids"):
+        cycles(complete_digraph(6))
+    assert cycle_search_work["searches"] == [4]
 
 
 def test_closed_paths_limit_counts_every_prefix_reached(monkeypatch):
@@ -565,6 +598,25 @@ def test_cycle_search_splits_only_after_a_search_lists_nothing(cycle_search_work
         if g in long_ones:
             assert sum(cycle_search_work["tarjan"]) <= len(g.vertices) + len(g.edges)
     assert [len(c) for c in cycles(long_ones[0])] == [2] * 1000
+
+
+def test_complete_digraph_cycles_take_one_scc_pass_and_no_empty_search(
+    cycle_search_work,
+):
+    """Counted, not timed.  On K_n the searches from v0's edges list every
+    cycle through v0 and drop them all; from then on each edge into an
+    exhausted vertex is dropped unsearched.  So the one `_tarjan` pass is
+    the graph's, and the n (n - 1) / 2 searches, one per edge v_i -> v_j
+    with i < j, all list a cycle: no search lists nothing, so none splits."""
+    for n in range(3, 9):
+        for counts in cycle_search_work.values():
+            counts.clear()
+        found = cycles(complete_digraph(n))
+        assert cycle_search_work["tarjan"] == [n], n
+        assert len(cycle_search_work["searches"]) == n * (n - 1) // 2, n
+        assert 0 not in cycle_search_work["searches"], n
+        assert sum(cycle_search_work["searches"]) == len(found), n
+    assert len(found) == 16064  # K8's simple cycles
 
 
 def _closed_classes_reference(g, max_len):
