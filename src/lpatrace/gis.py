@@ -20,6 +20,7 @@ from .graphs import (
     Graph,
     PathSeq,
     format_path,
+    _MEMO_CAP,
     _least_rotation,
     _least_rotation_path,
 )
@@ -147,7 +148,10 @@ def classify_eq(g: Graph, a):
     p q* with p = q is a vertex class; with q a proper prefix of p it is
     the rotation class of the closing word; with p a proper prefix of q,
     the starred rotation class; incomparable pairs (and zero) fall in the
-    zero class.
+    zero class.  A rotation class is read from the graph's memo
+    `g._rotations`, keyed by the closing word, plain or starred; only a
+    word it lacks is rotated, and kept while the memo holds fewer than
+    `_MEMO_CAP` (1,024) words.
     """
     if a is GIS_ZERO:
         return ZERO_CLASS
@@ -157,7 +161,19 @@ def classify_eq(g: Graph, a):
     pe, qe = p.edges, q.edges
     n, m = len(pe), len(qe)
     if n > m:
-        return CycleWord(_least_rotation(pe[m:])) if pe[:m] == qe else ZERO_CLASS
+        return _rotation_class(g, CycleWord, pe[m:]) if pe[:m] == qe else ZERO_CLASS
     if n < m:
-        return CycleWordStar(_least_rotation(qe[n:])) if qe[:n] == pe else ZERO_CLASS
+        return _rotation_class(g, CycleWordStar, qe[n:]) if qe[:n] == pe else ZERO_CLASS
     return VertexClass(p.dst) if pe == qe else ZERO_CLASS
+
+
+def _rotation_class(g: Graph, kind, word: tuple):
+    """kind(least rotation of word), through the memo `g._rotations`."""
+    key = kind, word
+    memo = g._rotations
+    cls = memo.get(key)
+    if cls is None:
+        cls = kind(_least_rotation(word))
+        if len(memo) < _MEMO_CAP:
+            memo[key] = cls
+    return cls

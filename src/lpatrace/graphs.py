@@ -18,8 +18,8 @@ from .errors import ParseError, PreconditionError, content_lines
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 _ID_RE = _re.compile(_ID)
 
-# Most entries that one per-context memo keeps: a graph's `_paths`, and a
-# `PathAlgebra`'s `_expansions` and `_scalars`.
+# Most entries that one per-context memo keeps: a graph's `_paths` and
+# `_rotations`, and a `PathAlgebra`'s `_expansions` and `_scalars`.
 _MEMO_CAP = 1024
 
 
@@ -36,8 +36,10 @@ class Graph:
     there, as a 1-tuple.  `_paths` maps each element-expression path text
     that resolved, such as `"e/f"` or `"e / f"`, to its `PathSeq`; parsing
     adds texts until it holds `_MEMO_CAP` (1,024) of them, then stops.
-    None of the three changes what a public attribute holds.  So a deep
-    copy is the graph itself.
+    `_rotations` maps each closing word that `gis.classify_eq` met, plain
+    or starred, to its class, under the same cap; a class depends on the
+    word alone, so copies may share or carry it.  None of the four changes
+    what a public attribute holds.  So a deep copy is the graph itself.
     """
 
     def __init__(self, vertices, edges):
@@ -79,6 +81,7 @@ class Graph:
         self._sccs = None
         self._exit = None
         self._paths = {}
+        self._rotations = {}
 
     def __deepcopy__(self, memo):
         return self

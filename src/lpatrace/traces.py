@@ -33,7 +33,7 @@ from .graphs import (
     edge_path,
     regular_vertices,
 )
-from .linalg import nullspace, rank as _rank
+from .linalg import nullspace
 from .path_algebras import COHN, LEAVITT, AlgebraElement
 from .scalars import (
     CONJUGATION,
@@ -252,8 +252,9 @@ def is_minimal_cohn(g: Graph, spec: TraceSpec, classes=None) -> MinimalityVerdic
     else:
         classes = tuple(classes)
         relative = True
-    rows = [{0: spec.class_value(cls)} for cls in classes]
-    minimal = _rank(rows) == len(classes)
+    # the values form one column, whose rank is at most 1: it equals the
+    # number of classes only for no class, or one class with a nonzero value
+    minimal = not classes or (len(classes) == 1 and bool(spec.class_value(classes[0])))
     return MinimalityVerdict(minimal, classes, relative)
 
 

@@ -1,5 +1,10 @@
+import copy
+import pickle
+from itertools import product
+
 import pytest
 
+from lpatrace import gis
 from lpatrace.gis import (
     GIS_ZERO,
     CycleWord,
@@ -13,7 +18,7 @@ from lpatrace.gis import (
     gis_mul,
     gis_star,
 )
-from lpatrace.graphs import Graph, PathSeq, edge_path, vertex_path
+from lpatrace.graphs import _MEMO_CAP, Graph, PathSeq, edge_path, parse_graph, vertex_path
 from lpatrace.path_algebras import COHN, PathAlgebra
 from lpatrace.scalars import IDENTITY, Q
 from lpatrace.semigroups import (
@@ -31,6 +36,7 @@ from lpatrace.traces import minimal_trace_cohn
 
 from conftest import (
     GIS_CORPUS,
+    GRAPH_TEXTS,
     GRAPHS,
     all_paths_up_to,
     classify_eq_reference,
@@ -41,6 +47,7 @@ from conftest import (
     random_path,
     random_scalar,
     random_sg_element,
+    rose,
     sim_equivalent,
     small_graphs,
 )
@@ -217,6 +224,76 @@ def test_classify_eq_incomparable_is_zero_class():
     p = edge_path(rose, ["e", "f"])
     q = edge_path(rose, ["f", "f"])
     assert classify_eq(rose, MonPair(p, q)) == ZeroClass()
+
+
+def _counted_rotations(monkeypatch):
+    """A list that grows by one word at each `_least_rotation` call that
+    `classify_eq` makes."""
+    words = []
+    real = gis._least_rotation
+    monkeypatch.setattr(gis, "_least_rotation", lambda w: words.append(w) or real(w))
+    return words
+
+
+def test_classify_eq_rotates_each_closing_word_once_per_graph(monkeypatch):
+    # clock-free: a closing word met again, through another monomial or the
+    # same one, plain or starred, costs no rotation; another graph has its
+    # own memo
+    rotated = _counted_rotations(monkeypatch)
+    g = parse_graph(GRAPH_TEXTS["rose2"])
+    v, e, f_e = vertex_path(g, "v"), edge_path(g, ["e"]), edge_path(g, ["f", "e"])
+    efe = edge_path(g, ["e", "f", "e"])
+    plain = [MonPair(f_e, v), MonPair(efe, e)]  # closing word f/e
+    starred = [MonPair(v, f_e), MonPair(e, efe)]
+    assert classify_eq(g, plain[0]) == CycleWord(("e", "f"))
+    assert classify_eq(g, starred[0]) == CycleWordStar(("e", "f"))
+    assert rotated == [("f", "e")] * 2
+    for x in plain + starred:
+        assert classify_eq(g, x) == classify_eq_reference(g, x)
+    assert len(rotated) == 2
+    assert g._rotations == {(CycleWord, ("f", "e")): CycleWord(("e", "f")),
+                            (CycleWordStar, ("f", "e")): CycleWordStar(("e", "f"))}
+    # vertex and zero classes read no memo
+    classify_eq(g, MonPair(e, e))
+    classify_eq(g, MonPair(f_e, edge_path(g, ["e", "e"])))
+    assert len(rotated) == 2 and len(g._rotations) == 2
+    other = parse_graph(GRAPH_TEXTS["rose2"])
+    assert classify_eq(other, plain[1]) == CycleWord(("e", "f")) and len(rotated) == 3
+
+
+def test_rotation_memo_stops_at_its_cap(monkeypatch):
+    # more distinct closing words than the cap, plain and starred: the memo
+    # keeps the first `_MEMO_CAP`, and every class, kept or not, is the
+    # reference's, on a second pass too
+    rotated = _counted_rotations(monkeypatch)
+    g = rose(3)
+    v = vertex_path(g, "v")
+    words = [edge_path(g, w) for n in range(1, 7) for w in product(g.edges, repeat=n)]
+    assert len(words) * 2 > _MEMO_CAP
+    monomials = [x for p in words for x in (MonPair(p, v), MonPair(v, p))]
+    for _ in range(2):
+        for x in monomials:
+            assert classify_eq(g, x) == classify_eq_reference(g, x), x
+    assert len(g._rotations) == _MEMO_CAP
+    # the first pass rotated every word; the second only those not kept
+    assert len(rotated) == 2 * len(monomials) - _MEMO_CAP
+    for (kind, word), cls in g._rotations.items():
+        p = edge_path(g, word)
+        x = MonPair(p, v) if kind is CycleWord else MonPair(v, p)
+        assert cls == classify_eq_reference(g, x), x
+
+
+def test_copied_and_pickled_graphs_classify_alike():
+    g = parse_graph(GRAPH_TEXTS["rose2"])
+    paths = all_paths_up_to(g, 3)
+    monomials = [MonPair(p, q) for p in paths for q in paths]
+    want = [classify_eq(g, x) for x in monomials]
+    assert g._rotations
+    shallow, pickled = copy.copy(g), pickle.loads(pickle.dumps(g))
+    # a shallow copy shares the memo; a pickle carries an equal one
+    assert shallow._rotations is g._rotations and pickled._rotations == g._rotations
+    for h in (shallow, pickled, parse_graph(GRAPH_TEXTS["rose2"])):
+        assert [classify_eq(h, x) for x in monomials] == want
 
 
 def test_sim_equivalent_examples():

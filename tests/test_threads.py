@@ -6,12 +6,22 @@ import copy
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 
-from lpatrace.graphs import parse_graph
-from lpatrace.path_algebras import LEAVITT, PathAlgebra, format_element, parse_element
-from lpatrace.scalars import CONJUGATION, QI
+from lpatrace.gis import MonPair
+from lpatrace.graphs import _MEMO_CAP, edge_path, parse_graph, vertex_path
+from lpatrace.path_algebras import (
+    COHN,
+    LEAVITT,
+    PathAlgebra,
+    alg_star,
+    format_element,
+    parse_element,
+)
+from lpatrace.scalars import CONJUGATION, IDENTITY, QI, Q
 from lpatrace.semigroups import parse_cayley, sim_classes, sim_witness_chain
 from lpatrace.structure import decompose, phi
+from lpatrace.traces import trace_eval, trace_spec
 
 from conftest import (
     GRAPH_TEXTS,
@@ -20,6 +30,7 @@ from conftest import (
     endo4_semigroup,
     fresh_rng,
     random_element,
+    rose,
 )
 
 THREADS = 8
@@ -106,3 +117,42 @@ def test_shared_objects_give_serial_results_under_threads():
     assert [G._sim for G in shared] == [part for part, _ in serial_sgs]
     assert shared[2]._flat == parsed[0]._flat and shared[3]._flat is None
     assert g._paths and A._expansions and A._scalars and dec._expand_cache
+
+
+def test_threads_fill_one_rotation_memo_past_its_cap():
+    # the closing words of length 8 on rose3, 3^8 = 6,561 of them, plain
+    # and starred, through `trace_eval` on one shared graph: thread k takes
+    # 12 of the 81 chunks of 81 words from chunk 10k on, so neighbours
+    # share two chunks and together they meet every word; they fill the
+    # rotation memo past its cap together, each result equals a serial run
+    # on a fresh graph, and the memo overshoots the cap by at most one
+    # entry per racing thread
+    rng = fresh_rng(43)
+    words = list(product(("e0", "e1", "e2"), repeat=8))
+    values = {}  # a distinct value for each class
+    for word in words:
+        values.setdefault(min(word[i:] + word[:i] for i in range(8)), len(values) + 1)
+    jobs = [(words[i:i + 81], [rng.randint(1, 9) for _ in range(81)])
+            for i in range(0, len(words), 81)]
+
+    g = rose(3)
+    spec = trace_spec(g, Q, IDENTITY, cycle_values=values,
+                      cycle_star_values={w: -c for w, c in values.items()})
+
+    def results(graph, jobs):
+        A = PathAlgebra(graph, Q, IDENTITY, COHN)
+        v = vertex_path(graph, "v")
+        out = []
+        for chunk, coeffs in jobs:
+            x = A.from_terms({MonPair(edge_path(graph, w), v): c for w, c in zip(chunk, coeffs)})
+            out.append((trace_eval(graph, spec, x), trace_eval(graph, spec, alg_star(x))))
+        return out
+
+    def share(items, k):
+        return _rotated(items, 10 * k)[:12]
+
+    serial = results(rose(3), jobs)
+    assert not g._rotations
+    for k, got in enumerate(_in_threads(lambda k: results(g, share(jobs, k)))):
+        assert got == share(serial, k)
+    assert _MEMO_CAP <= len(g._rotations) <= _MEMO_CAP + THREADS

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -342,6 +343,32 @@ def test_is_minimal_cohn_examples():
     line = GRAPHS["line2"]
     spec = trace_spec(line, Q, IDENTITY, vertex_values={"a": fe(1), "b": fe(1)})
     assert not is_minimal_cohn(line, spec)
+
+
+def test_is_minimal_cohn_is_the_rank_of_the_value_column():
+    # every class list of length 0-3 over two valued and two unvalued
+    # classes, repeats included: the verdict is whether the one column of
+    # values has full rank, with the rank taken by `linalg.rank`
+    rose = GRAPHS["rose2"]
+    for field, involution in ((Q, IDENTITY), (QI, CONJUGATION)):
+        spec = trace_spec(rose, field, involution, vertex_values={"v": 2},
+                          cycle_star_values={("e", "f"): fe(1, 1, field) if field == QI else -1})
+        pool = [VertexClass("v"), CycleWordStar(("e", "f")), CycleWord(("e", "f")), ZERO_CLASS]
+        for n in range(4):
+            for classes in product(pool, repeat=n):
+                verdict = is_minimal_cohn(rose, spec, classes)
+                column = [{0: spec.class_value(cls)} for cls in classes]
+                assert verdict.minimal is (rank(column) == n), classes
+                assert verdict.classes == classes and verdict.relative_to_supplied_list
+    # with no list, on acyclic graphs: the vertex classes
+    for text in ("v a", "v a\nv b", GRAPH_TEXTS["line2"]):
+        g = parse_graph(text)
+        for values in product((0, 1), repeat=len(g.vertices)):
+            spec = trace_spec(g, Q, IDENTITY, vertex_values=dict(zip(g.vertices, values)))
+            verdict = is_minimal_cohn(g, spec)
+            column = [{0: spec.class_value(VertexClass(v))} for v in g.vertices]
+            assert verdict.minimal is (rank(column) == len(g.vertices)), (text, values)
+            assert not verdict.relative_to_supplied_list
 
 
 def test_is_minimal_cohn_refuses_cyclic_k9_quickly():
