@@ -29,7 +29,9 @@ from .scalars import (
 class FiniteSemigroup(_Frozen):
     """A validated Cayley table with an absorbing zero element.
 
-    Immutable.  Equality and hashing read (table, zero, labels); `_sim`
+    Immutable.  `table` is a tuple of row tuples, of which equal rows may
+    be one object (`parse_cayley` reads a repeated row once).  Equality
+    and hashing read (table, zero, labels); `_sim`
     is the `sim_classes` cache, `_flat` the entries row after row as
     `bytes`, up to 256 elements (see `_packed`), and `_gens` the nonzero
     generators that Light's test checked in `build_semigroup`, which
@@ -274,17 +276,17 @@ def _first_failure(rows, gens, first_with_row, cols):
     for every y are row g translated through row x, all in C, and the
     compare with row x*g is a memcmp.  Larger tables have tuple rows, as
     `bytes.translate` maps 256 values only, and `cols`, their columns at
-    the first x with each row: for each g the rows x*g and the columns g*y
-    are first compared whole, transposed by zip, so only a g that fails is
-    checked row by row, an itemgetter over row g picking the products out
-    of row x, to name the triple.
+    the first x with each row: for each g the rows x*g, read column by
+    column through zip, are compared with the columns g*y as they are
+    produced, so no table is kept per generator, and only a g that fails
+    is checked row by row, an itemgetter over row g picking the products
+    out of row x, to name the triple.
     """
     n = len(rows)
     for g in gens:
         g_row = rows[g]
-        if cols is not None and (
-            tuple(zip(*map(rows.__getitem__, cols[g])))
-            == tuple(map(cols.__getitem__, g_row))
+        if cols is not None and all(
+            map(eq, zip(*map(rows.__getitem__, cols[g])), map(cols.__getitem__, g_row))
         ):
             continue  # ((x*g)*y for x) == (x*(g*y) for x), for every y
         # (padded) row x -> (x*(g*y) for each y)
@@ -305,7 +307,10 @@ def parse_cayley(text: str) -> FiniteSemigroup:
     The rows read, tuples of exact ints, become the semigroup's table:
     `build_semigroup` range-checks above 256 elements only the rows with a
     word that is not an element's name, and reports a fault of the table
-    only after the label lines are read.
+    only after the label lines are read.  A row whose text equals the row
+    before it, blank and comment lines aside, is not read again: it is the
+    same tuple.  A fault is met at a row's first copy, so every error names
+    the line it names when each row is read.
     """
     lines = content_lines(text)
     if not lines:
@@ -324,7 +329,12 @@ def parse_cayley(text: str) -> FiniteSemigroup:
     # entries written plainly are looked up; any other word (a leading
     # zero, a sign, an entry out of range) goes through natural_numbers
     names = {str(i): i for i in range(size)}
+    previous = None
     for lineno, line in lines[1: 1 + size]:
+        if line == previous:  # the row before it, read once
+            table.append(row)
+            continue
+        previous = line
         words = line.split()
         try:
             if len(words) > 1:

@@ -1000,11 +1000,12 @@ def _faulty_cayley_texts():
         yield text(with_word(right_zero, n - 1, n - 1, "0" + str(n - 1)), tail=["label 2 b"])
 
 
-def test_faulty_cayley_texts_match_recorded_digest(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def _sg_classes_digest(capsys, texts):
+    """sha256 over [argv, exit code, stdout, stderr] of `lpa sg s.cayley
+    classes` on each of `texts`, in order, and the set of exit codes."""
     h = hashlib.sha256()
     codes = set()
-    for text in _faulty_cayley_texts():
+    for text in texts:
         with open("s.cayley", "w", encoding="utf-8") as f:
             f.write(text)
         argv = ["sg", "s.cayley", "classes"]
@@ -1012,5 +1013,62 @@ def test_faulty_cayley_texts_match_recorded_digest(tmp_path, capsys, monkeypatch
         assert "Traceback" not in err
         codes.add(code)
         h.update(json.dumps([argv, code, out, err]).encode())
+    return h.hexdigest(), codes
+
+
+def test_faulty_cayley_texts_match_recorded_digest(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digest, codes = _sg_classes_digest(capsys, _faulty_cayley_texts())
     assert codes == {0, 2}
-    assert h.hexdigest() == CAYLEY_FAULT_DIGEST
+    assert digest == CAYLEY_FAULT_DIGEST
+
+
+# sha256 over [argv, exit code, stdout, stderr] of `lpa sg FILE classes` on
+# each of `_repeated_cayley_texts`, in order; recorded before `parse_cayley`
+# read a row equal to the row before it only once
+CAYLEY_REPEAT_DIGEST = "076ab9bd0f4d7e3d4965a88871a81bd34fbb798804eae3ee843fdac2fe91ca2d"
+
+
+def _repeated_cayley_texts():
+    """Cayley texts at 10 and 257 elements, null and right-zero tables, in
+    which one row text comes 2 or 3 times in a run, first or last in the
+    table: a faulty row (an entry n written plainly and as `0n`, a sign, a
+    short row), its copies adjacent, apart by a blank line or by a comment
+    line, or each with a trailing comment; an in-range fallback row
+    (`007`); and a faulty row between repeated valid rows."""
+    for n in (10, 257):
+        null = [["0"] * n for _ in range(n)]
+        right_zero = [["0"] * n] + [[str(y) for y in range(n)] for _ in range(n - 1)]
+
+        def text(rows):
+            return "\n".join([f"n {n} zero 0", *rows]) + "\n"
+
+        def faulty(row, word):
+            words = list(row)
+            words[7] = word
+            return " ".join(words)
+
+        def runs(line, copies):
+            yield [line] * copies
+            for between in ("", "# between copies"):
+                yield [line] + [between, line] * (copies - 1)
+            yield [line + "  # a copy"] * copies
+
+        for base in (null, right_zero):
+            lines = [" ".join(row) for row in base]
+            for copies in (2, 3):
+                for start in (0, n - copies):
+                    rest = lines[start + copies:]
+                    for word in (str(n), "0" + str(n), "-1", ""):
+                        for run in runs(faulty(base[start], word), copies):
+                            yield text(lines[:start] + run + rest)
+                    yield text(lines[:start] + [faulty(base[start], "007")] * copies + rest)
+            for word in (str(n), "0" + str(n), "-1", ""):
+                yield text(lines[:3] + [faulty(base[3], word)] + lines[4:])
+
+
+def test_repeated_cayley_rows_match_recorded_digest(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digest, codes = _sg_classes_digest(capsys, _repeated_cayley_texts())
+    assert codes == {0, 2}
+    assert digest == CAYLEY_REPEAT_DIGEST

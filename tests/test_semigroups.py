@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import re
+import tracemalloc
 from array import array
 from enum import IntEnum
 from fractions import Fraction
@@ -13,6 +14,7 @@ from lpatrace.scalars import QI, Q, fe, fe_one, fe_zero
 from lpatrace.semigroups import (
     FiniteSemigroup,
     FreeVector,
+    _ParsedTable,
     admits_normalized_minimal,
     build_semigroup,
     central_map,
@@ -1036,6 +1038,51 @@ def test_parse_cayley_keeps_its_rows_as_the_table():
                 assert chain == sim_witness_chain_reference(G, g, h), (g, h)
             assert parsed._flat is None
     assert len(built) == 3614 + 2 and fallback_rows > 1000
+
+
+@pytest.mark.parametrize("n", [10, 257])
+def test_parse_cayley_reads_a_repeated_row_once(n):
+    """On the null and the right-zero table, a row whose text equals the
+    row before it, blank and comment lines aside, is that row's tuple; a
+    repeat written with other spacing is read on its own.  Each text gives
+    the table that `build_semigroup` builds from the same rows."""
+    null = [[0] * n for _ in range(n)]
+    right_zero = [[0] * n] + [list(range(n)) for _ in range(n - 1)]
+    for rows in (null, right_zero):
+        built = build_semigroup(rows, 0)
+        lines = [" ".join(map(str, row)) for row in rows]
+        repeats = [i for i in range(1, n) if lines[i] == lines[i - 1]]
+        assert len(repeats) >= n - 2
+        for between in ([], ["", "# between rows"]):
+            text = "\n".join([f"n {n} zero 0", *(x for line in lines for x in (line, *between))])
+            G = parse_cayley(text)
+            assert G == built
+            assert all(G.table[i] is G.table[i - 1] for i in repeats)
+        spaced = [line.replace(" ", "  ") if i % 2 else line for i, line in enumerate(lines)]
+        G = parse_cayley("\n".join([f"n {n} zero 0", *spaced]))
+        assert G == built
+        assert all(G.table[i] is not G.table[i - 1] for i in range(1, n))
+
+
+def test_light_test_above_256_elements_keeps_no_table_per_generator():
+    """Above 256 elements Light's test compares the rows x*g with the
+    columns g*y for each generator g as it goes, and keeps no transposed
+    table per generator: on the rows that `parse_cayley` reads from two
+    seeded relabellings of endo4 (257 elements), `build_semigroup` peaks
+    below 0.8 MB, where one such table takes about 0.5 MB more."""
+    rng = fresh_rng(44)
+    endo4 = endo4_semigroup()
+    parsed = [parse_cayley(_written(_relabeled(endo4, rng), rng)[0]) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        for G in parsed:
+            rows = _ParsedTable(G.table, G.table)  # every row range-checked
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert build_semigroup(rows, G.zero) == G
+            assert tracemalloc.get_traced_memory()[1] - before < 800_000
+    finally:
+        tracemalloc.stop()
 
 
 def test_central_map_rejects_noncentral():
