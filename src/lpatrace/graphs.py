@@ -543,6 +543,15 @@ def cycle_with_exit_witness(g: Graph):
     return g._exit[0]
 
 
+def _exit_error(g: Graph) -> PreconditionError:
+    """The error for a graph where a cycle has an exit, naming the pair
+    that `cycle_with_exit_witness` finds."""
+    cyc, exit_edge = cycle_with_exit_witness(g)
+    return PreconditionError(
+        f"graph is not no-exit: cycle {'/'.join(cyc.edges)} has exit {exit_edge}"
+    )
+
+
 def _exit_witness(g: Graph):
     """The first vertex of a nontrivial SCC with two or more out-edges lies
     on a cycle with an exit there; a breadth-first search inside the SCC

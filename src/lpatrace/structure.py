@@ -154,19 +154,17 @@ def _strip_cycle(edges: tuple, word: tuple):
 
 
 def decompose(g: Graph) -> Decomposition:
-    """Block decomposition; requires the graph to have no cycle with an exit.
+    """Block decomposition; requires the graph to have no cycle with an exit,
+    and raises `graphs._exit_error`'s `PreconditionError` otherwise.
 
     Raises `PreconditionError` once the basis paths of all blocks hold more
     than `graphs.PATHS_INTO_WORK_LIMIT` edge ids in total; the total is
     checked after each block, so at most one block past the limit is built.
+    `traces.build_faithful_trace` counts the basis paths from each vertex
+    without listing them, so it has no such limit.
     """
-    witness = cycle_with_exit_witness(g)
-    if witness is not None:
-        cyc, exit_edge = witness
-        raise PreconditionError(
-            f"graph is not no-exit: cycle {'/'.join(cyc.edges)} "
-            f"has exit {exit_edge}"
-        )
+    if cycle_with_exit_witness(g) is not None:
+        raise graphs._exit_error(g)
     ends = [(s, None) for s in sinks(g)] + [(c.src, c) for c in cycles(g)]
     sink_blocks, cycle_blocks = [], []
     size = 0

@@ -120,6 +120,15 @@ def two_cycle_chain_text(n, forward="f", back="b"):
     return "\n".join(lines)
 
 
+def double_edge_chain_text(n):
+    """A chain of n double edges a0 => a1 => ... => an, the edges `fi` and
+    `gi` from ai to a(i+1): 2^(n+1) - 1 paths into an, holding
+    (n - 1) 2^(n+1) + 2 edge ids."""
+    lines = [f"v a{i}" for i in range(n + 1)]
+    lines += [f"e {x}{i} a{i} a{i + 1}" for i in range(n) for x in "fg"]
+    return "\n".join(lines)
+
+
 def complete_digraph(n):
     """K_n: vertices v0 .. v(n-1) and an edge between each ordered pair of
     distinct vertices, no loops."""
@@ -174,7 +183,9 @@ NO_EXIT_NAMES = [
 
 @pytest.fixture
 def scc_passes(monkeypatch):
-    """The graphs of whole-graph SCC passes, appended as they run."""
+    """The graphs of whole-graph SCC passes, appended as they run.  Every
+    `lpatrace` module's binding of `strongly_connected_components` is
+    patched, so a pass made through a module's own import counts too."""
     tarjan = graphs.strongly_connected_components
     passes = []
 
@@ -182,7 +193,11 @@ def scc_passes(monkeypatch):
         passes.append(g)
         return tarjan(g)
 
-    monkeypatch.setattr(graphs, "strongly_connected_components", counted)
+    for name, module in list(sys.modules.items()):
+        if name == "lpatrace" or name.startswith("lpatrace."):
+            for key, value in list(vars(module).items()):
+                if value is tarjan:
+                    monkeypatch.setattr(module, key, counted)
     return passes
 
 

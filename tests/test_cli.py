@@ -12,6 +12,7 @@ from lpatrace.cli import main
 from conftest import (
     GRAPH_TEXTS,
     cayley_text,
+    double_edge_chain_text,
     fresh_rng,
     small_graphs,
     small_tables_with_zero,
@@ -238,16 +239,8 @@ def test_analyze_long_cycle_solves_sparse_vertex_constraints(tmp_path, capsys):
     assert json.loads(out)["result"]["vertex_trace_space_dim"] == 1
 
 
-def _double_edge_chain_text(n):
-    # a0 => a1 => ... => an: 2^(n+1) - 1 paths into an, holding
-    # (n - 1) 2^(n+1) + 2 edge ids
-    lines = [f"v a{i}" for i in range(n + 1)]
-    lines += [f"e {x}{i} a{i} a{i + 1}" for i in range(n) for x in "fg"]
-    return "\n".join(lines)
-
-
 def test_decompose_within_path_limit(tmp_path, capsys):
-    path = _write(tmp_path, "chain12.graph", _double_edge_chain_text(12))
+    path = _write(tmp_path, "chain12.graph", double_edge_chain_text(12))
     code, out, _ = _run(capsys, "decompose", path)
     assert code == 0
     (block,) = json.loads(out)["result"]["sink_blocks"]
@@ -256,7 +249,7 @@ def test_decompose_within_path_limit(tmp_path, capsys):
 
 def test_decompose_past_path_limit_exits_3(tmp_path, capsys):
     # 1,966,082 edge ids of basis paths, past the 10**6 limit
-    path = _write(tmp_path, "chain16.graph", _double_edge_chain_text(16))
+    path = _write(tmp_path, "chain16.graph", double_edge_chain_text(16))
     start = time.perf_counter()
     code, out, err = _run(capsys, "decompose", path)
     assert time.perf_counter() - start < 3
@@ -268,7 +261,7 @@ def test_decompose_past_limit_of_all_blocks_exits_3(tmp_path, capsys):
     # the end of a chain of 14 double edges fans out to 3 sinks: each sink
     # block holds 458,753 edge ids, inside the limit, and the three together
     # hold 1,376,259, past it
-    lines = [_double_edge_chain_text(14)]
+    lines = [double_edge_chain_text(14)]
     lines += [f"v s{i}\ne x{i} a14 s{i}" for i in range(3)]
     path = _write(tmp_path, "fan3.graph", "\n".join(lines))
     start = time.perf_counter()

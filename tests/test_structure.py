@@ -6,7 +6,7 @@ import pytest
 
 from lpatrace import graphs, structure
 from lpatrace.errors import PreconditionError
-from lpatrace.gis import MonPair
+from lpatrace.gis import MonPair, VertexClass
 from lpatrace.graphs import (
     Graph,
     cycle_with_exit_witness,
@@ -33,15 +33,22 @@ from lpatrace.structure import (
     phi_inverse_unit,
     pull_back_trace,
 )
-from lpatrace.traces import build_faithful_trace, trace_eval, validate_trace_spec
+from lpatrace.traces import (
+    build_faithful_trace,
+    positivity_screen,
+    trace_eval,
+    validate_trace_spec,
+)
 
 from conftest import (
     GRAPH_TEXTS,
     GRAPHS,
     NO_EXIT_NAMES,
     all_paths_up_to,
+    comb,
     cycle_rep,
     decompose_reference,
+    double_edge_chain_text,
     expand_monomial_reference,
     fresh_rng,
     matrix_identity,
@@ -163,6 +170,49 @@ def test_build_faithful_trace_runs_one_scc_pass(scc_passes):
         scc_passes.clear()
         build_faithful_trace(parse_graph(GRAPH_TEXTS[name]), Q, IDENTITY)
         assert len(scc_passes) == 1, name
+
+
+def test_built_trace_counts_the_basis_paths_of_decompose():
+    """The faithful trace's value N(v) comes from a recurrence over the SCCs,
+    not from `decompose`: on every no-exit graph with at most 3 vertices and
+    4 edges, and on the no-exit catalog graphs, it is the number of basis
+    paths starting at v, in the declaration order of the vertices, for both
+    field pairs; the values sum to the total block size, and the positivity
+    screen passes."""
+    no_exit = [g for g in small_graphs() if is_no_exit(g)]
+    assert len(no_exit) == 274
+    for g in no_exit + [GRAPHS[name] for name in NO_EXIT_NAMES]:
+        dec = decompose(g)
+        for field, inv in ((Q, IDENTITY), (QI, CONJUGATION)):
+            spec = build_faithful_trace(g, field, inv)
+            assert (spec.field, spec.involution) == (field, inv)
+            assert list(spec.values.items()) == [
+                (VertexClass(v), fe(len(dec._basis_from[v]), 0, field))
+                for v in g.vertices
+            ], g
+        total = sum(spec.values.values(), fe_zero(QI))
+        assert total == fe(sum(dec.block_sizes()), 0, QI), g
+        assert positivity_screen(g, spec) == [], g
+
+
+def test_built_trace_has_closed_forms_past_the_decompose_limit():
+    """N(a_i) = n - i on the n-tooth comb, and N(a_i) = 2^(n-i) on a chain
+    of n double edges, whose basis paths `decompose` refuses to list; the
+    values keep the declaration order of the vertices."""
+    with pytest.raises(PreconditionError, match="basis paths of a graph"):
+        decompose(comb(200))
+    for n in (200, 1000):
+        g = comb(n)
+        spec = build_faithful_trace(g, Q, IDENTITY)
+        assert list(spec.values) == [VertexClass(v) for v in g.vertices]
+        assert [spec.values[VertexClass(f"a{i}")] for i in range(n)] == [
+            fe(n - i) for i in range(n)]
+        assert {spec.values[VertexClass(f"s{i}")] for i in range(n)} == {fe(1)}
+    for n in (16, 40):
+        g = parse_graph(double_edge_chain_text(n))
+        spec = build_faithful_trace(g, Q, IDENTITY)
+        assert list(spec.values.items()) == [
+            (VertexClass(f"a{i}"), fe(2 ** (n - i))) for i in range(n + 1)]
 
 
 def test_decompose_limit_counts_edge_ids_of_all_blocks(monkeypatch):

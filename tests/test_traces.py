@@ -536,6 +536,31 @@ def test_traciality_and_normalization_invariance():
                 assert cohn_val == leavitt_val
 
 
+def test_leavitt_trace_needs_no_normal_form():
+    """A trace on L(E) is a trace on C(E) that vanishes on the relations
+    v = sum of e e*.  So for a validated spec, `trace_eval` of a Leavitt
+    element equals `trace_eval` of the Cohn element with the same raw terms,
+    for x, xy and yxy; the Cohn side never rewrites, so this checks `_nf`
+    and `_canonical_terms` on 300 seeded small graphs, with 5 specs each and
+    the built faithful spec on a no-exit graph."""
+    rng = fresh_rng(45)
+    checked = 0
+    for g in rng.sample(small_graphs(), 300):
+        L = PathAlgebra(g, Q, IDENTITY, LEAVITT)
+        C = PathAlgebra(g, Q, IDENTITY, COHN)
+        specs = [random_validated_spec(g, rng, max_cycle_len=2) for _ in range(5)]
+        if is_no_exit_reference(g):
+            specs.append(build_faithful_trace(g, Q, IDENTITY))
+        for spec in specs:
+            rx, ry = random_raw_terms(g, rng, Q), random_raw_terms(g, rng, Q)
+            x, y = L.from_terms(rx), L.from_terms(ry)
+            cx, cy = C.from_terms(rx), C.from_terms(ry)
+            for lv, cv in ((x, cx), (x * y, cx * cy), (y * x * y, cy * cx * cy)):
+                assert trace_eval(g, spec, lv) == trace_eval(g, spec, cv), g
+                checked += 1
+    assert checked >= 4500
+
+
 def test_well_definedness_on_ideal_generators():
     rng = fresh_rng(43)
     for name in ("line3", "tree", "two_cycle"):
