@@ -7,6 +7,7 @@ from .errors import ParseError, PreconditionError
 from .scalars import (
     CONJUGATION,
     FieldElem,
+    FreeVector,
     IDENTITY,
     LaurentPoly,
     Q,
@@ -51,8 +52,8 @@ from .gis import (
 from .semigroups import (
     CentralMap,
     FiniteSemigroup,
-    FreeVector,
     admits_normalized_minimal,
+    augmentation_trace,
     build_semigroup,
     central_map,
     endo_semigroup,
@@ -60,6 +61,7 @@ from .semigroups import (
     in_commutator_span,
     is_central_map,
     is_minimal_sg_trace,
+    kaplansky_trace,
     matrix_unit_index,
     matrix_units_semigroup,
     minimal_trace,
@@ -81,11 +83,9 @@ from .path_algebras import (
 )
 from .traces import (
     TraceSpec,
-    augmentation_trace,
     build_faithful_trace,
     faithful_trace_exists,
     is_minimal_cohn,
-    kaplansky_trace,
     minimal_trace_cohn,
     parse_trace_spec,
     positivity_screen,

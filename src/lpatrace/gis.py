@@ -20,9 +20,9 @@ from .graphs import (
     Graph,
     PathSeq,
     format_path,
-    _MEMO_CAP,
     _least_rotation,
     _least_rotation_path,
+    _remember,
 )
 
 
@@ -150,8 +150,7 @@ def classify_eq(g: Graph, a):
     the starred rotation class; incomparable pairs (and zero) fall in the
     zero class.  A rotation class is read from the graph's memo
     `g._rotations`, keyed by the closing word, plain or starred; only a
-    word it lacks is rotated, and kept while the memo holds fewer than
-    `_MEMO_CAP` (1,024) words.
+    word it lacks is rotated, and kept by `graphs._remember`.
     """
     if a is GIS_ZERO:
         return ZERO_CLASS
@@ -170,10 +169,5 @@ def classify_eq(g: Graph, a):
 def _rotation_class(g: Graph, kind, word: tuple):
     """kind(least rotation of word), through the memo `g._rotations`."""
     key = kind, word
-    memo = g._rotations
-    cls = memo.get(key)
-    if cls is None:
-        cls = kind(_least_rotation(word))
-        if len(memo) < _MEMO_CAP:
-            memo[key] = cls
-    return cls
+    cls = g._rotations.get(key)
+    return _remember(g._rotations, key, kind(_least_rotation(word))) if cls is None else cls

@@ -19,8 +19,18 @@ _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 _ID_RE = _re.compile(_ID)
 
 # Most entries that one per-context memo keeps: a graph's `_paths` and
-# `_rotations`, and a `PathAlgebra`'s `_expansions` and `_scalars`.
+# `_rotations`, a `PathAlgebra`'s `_expansions` and `_scalars`, and a
+# `Decomposition`'s `_expand_cache`; each stores through `_remember`.
 _MEMO_CAP = 1024
+
+
+def _remember(memo: dict, key, value):
+    """`value`, stored under `key` while `memo` holds fewer than `_MEMO_CAP`
+    entries.  A store follows its size check, so n threads that miss at
+    once can leave a shared memo at most `_MEMO_CAP` + n entries."""
+    if len(memo) < _MEMO_CAP:
+        memo[key] = value
+    return value
 
 
 class Graph:
@@ -34,12 +44,12 @@ class Graph:
     The private `_sccs` is None until `_nontrivial_sccs` fills it on first
     use, and `_exit` None until `cycle_with_exit_witness` keeps its answer
     there, as a 1-tuple.  `_paths` maps each element-expression path text
-    that resolved, such as `"e/f"` or `"e / f"`, to its `PathSeq`; parsing
-    adds texts until it holds `_MEMO_CAP` (1,024) of them, then stops.
-    `_rotations` maps each closing word that `gis.classify_eq` met, plain
-    or starred, to its class, under the same cap; a class depends on the
-    word alone, so copies may share or carry it.  None of the four changes
-    what a public attribute holds.  So a deep copy is the graph itself.
+    that resolved, such as `"e/f"` or `"e / f"`, to its `PathSeq`, and
+    `_rotations` each closing word that `gis.classify_eq` met, plain or
+    starred, to its class; both store through `_remember`.  A class depends
+    on the word alone, so copies may share or carry it.  None of the four
+    changes what a public attribute holds.  So a deep copy is the graph
+    itself.
     """
 
     def __init__(self, vertices, edges):

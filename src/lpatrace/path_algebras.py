@@ -41,7 +41,7 @@ from .graphs import (
     Graph,
     PathSeq,
     _ID,
-    _MEMO_CAP,
+    _remember,
     edge_path,
     format_path,
     path_sort_key,
@@ -81,10 +81,10 @@ class PathAlgebra:
     maps a monomial that `_canonical_terms` expanded to its canonical
     expansion, a tuple of (MonPair, 1 or -1) pairs; `_scalars` maps a
     (sign, scalar text) pair that `parse_element` read to its signed
-    FieldElem.  Each stores only on a miss, while it holds fewer than
-    `_MEMO_CAP` (1,024) entries, and never a scalar that failed.  Neither
-    changes what a public attribute holds, so the context is fixed once
-    built, and a deep copy is the context itself; a pickle carries both.
+    FieldElem.  Each stores only on a miss, through `graphs._remember`,
+    and never a scalar that failed.  Neither changes what a public
+    attribute holds, so the context is fixed once built, and a deep copy
+    is the context itself; a pickle carries both.
     """
 
     def __init__(self, graph: Graph, field=Q, involution=IDENTITY,
@@ -219,9 +219,9 @@ class PathAlgebra:
 
     def _canonical_terms(self, raw, suspects):
         """The canonical form of `raw` when only its keys in `suspects` can
-        be redexes: those expand by `_nf`, read from `_expansions` once it
-        holds them, and the others are added as they are.  One walk of
-        `raw`, in insertion order, drops zeros as it goes."""
+        be redexes: those expand by `_nf`, kept in `_expansions` through
+        `graphs._remember`, and the others are added as they are.  One walk
+        of `raw`, in insertion order, drops zeros as it goes."""
         out = {}
         expansions = self._expansions
         for mon, c in raw.items():
@@ -230,9 +230,7 @@ class PathAlgebra:
             if mon in suspects:
                 nf = expansions.get(mon)
                 if nf is None:
-                    nf = tuple(self._nf(mon).items())
-                    if len(expansions) < _MEMO_CAP:
-                        expansions[mon] = nf
+                    nf = _remember(expansions, mon, tuple(self._nf(mon).items()))
                 add_terms(out, ((m, c if k == 1 else -c) for m, k in nf))
             elif mon in out:  # an earlier expansion reached it
                 add_terms(out, ((mon, c),))
@@ -327,15 +325,11 @@ def _token(text: str, pos: int):
 
 def _path(g: Graph, text: str) -> PathSeq:
     """The path of `id[/id]...` text, read once per graph: `g._paths` keeps
-    each text that resolved, while it holds fewer than `_MEMO_CAP`.  The
-    memo serves almost every lookup, so a miss can afford `_read_path`'s
-    one path check, `edge_path`."""
+    each text that resolved, through `graphs._remember`.  The memo serves
+    almost every lookup, so a miss can afford `_read_path`'s one path
+    check, `edge_path`."""
     p = g._paths.get(text)
-    if p is None:
-        p = _read_path(g, text)
-        if len(g._paths) < _MEMO_CAP:
-            g._paths[text] = p
-    return p
+    return _remember(g._paths, text, _read_path(g, text)) if p is None else p
 
 
 def _read_path(g: Graph, text: str) -> PathSeq:
@@ -365,7 +359,8 @@ def parse_element(text: str, algebra: PathAlgebra) -> AlgebraElement:
     path itself, and a bare scalar is that multiple of the identity.  Each
     term is one match of `_TERM_RE`; where the match stops short, the next
     token names the error, and the checks run in reading order.  A signed
-    scalar text is converted once per context and kept in `_scalars`.
+    scalar text is converted once per context and kept in `_scalars`,
+    through `graphs._remember`.
     """
     bad = _BAD_CHAR_RE.search(text)
     if bad:
@@ -384,9 +379,7 @@ def parse_element(text: str, algebra: PathAlgebra) -> AlgebraElement:
             c = scalars.get((sign, scalar))
             if c is None:
                 c = _scalar_value(*parts, algebra.field, scalar, scalar)
-                c = -c if sign == "-" else c
-                if len(scalars) < _MEMO_CAP:
-                    scalars[(sign, scalar)] = c
+                c = _remember(scalars, (sign, scalar), -c if sign == "-" else c)
         else:
             c = -one if sign == "-" else one
         pos = m.end()

@@ -407,6 +407,20 @@ def laurent_a0(p: LaurentPoly) -> FieldElem:
     return p.coeff(0)
 
 
+class FreeVector(SparseTerms):
+    """Finitely supported vector in the free module on hashable keys.
+
+    Its context is None.  Elements of the contracted semigroup ring are
+    FreeVectors on the nonzero element indices; values of a minimal trace
+    are FreeVectors on the nonzero classes.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "FreeVector(" + ", ".join(f"{k!r}: {v!r}" for k, v in self.terms.items()) + ")"
+
+
 # ---------------------------------------------------------------------------
 # Text syntax
 # ---------------------------------------------------------------------------

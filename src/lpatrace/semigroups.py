@@ -2,8 +2,9 @@
 
 Provides the conjugacy-type equivalence (the transitive closure of relating
 ab to ba), central maps, contracted-semigroup-ring arithmetic, trace
-evaluation, the canonical minimal trace into the free module on the nonzero
-classes, and the associated decision procedures.
+evaluation, the Kaplansky and augmentation traces of a group with zero, the
+canonical minimal trace into the free module on the nonzero classes, and
+the associated decision procedures.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from operator import contains, eq, index, itemgetter
 from .errors import ParseError, PreconditionError, content_lines
 from .linalg import rank
 from .scalars import (
+    FreeVector,
     Q,
-    SparseTerms,
     _Frozen,
     _coerce,
     add_terms,
@@ -618,20 +619,6 @@ def sim_witness_chain(G: FiniteSemigroup, g: int, h: int):
 # ---------------------------------------------------------------------------
 
 
-class FreeVector(SparseTerms):
-    """Finitely supported vector in the free module on hashable keys.
-
-    Its context is None.  Elements of the contracted semigroup ring are
-    FreeVectors on the nonzero element indices; values of a minimal trace
-    are FreeVectors on the nonzero classes.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "FreeVector(" + ", ".join(f"{k!r}: {v!r}" for k, v in self.terms.items()) + ")"
-
-
 FREE_ZERO = FreeVector(None, {})
 
 
@@ -697,6 +684,22 @@ def central_map(G: FiniteSemigroup, values, field=Q) -> CentralMap:
     return CentralMap(values, field)
 
 
+def kaplansky_trace(G: FiniteSemigroup, field=Q) -> CentralMap:
+    """delta(identity) = 1, zero elsewhere."""
+    e = group_identity(G)
+    one, zero = fe_one(field), fe_zero(field)
+    values = tuple(one if i == e else zero for i in range(G.size))
+    return central_map(G, values, field)
+
+
+def augmentation_trace(G: FiniteSemigroup, field=Q) -> CentralMap:
+    """delta = 1 on every nonzero element."""
+    group_identity(G)
+    one, zero = fe_one(field), fe_zero(field)
+    values = tuple(zero if i == G.zero else one for i in range(G.size))
+    return central_map(G, values, field)
+
+
 def sg_trace_eval(G: FiniteSemigroup, delta: CentralMap, x: FreeVector):
     """sum of a_g * delta(g); FieldElem- or FreeVector-valued with delta."""
     if delta.is_vector_valued:
@@ -739,20 +742,17 @@ def in_commutator_span(G: FiniteSemigroup, x: FreeVector) -> bool:
 
 def is_minimal_sg_trace(G: FiniteSemigroup, delta: CentralMap) -> bool:
     """Linear independence of the values over the distinct nonzero classes."""
-    part = sim_classes(G)
-    reps = part.representatives()
-    if not reps:
-        return True
-    values = [delta.values[r] for r in reps]
-    if any(isinstance(v, FreeVector) for v in values):
-        column = {}  # FreeVector keys need not be ordered: number them
-        rows = [
-            {column.setdefault(k, len(column)): c for k, c in v.terms.items()}
-            for v in values
-        ]
-    else:
-        rows = [{0: v} for v in values]
-    return rank(rows) == len(reps)
+    values = [delta.values[r] for r in sim_classes(G).representatives()]
+    if not any(isinstance(v, FreeVector) for v in values):
+        # the values form one column, whose rank is at most 1: it equals the
+        # number of classes only for no class, or one class with a nonzero value
+        return not values or (len(values) == 1 and bool(values[0]))
+    column = {}  # FreeVector keys need not be ordered: number them
+    rows = [
+        {column.setdefault(k, len(column)): c for k, c in v.terms.items()}
+        for v in values
+    ]
+    return rank(rows) == len(values)
 
 
 def admits_normalized_minimal(G: FiniteSemigroup) -> bool:

@@ -68,8 +68,10 @@ class Decomposition:
 
     `_basis_from[v]` holds a (block, cycle word, basis path) triple for each
     basis path starting at v, the word empty in a sink block: a sink holds
-    only itself, a cycle vertex only its roll to the base.  Graph, blocks
-    and tables are fixed once built, so a deep copy is the object itself.
+    only itself, a cycle vertex only its roll to the base.  `_expand_cache`
+    maps each monomial that `expand_monomial` resolved to its units, and
+    stores through `graphs._remember`.  Graph, blocks and tables are fixed
+    once built, so a deep copy is the object itself.
     """
 
     def __init__(self, g: Graph, sink_blocks, cycle_blocks):
@@ -128,7 +130,7 @@ class Decomposition:
                 raise PreconditionError(
                     f"monomial {mon!r} not expressible in the block families"
                 )
-            out = self._expand_cache[mon] = tuple(out)
+            out = graphs._remember(self._expand_cache, mon, tuple(out))
         return out
 
     def __repr__(self):

@@ -41,6 +41,7 @@ from .scalars import (
     CONJUGATION,
     FIELDS,
     FieldElem,
+    FreeVector,
     IDENTITY,
     INVOLUTIONS,
     Q,
@@ -48,20 +49,12 @@ from .scalars import (
     _coerce,
     add_terms,
     check_involution,
-    fe_one,
     fe_zero,
     format_scalar,
     is_nonnegative,
     is_positive_nonzero,
     parse_scalar,
     require_positive_definite,
-)
-from .semigroups import (
-    CentralMap,
-    FiniteSemigroup,
-    FreeVector,
-    central_map,
-    group_identity,
 )
 
 
@@ -390,27 +383,6 @@ def build_faithful_trace(g: Graph, field=QI, involution=CONJUGATION) -> TraceSpe
             else:
                 count[v] = sum(count[w] for w in ranges) or 1
     return trace_spec(g, field, involution, {v: count[v] for v in g.vertices})
-
-
-# ---------------------------------------------------------------------------
-# Group-ring traces
-# ---------------------------------------------------------------------------
-
-
-def kaplansky_trace(G: FiniteSemigroup, field=Q) -> CentralMap:
-    """delta(identity) = 1, zero elsewhere."""
-    e = group_identity(G)
-    one, zero = fe_one(field), fe_zero(field)
-    values = tuple(one if i == e else zero for i in range(G.size))
-    return central_map(G, values, field)
-
-
-def augmentation_trace(G: FiniteSemigroup, field=Q) -> CentralMap:
-    """delta = 1 on every nonzero element."""
-    group_identity(G)
-    one, zero = fe_one(field), fe_zero(field)
-    values = tuple(zero if i == G.zero else one for i in range(G.size))
-    return central_map(G, values, field)
 
 
 # ---------------------------------------------------------------------------

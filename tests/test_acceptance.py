@@ -28,12 +28,14 @@ from lpatrace.scalars import (
     is_positive_nonzero,
 )
 from lpatrace.semigroups import (
+    augmentation_trace,
     central_map,
     endo_semigroup,
     group_with_zero,
     in_commutator_span,
     is_central_map,
     is_minimal_sg_trace,
+    kaplansky_trace,
     matrix_unit_index,
     matrix_units_semigroup,
     minimal_trace,
@@ -49,10 +51,8 @@ from lpatrace.structure import (
 )
 from lpatrace.traces import (
     TraceSpec,
-    augmentation_trace,
     build_faithful_trace,
     faithful_trace_exists,
-    kaplansky_trace,
     trace_eval,
     trace_spec,
     validate_trace_spec,

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
@@ -271,3 +272,15 @@ def test_is_minimal_sg_trace_rejects_proportional_class_values():
 
     assert is_minimal_sg_trace(G, delta(FreeVector(None, {"q": fe(1)})))
     assert not is_minimal_sg_trace(G, delta(base.scale(fe(-3))))
+    # a scalar-valued map is one column: its verdict agrees with `rank`
+    # under every assignment of these values to 0 to 3 nonzero classes
+    scalars = (fe(0), fe(1), fe(-1), fe(Fraction(1, 2)))
+    for name in ("trivial", "mu2", "c2", "c3"):
+        G = SEMIGROUPS[name]
+        part = sim_classes(G)
+        ids = part.nonzero_class_ids
+        for choice in product(scalars, repeat=len(ids)):
+            per_class = dict(zip(ids, choice))
+            delta = central_map(G, [per_class.get(cid, fe(0)) for cid in part.class_of])
+            independent = rank([{0: v} for v in choice]) == len(ids)
+            assert is_minimal_sg_trace(G, delta) == independent, (name, choice)

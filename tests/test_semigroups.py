@@ -16,6 +16,7 @@ from lpatrace.semigroups import (
     FreeVector,
     _ParsedTable,
     admits_normalized_minimal,
+    augmentation_trace,
     build_semigroup,
     central_map,
     endo_semigroup,
@@ -23,6 +24,7 @@ from lpatrace.semigroups import (
     in_commutator_span,
     is_central_map,
     is_minimal_sg_trace,
+    kaplansky_trace,
     matrix_unit_index,
     matrix_units_semigroup,
     minimal_trace,
@@ -33,7 +35,6 @@ from lpatrace.semigroups import (
     sim_classes,
     sim_witness_chain,
 )
-from lpatrace.traces import augmentation_trace, kaplansky_trace
 
 from conftest import (
     SEMIGROUPS,

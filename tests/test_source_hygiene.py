@@ -168,6 +168,25 @@ def test_only_the_sparse_core_and_scalars_define_addition():
     assert adders == ["FieldElem", "SparseTerms"]
 
 
+def test_only_graphs_names_the_memo_cap():
+    # every per-context memo stores through `graphs._remember`
+    naming = sorted(
+        path.name for path in _package_modules() if _used_names(_parse(path))["_MEMO_CAP"]
+    )
+    assert naming == ["graphs.py"]
+
+
+def test_traces_imports_nothing_from_semigroups():
+    # the group-ring traces and `FreeVector` live outside `traces`
+    imported = {
+        name
+        for node in ast.walk(_parse(PACKAGE / "traces.py"))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in (getattr(node, "module", None), *(alias.name for alias in node.names))
+    }
+    assert "scalars" in imported and not {"semigroups", "lpatrace.semigroups"} & imported
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_pathlib():
     # -S: without `site`, whose own imports could hide the package's
     check = (

@@ -498,6 +498,24 @@ def test_expansion_caches_only_the_monomials_asked_for():
         assert len(dec._expand_cache) == n
 
 
+def test_expansion_memo_stops_at_its_cap(monkeypatch):
+    # the canonical monomials l^a (l^b)* of the one-loop graph, one of a and
+    # b zero, through one decomposition: the memo keeps the first
+    # `_MEMO_CAP`, and every image, kept or not, is a fresh decomposition's;
+    # a cap of 64 keeps the powers short, as `_strip_cycle` sheds one copy
+    # of the cycle word at a time
+    monkeypatch.setattr(graphs, "_MEMO_CAP", 64)
+    g = GRAPHS["one_loop"]
+    A = PathAlgebra(g, Q, IDENTITY, LEAVITT)
+    powers = [A.path(["e"] * k) for k in range(1, 83)]
+    xs = ([A.vertex("v")] + powers + [alg_star(x) for x in powers])[:64 + 100]
+    dec = decompose(g)
+    images = [phi(dec, x).blocks for x in xs]
+    assert len(dec._expand_cache) == 64
+    assert images == [phi(decompose(g), x).blocks for x in xs]
+    assert [phi(dec, x).blocks for x in xs] == images
+
+
 def test_expand_monomial_matches_the_leavitt_relation_reference():
     """On every no-exit graph with at most 3 vertices and 4 edges, in both
     edge-declaration orders, each monomial with paths of length <= 3

@@ -8,6 +8,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
+from lpatrace import graphs
 from lpatrace.gis import MonPair
 from lpatrace.graphs import _MEMO_CAP, edge_path, parse_graph, vertex_path
 from lpatrace.path_algebras import (
@@ -156,3 +157,30 @@ def test_threads_fill_one_rotation_memo_past_its_cap():
     for k, got in enumerate(_in_threads(lambda k: results(g, share(jobs, k)))):
         assert got == share(serial, k)
     assert _MEMO_CAP <= len(g._rotations) <= _MEMO_CAP + THREADS
+
+
+def test_threads_fill_one_expansion_memo_past_its_cap(monkeypatch):
+    # under a cap of 64, the 164 canonical monomials l^a (l^b)* of the
+    # one-loop graph, one of a and b zero, through `phi` on one shared
+    # decomposition: thread k takes 40 of them from monomial 20k on, so
+    # together they meet every one; each result equals a serial run on a
+    # fresh decomposition, and the memo overshoots the cap by at most one
+    # entry per racing thread
+    monkeypatch.setattr(graphs, "_MEMO_CAP", 64)
+
+    def monomials(g):
+        A = PathAlgebra(g, Q, IDENTITY, LEAVITT)
+        powers = [A.path(["e"] * k) for k in range(1, 83)]
+        return ([A.vertex("v")] + powers + [alg_star(x) for x in powers])[:164]
+
+    def share(items, k):
+        return _rotated(items, 20 * k)[:40]
+
+    fresh = parse_graph(GRAPH_TEXTS["one_loop"])
+    fresh_dec = decompose(fresh)
+    serial = [phi(fresh_dec, x).blocks for x in monomials(fresh)]
+    g = parse_graph(GRAPH_TEXTS["one_loop"])
+    dec, xs = decompose(g), monomials(g)
+    for k, got in enumerate(_in_threads(lambda k: [phi(dec, x).blocks for x in share(xs, k)])):
+        assert got == share(serial, k)
+    assert 64 <= len(dec._expand_cache) <= 64 + THREADS

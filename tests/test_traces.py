@@ -26,14 +26,12 @@ from lpatrace.scalars import (
     fe_zero,
     is_positive_nonzero,
 )
-from lpatrace.semigroups import group_with_zero
+from lpatrace.semigroups import augmentation_trace, group_with_zero, kaplansky_trace
 from lpatrace.traces import (
     TraceSpec,
-    augmentation_trace,
     build_faithful_trace,
     faithful_trace_exists,
     is_minimal_cohn,
-    kaplansky_trace,
     minimal_trace_cohn,
     parse_trace_spec,
     positivity_screen,
