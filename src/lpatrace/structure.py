@@ -66,12 +66,15 @@ class CycleBlock(namedtuple("CycleBlock", "cycle paths")):
 class Decomposition:
     """Block data for a no-exit graph, with the monomial expansion cache.
 
-    `_basis_from[v]` holds a (block, cycle word, basis path) triple for each
-    basis path starting at v, the word empty in a sink block: a sink holds
-    only itself, a cycle vertex only its roll to the base.  `_expand_cache`
-    maps each monomial that `expand_monomial` resolved to its units, and
-    stores through `graphs._remember`.  Graph, blocks and tables are fixed
-    once built, so a deep copy is the object itself.
+    `_basis_from[v]` holds a (block, cycle word, edge word, rows) entry for
+    each basis path starting at v, the cycle word empty in a sink block: a
+    sink holds only itself, a cycle vertex only its roll to the base.
+    `rows` is the block's one {(source, edge word): row} table, shared by
+    its entries; every path of a block ends at the block's end, so its
+    source and word fix it.  `_expand_cache` maps each monomial that
+    `expand_monomial` resolved to its units, and stores through
+    `graphs._remember`.  Graph, blocks and tables are fixed once built, so
+    a deep copy is the object itself.
     """
 
     def __init__(self, g: Graph, sink_blocks, cycle_blocks):
@@ -79,13 +82,12 @@ class Decomposition:
         self.sink_blocks = tuple(sink_blocks)
         self.cycle_blocks = tuple(cycle_blocks)
         self.blocks = self.sink_blocks + self.cycle_blocks
-        self._index = []
         self._basis_from = {v: [] for v in g.vertices}
         for b, block in enumerate(self.blocks):
             word = block.cycle.edges if self.is_cycle_block(b) else ()
-            self._index.append({p: i for i, p in enumerate(block.paths)})
+            rows = {(p.src, p.edges): i for i, p in enumerate(block.paths)}
             for p in block.paths:
-                self._basis_from[p.src].append((b, word, p))
+                self._basis_from[p.src].append((b, word, p.edges, rows))
         self._expand_cache = {}
 
     def __deepcopy__(self, memo):
@@ -102,8 +104,9 @@ class Decomposition:
 
         The range of p and q is the sum of P P* over the basis paths P
         starting there, so p q* is the sum of (p P)(q P)*, each side less
-        its trailing cycle words, which make up k.  Only the monomials
-        asked for are cached.
+        its trailing cycle words, which make up k; each side's source and
+        remaining word then name its row.  The work is linear in the
+        lengths of p and q.  Only the monomials asked for are cached.
 
         Raises `PreconditionError` when p q* is not expressible in the
         block families: p or q is not a path of the decomposed graph, or
@@ -115,13 +118,11 @@ class Decomposition:
             out = []
             # every vertex starts a basis path; a range outside the graph
             # starts none, so it leaves `out` empty
-            for b, word, path in self._basis_from.get(p.dst, ()):
-                pe, a = _strip_cycle(p.edges + path.edges, word)
-                qe, c = _strip_cycle(q.edges + path.edges, word)
-                # a plain (src, dst, edges) tuple finds its PathSeq key
-                idx = self._index[b]
-                j = idx.get((p.src, path.dst, pe))
-                l = idx.get((q.src, path.dst, qe))
+            for b, word, edges, rows in self._basis_from.get(p.dst, ()):
+                pe, a = _strip_cycle(p.edges + edges, word)
+                qe, c = _strip_cycle(q.edges + edges, word)
+                j = rows.get((p.src, pe))
+                l = rows.get((q.src, qe))
                 if j is None or l is None:
                     out = ()
                     break
@@ -145,14 +146,14 @@ class Decomposition:
 
 def _strip_cycle(edges: tuple, word: tuple):
     """Remove trailing full copies of the cycle word, none for the empty
-    word; returns (edges, count).  When everything goes, the path was a
-    pure cycle power, so it starts at the base."""
-    count = 0
-    n = len(word)
-    while n and edges[-n:] == word:
-        edges = edges[:-n]
-        count += 1
-    return edges, count
+    word; returns (edges, count).  An end index steps back over the copies
+    and one slice cuts them, so the cost is linear in the edges.  When
+    everything goes, the path was a pure cycle power, so it starts at the
+    base."""
+    n, end = len(word), len(edges)
+    while n and end >= n and edges[end - n:end] == word:
+        end -= n
+    return edges[:end], (len(edges) - end) // (n or 1)
 
 
 def decompose(g: Graph) -> Decomposition:
@@ -283,10 +284,14 @@ def phi_inverse_unit(dec: Decomposition, algebra: PathAlgebra,
 
 def pull_back_trace(dec: Decomposition, field: str, involution: str):
     """Faithful trace obtained by tracing each block (cycle blocks through
-    the degree-zero coefficient), as a function of Leavitt-mode elements."""
+    the degree-zero coefficient), as a function of Leavitt-mode elements;
+    the function raises `ValueError` for an element over another graph or
+    field."""
     require_positive_definite(field, involution)
 
     def trace(x: AlgebraElement) -> FieldElem:
+        if x.algebra.graph is not dec.graph:
+            raise ValueError("element is over a different graph")
         if x.algebra.field != field:
             raise ValueError("element field does not match the trace")
         acc = fe_zero(field)

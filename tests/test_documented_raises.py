@@ -5,8 +5,8 @@ import pytest
 
 from lpatrace.errors import ParseError, PreconditionError
 from lpatrace.gis import MonPair
-from lpatrace.graphs import edge_path, parse_graph, paths_into, vertex_path
-from lpatrace.path_algebras import COHN, LEAVITT, PathAlgebra
+from lpatrace.graphs import PathSeq, edge_path, parse_graph, paths_into, vertex_path
+from lpatrace.path_algebras import COHN, LEAVITT, PathAlgebra, parse_element
 from lpatrace.scalars import CONJUGATION, IDENTITY, QI, Q, check_involution, parse_scalar
 from lpatrace.semigroups import (
     build_semigroup,
@@ -36,12 +36,19 @@ CASES = [
     ("expand_monomial-path_not_in_the_graph",
      lambda: DEC.expand_monomial(MonPair(edge_path(OTHER, ["zz"]), vertex_path(LINE, "b"))),
      PreconditionError, "monomial MonPair(zz.b') not expressible in the block families"),
+    ("expand_monomial-wrong_source",
+     lambda: DEC.expand_monomial(MonPair(PathSeq("b", "b", ("f",)), vertex_path(LINE, "b"))),
+     PreconditionError, "monomial MonPair(f.b') not expressible in the block families"),
     ("expand_monomial-range_not_a_vertex",
      lambda: DEC.expand_monomial(MonPair(vertex_path(OTHER, "q"), vertex_path(OTHER, "q"))),
      PreconditionError, "monomial MonPair(q.q') not expressible in the block families"),
     ("phi_inverse_unit-block_out_of_range",
      lambda: phi_inverse_unit(DEC, LEAVITT_Q, 1, 0, 0),
      ValueError, "block index 1 out of range"),
+    ("pull_back_trace-different_graph",
+     lambda: pull_back_trace(DEC, Q, IDENTITY)(parse_element(
+         "f.f'", PathAlgebra(parse_graph("v a\nv b\ne f b a"), Q, IDENTITY, LEAVITT))),
+     ValueError, "element is over a different graph"),
     ("pull_back_trace-field_mismatch",
      lambda: pull_back_trace(DEC, QI, CONJUGATION)(LEAVITT_Q.one()),
      ValueError, "element field does not match the trace"),

@@ -390,6 +390,29 @@ def test_phi_is_star_compatible():
             assert phi(dec, alg_star(x)) == phi(dec, x).star(CONJUGATION)
 
 
+def test_phi_is_a_star_homomorphism_on_every_small_no_exit_graph():
+    """On every no-exit graph with at most 3 vertices and 4 edges, for
+    seeded pairs over (Q, identity) and (Q(i), conjugation), the block map
+    is a *-homomorphism, phi(xy) = phi(x) phi(y) and phi(x*) = phi(x)*, and
+    the pulled-back block trace is a trace, t(xy) = t(yx)."""
+    rng = fresh_rng(53)
+    checked = 0
+    for g in small_graphs():
+        if not is_no_exit(g):
+            continue
+        dec = decompose(g)
+        for field, inv in ((Q, IDENTITY), (QI, CONJUGATION)):
+            A = PathAlgebra(g, field, inv, LEAVITT)
+            t = pull_back_trace(dec, field, inv)
+            for _ in range(2):
+                x, y = random_element(A, rng), random_element(A, rng)
+                assert phi(dec, x * y) == phi(dec, x) * phi(dec, y), (g, x, y)
+                assert phi(dec, alg_star(x)) == phi(dec, x).star(inv), (g, x)
+                assert t(x * y) == t(y * x), (g, x, y)
+                checked += 1
+    assert checked == 274 * 2 * 2
+
+
 def test_phi_maps_one_to_block_identity():
     for name in NO_EXIT_NAMES:
         g = GRAPHS[name]
@@ -502,8 +525,7 @@ def test_expansion_memo_stops_at_its_cap(monkeypatch):
     # the canonical monomials l^a (l^b)* of the one-loop graph, one of a and
     # b zero, through one decomposition: the memo keeps the first
     # `_MEMO_CAP`, and every image, kept or not, is a fresh decomposition's;
-    # a cap of 64 keeps the powers short, as `_strip_cycle` sheds one copy
-    # of the cycle word at a time
+    # a cap of 64 keeps the test short
     monkeypatch.setattr(graphs, "_MEMO_CAP", 64)
     g = GRAPHS["one_loop"]
     A = PathAlgebra(g, Q, IDENTITY, LEAVITT)
@@ -514,6 +536,41 @@ def test_expansion_memo_stops_at_its_cap(monkeypatch):
     assert len(dec._expand_cache) == 64
     assert images == [phi(decompose(g), x).blocks for x in xs]
     assert [phi(dec, x).blocks for x in xs] == images
+
+
+class _SliceCountingTuple(tuple):
+    """A tuple whose slices are again of this class and add the number of
+    elements they copy to the class's `copied` count."""
+
+    copied = 0
+
+    def __getitem__(self, index):
+        item = tuple.__getitem__(self, index)
+        if isinstance(index, slice):
+            type(self).copied += len(item)
+            return type(self)(item)
+        return item
+
+
+def _strip_cycle_reference(edges, word):
+    count = 0
+    while word and edges[-len(word):] == word:
+        edges, count = edges[:-len(word)], count + 1
+    return edges, count
+
+
+@pytest.mark.parametrize("edges, word", [
+    (("l",) * 4000, ("l",)),
+    (("a", "y", "z") + ("x", "y", "z") * 1000, ("x", "y", "z")),
+    (("x", "y", "z") * 3 + ("x",), ("x", "y", "z")),
+    (("a", "b"), ()),
+], ids=["one_loop_power", "word_after_prefix", "no_trailing_copy", "empty_word"])
+def test_strip_cycle_copies_each_edge_at_most_twice(edges, word):
+    # counted, not timed: stripping k copies must not copy the tail k times
+    _SliceCountingTuple.copied = 0
+    rest, count = structure._strip_cycle(_SliceCountingTuple(edges), word)
+    assert _SliceCountingTuple.copied <= 2 * len(edges)
+    assert (tuple(rest), count) == _strip_cycle_reference(edges, word)
 
 
 def test_expand_monomial_matches_the_leavitt_relation_reference():
